@@ -276,7 +276,8 @@ def _np_default(obj):
 
 
 def _emit(report, args):
-    text = json.dumps(report, indent=2, sort_keys=True, default=_np_default) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, default=_np_default,
+                      allow_nan=False) + "\n"
     if args.output and args.output != "-":
         target = Path(args.output)
         tmp = target.with_name(target.name + ".tmp")
@@ -376,6 +377,9 @@ def _cmd_capacity(args):
         M = np.asarray(spec["M"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"capacity needs a JSON object with an 'M' matrix: {exc}") from exc
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0 or M.shape[0] % 2:
+        raise InputError(f"capacity needs 'M' to be a square matrix of even size, "
+                         f"got shape {M.shape}")
     hbar = float(args.hbar if args.hbar is not None else spec.get("hbar", 1.0))
     n = M.shape[0] // 2
     out = {"input": spec, "hbar": hbar,
@@ -412,6 +416,16 @@ def _cmd_hardy(args):
     return 0
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="wigcheck",
                                      description="Is this phase-space function a Wigner distribution?")
@@ -424,8 +438,9 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     common.add_argument("--rescale", type=float, default=None,
                         help="apply a rescaling parameter to the built state")
-    common.add_argument("--max-order", type=int, default=5, help="largest sampled order")
-    common.add_argument("--trials", type=int, default=50, help="point sets per order")
+    common.add_argument("--max-order", type=_positive_int, default=5,
+                        help="largest sampled order")
+    common.add_argument("--trials", type=_positive_int, default=50, help="point sets per order")
     common.add_argument("--cmax-factor", type=float, default=1.25,
                         help="cap on the domination constant, relative to max W")
     common.add_argument("--tol-klm", type=float, default=1e-6)

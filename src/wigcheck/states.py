@@ -353,7 +353,8 @@ class SymplecticFourier:
     def __init__(self, w, boundary_tol=1e-10):
         self._xs = w.x_axis.points
         self._ps = w.p_axis.points
-        self._vals = w.values
+        # complex once: a complex-by-real product copies the grid on every call
+        self._vals = w.values.astype(complex)
         self._area = w.cell_area
         peak = np.abs(w.values).max()
         frame = max(np.abs(w.values[[0, -1], :]).max(), np.abs(w.values[:, [0, -1]]).max())
@@ -443,6 +444,8 @@ def load_wigner_manifest(path):
     x_axis = AxisGrid.from_dict(manifest["x_axis"])
     p_axis = AxisGrid.from_dict(manifest["p_axis"])
     hbar = float(manifest.get("hbar", 1.0))
+    if not hbar > 0:
+        raise ValueError(f"manifest hbar must be positive, got {hbar!r}")
     if "values" in manifest:
         values = np.asarray(manifest["values"], dtype=float)
     elif "values_path" in manifest:
@@ -452,4 +455,6 @@ def load_wigner_manifest(path):
         values = np.loadtxt(vp, delimiter=",", ndmin=2)
     else:
         raise ValueError("manifest needs 'values' or 'values_path'")
+    if not np.isfinite(values).all():
+        raise ValueError("manifest values must be finite (found NaN, infinity or null)")
     return WignerGrid(x_axis, p_axis, values, hbar)

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from wigcheck.cli import main, validate_report
+from wigcheck.cli import _emit, main, validate_report
 
 
 def run_cli(capsys, *argv):
@@ -170,3 +171,78 @@ def test_validate_report_rejects_malformed():
                          "uncertainty": {"psd_min_eigenvalue": 0.0, "nu_min": 0.5,
                                          "verdict": "pass"},
                          "classification": "new_physics"})
+
+
+def _vacuum_manifest(tmp_path, capsys, csv=False):
+    manifest = tmp_path / "grid.json"
+    argv = ["wigner", '{"type":"fock","n":0}', "--grid-n", "64", "-o", str(manifest)]
+    if csv:
+        argv += ["--csv", str(tmp_path / "grid.csv")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    return manifest
+
+
+def _analyze_grid(manifest):
+    return main(["analyze", json.dumps({"type": "grid", "manifest": str(manifest)})])
+
+
+def test_manifest_with_inline_null_is_input_error(tmp_path, capsys):
+    manifest = _vacuum_manifest(tmp_path, capsys)
+    doc = json.loads(manifest.read_text())
+    doc["values"][10][20] = None
+    manifest.write_text(json.dumps(doc))
+    assert _analyze_grid(manifest) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_manifest_with_csv_nan_is_input_error(tmp_path, capsys):
+    manifest = _vacuum_manifest(tmp_path, capsys, csv=True)
+    csv = tmp_path / "grid.csv"
+    rows = csv.read_text().splitlines()
+    cells = rows[5].split(",")
+    cells[7] = "nan"
+    rows[5] = ",".join(cells)
+    csv.write_text("\n".join(rows) + "\n")
+    assert _analyze_grid(manifest) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_manifest_with_negative_hbar_is_input_error(tmp_path, capsys):
+    manifest = _vacuum_manifest(tmp_path, capsys)
+    doc = json.loads(manifest.read_text())
+    doc["hbar"] = -1.0
+    manifest.write_text(json.dumps(doc))
+    assert _analyze_grid(manifest) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "hbar must be positive" in err
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--max-order"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_klm_counts_below_one_rejected(capsys, flag, value):
+    assert main(["klm", '{"type":"fock","n":0}', flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("matrix", ["3", "[]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
+                                    "[[1, 0], [0, 1], [0, 0]]", "[1, 2]"])
+def test_capacity_rejects_non_square_or_odd_matrix(capsys, matrix):
+    assert main(["capacity", '{"M": %s}' % matrix]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_emit_refuses_non_finite_numbers(capsys):
+    args = argparse.Namespace(output=None)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _emit({"value": bad}, args)
+    assert capsys.readouterr().out == ""

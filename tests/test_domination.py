@@ -1,11 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from conftest import random_spd
 from wigcheck import (capacity, compact_support_flag,
                       default_axis, fit_dominating_gaussian, fock_state,
                       gaussian_wavepacket, hardy_fit, rescale, domination_verdict,
                       truncated_bump_grid, wigner_gaussian, wigner_of_pure)
-from wigcheck.states import AxisGrid, WaveFunctionGrid
+from wigcheck import domination
+from wigcheck.cli import main
+from wigcheck.domination import _binding_candidates
+from wigcheck.states import AxisGrid, WaveFunctionGrid, WignerGrid
 
 
 def _square_axis(count=256, extent=8.0):
@@ -145,3 +151,100 @@ def test_capacity_of_fitted_certificates(vacuum_wigner, fock1_wigner, mixture_50
     for w in (vacuum_wigner, fock1_wigner, mixture_5050):
         cert = fit_dominating_gaussian(w)
         assert capacity(cert.M, w.hbar) >= np.pi * w.hbar * (1 - 0.02)
+
+
+# --- binding-constraint reduction of the dominating fit --------------------
+
+def _rotated(sigma, theta):
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    return rot @ np.asarray(sigma) @ rot.T
+
+
+def _single_value_grid():
+    axis = _square_axis(64)
+    vals = np.zeros((64, 64))
+    vals[40, 37] = 1.0 / axis.spacing**2
+    return WignerGrid(axis, axis, vals)
+
+
+def _line_grid():
+    # positive values on the diagonal x = p, a line through the origin
+    axis = _square_axis(64)
+    vals = np.diag(np.exp(-axis.points**2))
+    return WignerGrid(axis, axis, vals / (vals.sum() * axis.spacing**2))
+
+
+_NON_CONJUGATE_512 = AxisGrid(-9.0, 9.0, 512)
+
+REDUCTION_GRIDS = {
+    "gaussian-rotated-squeezed": lambda: wigner_gaussian(
+        np.zeros(2), _rotated(np.diag([2.0, 0.125]), 0.4), _square_axis(128), _square_axis(128)),
+    "fock2": lambda: wigner_of_pure(fock_state(2, default_axis(1.0, 256, 10.0))),
+    "bump-indicator": lambda: truncated_bump_grid(_square_axis(), _square_axis(),
+                                                  radius=1.0, profile="indicator"),
+    "bump-cosine": lambda: truncated_bump_grid(_square_axis(), _square_axis(), radius=1.0),
+    "gaussian-offset-512": lambda: wigner_gaussian(
+        np.array([0.5, -0.3]), _rotated(np.diag([1.5, 0.6]), 1.1),
+        _NON_CONJUGATE_512, _NON_CONJUGATE_512),
+    "single-value": _single_value_grid,
+    "line": _line_grid,
+}
+DEGENERATE = {"single-value", "line"}
+
+
+def _constraints(w, c_max_factor=1.25, floor=1e-9):
+    """The fit's constraint set, built as fit_dominating_gaussian builds it."""
+    peak = w.values.max()
+    X, P = w.meshgrid()
+    mask = w.values >= floor * peak
+    budget = w.hbar * (np.log(c_max_factor) - np.log(w.values[mask] / peak))
+    return X[mask], P[mask], budget
+
+
+def _min_ratio(M, zx, zp, budget):
+    quad = M[0, 0] * (zx * zx) + M[0, 1] * (2.0 * zx * zp) + M[1, 1] * (zp * zp)
+    live = quad > 0
+    return np.min(budget[live] / quad[live])
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION_GRIDS))
+@pytest.mark.parametrize("c_max_factor", [1.0, 1.25, 10.0])
+def test_binding_candidates_keep_the_minimum(name, c_max_factor):
+    zx, zp, budget = _constraints(REDUCTION_GRIDS[name](), c_max_factor)
+    keep = _binding_candidates(zx, zp, budget)
+    if name in DEGENERATE:
+        assert keep.all()
+    elif c_max_factor > 1.0:
+        # at c_max_factor 1 a Gaussian's scaled points all lie on one ellipse
+        # and a flat top's budgets are all zero: every constraint is kept
+        assert 0 < keep.sum() < keep.size // 4
+    rng = np.random.default_rng(20070303)
+    for _ in range(200):
+        M = random_spd(rng, 2, lo=0.05, hi=20.0)
+        assert _min_ratio(M, zx[keep], zp[keep], budget[keep]) == _min_ratio(M, zx, zp, budget)
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION_GRIDS))
+def test_fit_matches_full_constraint_reference(name, monkeypatch):
+    w = REDUCTION_GRIDS[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cert = fit_dominating_gaussian(w)
+        monkeypatch.setattr(domination, "_binding_candidates",
+                            lambda zx, zp, budget: np.ones(zx.shape, dtype=bool))
+        reference = fit_dominating_gaussian(w)
+    assert repr(cert.to_dict()) == repr(reference.to_dict())
+
+
+def test_fit_raises_when_the_binding_constraint_is_lost(vacuum_wigner, monkeypatch, capsys):
+    # keeping only the inner disk drops the binding constraints at the mask
+    # edge, so the fitted scale overshoots and C breaks the cap
+    monkeypatch.setattr(domination, "_binding_candidates",
+                        lambda zx, zp, budget: zx**2 + zp**2 < 4.0)
+    with pytest.raises(ValueError, match="above the cap"):
+        fit_dominating_gaussian(vacuum_wigner)
+    assert main(["dominate", '{"type":"fock","n":0}']) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
