@@ -262,22 +262,8 @@ def analyze(w, echo, args):
     return report
 
 
-
-def _np_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
 def _emit(report, args):
-    text = json.dumps(report, indent=2, sort_keys=True, default=_np_default,
-                      allow_nan=False) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.output and args.output != "-":
         target = Path(args.output)
         tmp = target.with_name(target.name + ".tmp")

@@ -292,7 +292,7 @@ def fit_dominating_gaussian(w, c_max_factor=1.25, floor=1e-9, band=VERDICT_BAND)
     s, c = best_params
     chol = np.array([[np.exp(s), 0.0], [c, np.exp(-s)]])
     M = t * (chol @ chol.T)
-    converged = nm_ok and t > 0
+    converged = bool(nm_ok and t > 0)
     if not converged:
         warnings.warn("dominating-Gaussian fit did not converge; returning best found")
 
@@ -352,7 +352,7 @@ def compact_support_flag(w, support_threshold=1e-10, margin_cells=2, hard_zero=1
     outer[a0:a1 + 1, b0:b1 + 1] = False
     outer_max = float(absvals[outer].max()) if outer.any() else 0.0
     diag["outer_max_ratio"] = outer_max / peak
-    flag = outer_max <= hard_zero * peak
+    flag = bool(outer_max <= hard_zero * peak)
     if not flag:
         diag["reason"] = "tail does not vanish outside the support box"
     return flag, diag

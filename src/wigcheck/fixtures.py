@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .states import AxisGrid, WignerGrid
+from .states import AxisGrid, WignerGrid, _chirp_sum, boundary_band_sum
 
 __all__ = [
     "narcowich_oconnell_grid",
@@ -34,11 +34,15 @@ def no_default_axis(count=768, extent=28.0):
     return AxisGrid(-(count // 2) * d, (count // 2 - 1) * d, count)
 
 
-def _inverse_transform_1d(profile, source, targets):
-    """(1/2pi) int exp(-i t s) profile(s) ds by direct quadrature."""
+def _inverse_transform_1d(profiles, source, axis):
+    """(1/2pi) sum_s exp(-i t s) profile(s) ds at the points t of `axis`.
+
+    `profiles` holds one profile per row on the uniform `source` grid; the
+    sums are computed exactly by a chirp-z transform.
+    """
     ds = source[1] - source[0]
-    kernel = np.exp(-1j * np.outer(targets, source))
-    return (kernel @ profile) * ds / (2 * np.pi)
+    out = _chirp_sum(profiles, source[0], ds, axis.min, axis.spacing, axis.count, sign=-1)
+    return out * ds / (2 * np.pi)
 
 
 def narcowich_oconnell_grid(alpha=0.5, beta=0.5, x_axis=None, p_axis=None,
@@ -47,8 +51,10 @@ def narcowich_oconnell_grid(alpha=0.5, beta=0.5, x_axis=None, p_axis=None,
     equals (1 - alpha x^2/2 - beta p^2/2) exp(-(alpha^2 x^4 + beta^2 p^4)).
 
     The inverse transform with normalization (2 pi)^-2 gives a real grid of
-    unit trace whose covariance matrix is exactly diag(alpha, beta).  Raises
-    when the grid cannot resolve the tails.
+    unit trace whose covariance matrix is exactly diag(alpha, beta).  It
+    factors into 1-d transforms of the x and p profiles, each sampled on
+    `source_count` points and summed onto the axes by a chirp-z transform.
+    Raises when the grid cannot resolve the tails.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
@@ -63,10 +69,8 @@ def narcowich_oconnell_grid(alpha=0.5, beta=0.5, x_axis=None, p_axis=None,
     ax = np.exp(-alpha**2 * source**4)
     bp = np.exp(-beta**2 * source**4)
 
-    fa = _inverse_transform_1d(ax, source, x_axis.points)
-    fa2 = _inverse_transform_1d(source**2 * ax, source, x_axis.points)
-    fb = _inverse_transform_1d(bp, source, p_axis.points)
-    fb2 = _inverse_transform_1d(source**2 * bp, source, p_axis.points)
+    fa, fa2 = _inverse_transform_1d(np.stack([ax, source**2 * ax]), source, x_axis)
+    fb, fb2 = _inverse_transform_1d(np.stack([bp, source**2 * bp]), source, p_axis)
 
     vals = (np.outer(fa, fb) - 0.5 * alpha * np.outer(fa2, fb)
             - 0.5 * beta * np.outer(fa, fb2))
@@ -88,14 +92,10 @@ def moment_p4(w, tail_tol=1e-6):
     Warns when the boundary band carries more than `tail_tol` of the
     integrand mass (the moment has not converged on this grid).
     """
-    X, P = w.meshgrid()
-    integrand = P**4 * w.values
+    integrand = w.p_axis.points[None, :] ** 4 * w.values
     total = float(integrand.sum() * w.cell_area)
-    band = np.zeros_like(w.values, dtype=bool)
-    band[:2, :] = band[-2:, :] = True
-    band[:, :2] = band[:, -2:] = True
     weight = np.abs(integrand)
-    if weight.sum() > 0 and weight[band].sum() > tail_tol * weight.sum():
+    if weight.sum() > 0 and boundary_band_sum(weight) > tail_tol * weight.sum():
         warnings.warn("fourth moment may not have converged (heavy tail at the boundary)")
     return total
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
+import scipy.fft
+from scipy.interpolate import CubicSpline, RectBivariateSpline, make_interp_spline
 
 __all__ = [
     "PhaseSpaceContext",
@@ -32,6 +33,7 @@ __all__ = [
     "wigner_gaussian",
     "mixture_wigner",
     "trace",
+    "boundary_band_sum",
     "rescale",
     "SymplecticFourier",
     "symplectic_fourier",
@@ -114,6 +116,30 @@ def _cdft(a, axis=-1):
     return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(a, axes=axis), axis=axis), axes=axis)
 
 
+def _chirp_sum(v, s0, ds, t0, dt, m, sign=1):
+    """out[..., k] = sum_j v[..., j] exp(sign*i (t0 + k*dt)(s0 + j*ds)) for k < m.
+
+    Exact for any pair of uniform grids (chirp-z transform): Bluestein's
+    jk = (j^2 + k^2 - (k-j)^2)/2 turns the sum into a convolution with a
+    chirp, done by FFT.  Indices are counted from the middle of each grid so
+    the chirp phases, and their round-off, stay small.
+    """
+    v = np.asarray(v)
+    n = v.shape[-1]
+    jc, kc = n // 2, m // 2
+    sc, tc = s0 + jc * ds, t0 + kc * dt
+    a = sign * dt * ds
+    j = np.arange(n) - jc
+    k = np.arange(m) - kc
+    q = np.arange(-(n - 1), m) - (kc - jc)
+    size = scipy.fft.next_fast_len(n + m - 1)
+    pre = np.exp(1j * (sign * tc * ds * j + 0.5 * a * (j * j)))
+    chirp = scipy.fft.fft(np.exp(-0.5j * a * (q * q)), size)
+    conv = scipy.fft.ifft(scipy.fft.fft(v * pre, size, axis=-1) * chirp, axis=-1)
+    post = np.exp(1j * (sign * (tc * sc + sc * dt * k) + 0.5 * a * (k * k)))
+    return conv[..., n - 1:n - 1 + m] * post
+
+
 @dataclass
 class WaveFunctionGrid:
     """Complex wavefunction samples on a position axis."""
@@ -133,7 +159,7 @@ class WaveFunctionGrid:
 
 @dataclass
 class WignerGrid:
-    """Real phase-space samples W[i, j] at (x_i, p_j)."""
+    """Real phase-space samples W[i, j] at (x_i, p_j); finite, with hbar > 0."""
 
     x_axis: AxisGrid
     p_axis: AxisGrid
@@ -145,6 +171,10 @@ class WignerGrid:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.x_axis.count, self.p_axis.count):
             raise ValueError("values must have shape (len(x_axis), len(p_axis))")
+        if not (np.isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
+        if not np.isfinite(self.values).all():
+            raise ValueError("Wigner values must be finite (found NaN, infinity or null)")
 
     @property
     def cell_area(self):
@@ -297,6 +327,13 @@ def mixture_wigner(components):
     return WignerGrid(grids[0].x_axis, grids[0].p_axis, vals, first.hbar, resid)
 
 
+def boundary_band_sum(a, width=2):
+    """Sum of `a` over its outer `width` rows and columns (each entry once)."""
+    inner = a[width:-width]
+    return (a[:width].sum() + a[-width:].sum()
+            + inner[:, :width].sum() + inner[:, -width:].sum())
+
+
 def trace(w):
     """Riemann-sum trace: sum of the grid values times the cell area."""
     return float(w.values.sum() * w.cell_area)
@@ -382,23 +419,27 @@ def symplectic_fourier(w, boundary_tol=1e-10):
 def kernel_from_wigner(w):
     """Reconstruct the operator kernel from a Wigner grid.
 
-    K(x, x') = int W((x+x')/2, p) exp(i p (x-x') / hbar) dp.  Midpoints that
-    fall between grid rows are filled by a cubic spline along x; on grids
-    whose momentum axis is DFT-conjugate to the position axis the transform
-    inverts the pure-state construction exactly on even index sums.
+    K(x_j, x_l) = sum_k W((x_j+x_l)/2, p_k) exp(i p_k (x_j-x_l) / hbar) dp.
+    A midpoint row r = j+l only meets separations c = j-l of the parity of
+    r, so even r use the grid rows themselves and odd r the cubic-spline
+    (not-a-knot) midpoints along x, each transformed onto separations spaced 2*dx by a
+    chirp-z transform.  On grids whose momentum axis is DFT-conjugate to the
+    position axis this inverts the pure-state construction exactly on even
+    index sums.
     """
-    xs, ps = w.x_axis.points, w.p_axis.points
+    xs = w.x_axis.points
     n = w.x_axis.count
     d, dp = w.x_axis.spacing, w.p_axis.spacing
-    spline = CubicSpline(xs, w.values, axis=0)
-    half = xs[0] + np.arange(2 * n - 1) * (d / 2)
-    w_half = spline(half)
-    seps = np.arange(-(n - 1), n) * d
-    phases = np.exp(1j * np.outer(ps, seps) / w.hbar) * dp
-    b = w_half @ phases
-    jj, ll = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    k = b[jj + ll, jj - ll + n - 1]
-    k = 0.5 * (k + k.conj().T)
+    # not-a-knot cubic spline along x, as CubicSpline builds it, but cheaper
+    mids = make_interp_spline(xs, w.values, k=3, axis=0)(xs[:-1] + d / 2)
+    # column t of row r holds separation c = c0 + 2t, the first c of r's parity
+    b = np.empty((2 * n - 1, n), dtype=complex)
+    for parity, rows in ((0, w.values), (1, mids)):
+        c0 = -(n - 1) + (n - 1 - parity) % 2
+        b[parity::2] = _chirp_sum(rows, w.p_axis.min, dp, c0 * d / w.hbar, 2 * d / w.hbar, n)
+    j = np.arange(n)
+    k = np.take(b, (j[:, None] + j) * n + (j[:, None] - j + n - 1) // 2)
+    k = (0.5 * dp) * (k + k.conj().T)
     return KernelMatrix(w.x_axis, k, w.hbar)
 
 
@@ -432,8 +473,7 @@ def save_wigner_manifest(w, path, csv_path=None):
         np.savetxt(csv_path, w.values, delimiter=",", fmt="%.17g")
         manifest["values_path"] = str(csv_path.name if csv_path.parent == path.parent else csv_path)
     with open(path, "w") as fh:
-        json.dump(manifest, fh)
-        fh.write("\n")
+        fh.write(json.dumps(manifest) + "\n")
 
 
 def load_wigner_manifest(path):
@@ -444,8 +484,6 @@ def load_wigner_manifest(path):
     x_axis = AxisGrid.from_dict(manifest["x_axis"])
     p_axis = AxisGrid.from_dict(manifest["p_axis"])
     hbar = float(manifest.get("hbar", 1.0))
-    if not hbar > 0:
-        raise ValueError(f"manifest hbar must be positive, got {hbar!r}")
     if "values" in manifest:
         values = np.asarray(manifest["values"], dtype=float)
     elif "values_path" in manifest:
@@ -455,6 +493,4 @@ def load_wigner_manifest(path):
         values = np.loadtxt(vp, delimiter=",", ndmin=2)
     else:
         raise ValueError("manifest needs 'values' or 'values_path'")
-    if not np.isfinite(values).all():
-        raise ValueError("manifest values must be finite (found NaN, infinity or null)")
     return WignerGrid(x_axis, p_axis, values, hbar)

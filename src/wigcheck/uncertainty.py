@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import boundary_band_sum
 from .symplectic import symplectic_form, symplectic_spectrum
 
 __all__ = [
@@ -53,20 +54,18 @@ def covariance_from_grid(w, tail_tol=1e-6):
     sigma_ab = int z_a z_b W dz - mean_a mean_b.  Warns when the boundary
     band contributes more than `tail_tol` of the second moment (heavy tail).
     """
-    X, P = w.meshgrid()
+    x = w.x_axis.points[:, None]
+    p = w.p_axis.points[None, :]
     area = w.cell_area
-    mx = float((X * w.values).sum() * area)
-    mp = float((P * w.values).sum() * area)
-    sxx = float((X * X * w.values).sum() * area) - mx * mx
-    spp = float((P * P * w.values).sum() * area) - mp * mp
-    sxp = float((X * P * w.values).sum() * area) - mx * mp
+    mx = float((x * w.values).sum() * area)
+    mp = float((p * w.values).sum() * area)
+    sxx = float((x * x * w.values).sum() * area) - mx * mx
+    spp = float((p * p * w.values).sum() * area) - mp * mp
+    sxp = float((x * p * w.values).sum() * area) - mx * mp
 
-    band = np.zeros_like(w.values, dtype=bool)
-    band[:2, :] = band[-2:, :] = True
-    band[:, :2] = band[:, -2:] = True
-    weight = (X * X + P * P) * np.abs(w.values)
+    weight = (x * x + p * p) * np.abs(w.values)
     total = weight.sum()
-    if total > 0 and weight[band].sum() > tail_tol * total:
+    if total > 0 and boundary_band_sum(weight) > tail_tol * total:
         warnings.warn("second moments may not have converged (heavy tail at the grid boundary)")
     return CovarianceMatrix(np.array([[sxx, sxp], [sxp, spp]]), np.array([mx, mp]), w.hbar)
 
@@ -119,7 +118,7 @@ def check_quantum_psd(sigma, hbar=1.0):
     h = sigma + 0.5j * hbar * symplectic_form(n)
     min_eig = float(np.linalg.eigvalsh(h).min())
     norm = np.abs(np.linalg.eigvalsh(sigma)).max()
-    return min_eig >= -BOUNDARY_BAND * norm, min_eig
+    return bool(min_eig >= -BOUNDARY_BAND * norm), min_eig
 
 
 def check_williamson_criterion(sigma, hbar=1.0):
@@ -128,7 +127,7 @@ def check_williamson_criterion(sigma, hbar=1.0):
     nu = symplectic_spectrum(sigma)
     norm = np.abs(np.linalg.eigvalsh(sigma)).max()
     nu_min = float(nu[-1])
-    return nu_min >= hbar / 2 - BOUNDARY_BAND * norm, nu_min
+    return bool(nu_min >= hbar / 2 - BOUNDARY_BAND * norm), nu_min
 
 
 def rescale_covariance(sigma, lam):
@@ -185,7 +184,7 @@ def uncertainty_report(sigma, hbar=1.0):
     psd_ok, min_eig = check_quantum_psd(sigma, hbar)
     nu = symplectic_spectrum(sigma)
     norm = np.abs(np.linalg.eigvalsh(sigma)).max()
-    boundary = abs(min_eig) <= BOUNDARY_BAND * norm
+    boundary = bool(abs(min_eig) <= BOUNDARY_BAND * norm)
     return UncertaintyReport(
         hbar=hbar,
         rs=rs,

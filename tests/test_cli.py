@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from wigcheck import cli
 from wigcheck.cli import _emit, main, validate_report
 
 
@@ -246,3 +247,30 @@ def test_emit_refuses_non_finite_numbers(capsys):
         with pytest.raises(ValueError):
             _emit({"value": bad}, args)
     assert capsys.readouterr().out == ""
+
+
+SMALL = ["--grid-n", "64", "--trials", "5", "--max-order", "3"]
+SUBCOMMANDS = [
+    ["analyze", '{"type":"fock","n":0}'],
+    ["analyze", '{"type":"bump","radius":1.5}'],
+    ["wigner", '{"type":"fock","n":0}', "--rescale", "1.1"],
+    ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "0.8:1.2:0.2"],
+    ["klm", '{"type":"fock","n":0,"rescale":1.5}'],
+    ["dominate", '{"type":"fock","n":0}'],
+    ["dominate", '{"type":"bump","radius":1.5}'],
+    ["oracle", '{"type":"fock","n":0}'],
+    ["capacity", '{"M": [[2, 0], [0, 1]]}'],
+    ["hbar-sweep", '{"type":"fock","n":0}', "--values", "0.5,1,2"],
+    ["hardy", '{"type":"fock","n":0}'],
+]
+
+
+def test_every_report_is_plain_json(monkeypatch):
+    reports = []
+    monkeypatch.setattr(cli, "_emit", lambda report, args: reports.append(report))
+    for argv in SUBCOMMANDS:
+        assert main(argv + SMALL) in (0, 2), argv
+    assert {r[0] for r in SUBCOMMANDS} == set(cli.build_parser()._subparsers
+                                                 ._group_actions[0].choices)
+    for report in reports:
+        json.dumps(report, allow_nan=False)  # no default hook: numpy types raise

@@ -84,3 +84,27 @@ def test_moment_p4_warns_on_heavy_tail():
 def test_vacuum_p4_gaussian_moment(vacuum_wigner):
     # fourth moment of a centered Gaussian: 3 * sigma^4
     assert moment_p4(vacuum_wigner) == pytest.approx(0.75, abs=1e-3)
+
+
+def _dense_no_grid(alpha, beta, axis, source_count=4096):
+    """Narcowich-O'Connell grid by direct quadrature of the 1-d transforms."""
+    ext = 1.35 * (np.log(1e20) / min(alpha, beta) ** 2) ** 0.25
+    source = np.linspace(-ext, ext, source_count)
+    kernel = np.exp(-1j * np.outer(axis.points, source)) * (source[1] - source[0]) / (2 * np.pi)
+    ax, bp = np.exp(-alpha**2 * source**4), np.exp(-beta**2 * source**4)
+    fa, fa2, fb, fb2 = (kernel @ f for f in (ax, source**2 * ax, bp, source**2 * bp))
+    vals = np.outer(fa, fb) - 0.5 * alpha * np.outer(fa2, fb) - 0.5 * beta * np.outer(fa, fb2)
+    return vals.real
+
+
+def test_no_grid_matches_direct_quadrature(no_grid):
+    assert np.abs(no_grid.values - _dense_no_grid(0.5, 0.5, no_grid.x_axis)).max() <= 1e-13
+
+
+def test_no_covariance_keeps_its_boundary_margin(no_grid):
+    # criterion 8 sits exactly on the uncertainty boundary: the transform's
+    # round-off must stay well inside the verdict's band, BOUNDARY_BAND * 0.5
+    sigma = covariance_from_grid(no_grid).sigma
+    assert np.abs(sigma - 0.5 * np.eye(2)).max() <= 1e-11
+    ok, min_eig = check_quantum_psd(sigma, 1.0)
+    assert ok and abs(min_eig) <= 1e-11

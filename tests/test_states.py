@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from wigcheck import (AxisGrid, default_axis, fock_state, fourier_wavefunction,
                       gaussian_wavepacket, kernel_from_wigner, load_wigner_manifest,
                       mixture_wigner, operator_spectrum_oracle, rescale,
                       save_wigner_manifest, symplectic_fourier, trace,
                       wigner_gaussian, wigner_of_pure)
-from wigcheck.states import WaveFunctionGrid
+from wigcheck.states import WaveFunctionGrid, WignerGrid, _chirp_sum
 
 
 def test_fock_normalization_and_orthogonality():
@@ -270,3 +271,57 @@ def test_gaussian_wavepacket_rates():
     prob = np.abs(psi.values) ** 2 * psi.axis.spacing
     var = float((psi.axis.points**2 * prob).sum())
     assert var == pytest.approx(1.0 / (2 * 2.0), rel=1e-6)
+
+
+def test_wigner_grid_rejects_bad_hbar_and_non_finite_values():
+    axis = default_axis(count=64)
+    good = np.zeros((64, 64))
+    for bad in (np.nan, np.inf, -np.inf):
+        vals = good.copy()
+        vals[10, 20] = bad
+        with pytest.raises(ValueError, match="finite"):
+            WignerGrid(axis, axis, vals)
+    for hbar in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            WignerGrid(axis, axis, good, hbar)
+
+
+@pytest.mark.parametrize("n,m,sign,s0,ds,t0,dt", [
+    (64, 64, 1, -3.2, 0.1, -3.2, 0.1),       # even, square, centred
+    (65, 64, -1, -3.2, 0.1, -6.4, 0.2),      # odd n
+    (31, 97, 1, 0.4, 0.37, -11.0, 0.05),     # m > n, off-centre source
+    (200, 51, -1, -2.0, 0.013, 1.5, 0.9),    # m < n, off-centre target
+    (128, 300, 1, -7.5, 0.12, -5.0, 2 * 0.04 / 0.3),  # spacing 2*dx/hbar, hbar = 0.3
+])
+def test_chirp_sum_matches_direct_sum(n, m, sign, s0, ds, t0, dt):
+    rng = np.random.default_rng(n + m)
+    v = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    s = s0 + np.arange(n) * ds
+    t = t0 + np.arange(m) * dt
+    direct = v @ np.exp(sign * 1j * np.outer(s, t))
+    got = _chirp_sum(v, s0, ds, t0, dt, m, sign)
+    assert got.shape == (3, m)
+    bound = 1e-12 * np.abs(v).sum(axis=1, keepdims=True)
+    assert (np.abs(got - direct) <= bound).all()
+
+
+def _dense_kernel(w):
+    """Kernel by dense quadrature over every midpoint row and separation."""
+    xs, ps = w.x_axis.points, w.p_axis.points
+    n, d = w.x_axis.count, w.x_axis.spacing
+    half = CubicSpline(xs, w.values, axis=0)(xs[0] + np.arange(2 * n - 1) * (d / 2))
+    seps = np.arange(-(n - 1), n) * d
+    b = half @ (np.exp(1j * np.outer(ps, seps) / w.hbar) * w.p_axis.spacing)
+    j = np.arange(n)
+    k = b[j[:, None] + j, j[:, None] - j + n - 1]
+    return 0.5 * (k + k.conj().T)
+
+
+def test_kernel_matches_dense_quadrature(no_grid):
+    rng = np.random.default_rng(3)
+    x_axis, p_axis = AxisGrid(-5.0, 6.0, 301), AxisGrid(-4.0, 3.5, 250)
+    off_centre = WignerGrid(x_axis, p_axis, rng.normal(size=(301, 250)), hbar=0.7)
+    for w in (off_centre, no_grid):
+        bound = 1e-12 * np.abs(w.values).sum(axis=1).max() * w.p_axis.spacing
+        got = kernel_from_wigner(w).values
+        assert np.abs(got - _dense_kernel(w)).max() <= bound
