@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .states import AxisGrid, WignerGrid, _chirp_sum, boundary_band_sum
+from .states import AxisGrid, WignerGrid, _boundary_band_sum, _chirp_sum
 
 __all__ = [
     "narcowich_oconnell_grid",
@@ -95,7 +95,7 @@ def moment_p4(w, tail_tol=1e-6):
     integrand = w.p_axis.points[None, :] ** 4 * w.values
     total = float(integrand.sum() * w.cell_area)
     weight = np.abs(integrand)
-    if weight.sum() > 0 and boundary_band_sum(weight) > tail_tol * weight.sum():
+    if weight.sum() > 0 and _boundary_band_sum(weight) > tail_tol * weight.sum():
         warnings.warn("fourth moment may not have converged (heavy tail at the boundary)")
     return total
 

@@ -33,7 +33,6 @@ __all__ = [
     "wigner_gaussian",
     "mixture_wigner",
     "trace",
-    "boundary_band_sum",
     "rescale",
     "SymplecticFourier",
     "symplectic_fourier",
@@ -327,11 +326,16 @@ def mixture_wigner(components):
     return WignerGrid(grids[0].x_axis, grids[0].p_axis, vals, first.hbar, resid)
 
 
-def boundary_band_sum(a, width=2):
-    """Sum of `a` over its outer `width` rows and columns (each entry once)."""
-    inner = a[width:-width]
-    return (a[:width].sum() + a[-width:].sum()
-            + inner[:, :width].sum() + inner[:, -width:].sum())
+def _boundary_band_sum(a):
+    """Sum of the 2-d array `a` over its outer two rows and columns.
+
+    Each entry counts once; an array with at most four rows or columns is all
+    band.
+    """
+    if min(a.shape) <= 4:
+        return a.sum()
+    inner = a[2:-2]
+    return a[:2].sum() + a[-2:].sum() + inner[:, :2].sum() + inner[:, -2:].sum()
 
 
 def trace(w):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import boundary_band_sum
+from .states import _boundary_band_sum
 from .symplectic import symplectic_form, symplectic_spectrum
 
 __all__ = [
@@ -65,7 +65,7 @@ def covariance_from_grid(w, tail_tol=1e-6):
 
     weight = (x * x + p * p) * np.abs(w.values)
     total = weight.sum()
-    if total > 0 and boundary_band_sum(weight) > tail_tol * total:
+    if total > 0 and _boundary_band_sum(weight) > tail_tol * total:
         warnings.warn("second moments may not have converged (heavy tail at the grid boundary)")
     return CovarianceMatrix(np.array([[sxx, sxp], [sxp, spp]]), np.array([mx, mp]), w.hbar)
 

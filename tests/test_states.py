@@ -7,7 +7,7 @@ from wigcheck import (AxisGrid, default_axis, fock_state, fourier_wavefunction,
                       mixture_wigner, operator_spectrum_oracle, rescale,
                       save_wigner_manifest, symplectic_fourier, trace,
                       wigner_gaussian, wigner_of_pure)
-from wigcheck.states import WaveFunctionGrid, WignerGrid, _chirp_sum
+from wigcheck.states import WaveFunctionGrid, WignerGrid, _boundary_band_sum, _chirp_sum
 
 
 def test_fock_normalization_and_orthogonality():
@@ -303,6 +303,15 @@ def test_chirp_sum_matches_direct_sum(n, m, sign, s0, ds, t0, dt):
     assert got.shape == (3, m)
     bound = 1e-12 * np.abs(v).sum(axis=1, keepdims=True)
     assert (np.abs(got - direct) <= bound).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (4, 4), (5, 5), (9, 4), (6, 11), (64, 48)])
+def test_boundary_band_sum_counts_each_band_entry_once(shape):
+    a = np.random.default_rng(shape[0] * 100 + shape[1]).random(shape)
+    band = np.zeros(shape, dtype=bool)
+    band[:2, :] = band[-2:, :] = True
+    band[:, :2] = band[:, -2:] = True
+    assert _boundary_band_sum(a) == pytest.approx(a[band].sum(), rel=1e-14)
 
 
 def _dense_kernel(w):
