@@ -15,7 +15,7 @@ from .domination import (DominationCertificate, HardyFit, compact_support_flag,
 from .fixtures import (moment_p4, narcowich_oconnell_grid, no_default_axis,
                        p4_series_reference, truncated_bump_grid)
 from .klm import KLMReport, KLMWitness, klm_check, klm_matrix, witness_quadratic_form
-from .states import (AxisGrid, KernelMatrix, PhaseSpaceContext, WaveFunctionGrid,
+from .states import (AxisGrid, KernelMatrix, WaveFunctionGrid,
                      WignerGrid, default_axis, fock_state, fourier_momentum_axis,
                      fourier_wavefunction, gaussian_wavepacket, kernel_from_wigner,
                      load_wigner_manifest, mixture_wigner, operator_spectrum_oracle,

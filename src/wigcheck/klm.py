@@ -8,6 +8,11 @@ must be positive semi-definite for every point set {z_1, ..., z_m} and every
 order m.  A finite randomized search can only certify failure: a negative
 eigenvalue at any order is a proof that the grid is not a state, while
 "no violation found" proves nothing.
+
+The diagonal of F is the grid trace, so order 1 needs no transform, and the
+lower triangle is the conjugate of the upper one, so only the m(m-1)/2
+differences with j < k are transformed.  The search draws all point sets of
+an order first and assembles and diagonalizes their matrices in stacks.
 """
 
 from dataclasses import dataclass
@@ -28,26 +33,48 @@ __all__ = [
 
 DEFAULT_TOL = 1e-6
 
-# Sign of the quadratic phase, pinned by calibration: the unrescaled vacuum
-# passes every sampled order while rescaled Gaussians fail exactly when the
-# spectrum oracle says they must.
+# Sign of the quadratic phase, from the convention sigma(z, z') = p.x' - p'.x
+# of symplectic.py.  FsW(z) = tr(rho D(z)) with D(z) = exp(i sigma(z, Z)) for
+# the operators Z = (X, P), and [X, P] = i*hbar gives
+# D(z_j) D(z_k) = exp(i*hbar/2 sigma(z_j, z_k)) D(z_j + z_k).  With
+# B = sum_k c_k D(z_k), tr(rho B^H B) >= 0 says that the transpose of F with
+# sign +1 is positive semi-definite.  No grid can single the sign out: sign -1
+# on W at points (x, p) is sign +1 on the time-reversed grid W(x, -p) at
+# points (-x, p), and time reversal maps states to states.
 PHASE_SIGN = +1
+
+# Point sets per stacked eigendecomposition: large enough that the transform
+# runs as a matrix product, small enough that a witness early in an order
+# wastes little work.
+_CHUNK_TRIALS = 10
 
 
 def klm_matrix(fsw, points, hbar=1.0):
-    """Assemble the phase-weighted sample matrix for one point set.
+    """Assemble the phase-weighted sample matrix for one or many point sets.
 
-    `fsw` is a symplectic Fourier evaluator; `points` is an (m, 2) array.
-    The result is Hermitian because the transform of a real grid satisfies
-    conj(FsW(z)) = FsW(-z); it is symmetrized before being returned.
+    `fsw` is a symplectic Fourier evaluator; `points` is an (m, 2) array, or
+    a (T, m, 2) stack of T point sets giving a (T, m, m) stack of matrices.
+    Only the differences z_j - z_k with j < k are transformed: the diagonal
+    is the grid trace, and the lower triangle is the conjugate of the upper
+    one because the transform of a real grid satisfies FsW(-z) = conj FsW(z).
+    The result is therefore exactly Hermitian.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = pts.shape[0]
-    diffs = pts[:, None, :] - pts[None, :, :]
-    fvals = fsw(diffs.reshape(-1, 2)).reshape(m, m)
-    sig = np.outer(pts[:, 1], pts[:, 0]) - np.outer(pts[:, 0], pts[:, 1])
-    mat = np.exp(PHASE_SIGN * 0.5j * hbar * sig) * fvals
-    return 0.5 * (mat + mat.conj().T)
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim < 3
+    if single:
+        pts = np.atleast_2d(pts)[None]
+    t, m = pts.shape[:2]
+    j, k = np.triu_indices(m, 1)
+    x, p = pts[..., 0], pts[..., 1]
+    upper = fsw((pts[:, j] - pts[:, k]).reshape(-1, 2)).reshape(t, j.size)
+    sig = p[:, j] * x[:, k] - x[:, j] * p[:, k]
+    upper *= np.exp(PHASE_SIGN * 0.5j * hbar * sig)
+    mat = np.empty((t, m, m), dtype=complex)
+    mat[:, j, k] = upper
+    mat[:, k, j] = upper.conj()
+    diag = np.arange(m)
+    mat[:, diag, diag] = fsw.trace
+    return mat[0] if single else mat
 
 
 @dataclass
@@ -149,20 +176,42 @@ def klm_check(w, max_order=5, trials_per_order=50, seed=0, tol=DEFAULT_TOL):
     rng = np.random.default_rng(seed)
     orders = []
     for order in range(1, max_order + 1):
+        draws = [_sample_points(rng, order, trial, trials_per_order, chol, base_scale)
+                 for trial in range(trials_per_order)]
+        pts = np.array([p for p, _ in draws])
         worst = np.inf
-        for trial in range(trials_per_order):
-            pts, strategy = _sample_points(rng, order, trial, trials_per_order, chol, base_scale)
-            mat = klm_matrix(fsw, pts, w.hbar)
-            vals, vecs = np.linalg.eigh(mat)
-            worst = min(worst, float(vals[0]))
-            if vals[0] < -tol:
-                witness = KLMWitness(order, pts, vecs[:, 0], float(vals[0]), trial, strategy)
-                orders.append(KLMOrderRecord(order, trial + 1, worst))
-                return KLMReport("violation_certificate", orders, witness, seed,
-                                 max_order, trials_per_order, tol)
+        for start in range(0, trials_per_order, _CHUNK_TRIALS):
+            vals, vecs = np.linalg.eigh(klm_matrix(fsw, pts[start:start + _CHUNK_TRIALS], w.hbar))
+            low = vals[:, 0]
+            bad = np.flatnonzero(low < -tol)
+            if bad.size == 0:
+                worst = min(worst, float(low.min()))
+                continue
+            i = int(bad[0])
+            trial = start + i
+            worst = min(worst, float(low[:i + 1].min()))
+            witness = KLMWitness(order, pts[trial], vecs[i, :, 0], float(low[i]), trial,
+                                 draws[trial][1])
+            _verify(w, witness, tol)
+            orders.append(KLMOrderRecord(order, trial + 1, worst))
+            return KLMReport("violation_certificate", orders, witness, seed,
+                             max_order, trials_per_order, tol)
         orders.append(KLMOrderRecord(order, trials_per_order, worst))
     return KLMReport("no_violation_found", orders, None, seed, max_order,
                      trials_per_order, tol)
+
+
+def _verify(w, witness, tol):
+    """Raise unless the witness's quadratic form reproduces its eigenvalue.
+
+    Round-off in v^H F v scales with the matrix entries, which are bounded by
+    the integral of |W|.
+    """
+    value = witness_quadratic_form(w, witness)
+    bound = 1e-9 * witness.order * max(1.0, float(np.abs(w.values).sum() * w.cell_area))
+    if not (value < -tol and abs(value - witness.min_eigenvalue) <= bound):
+        raise ValueError(f"KLM witness does not reproduce: v^H F v = {value:.3e}, "
+                         f"eigenvalue {witness.min_eigenvalue:.3e}")
 
 
 def witness_quadratic_form(w, witness):

@@ -18,7 +18,6 @@ import scipy.fft
 from scipy.interpolate import CubicSpline, RectBivariateSpline, make_interp_spline
 
 __all__ = [
-    "PhaseSpaceContext",
     "AxisGrid",
     "default_axis",
     "wigner_momentum_axis",
@@ -41,20 +40,6 @@ __all__ = [
     "save_wigner_manifest",
     "load_wigner_manifest",
 ]
-
-
-@dataclass(frozen=True)
-class PhaseSpaceContext:
-    """Number of degrees of freedom and the value of hbar used by every check."""
-
-    ndof: int = 1
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if self.ndof < 1:
-            raise ValueError("ndof must be >= 1")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
 
 
 @dataclass(frozen=True)
@@ -365,11 +350,13 @@ def rescale(w, lam, mass_tol=1e-5):
     okx = (lam * xs >= xs[0]) & (lam * xs <= xs[-1])
     okp = (lam * ps >= ps[0]) & (lam * ps <= ps[-1])
     if _is_wigner_conjugate(w) and n % 2 == 0:
-        # W[i, k] = sum_m a[i, m] exp(-2 i p_k (m*dx) / hbar): resample p exactly
-        offs = np.arange(w.p_axis.count) - w.p_axis.count // 2
+        # W[i, k] = sum_m a[i, m] exp(-2 i p_k (m*dx) / hbar): resample p exactly,
+        # from the offsets m*dx onto the contiguous run of targets lam*p_k
+        dx = w.x_axis.spacing
         a = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(w.values, axes=1), axis=1), axes=1)
-        ph = np.exp(-2j * np.outer(offs * w.x_axis.spacing, lam * ps[okp]) / w.hbar)
-        resampled = (a @ ph).real
+        first = lam * ps[np.argmax(okp)]
+        resampled = _chirp_sum(a, -(w.p_axis.count // 2) * dx, dx, 2 * first / w.hbar,
+                               2 * lam * w.p_axis.spacing / w.hbar, okp.sum(), sign=-1).real
         spline = CubicSpline(xs, resampled, axis=0)
         out[np.ix_(okx, okp)] = spline(lam * xs[okx])
     else:
@@ -387,15 +374,16 @@ class SymplecticFourier:
     """Evaluator for F_sigma W(z) = int exp(i sigma(z, z')) W(z') dz'.
 
     The kernel at z = (x, p) is exp(i (p x' - p' x)); evaluation is a direct
-    quadrature over the stored grid, so any point is admissible.  F(0) equals
-    the grid trace.
+    quadrature over the stored grid, so any point is admissible.  The grid
+    is real, so the quadrature runs in real arithmetic: one real product of
+    [cos; sin](p x') with the grid, then the cos/sin(x p') factors.  Hence
+    F(-z) = conj F(z) holds exactly, and F(0) equals the grid trace.
     """
 
     def __init__(self, w, boundary_tol=1e-10):
         self._xs = w.x_axis.points
         self._ps = w.p_axis.points
-        # complex once: a complex-by-real product copies the grid on every call
-        self._vals = w.values.astype(complex)
+        self._vals = w.values
         self._area = w.cell_area
         peak = np.abs(w.values).max()
         frame = max(np.abs(w.values[[0, -1], :]).max(), np.abs(w.values[:, [0, -1]]).max())
@@ -409,9 +397,15 @@ class SymplecticFourier:
         z = np.asarray(z, dtype=float)
         single = z.ndim == 1
         pts = np.atleast_2d(z)
-        ex = np.exp(1j * np.outer(pts[:, 1], self._xs))
-        ep = np.exp(-1j * np.outer(pts[:, 0], self._ps))
-        out = ((ex @ self._vals) * ep).sum(axis=1) * self._area
+        k = pts.shape[0]
+        px = np.outer(pts[:, 1], self._xs)
+        cs = np.concatenate([np.cos(px), np.sin(px)]) @ self._vals
+        xp = np.outer(pts[:, 0], self._ps)
+        cx, sx = np.cos(xp), np.sin(xp)
+        # (C + iS) W (c - is): real part CWc + SWs, imaginary part SWc - CWs
+        re = np.einsum("ij,ij->i", cs[:k], cx) + np.einsum("ij,ij->i", cs[k:], sx)
+        im = np.einsum("ij,ij->i", cs[k:], cx) - np.einsum("ij,ij->i", cs[:k], sx)
+        out = (re + 1j * im) * self._area
         return out[0] if single else out
 
 

@@ -1,9 +1,15 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wigcheck import (klm_check, klm_matrix, operator_spectrum_oracle,
-                      rescale, symplectic_fourier, trace, wigner_of_pure,
-                      witness_quadratic_form)
+import wigcheck.klm as klm
+from wigcheck import (AxisGrid, covariance_from_grid, default_axis, fock_state,
+                      klm_check, klm_matrix, mixture_wigner, operator_spectrum_oracle,
+                      rescale, symplectic_fourier, trace, truncated_bump_grid,
+                      wigner_gaussian, wigner_of_pure, witness_quadratic_form)
 from wigcheck.states import WignerGrid
 
 
@@ -108,3 +114,115 @@ def test_report_serializes(vacuum_wigner):
     assert d["overall"] == "violation_certificate"
     assert d["witness"]["order"] == len(d["witness"]["points"])
     assert d["seed"] == 0 and d["phase_sign"] == 1
+
+
+def test_stacked_matrices_match_single_sets(fock1_wigner):
+    f = symplectic_fourier(fock1_wigner)
+    pts = np.random.default_rng(2).normal(size=(4, 3, 2))
+    stacked = klm_matrix(f, pts)
+    assert stacked.shape == (4, 3, 3)
+    for one, mat in zip(pts, stacked):
+        assert np.array_equal(klm_matrix(f, one), mat)
+        assert np.array_equal(mat, mat.conj().T)
+
+
+def _full_matrix(fsw, pts, hbar):
+    """Sample matrix from the transform at all m^2 differences, symmetrized."""
+    m = pts.shape[0]
+    fvals = fsw((pts[:, None, :] - pts[None, :, :]).reshape(-1, 2)).reshape(m, m)
+    sig = np.outer(pts[:, 1], pts[:, 0]) - np.outer(pts[:, 0], pts[:, 1])
+    mat = np.exp(0.5j * hbar * sig) * fvals
+    return 0.5 * (mat + mat.conj().T)
+
+
+def _reference_search(w, max_order, trials, seed, tol):
+    """One point set at a time, each matrix from all m^2 differences."""
+    fsw = symplectic_fourier(w, boundary_tol=np.inf)
+    cov = covariance_from_grid(w).sigma
+    if np.linalg.eigvalsh(cov).min() > 0:
+        chol = np.linalg.cholesky(cov)
+    else:
+        chol = np.sqrt(w.hbar / 2) * np.eye(2)
+    base_scale = float(np.sqrt(2.0 * max(np.trace(cov) / 2.0, w.hbar / 4)))
+    rng = np.random.default_rng(seed)
+    orders = []
+    for order in range(1, max_order + 1):
+        worst = np.inf
+        for trial in range(trials):
+            pts, strategy = klm._sample_points(rng, order, trial, trials, chol, base_scale)
+            vals, vecs = np.linalg.eigh(_full_matrix(fsw, pts, w.hbar))
+            worst = min(worst, vals[0])
+            if vals[0] < -tol:
+                orders.append((order, trial + 1, worst))
+                return orders, (order, trial, strategy, pts, vals[0], vecs[:, 0])
+        orders.append((order, trials, worst))
+    return orders, None
+
+
+def _square(count=256, extent=8.0):
+    d = 2.0 * extent / count
+    return AxisGrid(-(count // 2) * d, (count // 2 - 1) * d, count)
+
+
+@pytest.mark.parametrize("name", ["vacuum", "fock1", "fock1_x1.2", "vacuum_x1.5", "bump"])
+@pytest.mark.parametrize("seed", [0, 7, 31])
+def test_batched_search_matches_one_set_at_a_time(vacuum_wigner, fock1_wigner, name, seed):
+    w = {"vacuum": vacuum_wigner, "fock1": fock1_wigner,
+         "fock1_x1.2": rescale(fock1_wigner, 1.2), "vacuum_x1.5": rescale(vacuum_wigner, 1.5),
+         "bump": truncated_bump_grid(_square(), _square())}[name]
+    report = klm_check(w, max_order=5, trials_per_order=50, seed=seed)
+    orders, found = _reference_search(w, 5, 50, seed, report.tol)
+    assert [(r.order, r.trials) for r in report.orders] == [o[:2] for o in orders]
+    for rec, (_, _, worst) in zip(report.orders, orders):
+        assert abs(rec.worst_min_eigenvalue - worst) <= 1e-12
+    assert (report.overall == "violation_certificate") == (found is not None)
+    if found is not None:
+        wit = report.witness
+        order, trial, strategy, pts, value, vec = found
+        assert (wit.order, wit.trial, wit.strategy) == (order, trial, strategy)
+        assert np.array_equal(wit.points, pts)
+        assert abs(wit.min_eigenvalue - value) <= 1e-12
+        assert abs(abs(np.vdot(vec, wit.eigenvector)) - 1.0) <= 1e-9
+        assert type(wit.trial) is int
+    json.dumps(report.to_dict(), allow_nan=False)
+
+
+def test_opposite_phase_sign_is_time_reversal(monkeypatch):
+    # F with sign -1 on W at points (x, p) equals F with sign +1 on the
+    # time-reversed grid W(x, -p) at points (-x, p); time reversal maps states
+    # to states, so no grid can single out either sign.
+    axis = AxisGrid(-8.0, 8.0, 513)
+    c, s = np.cos(0.6), np.sin(0.6)
+    rot = np.array([[c, -s], [s, c]])
+    w = wigner_gaussian([0.7, -0.4], rot @ np.diag([1.8, 0.2]) @ rot.T, axis, axis)
+    reversed_w = WignerGrid(axis, axis, w.values[:, ::-1], w.hbar)
+    pts = np.random.default_rng(0).normal(size=(20, 4, 2))
+    plus = klm_matrix(symplectic_fourier(reversed_w, np.inf), pts * [-1.0, 1.0])
+    monkeypatch.setattr(klm, "PHASE_SIGN", -1)
+    minus = klm_matrix(symplectic_fourier(w, np.inf), pts)
+    assert np.abs(plus - minus).max() <= 1e-13
+
+
+@pytest.fixture(scope="module")
+def fock_128():
+    axis = default_axis(count=128, extent=9.0)
+    return [fock_state(n, axis) for n in range(4)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+       st.integers(0, 2**16))
+def test_fock_mixtures_have_no_witness(fock_128, weights, seed):
+    weights = np.array(weights) / np.sum(weights)
+    w = mixture_wigner(list(zip(weights, fock_128)))
+    assert klm_check(w, seed=seed).witness is None
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(st.sampled_from([0, 1]), st.floats(1.2, 2.0), st.integers(0, 2**16))
+def test_rescaled_witnesses_reproduce(fock_128, n, lam, seed):
+    w = rescale(wigner_of_pure(fock_128[n]), lam)
+    report = klm_check(w, seed=seed)
+    assert report.witness is not None
+    value = witness_quadratic_form(w, report.witness)
+    assert value == pytest.approx(report.witness.min_eigenvalue, abs=1e-9)

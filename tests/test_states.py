@@ -6,7 +6,7 @@ from wigcheck import (AxisGrid, default_axis, fock_state, fourier_wavefunction,
                       gaussian_wavepacket, kernel_from_wigner, load_wigner_manifest,
                       mixture_wigner, operator_spectrum_oracle, rescale,
                       save_wigner_manifest, symplectic_fourier, trace,
-                      wigner_gaussian, wigner_of_pure)
+                      wigner_gaussian, wigner_momentum_axis, wigner_of_pure)
 from wigcheck.states import WaveFunctionGrid, WignerGrid, _boundary_band_sum, _chirp_sum
 
 
@@ -334,3 +334,51 @@ def test_kernel_matches_dense_quadrature(no_grid):
         bound = 1e-12 * np.abs(w.values).sum(axis=1).max() * w.p_axis.spacing
         got = kernel_from_wigner(w).values
         assert np.abs(got - _dense_kernel(w)).max() <= bound
+
+
+def _dense_rescale(w, lam):
+    """rescale on a DFT-conjugate grid with the momentum sum done densely."""
+    xs, ps = w.x_axis.points, w.p_axis.points
+    okx = (lam * xs >= xs[0]) & (lam * xs <= xs[-1])
+    okp = (lam * ps >= ps[0]) & (lam * ps <= ps[-1])
+    offs = np.arange(w.p_axis.count) - w.p_axis.count // 2
+    a = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(w.values, axes=1), axis=1), axes=1)
+    ph = np.exp(-2j * np.outer(offs * w.x_axis.spacing, lam * ps[okp]) / w.hbar)
+    out = np.zeros_like(w.values)
+    out[np.ix_(okx, okp)] = CubicSpline(xs, (a @ ph).real, axis=0)(lam * xs[okx])
+    return lam**2 * out, np.abs(a).sum(axis=1).max(), int(okp.sum())
+
+
+@pytest.mark.parametrize("n, hbar, lam, targets", [
+    (128, 1.0, 1.5, 85), (128, 1.0, 1.2, 106), (128, 1.0, 0.8, 128), (96, 0.7, 1.3, 73),
+])
+def test_rescale_matches_dense_momentum_sum(n, hbar, lam, targets):
+    # off-centre and rotated, so that no reflection of x or p maps it to itself
+    x_axis = default_axis(hbar, count=n)
+    sigma = hbar * np.array([[0.8, 0.3], [0.3, 0.5]])
+    w = wigner_gaussian([0.4, -0.6], sigma, x_axis, wigner_momentum_axis(x_axis, hbar), hbar)
+    dense, scale, m = _dense_rescale(w, lam)
+    assert m == targets  # odd and even runs of momentum targets
+    # the x spline mixes neighbouring rows with weights of total size < 2
+    assert np.abs(rescale(w, lam).values - dense).max() <= 2e-12 * lam**2 * scale
+
+
+def test_rescale_without_momentum_overlap_is_zero():
+    n, dx = 64, 0.25
+    x_axis = AxisGrid(-(n // 2) * dx, (n // 2 - 1) * dx, n)
+    dp = np.pi / (n * dx)
+    p_axis = AxisGrid(50.0, 50.0 + (n - 1) * dp, n)
+    w = WignerGrid(x_axis, p_axis, np.full((n, n), 1.0 / (n * n * dx * dp)))
+    with pytest.warns(UserWarning, match="mass drift"):
+        out = rescale(w, 2.0)
+    assert not out.values.any()
+
+
+def test_symplectic_fourier_matches_complex_quadrature(no_grid):
+    f = symplectic_fourier(no_grid, boundary_tol=np.inf)
+    pts = np.random.default_rng(5).normal(size=(7, 2))
+    X, P = no_grid.meshgrid()
+    direct = np.array([(np.exp(1j * (p * X - P * x)) * no_grid.values).sum()
+                       for x, p in pts]) * no_grid.cell_area
+    assert np.abs(f(pts) - direct).max() <= 1e-13
+    assert f(pts[0]) == f(pts[:1])[0]
