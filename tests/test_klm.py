@@ -159,17 +159,12 @@ def _reference_search(w, max_order, trials, seed, tol):
     return orders, None
 
 
-def _square(count=256, extent=8.0):
-    d = 2.0 * extent / count
-    return AxisGrid(-(count // 2) * d, (count // 2 - 1) * d, count)
-
-
 @pytest.mark.parametrize("name", ["vacuum", "fock1", "fock1_x1.2", "vacuum_x1.5", "bump"])
 @pytest.mark.parametrize("seed", [0, 7, 31])
 def test_batched_search_matches_one_set_at_a_time(vacuum_wigner, fock1_wigner, name, seed):
     w = {"vacuum": vacuum_wigner, "fock1": fock1_wigner,
          "fock1_x1.2": rescale(fock1_wigner, 1.2), "vacuum_x1.5": rescale(vacuum_wigner, 1.5),
-         "bump": truncated_bump_grid(_square(), _square())}[name]
+         "bump": truncated_bump_grid(default_axis(), default_axis())}[name]
     report = klm_check(w, max_order=5, trials_per_order=50, seed=seed)
     orders, found = _reference_search(w, 5, 50, seed, report.tol)
     assert [(r.order, r.trials) for r in report.orders] == [o[:2] for o in orders]
