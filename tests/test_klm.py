@@ -221,3 +221,9 @@ def test_rescaled_witnesses_reproduce(fock_128, n, lam, seed):
     assert report.witness is not None
     value = witness_quadratic_form(w, report.witness)
     assert value == pytest.approx(report.witness.min_eigenvalue, abs=1e-9)
+
+
+def test_unreproduced_witness_is_an_error(vacuum_wigner, monkeypatch):
+    monkeypatch.setattr(klm, "witness_quadratic_form", lambda w, witness: 0.0)
+    with pytest.raises(ValueError, match="does not reproduce"):
+        klm_check(rescale(vacuum_wigner, 1.5), max_order=3, seed=0)
