@@ -178,6 +178,25 @@ def build_state(spec, args):
     return w, echo
 
 
+def _dominate(w, cmax_factor):
+    """Domination fit; returns (certificate, compact flag, its diagnostics)."""
+    compact, diag = compact_support_flag(w)
+    # a compactly supported candidate is dominated by an arbitrarily tight
+    # Gaussian once C may grow, so use a generous cap
+    factor = max(cmax_factor, 10.0) if compact else cmax_factor
+    return fit_dominating_gaussian(w, c_max_factor=factor), compact, diag
+
+
+def _oracle_report(w, tol):
+    """Report fragment of the operator-spectrum oracle."""
+    eigs = operator_spectrum_oracle(w)
+    return {"top_eigenvalues": eigs[:10].tolist(),
+            "min_eigenvalue": float(eigs[-1]),
+            "eigenvalue_sum": float(eigs.sum()),
+            "tol": tol,
+            "positive": bool(eigs[-1] >= -tol)}
+
+
 def analyze(w, echo, args):
     """Full check pipeline on a Wigner grid; returns the report dict."""
     hbar = w.hbar
@@ -218,13 +237,7 @@ def analyze(w, echo, args):
                               "min_eigenvalue": klm.witness.min_eigenvalue})
 
     if not args.no_domination:
-        compact, compact_diag = compact_support_flag(w)
-        factor = args.cmax_factor
-        if compact:
-            # a compactly supported candidate is dominated by an arbitrarily
-            # tight Gaussian once C may grow, so use a generous cap
-            factor = max(factor, 10.0)
-        cert = fit_dominating_gaussian(w, c_max_factor=factor)
+        cert, compact, compact_diag = _dominate(w, args.cmax_factor)
         dom = cert.to_dict()
         dom["compact_support"] = compact
         dom["compact_support_diagnostics"] = compact_diag
@@ -241,17 +254,11 @@ def analyze(w, echo, args):
         report["blob"] = blob_info
 
     if not args.no_oracle:
-        eigs = operator_spectrum_oracle(w)
-        report["oracle"] = {
-            "top_eigenvalues": eigs[:10].tolist(),
-            "min_eigenvalue": float(eigs[-1]),
-            "eigenvalue_sum": float(eigs.sum()),
-            "tol": args.tol_oracle,
-            "positive": bool(eigs[-1] >= -args.tol_oracle),
-        }
-        if eigs[-1] < -args.tol_oracle:
+        oracle = _oracle_report(w, args.tol_oracle)
+        report["oracle"] = oracle
+        if not oracle["positive"]:
             witnesses.append({"type": "oracle_negative_eigenvalue",
-                              "min_eigenvalue": float(eigs[-1])})
+                              "min_eigenvalue": oracle["min_eigenvalue"]})
 
     if witnesses:
         report["classification"] = "proven_not_a_state"
@@ -335,9 +342,7 @@ def _cmd_klm(args):
 
 def _cmd_dominate(args):
     w, echo = build_state(_load_spec(args.spec), args)
-    compact, diag = compact_support_flag(w)
-    factor = max(args.cmax_factor, 10.0) if compact else args.cmax_factor
-    cert = fit_dominating_gaussian(w, c_max_factor=factor)
+    cert, compact, diag = _dominate(w, args.cmax_factor)
     out = {"input": echo, "hbar": w.hbar, "domination": cert.to_dict(),
            "compact_support": compact, "compact_support_diagnostics": diag}
     _emit(out, args)
@@ -346,13 +351,7 @@ def _cmd_dominate(args):
 
 def _cmd_oracle(args):
     w, echo = build_state(_load_spec(args.spec), args)
-    eigs = operator_spectrum_oracle(w)
-    out = {"input": echo, "hbar": w.hbar,
-           "oracle": {"top_eigenvalues": eigs[:10].tolist(),
-                      "min_eigenvalue": float(eigs[-1]),
-                      "eigenvalue_sum": float(eigs.sum()),
-                      "tol": args.tol_oracle,
-                      "positive": bool(eigs[-1] >= -args.tol_oracle)}}
+    out = {"input": echo, "hbar": w.hbar, "oracle": _oracle_report(w, args.tol_oracle)}
     _emit(out, args)
     return 0 if out["oracle"]["positive"] else 2
 

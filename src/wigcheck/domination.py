@@ -6,19 +6,20 @@ any nonzero state the fitted rates must satisfy a*b <= 1, with equality
 only for Gaussians.  `fit_dominating_gaussian` bounds a Wigner grid by
 C exp(-M z.z / hbar) while maximizing the largest symplectic eigenvalue
 mu_1 of M; a certified mu_1 > 1 proves the grid is not the Wigner
-distribution of any density operator.
+distribution of any density operator.  For one degree of freedom
+mu_1 = sqrt(det M) and the constraints are linear in M, so the fit is a
+least-area centred (Loewner-John) ellipse, solved exactly by basis exchange
+and certified by a duality gap.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import ConvexHull, QhullError
 
-from .states import trace
+from .states import _chirp_sum, trace
 from .symplectic import symplectic_spectrum
-from .uncertainty import covariance_from_grid
 
 __all__ = [
     "HardyFit",
@@ -32,10 +33,14 @@ __all__ = [
 RATE_CAP = 1e6
 VERDICT_BAND = 0.02
 HARDY_BAND = 0.05
-# relative gauge slack of the binding-constraint reduction: a dropped
-# constraint is at least (1 - HULL_SLACK)^-2 - 1 ~ 2e-6 looser than the
-# binding one, far above the ~1e-15 rounding of the ratios it is compared by
-HULL_SLACK = 1e-6
+# excess of w^T M w over 1 that counts as rounding, per unit of |q| @ |m|
+CONTACT_TOL = 64 * np.finfo(float).eps
+MAX_EXCHANGES = 100  # the benchmark grids take at most 10
+# duality gap, in log det M, up to which the fit counts as the optimum
+GAP_TOL = 1e-9
+# sine under which scaled points count as one line; non-collinear points of
+# an n x n grid are at least ~1/n^2 apart
+LINE_SIN = 1e-9
 # rounding allowance of the pointwise re-check of the fitted envelope
 DOMINATION_RTOL = 1e-9
 
@@ -88,8 +93,9 @@ def _decay_rate(xs, amp, hbar, tail_start, cap_factor, floor=1e-13):
 def hardy_fit(psi, cap_factor=10.0):
     """Fit Gaussian decay rates for a wavefunction and its Fourier transform.
 
-    The transform is evaluated on the mirror of the position axis by direct
-    quadrature, so both branches are fitted over the same physical range.
+    The transform is evaluated on the points of the position axis by exact
+    chirp-z quadrature, so both branches are fitted over the same physical
+    range.
     Verdict: "consistent" (a*b < 1), "boundary" (a*b ~ 1, Gaussian states),
     or "inconsistent_with_any_state" (a*b > 1, impossible for nonzero psi).
     """
@@ -105,8 +111,8 @@ def hardy_fit(psi, cap_factor=10.0):
     var = float(((xs - mean) ** 2 * prob).sum())
     tail_x = 2.0 * np.sqrt(var)
 
-    kernel = np.exp(-1j * np.outer(xs, xs) / hbar)
-    phi = np.abs(kernel @ psi.values) * d / np.sqrt(2 * np.pi * hbar)
+    phi = np.abs(_chirp_sum(psi.values, xs[0], d, xs[0] / hbar, d / hbar, xs.size, sign=-1))
+    phi *= d / np.sqrt(2 * np.pi * hbar)
     prob_p = phi**2 * d
     prob_p = prob_p / prob_p.sum()
     mean_p = float((xs * prob_p).sum())
@@ -135,7 +141,12 @@ def hardy_fit(psi, cap_factor=10.0):
 
 @dataclass
 class DominationCertificate:
-    """Result of the dominating-Gaussian fit W(z) <= C exp(-M z.z / hbar)."""
+    """Result of the dominating-Gaussian fit W(z) <= C exp(-M z.z / hbar).
+
+    `contacts` are the phase-space points whose constraints bind, and
+    `duality_gap` bounds how far log det M lies below the optimum (None when
+    `unbounded`); `n_evaluations` counts the solver's basis exchanges.
+    """
 
     M: np.ndarray
     C: float
@@ -148,21 +159,13 @@ class DominationCertificate:
     n_constraints: int
     converged: bool
     n_evaluations: int
+    contacts: np.ndarray
+    duality_gap: float | None
+    unbounded: bool
 
     def to_dict(self):
-        return {
-            "M": self.M.tolist(),
-            "C": self.C,
-            "spectrum": self.spectrum.tolist(),
-            "mu1": self.mu1,
-            "verdict": self.verdict,
-            "hbar": self.hbar,
-            "c_max_factor": self.c_max_factor,
-            "floor": self.floor,
-            "n_constraints": self.n_constraints,
-            "converged": self.converged,
-            "n_evaluations": self.n_evaluations,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
 
 def domination_verdict(mu1, band=VERDICT_BAND):
@@ -179,63 +182,111 @@ def domination_verdict(mu1, band=VERDICT_BAND):
     return "boundary"
 
 
-def _binding_candidates(zx, zp, budget):
-    """Mask of the constraints that can bind for some positive-definite M.
+def _forms(w):
+    """Rows (x^2, 2xp, p^2) of points w: w^T M w = _forms(w) @ (M_xx, M_xp, M_pp)."""
+    x, p = w[..., 0], w[..., 1]
+    return np.stack([x * x, 2.0 * x * p, p * p], axis=-1)
 
-    Constraint i reads z_i^T M z_i <= budget_i, i.e. w_i^T M w_i <= 1 with
-    w_i = z_i / sqrt(budget_i).  A positive-definite quadratic form is
-    convex and even, so its maximum over the points lies on a vertex of the
-    convex hull of {+w_i, -w_i}.  A point of gauge g against that hull has
-    w^T M w <= g^2 * max, so every point with g < 1 - HULL_SLACK is dropped.
-    The gauge is read off the one hull edge in the point's angular sector.
-    Constraints with zero budget are always kept; all are kept when the
-    points do not span the plane (Qhull needs three non-collinear points).
+
+def _through(w):
+    """(M_xx, M_xp, M_pp) of the centred conic through 3 points w.
+
+    Two points a, b stand for a, b and (a + b) / sqrt(2): the ellipse through
+    those is the least-area one through a and b, M^-1 = a a^T + b b^T.  The
+    solve is least squares, so that points on one ray give some conic, never
+    the optimum, in place of an error.
     """
-    keep = budget <= 0
-    live = ~keep
-    scale = 1.0 / np.sqrt(budget[live])
-    wx, wp = zx[live] * scale, zp[live] * scale
-    pts = np.stack([wx, wp], axis=1)
-    try:
-        hull = ConvexHull(np.concatenate([pts, -pts]))
-    except (QhullError, ValueError):  # ValueError: no point with a budget at all
-        return np.ones_like(keep)
-    verts = hull.points[hull.vertices]
-    angles = np.arctan2(verts[:, 1], verts[:, 0])
-    order = np.argsort(angles)
-    a, angles = verts[order], angles[order]
-    b = np.roll(a, -1, axis=0)
-    # edge k runs from a[k] to a[k+1] counter-clockwise; n . w / n . a[k] is
-    # the gauge of any w in that edge's sector
-    nx, np_ = b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]
-    offset = nx * a[:, 0] + np_ * a[:, 1]
-    sector = np.searchsorted(angles, np.arctan2(wp, wx), side="right") - 1
-    gauge = (nx[sector] * wx + np_[sector] * wp) / offset[sector]
-    keep[live] = gauge >= 1.0 - HULL_SLACK
-    return keep
+    if len(w) == 2:
+        w = np.vstack([w, w.sum(axis=0) / np.sqrt(2.0)])
+    return np.linalg.lstsq(_forms(w), np.ones(3), rcond=None)[0]
+
+
+def _lowner_john(w):
+    """Largest-det M with w_i^T M w_i <= 1 for all rows of w, which span the plane.
+
+    Basis exchange: start from the farthest point and the one spanning the
+    largest area with it; while a constraint k is violated, move to the
+    optimum over the basis and k, the largest-det ellipse through k and one
+    or two basis points, each scaled down to hold on the basis and k.  det M
+    falls at every exchange and the problem has combinatorial dimension 3, so
+    the loop ends at the exact optimum.  Returns (M, basis, exchanges), M
+    scaled to hold everywhere.
+    """
+    q = _forms(w)
+    # rounding of q @ m is a few ulp of |q| @ |m|, which exceeds q @ m ~ 1
+    # by up to ~cond(M) for a thin ellipse
+    slack = CONTACT_TOL * np.abs(q)
+    a = int(np.argmax(q[:, 0] + q[:, 2]))
+    b = int(np.argmax(np.abs(w[a, 0] * w[:, 1] - w[a, 1] * w[:, 0])))
+    basis, m = [a, b], _through(w[[a, b]])
+    for exchanges in range(MAX_EXCHANGES + 1):
+        r = q @ m
+        excess = r - slack @ np.abs(m)
+        k = int(np.argmax(excess))
+        if excess[k] <= 1.0 or exchanges == MAX_EXCHANGES:
+            m = m / r.max()
+            return np.array([[m[0], m[1]], [m[1], m[2]]]), basis, exchanges
+        rows, best = q[basis + [k]], -np.inf
+        for sub in [*combinations(basis, 1), *combinations(basis, 2)]:
+            cand = _through(w[[*sub, k]])
+            cand = cand / max(1.0, float((rows @ cand).max()))
+            det = cand[0] * cand[2] - cand[1] * cand[1]
+            if cand[0] > 0 and det > best:
+                best, m, new = det, cand, [*sub, k]
+        basis = new
+
+
+def _duality_gap(M, w):
+    """log det of the optimum is at most log det M + this, from the contacts w.
+
+    By weak duality, any weights lam >= 0 bound log det of every feasible M'
+    by -log det W - 2 + sum(lam), W = sum_i lam_i w_i w_i^T; the weights here
+    solve W = M^-1 (least squares, clipped at 0).
+    """
+    f = _forms(w) * [1.0, 0.5, 1.0]
+    target = np.linalg.inv(M)[[0, 0, 1], [0, 1, 1]]
+    lam = np.clip(np.linalg.lstsq(f.T, target, rcond=None)[0], 0.0, None)
+    W = lam @ f
+    det_w = W[0] * W[2] - W[1] * W[1]
+    return float(-np.log(np.linalg.det(M) * det_w) - 2.0 + lam.sum()) if det_w > 0 else None
+
+
+def _line_envelope(w, mu):
+    """(M, [a]) with mu_1(M) = mu for points w that do not span the plane, else None.
+
+    M's form is diagonal along the points' line and its normal, with the
+    farthest point w_a on its boundary: M = w_a w_a^T / |w_a|^4 + mu^2 n n^T,
+    n = w_a turned by a right angle; M = mu I when there is no point at all.
+    """
+    if not len(w):
+        return mu * np.eye(2), []
+    norm2 = (w * w).sum(axis=1)
+    a = int(np.argmax(norm2))
+    if (np.abs(w[a, 0] * w[:, 1] - w[a, 1] * w[:, 0]) > LINE_SIN * np.sqrt(norm2[a] * norm2)).any():
+        return None
+    normal = np.array([-w[a, 1], w[a, 0]])
+    M = np.outer(w[a], w[a]) / norm2[a] ** 2 + mu * mu * np.outer(normal, normal)
+    return M / max(1.0, float((_forms(w) @ M[[0, 0, 1], [0, 1, 1]]).max())), [a]
 
 
 def fit_dominating_gaussian(w, c_max_factor=1.25, floor=1e-9, band=VERDICT_BAND):
     """Tightest dominating Gaussian of a Wigner grid, maximizing mu_1(M).
 
-    The shape of M is parametrized by a unit-determinant lower-triangular
-    square-root factor and optimized with a multi-start Nelder-Mead simplex;
-    for each shape the overall scale is resolved exactly by the binding
-    constraint, with C limited to c_max_factor times the grid maximum.
     Constraints use the points with W >= floor * max(W): negative values
     satisfy any Gaussian bound, and values under the floor are below the
-    quadrature noise of grid-built states.
-
-    The scale t*(M) = min_i budget_i / z_i^T M z_i is searched over the few
-    constraints that can bind at all (`_binding_candidates`): those whose
-    scaled point w_i = z_i / sqrt(budget_i) has gauge at least 1 - HULL_SLACK
-    against the convex hull of {+w_i, -w_i}.  Any other constraint's ratio
-    exceeds the minimum by a factor of at least (1 - HULL_SLACK)^-2, so it
-    can never be the floating-point minimum: t* is the same float on the
-    reduced set for every M, the simplex takes the same path and the
-    certificate is bit-identical to a fit over all constraints.  C and the
-    domination check run over the full constraint set; the check raises
-    ValueError if C exceeds c_max_factor * max(W) beyond rounding.
+    quadrature noise of grid-built states.  With C = c_max_factor * max(W)
+    each reads w_i^T M w_i <= 1, w_i = z_i / sqrt(b_i), b_i = hbar log(C / W_i).
+    As mu_1 = sqrt(det M), the fit is the least-area centred (Loewner-John)
+    ellipse of the points +-w_i, solved exactly by `_lowner_john`;
+    `converged` means its duality gap is at most GAP_TOL.  Special cases:
+    - a point z != 0 with b = 0 (W = C there, only at c_max_factor 1) forces
+      M z = 0, hence M = 0, spectrum [0] and C = max(W);
+    - points w_i that do not span the plane (one line through the origin,
+      within a sine of LINE_SIN, or none away from it) leave mu_1 unbounded:
+      the certificate is `unbounded` with the M of `_line_envelope` at
+      mu_1 = 2 (1 + band), twice the verdict threshold.
+    C is recomputed over every constraint; the check raises ValueError if it
+    exceeds c_max_factor * max(W) beyond rounding.
     """
     if abs(trace(w) - 1.0) > 1e-3:
         warnings.warn("dominating fit on a grid without unit trace")
@@ -244,63 +295,32 @@ def fit_dominating_gaussian(w, c_max_factor=1.25, floor=1e-9, band=VERDICT_BAND)
     peak = w.values.max()
     if peak <= 0:
         raise ValueError("grid has no positive values to dominate")
-    X, P = w.meshgrid()
-    mask = w.values >= floor * peak
-    zx, zp = X[mask], P[mask]
-    vals = w.values[mask]
-    log_rel = np.log(vals / peak)
-    budget = w.hbar * (np.log(c_max_factor) - log_rel)
-    q_xx, q_xp, q_pp = zx * zx, 2.0 * zx * zp, zp * zp
-    cand = _binding_candidates(zx, zp, budget)
-    c_budget, c_xx, c_xp, c_pp = budget[cand], q_xx[cand], q_xp[cand], q_pp[cand]
-
-    evaluations = 0
-
-    def t_star(params):
-        nonlocal evaluations
-        evaluations += 1
-        s, c = params
-        l11, l22 = np.exp(s), np.exp(-s)
-        m11 = l11 * l11
-        m12 = l11 * c
-        m22 = c * c + l22 * l22
-        quad = m11 * c_xx + m12 * c_xp + m22 * c_pp
-        live = quad > 0
-        if not live.any():
-            return 0.0
-        return float(np.min(c_budget[live] / quad[live]))
-
-    starts = [np.zeros(2)]
-    try:
-        cov = covariance_from_grid(w).sigma
-        m_cov = 0.5 * w.hbar * np.linalg.inv(cov)
-        m_cov = m_cov / np.sqrt(np.linalg.det(m_cov))
-        chol = np.linalg.cholesky(m_cov)
-        starts.append(np.array([np.log(chol[0, 0]), chol[1, 0]]))
-    except (np.linalg.LinAlgError, ValueError):
-        pass
-    starts += [np.array([0.35, 0.0]), np.array([-0.35, 0.0]), np.array([0.0, 0.35])]
-
-    best_val, best_params, nm_ok = -np.inf, None, False
-    for start in starts:
-        res = minimize(lambda th: -t_star(th), start, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 500})
-        if -res.fun > best_val:
-            best_val, best_params, nm_ok = -res.fun, res.x, bool(res.success)
-
-    t = best_val
-    s, c = best_params
-    chol = np.array([[np.exp(s), 0.0], [c, np.exp(-s)]])
-    M = t * (chol @ chol.T)
-    converged = bool(nm_ok and t > 0)
+    i, j = np.nonzero(w.values >= floor * peak)
+    z = np.stack([w.x_axis.points[i], w.p_axis.points[j]], axis=1)
+    vals = w.values[i, j]
+    budget = w.hbar * (np.log(c_max_factor) - np.log(vals / peak))
+    away = (z != 0).any(axis=1)
+    exchanges, unbounded, converged, gap = 0, False, True, 0.0
+    pinned = away & (budget <= 0)
+    if pinned.any():
+        M, contacts = np.zeros((2, 2)), z[pinned][:1]
+    else:
+        live = np.flatnonzero(away)
+        wpts = z[live] / np.sqrt(budget[live])[:, None]
+        line = _line_envelope(wpts, 2.0 * (1.0 + band))
+        if line is not None:
+            (M, basis), unbounded, gap = line, True, None
+        else:
+            M, basis, exchanges = _lowner_john(wpts)
+            gap = _duality_gap(M, wpts[basis])
+            converged = gap is not None and gap <= GAP_TOL
+        contacts = z[live[basis]]
     if not converged:
-        warnings.warn("dominating-Gaussian fit did not converge; returning best found")
+        warnings.warn("dominating-Gaussian fit did not certify its optimum; returning best found")
 
-    if t > 0:
+    if M.any():
         spectrum = symplectic_spectrum(M)
-        quad = M[0, 0] * q_xx + M[0, 1] * q_xp + M[1, 1] * q_pp
-        scaled = vals * np.exp(quad / w.hbar)
-        C = float(scaled.max())
+        C = float((vals * np.exp(_forms(z) @ M[[0, 0, 1], [0, 1, 1]] / w.hbar)).max())
         if C > c_max_factor * peak * (1.0 + DOMINATION_RTOL):
             raise ValueError(f"dominating fit needs C = {C:.6g} above the cap "
                              f"{c_max_factor:g} * max W = {c_max_factor * peak:.6g}")
@@ -312,8 +332,9 @@ def fit_dominating_gaussian(w, c_max_factor=1.25, floor=1e-9, band=VERDICT_BAND)
         M=M, C=C, spectrum=spectrum, mu1=mu1,
         verdict=domination_verdict(mu1, band), hbar=w.hbar,
         c_max_factor=c_max_factor, floor=floor,
-        n_constraints=int(mask.sum()), converged=converged,
-        n_evaluations=evaluations,
+        n_constraints=len(vals), converged=converged,
+        n_evaluations=exchanges, contacts=contacts, duality_gap=gap,
+        unbounded=unbounded,
     )
 
 

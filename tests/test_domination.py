@@ -1,16 +1,20 @@
-import warnings
+import json
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
-from conftest import random_spd
-from wigcheck import (capacity, compact_support_flag,
+from test_states import _dense_rescale
+from wigcheck import (capacity, compact_support_flag, covariance_from_grid,
                       default_axis, fit_dominating_gaussian, fock_state,
                       gaussian_wavepacket, hardy_fit, rescale, domination_verdict,
                       truncated_bump_grid, wigner_gaussian, wigner_of_pure)
 from wigcheck import domination
 from wigcheck.cli import main
-from wigcheck.domination import _binding_candidates
 from wigcheck.states import AxisGrid, WaveFunctionGrid, WignerGrid
 
 
@@ -153,7 +157,7 @@ def test_capacity_of_fitted_certificates(vacuum_wigner, fock1_wigner, mixture_50
         assert capacity(cert.M, w.hbar) >= np.pi * w.hbar * (1 - 0.02)
 
 
-# --- binding-constraint reduction of the dominating fit --------------------
+# --- the exact solver against references and on degenerate grids ----------
 
 def _rotated(sigma, theta):
     c, s = np.cos(theta), np.sin(theta)
@@ -202,49 +206,239 @@ def _constraints(w, c_max_factor=1.25, floor=1e-9):
     return X[mask], P[mask], budget
 
 
-def _min_ratio(M, zx, zp, budget):
-    quad = M[0, 0] * (zx * zx) + M[0, 1] * (2.0 * zx * zp) + M[1, 1] * (zp * zp)
-    live = quad > 0
-    return np.min(budget[live] / quad[live])
+def _nelder_mead_fit(w, c_max_factor):
+    """The multi-start Nelder-Mead fit the exact solver replaced: (M, converged).
+
+    The shape of M is a unit-determinant lower-triangular factor, its scale
+    t*(M) = min_i budget_i / z_i^T M z_i over every constraint.
+    """
+    zx, zp, budget = _constraints(w, c_max_factor)
+    q_xx, q_xp, q_pp = zx * zx, 2.0 * zx * zp, zp * zp
+
+    def t_star(params):
+        s, c = params
+        l11, l22 = np.exp(s), np.exp(-s)
+        quad = l11 * l11 * q_xx + l11 * c * q_xp + (c * c + l22 * l22) * q_pp
+        live = quad > 0
+        return float(np.min(budget[live] / quad[live])) if live.any() else 0.0
+
+    starts = [np.zeros(2)]
+    try:
+        m_cov = 0.5 * w.hbar * np.linalg.inv(covariance_from_grid(w).sigma)
+        chol = np.linalg.cholesky(m_cov / np.sqrt(np.linalg.det(m_cov)))
+        starts.append(np.array([np.log(chol[0, 0]), chol[1, 0]]))
+    except (np.linalg.LinAlgError, ValueError):
+        pass
+    starts += [np.array([0.35, 0.0]), np.array([-0.35, 0.0]), np.array([0.0, 0.35])]
+    best, params, ok = -np.inf, None, False
+    for start in starts:
+        res = minimize(lambda th: -t_star(th), start, method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 500})
+        if -res.fun > best:
+            best, params, ok = -res.fun, res.x, bool(res.success)
+    s, c = params
+    chol = np.array([[np.exp(s), 0.0], [c, np.exp(-s)]])
+    return best * (chol @ chol.T), ok and best > 0
+
+
+def _dominates(w, cert):
+    zx, zp, _ = _constraints(w, cert.c_max_factor, cert.floor)
+    vals = w.values[w.values >= cert.floor * w.values.max()]
+    M = cert.M
+    quad = M[0, 0] * zx * zx + 2 * M[0, 1] * zx * zp + M[1, 1] * zp * zp
+    return (vals * np.exp(quad / w.hbar)).max()
+
+
+def _scaled_points(w, cert):
+    """Budget-scaled points w_i = z_i / sqrt(b_i) of the fit's live constraints."""
+    zx, zp, budget = _constraints(w, cert.c_max_factor, cert.floor)
+    live = (budget > 0) & ((zx != 0) | (zp != 0))
+    z = np.stack([zx[live], zp[live]], axis=1)
+    return z, z / np.sqrt(budget[live])[:, None]
 
 
 @pytest.mark.parametrize("name", sorted(REDUCTION_GRIDS))
 @pytest.mark.parametrize("c_max_factor", [1.0, 1.25, 10.0])
 def test_binding_candidates_keep_the_minimum(name, c_max_factor):
-    zx, zp, budget = _constraints(REDUCTION_GRIDS[name](), c_max_factor)
-    keep = _binding_candidates(zx, zp, budget)
-    if name in DEGENERATE:
-        assert keep.all()
-    elif c_max_factor > 1.0:
-        # at c_max_factor 1 a Gaussian's scaled points all lie on one ellipse
-        # and a flat top's budgets are all zero: every constraint is kept
-        assert 0 < keep.sum() < keep.size // 4
-    rng = np.random.default_rng(20070303)
-    for _ in range(200):
-        M = random_spd(rng, 2, lo=0.05, hi=20.0)
-        assert _min_ratio(M, zx[keep], zp[keep], budget[keep]) == _min_ratio(M, zx, zp, budget)
+    # the contacts alone determine the fit: the solver on them returns the
+    # same M, and M holds on every constraint of the grid
+    w = REDUCTION_GRIDS[name]()
+    cert = fit_dominating_gaussian(w, c_max_factor=c_max_factor)
+    assert cert.converged
+    if cert.unbounded or not cert.M.any():
+        assert name in DEGENERATE or c_max_factor == 1.0
+        return
+    z, wpts = _scaled_points(w, cert)
+    index = [int(np.flatnonzero((z == c).all(axis=1))[0]) for c in cert.contacts]
+    values = np.einsum("ni,ij,nj->n", wpts, cert.M, wpts)
+    assert values.max() <= 1 + 1e-12
+    assert np.abs(values[index] - 1).max() <= 1e-12
+    M, basis, exchanges = domination._lowner_john(wpts[index])
+    assert sorted(basis) == list(range(len(index)))
+    assert np.abs(M - cert.M).max() <= 1e-12 * np.abs(cert.M).max()
+    assert 0 <= cert.n_evaluations <= domination.MAX_EXCHANGES
+    assert abs(cert.duality_gap) <= domination.GAP_TOL
 
 
 @pytest.mark.parametrize("name", sorted(REDUCTION_GRIDS))
-def test_fit_matches_full_constraint_reference(name, monkeypatch):
+def test_fit_matches_full_constraint_reference(name):
+    # the Nelder-Mead search over every constraint that the solver replaced
     w = REDUCTION_GRIDS[name]()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cert = fit_dominating_gaussian(w)
-        monkeypatch.setattr(domination, "_binding_candidates",
-                            lambda zx, zp, budget: np.ones(zx.shape, dtype=bool))
-        reference = fit_dominating_gaussian(w)
-    assert repr(cert.to_dict()) == repr(reference.to_dict())
+    for c_max_factor in (1.0, 1.25, 10.0):
+        cert = fit_dominating_gaussian(w, c_max_factor=c_max_factor)
+        M_nm, nm_converged = _nelder_mead_fit(w, c_max_factor)
+        assert cert.converged
+        if cert.unbounded:
+            # no maximizer exists: the simplex runs to its iteration cap
+            assert name in DEGENERATE and not nm_converged
+            continue
+        mu_nm = np.sqrt(max(np.linalg.det(M_nm), 0.0))
+        C_nm = _dominates(w, replace(cert, M=M_nm)) if M_nm.any() else w.values.max()
+        assert cert.mu1 >= mu_nm * (1 - 1e-12)
+        assert abs(cert.mu1 - mu_nm) <= 1e-10 * mu_nm
+        assert cert.C == pytest.approx(C_nm, rel=1e-10)
+        assert np.abs(cert.M - M_nm).max() <= 1e-10 * np.abs(M_nm).max()
+        assert len(cert.contacts) in ((2, 3) if mu_nm > 0 else (1,))
 
 
-def test_fit_raises_when_the_binding_constraint_is_lost(vacuum_wigner, monkeypatch, capsys):
-    # keeping only the inner disk drops the binding constraints at the mask
-    # edge, so the fitted scale overshoots and C breaks the cap
-    monkeypatch.setattr(domination, "_binding_candidates",
-                        lambda zx, zp, budget: zx**2 + zp**2 < 4.0)
+def _brute_force_det(w):
+    """Largest det M over the ellipses through every pair and triple of rows of w
+    that contain all of them: pairs by M = (a a^T + b b^T)^-1, triples by the
+    centred conic through the three."""
+    i, j = np.triu_indices(len(w), 1)
+    outer = w[:, :, None] * w[:, None, :]
+    gram = outer[i] + outer[j]
+    pairs = np.linalg.inv(gram[np.linalg.det(gram) > 1e-12 * np.abs(gram).max(axis=(1, 2)) ** 2])
+    forms = np.stack([w[:, 0] ** 2, 2 * w[:, 0] * w[:, 1], w[:, 1] ** 2], axis=1)
+    trip = np.array(list(combinations(range(len(w)), 3)), dtype=int).reshape(-1, 3)
+    Q = forms[trip]
+    Q = Q[np.abs(np.linalg.det(Q)) > 1e-12 * np.abs(Q).max(axis=(1, 2)) ** 3]
+    m = np.linalg.solve(Q, np.ones(Q.shape[:2])[..., None])[..., 0]
+    triples = np.stack([m[:, 0], m[:, 1], m[:, 1], m[:, 2]], axis=1).reshape(-1, 2, 2)
+    cands = np.concatenate([pairs, triples])
+    dets = np.linalg.det(cands)
+    values = np.einsum("ni,kij,nj->kn", w, cands, w)
+    # rounding of w^T M w is relative to its absolute terms
+    scale = np.einsum("ni,kij,nj->kn", np.abs(w), np.abs(cands), np.abs(w))
+    ok = (dets > 0) & (values <= 1 + 1e-12 * scale).all(axis=1)
+    return dets[ok].max()
+
+
+# multiples of 1e-5 in [-10, 10]; small integers come first, so lattice
+# clouds with many cocircular and collinear points are tried too
+_coordinate = st.integers(-10**6, 10**6).map(lambda k: k / 1e5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.tuples(_coordinate, _coordinate), min_size=2, max_size=40))
+def test_lowner_john_matches_brute_force(points):
+    w = np.array(points)
+    norm = np.hypot(w[:, 0], w[:, 1])
+    assume(norm.min() > 1e-3)
+    cross = w[:, None, 0] * w[None, :, 1] - w[:, None, 1] * w[None, :, 0]
+    assume(np.abs(cross).max() > 1e-3 * norm.max() ** 2)
+    M, basis, exchanges = domination._lowner_john(w)
+    assert exchanges < domination.MAX_EXCHANGES
+    values = np.einsum("ni,ij,nj->n", w, M, w)
+    assert values.max() <= 1 + 1e-12
+    assert np.abs(values[basis] - 1).max() <= 1e-9
+    assert len(set(basis)) == len(basis) in (2, 3)
+    assert np.linalg.det(M) == pytest.approx(_brute_force_det(w), rel=1e-9)
+    assert domination._duality_gap(M, w[basis]) <= domination.GAP_TOL
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+@pytest.mark.parametrize("c_max_factor", [1.0, 1.25, 2.0, 10.0])
+def test_degenerate_support_is_unbounded(name, c_max_factor):
+    w = REDUCTION_GRIDS[name]()
+    cert = fit_dominating_gaussian(w, c_max_factor=c_max_factor)
+    assert cert.converged
+    if name == "single-value" and c_max_factor == 1.0:
+        # the one value sits at z != 0 with zero budget: M z = 0 forces det M = 0
+        assert not cert.unbounded
+        assert not cert.M.any() and cert.spectrum.tolist() == [0.0]
+        assert cert.C == w.values.max() and cert.verdict == "compatible"
+        return
+    assert cert.unbounded and cert.duality_gap is None
+    assert np.isfinite(cert.M).all()
+    assert cert.mu1 == pytest.approx(2 * (1 + domination.VERDICT_BAND), rel=1e-12)
+    assert cert.mu1 > 1 + domination.VERDICT_BAND
+    assert cert.verdict == "not_a_wigner_distribution"
+    # pointwise domination and the cap, up to rounding
+    assert _dominates(w, cert) <= cert.C * (1 + 1e-12)
+    assert cert.C <= c_max_factor * w.values.max() * (1 + 1e-12)
+    assert len(cert.contacts) == 1
+    report = json.loads(json.dumps(cert.to_dict(), allow_nan=False))
+    assert report["unbounded"] is True and report["duality_gap"] is None
+
+
+def test_zero_budget_away_from_the_origin_pins_the_fit():
+    # a flat top at c_max_factor 1: W = C on a disk, so M z = 0 there
+    w = REDUCTION_GRIDS["bump-indicator"]()
+    cert = fit_dominating_gaussian(w, c_max_factor=1.0)
+    assert not cert.M.any() and cert.mu1 == 0.0 and cert.C == w.values.max()
+    assert cert.converged and not cert.unbounded and cert.duality_gap == 0.0
+    zx, zp, budget = _constraints(w, 1.0)
+    (x, p), = cert.contacts
+    assert budget[(zx == x) & (zp == p)] == 0.0 and (x, p) != (0.0, 0.0)
+
+
+def test_fit_is_stable_under_rounding_of_the_grid(vacuum_wigner):
+    w = rescale(vacuum_wigner, 1.5)
+    base = fit_dominating_gaussian(w)
+    signs = np.random.default_rng(14).choice([-1.0, 1.0], w.values.shape)
+    nudged = WignerGrid(w.x_axis, w.p_axis, w.values * (1 + 1.4e-15 * signs), w.hbar)
+    cert = fit_dominating_gaussian(nudged)
+    assert np.array_equal(cert.contacts, base.contacts)
+    assert cert.n_evaluations == base.n_evaluations
+    assert cert.mu1 == pytest.approx(base.mu1, rel=1e-13)
+    assert cert.C == pytest.approx(base.C, rel=1e-13)
+    assert np.abs(cert.M - base.M).max() <= 1e-13 * np.abs(base.M).max()
+    # the momentum resampling of `rescale` done densely moves the grid by up
+    # to 1.4e-15 absolute, which is ~1e-6 relative at the contacts (W ~ 1e-9
+    # max W there): the contacts stay, the fit follows the values it binds to
+    dense, _, _ = _dense_rescale(vacuum_wigner, 1.5)
+    assert np.abs(dense - w.values).max() <= 2e-15
+    cert = fit_dominating_gaussian(WignerGrid(w.x_axis, w.p_axis, dense, w.hbar))
+    assert np.array_equal(cert.contacts, base.contacts)
+    assert cert.n_evaluations == base.n_evaluations
+    assert cert.mu1 == pytest.approx(base.mu1, rel=1e-9)
+
+
+def test_fit_raises_when_the_solver_overshoots(vacuum_wigner, monkeypatch, capsys):
+    # an envelope 1% tighter than the optimum breaks the cap at the contacts
+    solve = domination._lowner_john
+
+    def overshoot(w):
+        M, basis, exchanges = solve(w)
+        return 1.01 * M, basis, exchanges
+
+    monkeypatch.setattr(domination, "_lowner_john", overshoot)
     with pytest.raises(ValueError, match="above the cap"):
         fit_dominating_gaussian(vacuum_wigner)
     assert main(["dominate", '{"type":"fock","n":0}']) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("psi", [
+    fock_state(1),
+    WaveFunctionGrid(AxisGrid(-3.1, 5.3, 301),
+                     np.exp(-2 * (np.linspace(-3.1, 5.3, 301) - 0.7) ** 2
+                            + 0.4j * np.linspace(-3.1, 5.3, 301)), hbar=0.7),
+], ids=["fock1", "off-centre-odd"])
+def test_hardy_transform_matches_dense_sum(psi, monkeypatch):
+    # record the momentum amplitude hardy_fit computes, then sum it densely
+    seen, chirp_sum = [], domination._chirp_sum
+
+    def spy(*args, **kwargs):
+        seen.append(chirp_sum(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(domination, "_chirp_sum", spy)
+    hardy_fit(psi)
+    xs = psi.axis.points
+    dense = np.exp(-1j * np.outer(xs, xs) / psi.hbar) @ psi.values
+    assert len(seen) == 1
+    assert np.abs(seen[0] - dense).max() <= 1e-12 * np.abs(psi.values).sum()
