@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 from .blobs import Blob, capacity, find_contained_blob, is_admissible, quantum_blob, section_area
 from .domination import (DominationCertificate, HardyFit, compact_support_flag,
                          fit_dominating_gaussian, hardy_fit, domination_verdict)
-from .fixtures import (moment_p4, narcowich_oconnell_grid, no_default_axis,
-                       p4_series_reference, truncated_bump_grid)
+from .fixtures import (moment_p4, narcowich_oconnell_grid, p4_series_reference,
+                       truncated_bump_grid)
 from .klm import KLMReport, KLMWitness, klm_check, klm_matrix, witness_quadratic_form
 from .states import (AxisGrid, KernelMatrix, WaveFunctionGrid,
                      WignerGrid, default_axis, fock_state, fourier_momentum_axis,

@@ -290,8 +290,8 @@ def fit_dominating_gaussian(w, c_max_factor=1.25, floor=1e-9, band=VERDICT_BAND)
     """
     if abs(trace(w) - 1.0) > 1e-3:
         warnings.warn("dominating fit on a grid without unit trace")
-    if c_max_factor < 1.0:
-        raise ValueError("c_max_factor must be >= 1")
+    if not (np.isfinite(c_max_factor) and c_max_factor >= 1.0):
+        raise ValueError(f"c_max_factor must be finite and >= 1, got {c_max_factor!r}")
     peak = w.values.max()
     if peak <= 0:
         raise ValueError("grid has no positive values to dominate")

@@ -11,27 +11,20 @@ import warnings
 
 import numpy as np
 
-from .states import AxisGrid, WignerGrid, _boundary_band_sum, _chirp_sum
+from .states import WignerGrid, _boundary_band_sum, _chirp_sum, _frame_ratio, default_axis
 
 __all__ = [
     "narcowich_oconnell_grid",
-    "no_default_axis",
     "moment_p4",
     "p4_series_reference",
     "truncated_bump_grid",
 ]
 
-
-def no_default_axis(count=768, extent=28.0):
-    """Square axis wide enough for the quartic-transform tails at alpha ~ 0.5.
-
-    The second moments sit exactly on the uncertainty boundary for
-    alpha*beta = hbar^2/4, so the tails must be resolved to ~1e-12 for the
-    boundary verdicts to come out right; extent 28 achieves that."""
-    if count % 2 != 0:
-        raise ValueError("count must be even")
-    d = 2.0 * extent / count
-    return AxisGrid(-(count // 2) * d, (count // 2 - 1) * d, count)
+# Default axis of the quartic-transform family: its second moments sit exactly
+# on the uncertainty boundary for alpha*beta = hbar^2/4, so the tails must be
+# resolved to ~1e-12 for the boundary verdicts to come out right; at
+# alpha ~ 0.5, 768 points over a half-width of 28 achieve that.
+NO_COUNT, NO_EXTENT = 768, 28.0
 
 
 def _inverse_transform_1d(profiles, source, axis):
@@ -59,7 +52,7 @@ def narcowich_oconnell_grid(alpha=0.5, beta=0.5, x_axis=None, p_axis=None,
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
     if x_axis is None:
-        x_axis = no_default_axis()
+        x_axis = default_axis(count=NO_COUNT, extent=NO_EXTENT)
     if p_axis is None:
         p_axis = x_axis
 
@@ -77,11 +70,10 @@ def narcowich_oconnell_grid(alpha=0.5, beta=0.5, x_axis=None, p_axis=None,
     imag_residual = float(np.abs(vals.imag).max())
     vals = vals.real
 
-    peak = np.abs(vals).max()
-    edge = max(np.abs(vals[[0, -1], :]).max(), np.abs(vals[:, [0, -1]]).max())
-    if edge > boundary_tol * peak:
+    ratio = _frame_ratio(vals)
+    if ratio > boundary_tol:
         raise ValueError(
-            f"grid does not resolve the transform tails (boundary ratio {edge / peak:.2e}); "
+            f"grid does not resolve the transform tails (boundary ratio {ratio:.2e}); "
             "widen the axes")
     return WignerGrid(x_axis, p_axis, vals, hbar, imag_residual)
 

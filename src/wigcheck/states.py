@@ -68,31 +68,31 @@ class AxisGrid:
         return {"min": self.min, "max": self.max, "count": self.count}
 
     @classmethod
+    def centered(cls, count, step):
+        """Axis of the points (m - count/2) * step, m = 0 .. count-1, so the
+        origin is a grid point; `count` must be even."""
+        if count % 2 != 0:
+            raise ValueError("count must be even")
+        return cls(-(count // 2) * step, (count // 2 - 1) * step, count)
+
+    @classmethod
     def from_dict(cls, d):
         return cls(float(d["min"]), float(d["max"]), int(d["count"]))
 
 
 def default_axis(hbar=1.0, count=256, extent=8.0):
     """Centered position axis covering [-extent*sqrt(hbar), extent*sqrt(hbar))."""
-    if count % 2 != 0:
-        raise ValueError("count must be even")
-    d = 2.0 * extent * np.sqrt(hbar) / count
-    return AxisGrid(-(count // 2) * d, (count // 2 - 1) * d, count)
-
-
-def _conjugate(axis, step):
-    n = axis.count
-    return AxisGrid(-(n // 2) * step, (n // 2 - 1) * step, n)
+    return AxisGrid.centered(count, 2.0 * extent * np.sqrt(hbar) / count)
 
 
 def wigner_momentum_axis(axis, hbar=1.0):
     """Momentum axis conjugate to `axis` for the Wigner transform (dp = pi*hbar/(n*dx))."""
-    return _conjugate(axis, np.pi * hbar / (axis.count * axis.spacing))
+    return AxisGrid.centered(axis.count, np.pi * hbar / (axis.count * axis.spacing))
 
 
 def fourier_momentum_axis(axis, hbar=1.0):
     """Momentum axis conjugate to `axis` for wavefunctions (dp = 2*pi*hbar/(n*dx))."""
-    return _conjugate(axis, 2.0 * np.pi * hbar / (axis.count * axis.spacing))
+    return AxisGrid.centered(axis.count, 2.0 * np.pi * hbar / (axis.count * axis.spacing))
 
 
 def _cdft(a, axis=-1):
@@ -234,8 +234,6 @@ def fourier_wavefunction(psi):
     on the conjugate momentum axis.
     """
     axis, hbar = psi.axis, psi.hbar
-    if axis.count % 2 != 0:
-        raise ValueError("count must be even")
     out_axis = fourier_momentum_axis(axis, hbar)
     vals = axis.spacing / np.sqrt(2 * np.pi * hbar) * _cdft(psi.values)
     return WaveFunctionGrid(out_axis, vals, hbar)
@@ -252,8 +250,7 @@ def wigner_of_pure(psi, aliasing_tol=1e-8):
     _require_normalized(psi)
     axis, hbar = psi.axis, psi.hbar
     n = axis.count
-    if n % 2 != 0:
-        raise ValueError("count must be even")
+    p_axis = wigner_momentum_axis(axis, hbar)
     d = axis.spacing
     pad = np.concatenate([np.zeros(n, dtype=complex), psi.values, np.zeros(n, dtype=complex)])
     offs = np.arange(n) - n // 2
@@ -261,7 +258,7 @@ def wigner_of_pure(psi, aliasing_tol=1e-8):
     corr = pad[rows + offs[None, :] + n] * np.conjugate(pad[rows - offs[None, :] + n])
     wc = (d / (np.pi * hbar)) * _cdft(corr, axis=1)
     imag_residual = float(np.abs(wc.imag).max())
-    w = WignerGrid(axis, wigner_momentum_axis(axis, hbar), wc.real, hbar, imag_residual)
+    w = WignerGrid(axis, p_axis, wc.real, hbar, imag_residual)
     edge = max(np.abs(w.values[:, :2]).max(), np.abs(w.values[:, -2:]).max())
     if edge > aliasing_tol * np.abs(w.values).max():
         warnings.warn(f"possible momentum aliasing: boundary amplitude ratio {edge:.2e}")
@@ -321,6 +318,14 @@ def _boundary_band_sum(a):
         return a.sum()
     inner = a[2:-2]
     return a[:2].sum() + a[-2:].sum() + inner[:, :2].sum() + inner[:, -2:].sum()
+
+
+def _frame_ratio(values):
+    """Largest |value| on the outer rows and columns over the largest |value|;
+    0 for an all-zero array."""
+    peak = np.abs(values).max()
+    frame = max(np.abs(values[[0, -1], :]).max(), np.abs(values[:, [0, -1]]).max())
+    return float(frame / peak) if peak > 0 else 0.0
 
 
 def trace(w):
@@ -385,9 +390,7 @@ class SymplecticFourier:
         self._ps = w.p_axis.points
         self._vals = w.values
         self._area = w.cell_area
-        peak = np.abs(w.values).max()
-        frame = max(np.abs(w.values[[0, -1], :]).max(), np.abs(w.values[:, [0, -1]]).max())
-        self.boundary_ratio = float(frame / peak) if peak > 0 else 0.0
+        self.boundary_ratio = _frame_ratio(w.values)
         self.trace = float(w.values.sum() * self._area)
         if self.boundary_ratio > boundary_tol:
             warnings.warn(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wigcheck import cli
-from wigcheck.cli import _emit, main, validate_report
+from wigcheck.cli import _emit, main
 
 
 def run_cli(capsys, *argv):
@@ -21,7 +21,6 @@ def test_analyze_vacuum_consistent(capsys):
     assert rep["trace"] == pytest.approx(1.0, abs=1e-6)
     assert rep["uncertainty"]["verdict"] == "pass"
     assert rep["oracle"]["positive"]
-    validate_report(rep)
 
 
 def test_analyze_rescaled_fock1_headline(capsys):
@@ -33,7 +32,6 @@ def test_analyze_rescaled_fock1_headline(capsys):
     assert rep["uncertainty"]["rs_ok"]
     kinds = {w["type"] for w in rep["witnesses"]}
     assert "oracle_negative_eigenvalue" in kinds
-    validate_report(rep)
 
 
 def test_analyze_narcowich_oconnell(capsys):
@@ -163,17 +161,6 @@ def test_output_file(tmp_path, capsys):
     assert rep["classification"] == "inconclusive"
 
 
-def test_validate_report_rejects_malformed():
-    with pytest.raises(ValueError):
-        validate_report({"input": {}})
-    with pytest.raises(ValueError):
-        validate_report({"input": {}, "hbar": 1.0, "trace": 1.0,
-                         "covariance": {"sigma": [], "mean": []},
-                         "uncertainty": {"psd_min_eigenvalue": 0.0, "nu_min": 0.5,
-                                         "verdict": "pass"},
-                         "classification": "new_physics"})
-
-
 def _vacuum_manifest(tmp_path, capsys, csv=False):
     manifest = tmp_path / "grid.json"
     argv = ["wigner", '{"type":"fock","n":0}', "--grid-n", "64", "-o", str(manifest)]
@@ -274,3 +261,56 @@ def test_every_report_is_plain_json(monkeypatch):
                                                  ._group_actions[0].choices)
     for report in reports:
         json.dumps(report, allow_nan=False)  # no default hook: numpy types raise
+
+
+def assert_input_error(capsys, argv, message=""):
+    """Exit 1 with nothing on stdout and one `error:` line on stderr."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--tol-klm", "--tol-oracle", "--tol-p4"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_tolerances_rejected(capsys, flag, value):
+    # a negative tolerance would turn the vacuum into a bogus hard witness
+    assert_input_error(capsys, ["analyze", '{"type":"fock","n":0}', flag, value],
+                       "must be at least 0.0 and finite")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_cmax_factor_rejected(capsys, value):
+    assert_input_error(capsys, ["dominate", '{"type":"fock","n":0}', "--grid-n", "64",
+                                "--cmax-factor", value], "c_max_factor must be finite")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hardy", '{"type":"fock"}'],
+    ["hardy", "[1,2]"],
+    ["analyze", '{"type":"mixture","components":[{"weight":1,"state":"x"}]}'],
+    ["capacity", '{"M": [[1,0],[0,1]], "hbar": -2}'],
+    ["capacity", '{"M": [[1,0],[0,1]], "hbar": 0}'],
+    ["capacity", '{"M": [[1,0],[0,1]], "hbar": [1]}'],
+    ["analyze", '{"type":"fock","n":0,"rescale":[1]}'],
+], ids=["hardy-without-n", "hardy-list", "mixture-state-string", "capacity-hbar-negative",
+        "capacity-hbar-zero", "capacity-hbar-list", "rescale-list"])
+def test_malformed_spec_is_one_line_error(capsys, argv):
+    assert_input_error(capsys, argv)
+
+
+@pytest.mark.parametrize("spec", ['{"type":"gaussian","mean":[0,0],"cov":[[1,0],[0,1]]}',
+                                  '{"type":"bump"}'])
+def test_odd_grid_size_rejected(capsys, spec):
+    assert_input_error(capsys, ["analyze", spec, "--grid-n", "255"], "count must be even")
+
+
+def test_long_inline_spec_is_not_taken_for_a_path(capsys):
+    # longer than a file name may be
+    components = [{"weight": 0.1, "state": {"type": "fock", "n": k % 2}} for k in range(10)]
+    spec = json.dumps({"type": "mixture", "components": components})
+    assert len(spec) > 255
+    code, rep = run_cli(capsys, "analyze", spec, "--no-klm", "--no-domination", "--no-oracle")
+    assert code == 0
+    assert rep["input"]["components"] == components

@@ -18,11 +18,6 @@ from wigcheck.cli import main
 from wigcheck.states import AxisGrid, WaveFunctionGrid, WignerGrid
 
 
-def _square_axis(count=256, extent=8.0):
-    d = 2.0 * extent / count
-    return AxisGrid(-(count // 2) * d, (count // 2 - 1) * d, count)
-
-
 def _flat_bump_psi(width=0.25, axis=None):
     axis = axis or default_axis()
     vals = np.where(np.abs(axis.points) <= width, 1.0, 0.0).astype(complex)
@@ -100,7 +95,7 @@ def test_fit_domination_is_pointwise(vacuum_wigner):
 
 
 def test_fit_matches_gaussian_covariance():
-    axis = _square_axis()
+    axis = default_axis()
     sigma = np.array([[0.8, 0.3], [0.3, 0.5]])
     w = wigner_gaussian(np.zeros(2), sigma, axis, axis)
     cert = fit_dominating_gaussian(w)
@@ -135,7 +130,7 @@ def test_compact_support_flag_fock1_false(fock1_wigner):
 
 
 def test_compact_support_bump_true_and_dominated():
-    axis = _square_axis()
+    axis = default_axis()
     w = truncated_bump_grid(axis, axis, radius=1.0, profile="indicator")
     flag, _ = compact_support_flag(w)
     assert flag
@@ -147,6 +142,12 @@ def test_compact_support_bump_true_and_dominated():
 def test_fit_rejects_small_cap(vacuum_wigner):
     with pytest.raises(ValueError):
         fit_dominating_gaussian(vacuum_wigner, c_max_factor=0.5)
+
+
+@pytest.mark.parametrize("cap", [np.nan, np.inf])
+def test_fit_rejects_non_finite_cap(vacuum_wigner, cap):
+    with pytest.raises(ValueError, match="c_max_factor must be finite"):
+        fit_dominating_gaussian(vacuum_wigner, c_max_factor=cap)
 
 
 def test_capacity_of_fitted_certificates(vacuum_wigner, fock1_wigner, mixture_5050):
@@ -166,7 +167,7 @@ def _rotated(sigma, theta):
 
 
 def _single_value_grid():
-    axis = _square_axis(64)
+    axis = default_axis(count=64)
     vals = np.zeros((64, 64))
     vals[40, 37] = 1.0 / axis.spacing**2
     return WignerGrid(axis, axis, vals)
@@ -174,7 +175,7 @@ def _single_value_grid():
 
 def _line_grid():
     # positive values on the diagonal x = p, a line through the origin
-    axis = _square_axis(64)
+    axis = default_axis(count=64)
     vals = np.diag(np.exp(-axis.points**2))
     return WignerGrid(axis, axis, vals / (vals.sum() * axis.spacing**2))
 
@@ -183,11 +184,12 @@ _NON_CONJUGATE_512 = AxisGrid(-9.0, 9.0, 512)
 
 REDUCTION_GRIDS = {
     "gaussian-rotated-squeezed": lambda: wigner_gaussian(
-        np.zeros(2), _rotated(np.diag([2.0, 0.125]), 0.4), _square_axis(128), _square_axis(128)),
+        np.zeros(2), _rotated(np.diag([2.0, 0.125]), 0.4),
+        default_axis(count=128), default_axis(count=128)),
     "fock2": lambda: wigner_of_pure(fock_state(2, default_axis(1.0, 256, 10.0))),
-    "bump-indicator": lambda: truncated_bump_grid(_square_axis(), _square_axis(),
+    "bump-indicator": lambda: truncated_bump_grid(default_axis(), default_axis(),
                                                   radius=1.0, profile="indicator"),
-    "bump-cosine": lambda: truncated_bump_grid(_square_axis(), _square_axis(), radius=1.0),
+    "bump-cosine": lambda: truncated_bump_grid(default_axis(), default_axis(), radius=1.0),
     "gaussian-offset-512": lambda: wigner_gaussian(
         np.array([0.5, -0.3]), _rotated(np.diag([1.5, 0.6]), 1.1),
         _NON_CONJUGATE_512, _NON_CONJUGATE_512),

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from wigcheck import (check_quantum_psd, check_rs, covariance_from_grid,
+from wigcheck import (check_quantum_psd, check_rs, covariance_from_grid, default_axis,
                       moment_p4, narcowich_oconnell_grid, operator_spectrum_oracle,
-                      p4_series_reference, trace)
-from wigcheck.fixtures import no_default_axis
+                      p4_series_reference, trace, wigner_gaussian)
+from wigcheck.fixtures import NO_COUNT, NO_EXTENT
 
 
 def test_no_trace_and_reality(no_grid):
@@ -13,7 +13,7 @@ def test_no_trace_and_reality(no_grid):
 
 
 def test_no_covariance_is_diag_alpha_beta():
-    axis = no_default_axis()
+    axis = default_axis(count=NO_COUNT, extent=NO_EXTENT)
     w = narcowich_oconnell_grid(0.7, 0.4, axis, axis)
     cov = covariance_from_grid(w)
     assert np.allclose(cov.sigma, np.diag([0.7, 0.4]), atol=1e-6)
@@ -38,7 +38,7 @@ def test_no_p4_matches_series_reference(no_grid):
 @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (0.7, 0.5), (0.6, 0.9)])
 def test_no_p4_negative_whenever_uncertainty_holds(alpha, beta):
     assert alpha * beta >= 0.25  # uncertainty-pass regime at hbar = 1
-    axis = no_default_axis()
+    axis = default_axis(count=NO_COUNT, extent=NO_EXTENT)
     w = narcowich_oconnell_grid(alpha, beta, axis, axis)
     assert moment_p4(w) < 0
     assert moment_p4(w) == pytest.approx(-24 * beta**2, rel=0.02)
@@ -56,14 +56,14 @@ def test_no_end_to_end_not_a_state(no_grid):
 
 
 def test_no_grid_deterministic():
-    axis = no_default_axis(count=640, extent=24.0)
+    axis = default_axis(count=640, extent=24.0)
     a = narcowich_oconnell_grid(0.5, 0.5, axis, axis)
     b = narcowich_oconnell_grid(0.5, 0.5, axis, axis)
     assert np.array_equal(a.values, b.values)
 
 
 def test_no_rejects_unresolved_grid():
-    axis = no_default_axis(count=128, extent=4.0)
+    axis = default_axis(count=128, extent=4.0)
     with pytest.raises(ValueError, match="tails"):
         narcowich_oconnell_grid(0.5, 0.5, axis, axis)
 
@@ -74,7 +74,6 @@ def test_no_rejects_bad_params():
 
 
 def test_moment_p4_warns_on_heavy_tail():
-    from wigcheck import default_axis, wigner_gaussian
     axis = default_axis()
     fat = wigner_gaussian(np.zeros(2), 9.0 * np.eye(2), axis, axis)
     with pytest.warns(UserWarning, match="converged"):

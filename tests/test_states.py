@@ -265,6 +265,16 @@ def test_axis_validation():
         AxisGrid(0.0, 1.0, 4)
 
 
+def test_centered_axis_layout():
+    axis = AxisGrid.centered(256, 0.0625)
+    assert axis.points[128] == 0.0
+    assert axis.spacing == pytest.approx(0.0625, rel=1e-14)
+    assert (axis.min, axis.max) == (-8.0, 127 * 0.0625)
+    assert default_axis(2.0, 128, 5.0) == AxisGrid.centered(128, 10.0 * np.sqrt(2.0) / 128)
+    with pytest.raises(ValueError, match="count must be even"):
+        AxisGrid.centered(255, 0.0625)
+
+
 def test_gaussian_wavepacket_rates():
     psi = gaussian_wavepacket(2.0)
     assert psi.norm_squared() == pytest.approx(1.0, abs=1e-10)
