@@ -15,11 +15,11 @@ from .domination import (DominationCertificate, HardyFit, compact_support_flag,
 from .fixtures import (moment_p4, narcowich_oconnell_grid, p4_series_reference,
                        truncated_bump_grid)
 from .klm import KLMReport, KLMWitness, klm_check, klm_matrix, witness_quadratic_form
-from .states import (AxisGrid, KernelMatrix, WaveFunctionGrid,
-                     WignerGrid, default_axis, fock_state, fourier_momentum_axis,
+from .states import (AxisGrid, SymplecticFourier, WaveFunctionGrid, WignerGrid, as_dict,
+                     default_axis, fock_state, fourier_momentum_axis,
                      fourier_wavefunction, gaussian_wavepacket, kernel_from_wigner,
                      load_wigner_manifest, mixture_wigner, operator_spectrum_oracle,
-                     rescale, save_wigner_manifest, symplectic_fourier, trace,
+                     rescale, save_wigner_manifest, trace,
                      wigner_gaussian, wigner_momentum_axis, wigner_of_pure)
 from .symplectic import (WilliamsonFactorization, is_symplectic, random_symplectic,
                          symplectic_form, symplectic_product, symplectic_spectrum,

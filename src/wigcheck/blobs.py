@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 ADMISSIBLE_TOL = 1e-9
+SYMPLECTIC_TOL = 1e-8  # largest entry of S^T J S - J that `quantum_blob` accepts
 
 
 def capacity(M, hbar=1.0):
@@ -70,15 +71,11 @@ class Blob:
     def capacity(self):
         return capacity(self.matrix, self.hbar)
 
-    def to_dict(self):
-        return {"S": self.S.tolist(), "center": self.center.tolist(),
-                "matrix": self.matrix.tolist(), "hbar": self.hbar}
 
-
-def quantum_blob(S, center=None, hbar=1.0, tol=1e-8):
+def quantum_blob(S, center=None, hbar=1.0):
     """Quantum blob for a symplectic matrix S and an optional center."""
     S = np.asarray(S, dtype=float)
-    if not is_symplectic(S, tol):
+    if not is_symplectic(S, SYMPLECTIC_TOL):
         raise ValueError("matrix is not symplectic")
     if center is None:
         center = np.zeros(S.shape[0])

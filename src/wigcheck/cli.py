@@ -30,10 +30,10 @@ from .blobs import capacity, find_contained_blob, is_admissible, section_area
 from .domination import compact_support_flag, fit_dominating_gaussian, hardy_fit
 from .fixtures import NO_COUNT, NO_EXTENT, moment_p4, narcowich_oconnell_grid, truncated_bump_grid
 from .klm import klm_check
-from .states import (default_axis, fock_state, load_wigner_manifest, mixture_wigner,
+from .states import (as_dict, default_axis, fock_state, load_wigner_manifest, mixture_wigner,
                      operator_spectrum_oracle, rescale, save_wigner_manifest, trace,
                      wigner_gaussian, wigner_of_pure)
-from .uncertainty import covariance_from_grid, hbar_sweep, uncertainty_report
+from .uncertainty import covariance_from_grid, hbar_sweep, lambda_star, uncertainty_report
 
 DEFAULT_ORACLE_TOL = 1e-5
 DEFAULT_P4_TOL = 1e-4
@@ -152,11 +152,11 @@ def _moments(w, args):
                           "min_eigenvalue": unc.psd_min_eigenvalue})
     if p4 < -args.tol_p4:
         witnesses.append({"type": "negative_p4_moment", "value": p4})
-    return {"grid": {"x_axis": w.x_axis.to_dict(), "p_axis": w.p_axis.to_dict()},
+    return {"grid": {"x_axis": as_dict(w.x_axis), "p_axis": as_dict(w.p_axis)},
             "trace": tr,
             "moment_p4": p4,
-            "covariance": {"sigma": cov.sigma.tolist(), "mean": cov.mean.tolist()},
-            "uncertainty": unc.to_dict()}, witnesses
+            "covariance": {"sigma": as_dict(cov.sigma), "mean": as_dict(cov.mean)},
+            "uncertainty": as_dict(unc)}, witnesses
 
 
 def _klm(w, args):
@@ -167,7 +167,7 @@ def _klm(w, args):
     if klm.overall == "violation_certificate":
         witnesses.append({"type": "klm_violation", "order": klm.witness.order,
                           "min_eigenvalue": klm.witness.min_eigenvalue})
-    return {"klm": klm.to_dict()}, witnesses
+    return {"klm": as_dict(klm)}, witnesses
 
 
 def _domination(w, args):
@@ -180,7 +180,7 @@ def _domination(w, args):
     witnesses = []
     if cert.verdict == "not_a_wigner_distribution":
         witnesses.append({"type": "domination_mu1_above_1", "mu1": cert.mu1})
-    return {"domination": cert.to_dict(), "compact_support": compact,
+    return {"domination": as_dict(cert), "compact_support": compact,
             "compact_support_diagnostics": diag}, witnesses
 
 
@@ -195,7 +195,7 @@ def _domination_with_blob(w, args):
             "admissible": is_admissible(M, hbar, tol=VERDICT_CAP_TOL)}
     if blob["admissible"]:
         contained, resid = find_contained_blob(M, hbar, tol=VERDICT_CAP_TOL)
-        blob["contained_blob"] = contained.to_dict()
+        blob["contained_blob"] = as_dict(contained)
         blob["containment_residual"] = resid
         blob["section_areas"] = [section_area(M, 0, hbar)]
     return {"domination": dom, "blob": blob}, witnesses
@@ -204,7 +204,7 @@ def _domination_with_blob(w, args):
 def _oracle(w, args):
     """Operator-spectrum ground truth."""
     eigs = operator_spectrum_oracle(w)
-    oracle = {"top_eigenvalues": eigs[:10].tolist(),
+    oracle = {"top_eigenvalues": as_dict(eigs[:10]),
               "min_eigenvalue": float(eigs[-1]),
               "eigenvalue_sum": float(eigs.sum()),
               "tol": args.tol_oracle,
@@ -237,30 +237,15 @@ def _analyze(w, args):
     return report, witnesses
 
 
-def _parse_lambdas(text):
-    try:
-        parts = [float(t) for t in text.split(":")]
-        start, stop, step = parts
-    except ValueError as exc:
-        raise InputError(f"cannot parse --lambdas {text!r}; expected start:stop:step") from exc
-    if step <= 0 or stop < start:
-        raise InputError("--lambdas needs start <= stop and step > 0")
-    count = int(round((stop - start) / step)) + 1
-    return [start + i * step for i in range(count)]
-
-
 def _rescale_sweep(w, args):
     """Uncertainty verdict along a rescaling sweep."""
     entries = []
-    for lam in _parse_lambdas(args.lambdas):
-        wl = rescale(w, lam)
-        cov = covariance_from_grid(wl)
+    for lam in args.lambdas:
+        cov = covariance_from_grid(rescale(w, lam))
         rep = uncertainty_report(cov.sigma, w.hbar)
         entries.append({"lambda": lam, "nu_min": rep.nu_min,
-                        "psd_min_eigenvalue": rep.psd_min_eigenvalue,
-                        "verdict": "pass" if rep.verdict else "fail"})
-    base = covariance_from_grid(w)
-    return {"lambda_star": uncertainty_report(base.sigma, w.hbar).lambda_star,
+                        "psd_min_eigenvalue": rep.psd_min_eigenvalue, "verdict": rep.verdict})
+    return {"lambda_star": lambda_star(covariance_from_grid(w).sigma, w.hbar),
             "sweep": entries}, []
 
 
@@ -282,14 +267,13 @@ def _wigner(spec, hbar, args):
             raise InputError("--csv requires -o MANIFEST_PATH")
         save_wigner_manifest(w, args.output, csv_path=args.csv)
         return None, []
-    return {"input": echo, "x_axis": w.x_axis.to_dict(), "p_axis": w.p_axis.to_dict(),
-            "hbar": w.hbar, "trace": trace(w), "values": w.values.tolist()}, []
+    return {"input": echo, "x_axis": as_dict(w.x_axis), "p_axis": as_dict(w.p_axis),
+            "hbar": w.hbar, "trace": trace(w), "values": as_dict(w.values)}, []
 
 
 def _hbar_sweep(spec, hbar, args):
     w, echo = build_state(spec, hbar, args)
-    values = [_positive(t, "hbar values") for t in args.values.split(",")]
-    return {"input": echo, "sweep": [r.to_dict() for r in hbar_sweep(w, values)]}, []
+    return {"input": echo, "sweep": as_dict(hbar_sweep(w, args.values))}, []
 
 
 def _capacity(spec, hbar, args):
@@ -307,7 +291,7 @@ def _capacity(spec, hbar, args):
            "section_areas": [section_area(M, j, hbar) for j in range(n)]}
     if out["admissible"]:
         blob, resid = find_contained_blob(M, hbar)
-        out["contained_blob"] = blob.to_dict()
+        out["contained_blob"] = as_dict(blob)
         out["containment_residual"] = resid
     return out, []
 
@@ -316,7 +300,43 @@ def _hardy(spec, hbar, args):
     if spec.get("type") != "fock":
         raise InputError("hardy expects a fock state spec")
     psi = _fock(spec, default_axis(hbar, args.grid_n, args.grid_extent), hbar)
-    return {"input": spec, "hbar": hbar, "hardy": hardy_fit(psi).to_dict()}, []
+    return {"input": spec, "hbar": hbar, "hardy": as_dict(hardy_fit(psi))}, []
+
+
+def _at_least(low, kind=float, above=False):
+    """argparse type: a finite `kind` number >= low, or > low when `above`."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
+        if not (np.isfinite(value) and (value > low if above else value >= low)):
+            bound = "above" if above else "at least"
+            raise argparse.ArgumentTypeError(f"must be {bound} {low} and finite, got {text}")
+        return value
+    return parse
+
+
+_positive_arg = _at_least(0.0, above=True)
+
+
+def _positive_list(text):
+    """argparse type: comma-separated positive, finite numbers."""
+    return [_positive_arg(t) for t in text.split(",")]
+
+
+def _lambdas(text):
+    """argparse type: the rescaling parameters start, start + step, ... up to stop,
+    all finite, with 0 < start <= stop and step > 0."""
+    try:
+        start, stop, step = (float(t) for t in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}") from None
+    if not (np.isfinite([start, stop, step]).all() and 0 < start <= stop and step > 0
+            and np.isfinite((stop - start) / step)):
+        raise argparse.ArgumentTypeError(
+            f"needs finite numbers with 0 < start <= stop and step > 0, got {text}")
+    return [start + i * step for i in range(int(round((stop - start) / step)) + 1)]
 
 
 # name: (help, command, arguments beyond the spec and the common flags)
@@ -328,14 +348,15 @@ COMMANDS = {
     "wigner": ("dump the Wigner grid", _wigner, [
         ("--csv", {"default": None, "help": "write values to this CSV file"})]),
     "rescale-sweep": ("uncertainty verdict along a rescaling sweep", _on_grid(_rescale_sweep), [
-        ("--lambdas", {"required": True, "help": "start:stop:step"})]),
+        ("--lambdas", {"required": True, "type": _lambdas, "help": "start:stop:step"})]),
     "klm": ("finite-order positivity search", _on_grid(_klm), []),
     "dominate": ("dominating-Gaussian fit", _on_grid(_domination), []),
     "oracle": ("operator spectrum ground truth", _on_grid(_oracle), []),
     "capacity": ('capacity and admissibility of an ellipsoid matrix {"M": [[...]]}',
                  _capacity, []),
     "hbar-sweep": ("uncertainty checks at several values of hbar", _hbar_sweep, [
-        ("--values", {"required": True, "help": "comma-separated hbar values"})]),
+        ("--values", {"required": True, "type": _positive_list,
+                      "help": "comma-separated hbar values"})]),
     "hardy": ("Gaussian decay rates of a pure state and its transform", _hardy, []),
 }
 
@@ -351,19 +372,6 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
-def _at_least(low, kind=float):
-    """argparse type: a finite `kind` number >= low."""
-    def parse(text):
-        try:
-            value = kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
-        if not (np.isfinite(value) and value >= low):
-            raise argparse.ArgumentTypeError(f"must be at least {low} and finite, got {text}")
-        return value
-    return parse
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # one line on stderr, like every other input error
@@ -376,8 +384,9 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--hbar", type=float, default=None, help="override hbar")
-    common.add_argument("--grid-n", type=int, default=256, help="grid points per axis (even)")
-    common.add_argument("--grid-extent", type=float, default=8.0,
+    common.add_argument("--grid-n", type=_at_least(16, int), default=256,
+                        help="grid points per axis (even)")
+    common.add_argument("--grid-extent", type=_positive_arg, default=8.0,
                         help="half-width of the position axis in units of sqrt(hbar)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     common.add_argument("--rescale", type=float, default=None,
@@ -385,7 +394,7 @@ def build_parser():
     common.add_argument("--max-order", type=_at_least(1, int), default=5,
                         help="largest sampled order")
     common.add_argument("--trials", type=_at_least(1, int), default=50, help="point sets per order")
-    common.add_argument("--cmax-factor", type=float, default=1.25,
+    common.add_argument("--cmax-factor", type=_at_least(1.0), default=1.25,
                         help="cap on the domination constant, relative to max W")
     common.add_argument("--tol-klm", type=_at_least(0.0), default=1e-6)
     common.add_argument("--tol-oracle", type=_at_least(0.0), default=DEFAULT_ORACLE_TOL)

@@ -13,7 +13,7 @@ and certified by a duality gap.
 """
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -33,6 +33,11 @@ __all__ = [
 RATE_CAP = 1e6
 VERDICT_BAND = 0.02
 HARDY_BAND = 0.05
+HARDY_CAP_FACTOR = 10.0  # largest C of a decay fit, relative to the peak amplitude
+FIT_FLOOR = 1e-9  # W / max W below which values are quadrature noise, not constraints
+# compact support: values above SUPPORT_THRESHOLD * peak sit at least
+# MARGIN_CELLS inside the grid, and those outside that box below HARD_ZERO * peak
+SUPPORT_THRESHOLD, MARGIN_CELLS, HARD_ZERO = 1e-10, 2, 1e-14
 # excess of w^T M w over 1 that counts as rounding, per unit of |q| @ |m|
 CONTACT_TOL = 64 * np.finfo(float).eps
 MAX_EXCHANGES = 100  # the benchmark grids take at most 10
@@ -57,18 +62,13 @@ class HardyFit:
     tail_start_x: float
     tail_start_p: float
 
-    def to_dict(self):
-        return {"a": self.a, "b": self.b, "C": self.C, "product": self.product,
-                "verdict": self.verdict, "tail_start_x": self.tail_start_x,
-                "tail_start_p": self.tail_start_p}
 
-
-def _decay_rate(xs, amp, hbar, tail_start, cap_factor, floor=1e-13):
+def _decay_rate(xs, amp, hbar, tail_start, floor=1e-13):
     """Largest rate r with |f(x)| <= C exp(-r x^2 / 2 hbar) on the grid.
 
     The rate is anchored at C equal to the peak amplitude, fitted over the
     tail region, then limited so that the implied C never exceeds
-    cap_factor * peak anywhere.  Returns (rate, minimal valid C).
+    HARDY_CAP_FACTOR * peak anywhere.  Returns (rate, minimal valid C).
     """
     peak = amp.max()
     nz = amp > floor * peak
@@ -84,13 +84,13 @@ def _decay_rate(xs, amp, hbar, tail_start, cap_factor, floor=1e-13):
         anchored = float(np.min(log_ratio[tail] / x2[tail]))
     else:
         anchored = RATE_CAP
-    capped = float(np.min((np.log(cap_factor) + log_ratio[live]) / x2[live]))
+    capped = float(np.min((np.log(HARDY_CAP_FACTOR) + log_ratio[live]) / x2[live]))
     rate = min(anchored, capped, RATE_CAP)
     c_needed = peak * float(np.exp(np.max(np.log(amp[nz] / peak) + rate * x2[nz])))
     return rate, max(c_needed, peak)
 
 
-def hardy_fit(psi, cap_factor=10.0):
+def hardy_fit(psi):
     """Fit Gaussian decay rates for a wavefunction and its Fourier transform.
 
     The transform is evaluated on the points of the position axis by exact
@@ -126,9 +126,8 @@ def hardy_fit(psi, cap_factor=10.0):
         warnings.warn(f"wavefunction tail truncated at the grid edge (ratio {edge:.1e}); "
                       "transform decay rate may be underestimated")
 
-    a, ca = _decay_rate(xs, amp, hbar, tail_x, cap_factor)
-    b, cb = _decay_rate(xs, phi, hbar, tail_p, cap_factor,
-                        floor=max(1e-13, 5.0 * edge))
+    a, ca = _decay_rate(xs, amp, hbar, tail_x)
+    b, cb = _decay_rate(xs, phi, hbar, tail_p, floor=max(1e-13, 5.0 * edge))
     product = a * b
     if product > 1.0 + HARDY_BAND:
         verdict = "inconsistent_with_any_state"
@@ -163,21 +162,17 @@ class DominationCertificate:
     duality_gap: float | None
     unbounded: bool
 
-    def to_dict(self):
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
-
-def domination_verdict(mu1, band=VERDICT_BAND):
+def domination_verdict(mu1):
     """Necessity verdict from the largest symplectic eigenvalue of the fit.
 
     mu_1 below 1 is compatible with a state, mu_1 above 1 certifies that no
     density operator has a Wigner distribution with this envelope; values
-    within `band` of 1 are reported as boundary (tight Gaussian states).
+    within VERDICT_BAND of 1 are reported as boundary (tight Gaussian states).
     """
-    if mu1 > 1.0 + band:
+    if mu1 > 1.0 + VERDICT_BAND:
         return "not_a_wigner_distribution"
-    if mu1 < 1.0 - band:
+    if mu1 < 1.0 - VERDICT_BAND:
         return "compatible"
     return "boundary"
 
@@ -269,10 +264,10 @@ def _line_envelope(w, mu):
     return M / max(1.0, float((_forms(w) @ M[[0, 0, 1], [0, 1, 1]]).max())), [a]
 
 
-def fit_dominating_gaussian(w, c_max_factor=1.25, floor=1e-9, band=VERDICT_BAND):
+def fit_dominating_gaussian(w, c_max_factor=1.25):
     """Tightest dominating Gaussian of a Wigner grid, maximizing mu_1(M).
 
-    Constraints use the points with W >= floor * max(W): negative values
+    Constraints use the points with W >= FIT_FLOOR * max(W): negative values
     satisfy any Gaussian bound, and values under the floor are below the
     quadrature noise of grid-built states.  With C = c_max_factor * max(W)
     each reads w_i^T M w_i <= 1, w_i = z_i / sqrt(b_i), b_i = hbar log(C / W_i).
@@ -284,7 +279,7 @@ def fit_dominating_gaussian(w, c_max_factor=1.25, floor=1e-9, band=VERDICT_BAND)
     - points w_i that do not span the plane (one line through the origin,
       within a sine of LINE_SIN, or none away from it) leave mu_1 unbounded:
       the certificate is `unbounded` with the M of `_line_envelope` at
-      mu_1 = 2 (1 + band), twice the verdict threshold.
+      mu_1 = 2 (1 + VERDICT_BAND), twice the verdict threshold.
     C is recomputed over every constraint; the check raises ValueError if it
     exceeds c_max_factor * max(W) beyond rounding.
     """
@@ -295,7 +290,7 @@ def fit_dominating_gaussian(w, c_max_factor=1.25, floor=1e-9, band=VERDICT_BAND)
     peak = w.values.max()
     if peak <= 0:
         raise ValueError("grid has no positive values to dominate")
-    i, j = np.nonzero(w.values >= floor * peak)
+    i, j = np.nonzero(w.values >= FIT_FLOOR * peak)
     z = np.stack([w.x_axis.points[i], w.p_axis.points[j]], axis=1)
     vals = w.values[i, j]
     budget = w.hbar * (np.log(c_max_factor) - np.log(vals / peak))
@@ -307,7 +302,7 @@ def fit_dominating_gaussian(w, c_max_factor=1.25, floor=1e-9, band=VERDICT_BAND)
     else:
         live = np.flatnonzero(away)
         wpts = z[live] / np.sqrt(budget[live])[:, None]
-        line = _line_envelope(wpts, 2.0 * (1.0 + band))
+        line = _line_envelope(wpts, 2.0 * (1.0 + VERDICT_BAND))
         if line is not None:
             (M, basis), unbounded, gap = line, True, None
         else:
@@ -330,30 +325,30 @@ def fit_dominating_gaussian(w, c_max_factor=1.25, floor=1e-9, band=VERDICT_BAND)
     mu1 = float(spectrum[0])
     return DominationCertificate(
         M=M, C=C, spectrum=spectrum, mu1=mu1,
-        verdict=domination_verdict(mu1, band), hbar=w.hbar,
-        c_max_factor=c_max_factor, floor=floor,
+        verdict=domination_verdict(mu1), hbar=w.hbar,
+        c_max_factor=c_max_factor, floor=FIT_FLOOR,
         n_constraints=len(vals), converged=converged,
         n_evaluations=exchanges, contacts=contacts, duality_gap=gap,
         unbounded=unbounded,
     )
 
 
-def compact_support_flag(w, support_threshold=1e-10, margin_cells=2, hard_zero=1e-14):
+def compact_support_flag(w):
     """Detect genuinely compact support on the grid.
 
-    True when all values above support_threshold * peak sit inside a box
-    strictly interior to the grid AND the values outside the inflated box
-    are numerically zero (below hard_zero * peak).  Exponential tails cross
+    True when all values above SUPPORT_THRESHOLD * peak sit inside a box
+    MARGIN_CELLS inside the grid AND the values outside the box inflated by
+    MARGIN_CELLS are numerically zero (below HARD_ZERO * peak).  Exponential tails cross
     the threshold smoothly and fail the second test.  Returns
     (flag, diagnostics).
     """
     absvals = np.abs(w.values)
     peak = absvals.max()
-    diag = {"support_threshold": support_threshold, "margin_cells": margin_cells}
+    diag = {"support_threshold": SUPPORT_THRESHOLD, "margin_cells": MARGIN_CELLS}
     if peak == 0:
         diag["reason"] = "grid is identically zero"
         return False, diag
-    live = absvals > support_threshold * peak
+    live = absvals > SUPPORT_THRESHOLD * peak
     if not live.any():
         diag["reason"] = "no values above threshold"
         return False, diag
@@ -362,18 +357,18 @@ def compact_support_flag(w, support_threshold=1e-10, margin_cells=2, hard_zero=1
     j0, j1 = int(lj.min()), int(lj.max())
     nx, np_ = absvals.shape
     diag["box"] = {"x": [i0, i1], "p": [j0, j1]}
-    interior = (i0 >= margin_cells and j0 >= margin_cells
-                and i1 < nx - margin_cells and j1 < np_ - margin_cells)
+    interior = (i0 >= MARGIN_CELLS and j0 >= MARGIN_CELLS
+                and i1 < nx - MARGIN_CELLS and j1 < np_ - MARGIN_CELLS)
     if not interior:
         diag["reason"] = "support box touches the grid boundary"
         return False, diag
     outer = np.ones_like(absvals, dtype=bool)
-    a0, a1 = max(i0 - margin_cells, 0), min(i1 + margin_cells, nx - 1)
-    b0, b1 = max(j0 - margin_cells, 0), min(j1 + margin_cells, np_ - 1)
+    a0, a1 = max(i0 - MARGIN_CELLS, 0), min(i1 + MARGIN_CELLS, nx - 1)
+    b0, b1 = max(j0 - MARGIN_CELLS, 0), min(j1 + MARGIN_CELLS, np_ - 1)
     outer[a0:a1 + 1, b0:b1 + 1] = False
     outer_max = float(absvals[outer].max()) if outer.any() else 0.0
     diag["outer_max_ratio"] = outer_max / peak
-    flag = bool(outer_max <= hard_zero * peak)
+    flag = bool(outer_max <= HARD_ZERO * peak)
     if not flag:
         diag["reason"] = "tail does not vanish outside the support box"
     return flag, diag

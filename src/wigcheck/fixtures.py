@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .states import WignerGrid, _boundary_band_sum, _chirp_sum, _frame_ratio, default_axis
+from .states import TAIL_TOL, WignerGrid, _boundary_band_sum, _chirp_sum, _frame_ratio, default_axis
 
 __all__ = [
     "narcowich_oconnell_grid",
@@ -25,6 +25,8 @@ __all__ = [
 # resolved to ~1e-12 for the boundary verdicts to come out right; at
 # alpha ~ 0.5, 768 points over a half-width of 28 achieve that.
 NO_COUNT, NO_EXTENT = 768, 28.0
+NO_SOURCE_COUNT = 4096  # samples of each 1-d profile before the chirp-z transform
+NO_BOUNDARY_TOL = 1e-6  # largest |W| on the grid's frame, relative to its peak
 
 
 def _inverse_transform_1d(profiles, source, axis):
@@ -38,15 +40,14 @@ def _inverse_transform_1d(profiles, source, axis):
     return out * ds / (2 * np.pi)
 
 
-def narcowich_oconnell_grid(alpha=0.5, beta=0.5, x_axis=None, p_axis=None,
-                            hbar=1.0, source_count=4096, boundary_tol=1e-6):
+def narcowich_oconnell_grid(alpha=0.5, beta=0.5, x_axis=None, p_axis=None, hbar=1.0):
     """Phase-space function whose 2-d Fourier transform (kernel exp(i(xx'+pp')))
     equals (1 - alpha x^2/2 - beta p^2/2) exp(-(alpha^2 x^4 + beta^2 p^4)).
 
     The inverse transform with normalization (2 pi)^-2 gives a real grid of
     unit trace whose covariance matrix is exactly diag(alpha, beta).  It
     factors into 1-d transforms of the x and p profiles, each sampled on
-    `source_count` points and summed onto the axes by a chirp-z transform.
+    NO_SOURCE_COUNT points and summed onto the axes by a chirp-z transform.
     Raises when the grid cannot resolve the tails.
     """
     if alpha <= 0 or beta <= 0:
@@ -58,7 +59,7 @@ def narcowich_oconnell_grid(alpha=0.5, beta=0.5, x_axis=None, p_axis=None,
 
     # source range where exp(-a^2 s^4) has decayed below 1e-20
     ext = 1.35 * (np.log(1e20) / min(alpha, beta) ** 2) ** 0.25
-    source = np.linspace(-ext, ext, source_count)
+    source = np.linspace(-ext, ext, NO_SOURCE_COUNT)
     ax = np.exp(-alpha**2 * source**4)
     bp = np.exp(-beta**2 * source**4)
 
@@ -71,23 +72,23 @@ def narcowich_oconnell_grid(alpha=0.5, beta=0.5, x_axis=None, p_axis=None,
     vals = vals.real
 
     ratio = _frame_ratio(vals)
-    if ratio > boundary_tol:
+    if ratio > NO_BOUNDARY_TOL:
         raise ValueError(
             f"grid does not resolve the transform tails (boundary ratio {ratio:.2e}); "
             "widen the axes")
     return WignerGrid(x_axis, p_axis, vals, hbar, imag_residual)
 
 
-def moment_p4(w, tail_tol=1e-6):
+def moment_p4(w):
     """Fourth momentum moment int p^4 W dx dp by Riemann sum.
 
-    Warns when the boundary band carries more than `tail_tol` of the
+    Warns when the boundary band carries more than TAIL_TOL of the
     integrand mass (the moment has not converged on this grid).
     """
     integrand = w.p_axis.points[None, :] ** 4 * w.values
     total = float(integrand.sum() * w.cell_area)
     weight = np.abs(integrand)
-    if weight.sum() > 0 and _boundary_band_sum(weight) > tail_tol * weight.sum():
+    if weight.sum() > 0 and _boundary_band_sum(weight) > TAIL_TOL * weight.sum():
         warnings.warn("fourth moment may not have converged (heavy tail at the boundary)")
     return total
 

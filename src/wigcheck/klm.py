@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import symplectic_fourier, trace
+from .states import SymplecticFourier, trace
 from .uncertainty import covariance_from_grid
 
 __all__ = [
@@ -88,27 +88,12 @@ class KLMWitness:
     trial: int
     strategy: str
 
-    def to_dict(self):
-        return {
-            "order": self.order,
-            "points": self.points.tolist(),
-            "eigenvector_real": self.eigenvector.real.tolist(),
-            "eigenvector_imag": self.eigenvector.imag.tolist(),
-            "min_eigenvalue": self.min_eigenvalue,
-            "trial": self.trial,
-            "strategy": self.strategy,
-        }
-
 
 @dataclass
 class KLMOrderRecord:
     order: int
     trials: int
     worst_min_eigenvalue: float
-
-    def to_dict(self):
-        return {"order": self.order, "trials": self.trials,
-                "worst_min_eigenvalue": self.worst_min_eigenvalue}
 
 
 @dataclass
@@ -121,18 +106,6 @@ class KLMReport:
     trials_per_order: int
     tol: float
     phase_sign: int = PHASE_SIGN
-
-    def to_dict(self):
-        return {
-            "overall": self.overall,
-            "orders": [o.to_dict() for o in self.orders],
-            "witness": self.witness.to_dict() if self.witness else None,
-            "seed": self.seed,
-            "max_order": self.max_order,
-            "trials_per_order": self.trials_per_order,
-            "tol": self.tol,
-            "phase_sign": self.phase_sign,
-        }
 
 
 def _lattice_points(order, scale):
@@ -164,7 +137,7 @@ def klm_check(w, max_order=5, trials_per_order=50, seed=0, tol=DEFAULT_TOL):
     """
     if abs(trace(w) - 1.0) > 1e-3:
         raise ValueError("grid must have unit trace for the positivity search")
-    fsw = symplectic_fourier(w, boundary_tol=np.inf)
+    fsw = SymplecticFourier(w)
     cov = covariance_from_grid(w).sigma
     eigs = np.linalg.eigvalsh(cov)
     if eigs.min() > 0:
@@ -216,7 +189,7 @@ def _verify(w, witness, tol):
 
 def witness_quadratic_form(w, witness):
     """Re-evaluate a witness: v^H F v for the stored points and eigenvector."""
-    fsw = symplectic_fourier(w, boundary_tol=np.inf)
+    fsw = SymplecticFourier(w)
     mat = klm_matrix(fsw, witness.points, w.hbar)
     v = witness.eigenvector
     return float(np.real(v.conj() @ mat @ v))

@@ -10,7 +10,7 @@ forms may use any pair of axes.
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "fourier_momentum_axis",
     "WaveFunctionGrid",
     "WignerGrid",
-    "KernelMatrix",
     "fock_state",
     "gaussian_wavepacket",
     "fourier_wavefunction",
@@ -34,12 +33,18 @@ __all__ = [
     "trace",
     "rescale",
     "SymplecticFourier",
-    "symplectic_fourier",
     "kernel_from_wigner",
     "operator_spectrum_oracle",
     "save_wigner_manifest",
     "load_wigner_manifest",
+    "as_dict",
 ]
+
+FOCK_BOUNDARY_TOL = 1e-12  # largest edge amplitude of a Fock state, relative to its peak
+NORM_TOL = 1e-6  # largest deviation of a pure state's norm from 1
+ALIASING_TOL = 1e-8  # largest Wigner amplitude on the outer momentum columns, relative
+MASS_TOL = 1e-5  # largest trace drift of `rescale`, relative to max(1, |trace|)
+TAIL_TOL = 1e-6  # largest share of a moment's weight on the boundary band
 
 
 @dataclass(frozen=True)
@@ -63,9 +68,6 @@ class AxisGrid:
     @property
     def points(self):
         return np.linspace(self.min, self.max, self.count)
-
-    def to_dict(self):
-        return {"min": self.min, "max": self.max, "count": self.count}
 
     @classmethod
     def centered(cls, count, step):
@@ -168,18 +170,6 @@ class WignerGrid:
         return np.meshgrid(self.x_axis.points, self.p_axis.points, indexing="ij")
 
 
-@dataclass
-class KernelMatrix:
-    """Discretized operator kernel K(x_i, x_j) on a position axis."""
-
-    axis: AxisGrid
-    values: np.ndarray
-    hbar: float = 1.0
-
-    def hermiticity_residual(self):
-        return float(np.abs(self.values - self.values.conj().T).max())
-
-
 def _hermite_functions(n, xi):
     """Normalized Hermite functions h_0..h_n at points xi (stable recurrence)."""
     h = np.zeros((n + 1, xi.size))
@@ -191,11 +181,11 @@ def _hermite_functions(n, xi):
     return h
 
 
-def fock_state(n, axis=None, hbar=1.0, boundary_tol=1e-12):
+def fock_state(n, axis=None, hbar=1.0):
     """n-th harmonic oscillator eigenfunction on the grid, Riemann-normalized.
 
     Raises when the grid is too narrow to hold the state (boundary amplitude
-    above `boundary_tol` relative to the peak).
+    above FOCK_BOUNDARY_TOL relative to the peak).
     """
     if n < 0:
         raise ValueError("n must be a non-negative integer")
@@ -204,7 +194,7 @@ def fock_state(n, axis=None, hbar=1.0, boundary_tol=1e-12):
     xs = axis.points
     vals = hbar ** -0.25 * _hermite_functions(n, xs / np.sqrt(hbar))[n]
     peak = np.abs(vals).max()
-    if max(abs(vals[0]), abs(vals[-1])) > boundary_tol * peak:
+    if max(abs(vals[0]), abs(vals[-1])) > FOCK_BOUNDARY_TOL * peak:
         raise ValueError("grid too narrow: wavefunction does not vanish at the boundary")
     vals = vals / np.sqrt(np.sum(np.abs(vals) ** 2) * axis.spacing)
     return WaveFunctionGrid(axis, vals, hbar)
@@ -222,8 +212,8 @@ def gaussian_wavepacket(rate=1.0, axis=None, hbar=1.0):
     return WaveFunctionGrid(axis, vals, hbar)
 
 
-def _require_normalized(psi, tol=1e-6):
-    if abs(psi.norm_squared() - 1.0) > tol:
+def _require_normalized(psi):
+    if abs(psi.norm_squared() - 1.0) > NORM_TOL:
         raise ValueError("wavefunction is not normalized")
 
 
@@ -239,7 +229,7 @@ def fourier_wavefunction(psi):
     return WaveFunctionGrid(out_axis, vals, hbar)
 
 
-def wigner_of_pure(psi, aliasing_tol=1e-8):
+def wigner_of_pure(psi):
     """Wigner distribution of a normalized pure state.
 
     W(x, p) = (1/(pi*hbar)) int exp(-2 i p y / hbar) psi(x+y) conj(psi(x-y)) dy,
@@ -260,7 +250,7 @@ def wigner_of_pure(psi, aliasing_tol=1e-8):
     imag_residual = float(np.abs(wc.imag).max())
     w = WignerGrid(axis, p_axis, wc.real, hbar, imag_residual)
     edge = max(np.abs(w.values[:, :2]).max(), np.abs(w.values[:, -2:]).max())
-    if edge > aliasing_tol * np.abs(w.values).max():
+    if edge > ALIASING_TOL * np.abs(w.values).max():
         warnings.warn(f"possible momentum aliasing: boundary amplitude ratio {edge:.2e}")
     return w
 
@@ -338,14 +328,14 @@ def _is_wigner_conjugate(w):
                - np.pi * w.hbar) <= 1e-9 * np.pi * w.hbar
 
 
-def rescale(w, lam, mass_tol=1e-5):
+def rescale(w, lam):
     """Mass-preserving rescaling: W_lam(z) = lam^2 W(lam*z) on the same axes.
 
     When the momentum axis is DFT-conjugate to the position axis the momentum
     resampling is done exactly through the band-limited trigonometric
     representation; otherwise a bicubic spline is used.  Points that fall
     outside the source domain are treated as zero; a warning reports the mass
-    deviation when it exceeds `mass_tol`.
+    deviation when it exceeds MASS_TOL.
     """
     if lam <= 0:
         raise ValueError("rescale parameter must be positive")
@@ -370,7 +360,7 @@ def rescale(w, lam, mass_tol=1e-5):
     out *= lam**2
     res = WignerGrid(w.x_axis, w.p_axis, out, w.hbar, w.imag_residual)
     drift = abs(trace(res) - trace(w))
-    if drift > mass_tol * max(1.0, abs(trace(w))):
+    if drift > MASS_TOL * max(1.0, abs(trace(w))):
         warnings.warn(f"rescale mass drift {drift:.3e} (tail outside the grid)")
     return res
 
@@ -385,16 +375,13 @@ class SymplecticFourier:
     F(-z) = conj F(z) holds exactly, and F(0) equals the grid trace.
     """
 
-    def __init__(self, w, boundary_tol=1e-10):
+    def __init__(self, w):
         self._xs = w.x_axis.points
         self._ps = w.p_axis.points
         self._vals = w.values
         self._area = w.cell_area
         self.boundary_ratio = _frame_ratio(w.values)
         self.trace = float(w.values.sum() * self._area)
-        if self.boundary_ratio > boundary_tol:
-            warnings.warn(
-                f"Wigner grid does not decay at the boundary (tail ratio {self.boundary_ratio:.2e})")
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
@@ -412,13 +399,8 @@ class SymplecticFourier:
         return out[0] if single else out
 
 
-def symplectic_fourier(w, boundary_tol=1e-10):
-    """Build the symplectic Fourier evaluator for a Wigner grid."""
-    return SymplecticFourier(w, boundary_tol)
-
-
 def kernel_from_wigner(w):
-    """Reconstruct the operator kernel from a Wigner grid.
+    """Operator kernel of a Wigner grid, the array K[j, l] on the position axis.
 
     K(x_j, x_l) = sum_k W((x_j+x_l)/2, p_k) exp(i p_k (x_j-x_l) / hbar) dp.
     A midpoint row r = j+l only meets separations c = j-l of the parity of
@@ -440,8 +422,7 @@ def kernel_from_wigner(w):
         b[parity::2] = _chirp_sum(rows, w.p_axis.min, dp, c0 * d / w.hbar, 2 * d / w.hbar, n)
     j = np.arange(n)
     k = np.take(b, (j[:, None] + j) * n + (j[:, None] - j + n - 1) // 2)
-    k = (0.5 * dp) * (k + k.conj().T)
-    return KernelMatrix(w.x_axis, k, w.hbar)
+    return (0.5 * dp) * (k + k.conj().T)
 
 
 def operator_spectrum_oracle(w):
@@ -451,8 +432,7 @@ def operator_spectrum_oracle(w):
     the grid trace; the grid corresponds to a positive operator exactly when
     the smallest eigenvalue is non-negative up to discretization noise.
     """
-    kernel = kernel_from_wigner(w)
-    eigs = np.linalg.eigvalsh(kernel.values * kernel.axis.spacing)
+    eigs = np.linalg.eigvalsh(kernel_from_wigner(w) * w.x_axis.spacing)
     return eigs[::-1].copy()
 
 
@@ -463,8 +443,8 @@ def save_wigner_manifest(w, path, csv_path=None):
     """
     path = Path(path)
     manifest = {
-        "x_axis": w.x_axis.to_dict(),
-        "p_axis": w.p_axis.to_dict(),
+        "x_axis": as_dict(w.x_axis),
+        "p_axis": as_dict(w.p_axis),
         "hbar": w.hbar,
     }
     if csv_path is None:
@@ -495,3 +475,26 @@ def load_wigner_manifest(path):
     else:
         raise ValueError("manifest needs 'values' or 'values_path'")
     return WignerGrid(x_axis, p_axis, values, hbar)
+
+
+def as_dict(obj):
+    """JSON form of a result, as the reports carry it: a dataclass maps to
+    {field: as_dict(value)}, a complex array field f to f_real and f_imag, lists,
+    tuples and dicts element-wise, arrays and numpy scalars through `.tolist()`."""
+    if is_dataclass(obj):
+        out = {}
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, np.ndarray) and np.iscomplexobj(value):
+                out[f.name + "_real"] = value.real.tolist()
+                out[f.name + "_imag"] = value.imag.tolist()
+            else:
+                out[f.name] = as_dict(value)
+        return out
+    if isinstance(obj, dict):
+        return {key: as_dict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_dict(value) for value in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return obj

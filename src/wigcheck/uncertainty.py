@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _boundary_band_sum
+from .states import TAIL_TOL, _boundary_band_sum
 from .symplectic import symplectic_form, symplectic_spectrum
 
 __all__ = [
@@ -48,11 +48,11 @@ class CovarianceMatrix:
             raise ValueError("covariance matrix must be symmetric")
 
 
-def covariance_from_grid(w, tail_tol=1e-6):
+def covariance_from_grid(w):
     """First and second phase-space moments of a Wigner grid.
 
     sigma_ab = int z_a z_b W dz - mean_a mean_b.  Warns when the boundary
-    band contributes more than `tail_tol` of the second moment (heavy tail).
+    band contributes more than TAIL_TOL of the second moment (heavy tail).
     """
     x = w.x_axis.points[:, None]
     p = w.p_axis.points[None, :]
@@ -65,7 +65,7 @@ def covariance_from_grid(w, tail_tol=1e-6):
 
     weight = (x * x + p * p) * np.abs(w.values)
     total = weight.sum()
-    if total > 0 and _boundary_band_sum(weight) > tail_tol * total:
+    if total > 0 and _boundary_band_sum(weight) > TAIL_TOL * total:
         warnings.warn("second moments may not have converged (heavy tail at the grid boundary)")
     return CovarianceMatrix(np.array([[sxx, sxp], [sxp, spp]]), np.array([mx, mp]), w.hbar)
 
@@ -79,15 +79,8 @@ class RSInequality:
     kind: str
     lhs: float
     rhs: float
+    margin: float
     ok: bool
-
-    @property
-    def margin(self):
-        return self.lhs - self.rhs
-
-    def to_dict(self):
-        return {"j": self.j, "k": self.k, "kind": self.kind, "lhs": self.lhs,
-                "rhs": self.rhs, "margin": self.margin, "ok": self.ok}
 
 
 def check_rs(sigma, hbar=1.0):
@@ -107,7 +100,8 @@ def check_rs(sigma, hbar=1.0):
             rhs = cross + hbar**2 / 4 if j == k else cross
             kind = "conjugate" if j == k else "cross"
             ok = lhs >= rhs - BOUNDARY_BAND * scale
-            out.append(RSInequality(j, k, kind, float(lhs), float(rhs), bool(ok)))
+            lhs, rhs = float(lhs), float(rhs)
+            out.append(RSInequality(j, k, kind, lhs, rhs, lhs - rhs, bool(ok)))
     return out
 
 
@@ -159,22 +153,8 @@ class UncertaintyReport:
     nu_min: float
     nu_max: float
     lambda_star: float
-    verdict: bool
+    verdict: str  # "pass" when psd_ok, else "fail"
     boundary: bool
-
-    def to_dict(self):
-        return {
-            "hbar": self.hbar,
-            "rs": [r.to_dict() for r in self.rs],
-            "rs_ok": self.rs_ok,
-            "psd_min_eigenvalue": self.psd_min_eigenvalue,
-            "psd_ok": self.psd_ok,
-            "nu_min": self.nu_min,
-            "nu_max": self.nu_max,
-            "lambda_star": self.lambda_star,
-            "verdict": "pass" if self.verdict else "fail",
-            "boundary": self.boundary,
-        }
 
 
 def uncertainty_report(sigma, hbar=1.0):
@@ -193,8 +173,8 @@ def uncertainty_report(sigma, hbar=1.0):
         psd_ok=psd_ok,
         nu_min=float(nu[-1]),
         nu_max=float(nu[0]),
-        lambda_star=float(np.sqrt(2.0 * nu[-1] / hbar)),
-        verdict=psd_ok,
+        lambda_star=lambda_star(sigma, hbar),
+        verdict="pass" if psd_ok else "fail",
         boundary=boundary,
     )
 

@@ -228,7 +228,7 @@ def test_criterion_10_capacity_invariance_and_chain(vacuum_wigner, fock1_wigner,
 def test_criterion_11_hbar_dependence(vacuum_wigner):
     reports = hbar_sweep(vacuum_wigner, [1.0, 1.5])
     at_one, at_bigger = reports
-    ok = (at_one.verdict and at_one.rs_ok and not at_bigger.verdict)
+    ok = (at_one.verdict == "pass" and at_one.rs_ok and at_bigger.verdict == "fail")
     _report(11, ok, f"vacuum prepared at hbar=1: passes at hbar=1.0 "
                     f"(nu_min {at_one.nu_min:.6f}), fails at hbar=1.5 "
                     f"(needs {1.5 / 2}, psd min eig {at_bigger.psd_min_eigenvalue:.4f})")

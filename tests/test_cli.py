@@ -1,5 +1,7 @@
 import argparse
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,7 +285,35 @@ def test_bad_tolerances_rejected(capsys, flag, value):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_cmax_factor_rejected(capsys, value):
     assert_input_error(capsys, ["dominate", '{"type":"fock","n":0}', "--grid-n", "64",
-                                "--cmax-factor", value], "c_max_factor must be finite")
+                                "--cmax-factor", value], "must be at least 1.0 and finite")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", '{"type":"fock","n":0}', "--cmax-factor", "0.5"],
+    ["analyze", '{"type":"fock","n":0}', "--grid-n", "0"],
+    ["analyze", '{"type":"fock","n":0}', "--grid-n", "14"],
+    ["analyze", '{"type":"fock","n":0}', "--grid-extent", "inf"],
+    ["analyze", '{"type":"fock","n":0}', "--grid-extent", "0"],
+    ["hardy", '{"type":"fock","n":0}', "--grid-extent", "nan"],
+    ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "1:inf:1"],
+    ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "nan:1:0.1"],
+    ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "0:1:0.1"],
+    ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "1.1:0.9:0.1"],
+    ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "0.9:1.1:0"],
+    ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "1e-300:1e300:1e-300"],
+    ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "0.9:1.1"],
+    ["hbar-sweep", '{"type":"fock","n":0}', "--values", "0.5,0"],
+    ["hbar-sweep", '{"type":"fock","n":0}', "--values", "-1"],
+    ["hbar-sweep", '{"type":"fock","n":0}', "--values", "1,nan"],
+    ["hbar-sweep", '{"type":"fock","n":0}', "--values", "inf"],
+], ids=["cmax-below-1", "grid-n-0", "grid-n-14", "extent-inf", "extent-0", "hardy-extent-nan",
+        "lambdas-inf", "lambdas-nan", "lambdas-start-0", "lambdas-reversed", "lambdas-step-0",
+        "lambdas-count-overflows", "lambdas-two-parts", "values-zero", "values-negative",
+        "values-nan", "values-inf"])
+def test_bad_numbers_rejected_at_parse_time(capsys, monkeypatch, argv):
+    # rejected before any spec is loaded or grid built
+    monkeypatch.setattr(cli, "_load_spec", lambda source: pytest.fail("spec loaded"))
+    assert_input_error(capsys, argv, f"argument {argv[2]}:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -314,3 +344,15 @@ def test_long_inline_spec_is_not_taken_for_a_path(capsys):
     code, rep = run_cli(capsys, "analyze", spec, "--no-klm", "--no-domination", "--no-oracle")
     assert code == 0
     assert rep["input"]["components"] == components
+
+
+def test_benchmark_spans_still_find_their_functions():
+    # the benchmark's --trace patches these names; a deleted one breaks it
+    spec = importlib.util.spec_from_file_location(
+        "spans", Path(__file__).parents[1] / "benchmark" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for _, module, names in spans.LAYERS:
+        mod = importlib.import_module(module)
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{module}.{name}"

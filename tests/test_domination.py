@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from test_states import _dense_rescale
-from wigcheck import (capacity, compact_support_flag, covariance_from_grid,
+from wigcheck import (as_dict, capacity, compact_support_flag, covariance_from_grid,
                       default_axis, fit_dominating_gaussian, fock_state,
                       gaussian_wavepacket, hardy_fit, rescale, domination_verdict,
                       truncated_bump_grid, wigner_gaussian, wigner_of_pure)
@@ -370,7 +370,7 @@ def test_degenerate_support_is_unbounded(name, c_max_factor):
     assert _dominates(w, cert) <= cert.C * (1 + 1e-12)
     assert cert.C <= c_max_factor * w.values.max() * (1 + 1e-12)
     assert len(cert.contacts) == 1
-    report = json.loads(json.dumps(cert.to_dict(), allow_nan=False))
+    report = json.loads(json.dumps(as_dict(cert), allow_nan=False))
     assert report["unbounded"] is True and report["duality_gap"] is None
 
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from wigcheck import (covariance_from_grid, default_axis, fit_dominating_gaussian,
-                      fock_state, klm_check, lambda_star, operator_spectrum_oracle,
-                      rescale, symplectic_fourier, trace, wigner_of_pure)
+from wigcheck import (SymplecticFourier, covariance_from_grid, default_axis,
+                      fit_dominating_gaussian, fock_state, klm_check, lambda_star,
+                      operator_spectrum_oracle, rescale, trace, wigner_of_pure)
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ def test_vacuum_covariance_scales(vacuum_hbar2):
 
 def test_vacuum_transform_scales(vacuum_hbar2):
     # Gaussian integral gives exp(-hbar |z|^2 / 4)
-    f = symplectic_fourier(vacuum_hbar2)
+    f = SymplecticFourier(vacuum_hbar2)
     pts = np.array([[0.7, 0.0], [0.5, -0.8]])
     expected = np.exp(-2.0 * np.sum(pts**2, axis=1) / 4)
     assert np.abs(f(pts) - expected).max() <= 1e-4

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wigcheck.klm as klm
-from wigcheck import (AxisGrid, covariance_from_grid, default_axis, fock_state,
-                      klm_check, klm_matrix, mixture_wigner, operator_spectrum_oracle,
-                      rescale, symplectic_fourier, trace, truncated_bump_grid,
+from wigcheck import (AxisGrid, SymplecticFourier, as_dict, covariance_from_grid,
+                      default_axis, fock_state, klm_check, klm_matrix, mixture_wigner,
+                      operator_spectrum_oracle, rescale, trace, truncated_bump_grid,
                       wigner_gaussian, wigner_of_pure, witness_quadratic_form)
 from wigcheck.states import WignerGrid
 
 
 def test_order_one_is_the_trace(vacuum_wigner):
-    f = symplectic_fourier(vacuum_wigner)
+    f = SymplecticFourier(vacuum_wigner)
     mat = klm_matrix(f, np.zeros((1, 2)))
     assert mat.shape == (1, 1)
     assert mat[0, 0].real == pytest.approx(trace(vacuum_wigner), abs=1e-12)
@@ -22,7 +22,7 @@ def test_order_one_is_the_trace(vacuum_wigner):
 
 
 def test_vacuum_two_point_analytic(vacuum_wigner):
-    f = symplectic_fourier(vacuum_wigner)
+    f = SymplecticFourier(vacuum_wigner)
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
     mat = klm_matrix(f, pts, hbar=1.0)
     assert np.abs(np.diag(mat) - 1.0).max() <= 1e-4
@@ -33,7 +33,7 @@ def test_vacuum_two_point_analytic(vacuum_wigner):
 
 
 def test_matrix_hermitian_on_random_points(vacuum_wigner):
-    f = symplectic_fourier(vacuum_wigner)
+    f = SymplecticFourier(vacuum_wigner)
     rng = np.random.default_rng(0)
     for _ in range(5):
         pts = rng.normal(size=(6, 2))
@@ -89,7 +89,7 @@ def test_witness_reproducible(vacuum_wigner):
 
 
 def test_principal_submatrix_of_psd_is_psd(vacuum_wigner):
-    f = symplectic_fourier(vacuum_wigner)
+    f = SymplecticFourier(vacuum_wigner)
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(5, 2))
     mat = klm_matrix(f, pts, hbar=1.0)
@@ -110,14 +110,14 @@ def test_check_requires_unit_trace(vacuum_wigner):
 def test_report_serializes(vacuum_wigner):
     report = klm_check(rescale(vacuum_wigner, 1.5), max_order=3,
                        trials_per_order=50, seed=0)
-    d = report.to_dict()
+    d = as_dict(report)
     assert d["overall"] == "violation_certificate"
     assert d["witness"]["order"] == len(d["witness"]["points"])
     assert d["seed"] == 0 and d["phase_sign"] == 1
 
 
 def test_stacked_matrices_match_single_sets(fock1_wigner):
-    f = symplectic_fourier(fock1_wigner)
+    f = SymplecticFourier(fock1_wigner)
     pts = np.random.default_rng(2).normal(size=(4, 3, 2))
     stacked = klm_matrix(f, pts)
     assert stacked.shape == (4, 3, 3)
@@ -137,7 +137,7 @@ def _full_matrix(fsw, pts, hbar):
 
 def _reference_search(w, max_order, trials, seed, tol):
     """One point set at a time, each matrix from all m^2 differences."""
-    fsw = symplectic_fourier(w, boundary_tol=np.inf)
+    fsw = SymplecticFourier(w)
     cov = covariance_from_grid(w).sigma
     if np.linalg.eigvalsh(cov).min() > 0:
         chol = np.linalg.cholesky(cov)
@@ -179,7 +179,7 @@ def test_batched_search_matches_one_set_at_a_time(vacuum_wigner, fock1_wigner, n
         assert abs(wit.min_eigenvalue - value) <= 1e-12
         assert abs(abs(np.vdot(vec, wit.eigenvector)) - 1.0) <= 1e-9
         assert type(wit.trial) is int
-    json.dumps(report.to_dict(), allow_nan=False)
+    json.dumps(as_dict(report), allow_nan=False)
 
 
 def test_opposite_phase_sign_is_time_reversal(monkeypatch):
@@ -192,9 +192,9 @@ def test_opposite_phase_sign_is_time_reversal(monkeypatch):
     w = wigner_gaussian([0.7, -0.4], rot @ np.diag([1.8, 0.2]) @ rot.T, axis, axis)
     reversed_w = WignerGrid(axis, axis, w.values[:, ::-1], w.hbar)
     pts = np.random.default_rng(0).normal(size=(20, 4, 2))
-    plus = klm_matrix(symplectic_fourier(reversed_w, np.inf), pts * [-1.0, 1.0])
+    plus = klm_matrix(SymplecticFourier(reversed_w), pts * [-1.0, 1.0])
     monkeypatch.setattr(klm, "PHASE_SIGN", -1)
-    minus = klm_matrix(symplectic_fourier(w, np.inf), pts)
+    minus = klm_matrix(SymplecticFourier(w), pts)
     assert np.abs(plus - minus).max() <= 1e-13
 
 

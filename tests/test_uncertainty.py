@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spd
-from wigcheck import (check_quantum_psd, check_rs, check_williamson_criterion,
+from wigcheck import (as_dict, check_quantum_psd, check_rs, check_williamson_criterion,
                       covariance_from_grid, default_axis, fock_state, hbar_sweep,
                       lambda_star, random_symplectic, rescale_covariance,
                       uncertainty_report, wigner_gaussian, wigner_of_pure)
@@ -137,9 +137,9 @@ def test_lambda_star_matches_sweep():
 def test_hbar_sweep_vacuum(vacuum_wigner):
     reports = hbar_sweep(vacuum_wigner, [0.5, 1.0, 1.5])
     verdicts = [r.verdict for r in reports]
-    assert verdicts == [True, True, False]
+    assert verdicts == ["pass", "pass", "fail"]
     # pass set is a down-set in hbar
-    flips = [a and not b for a, b in zip(verdicts, verdicts[1:])]
+    flips = [a == "pass" and b == "fail" for a, b in zip(verdicts, verdicts[1:])]
     assert sum(flips) <= 1
 
 
@@ -209,10 +209,10 @@ def test_two_mode_rs_weaker_than_psd():
 def test_uncertainty_report_fields(vacuum_wigner):
     cov = covariance_from_grid(vacuum_wigner)
     rep = uncertainty_report(cov.sigma, 1.0)
-    assert rep.verdict and rep.rs_ok
+    assert rep.verdict == "pass" and rep.rs_ok
     assert rep.boundary  # vacuum saturates the bound
     assert rep.nu_min <= rep.nu_max
     assert rep.lambda_star == pytest.approx(1.0, abs=1e-10)
-    d = rep.to_dict()
+    d = as_dict(rep)
     assert d["verdict"] == "pass"
     assert len(d["rs"]) == 1
