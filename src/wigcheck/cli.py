@@ -77,10 +77,12 @@ def _positive(value, name):
 
 
 def _fock(spec, axis, hbar):
-    try:
-        n = int(spec["n"])
-    except (KeyError, TypeError, ValueError):
-        raise InputError(f"a fock spec needs an integer 'n', got {spec.get('n')!r}") from None
+    n = spec.get("n")
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    # a bool is an int to Python; a fractional n must not be truncated
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InputError(f"a fock spec needs an integer 'n', got {n!r}")
     return fock_state(n, axis, hbar)
 
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
-from scipy.interpolate import CubicSpline, RectBivariateSpline, make_interp_spline
 
 __all__ = [
     "AxisGrid",
@@ -102,6 +100,19 @@ def _cdft(a, axis=-1):
     return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(a, axes=axis), axis=axis), axes=axis)
 
 
+def _fast_len(n):
+    """Smallest 11-smooth integer >= n: the sizes numpy's FFT (pocketfft)
+    handles fastest."""
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 def _chirp_sum(v, s0, ds, t0, dt, m, sign=1):
     """out[..., k] = sum_j v[..., j] exp(sign*i (t0 + k*dt)(s0 + j*ds)) for k < m.
 
@@ -118,10 +129,10 @@ def _chirp_sum(v, s0, ds, t0, dt, m, sign=1):
     j = np.arange(n) - jc
     k = np.arange(m) - kc
     q = np.arange(-(n - 1), m) - (kc - jc)
-    size = scipy.fft.next_fast_len(n + m - 1)
+    size = _fast_len(n + m - 1)
     pre = np.exp(1j * (sign * tc * ds * j + 0.5 * a * (j * j)))
-    chirp = scipy.fft.fft(np.exp(-0.5j * a * (q * q)), size)
-    conv = scipy.fft.ifft(scipy.fft.fft(v * pre, size, axis=-1) * chirp, axis=-1)
+    chirp = np.fft.fft(np.exp(-0.5j * a * (q * q)), size)
+    conv = np.fft.ifft(np.fft.fft(v * pre, size, axis=-1) * chirp, axis=-1)
     post = np.exp(1j * (sign * (tc * sc + sc * dt * k) + 0.5 * a * (k * k)))
     return conv[..., n - 1:n - 1 + m] * post
 
@@ -191,6 +202,11 @@ def fock_state(n, axis=None, hbar=1.0):
         raise ValueError("n must be a non-negative integer")
     if axis is None:
         axis = default_axis(hbar)
+    # an edge inside the classical turning point sqrt((2n+1) hbar) fails the
+    # boundary check below; saying so first spares building n+1 Hermite rows
+    edge = max(min(-axis.min, axis.max), 0.0)
+    if n > float((edge * edge / hbar - 1) / 2):  # a Python float compares with any int
+        raise ValueError("grid too narrow: wavefunction does not vanish at the boundary")
     xs = axis.points
     vals = hbar ** -0.25 * _hermite_functions(n, xs / np.sqrt(hbar))[n]
     peak = np.abs(vals).max()
@@ -328,14 +344,64 @@ def _is_wigner_conjugate(w):
                - np.pi * w.hbar) <= 1e-9 * np.pi * w.hbar
 
 
+def _spline_slopes(xs, y):
+    """Knot slopes of the not-a-knot cubic spline through the rows of `y`
+    at the knots `xs` (at least four).
+
+    Builds CubicSpline's tridiagonal slope system, end rows included, and
+    eliminates it in LAPACK gtsv's order without row swaps (the system is
+    diagonally dominant), so the slopes match CubicSpline's bit for bit.
+    """
+    dx = np.diff(xs)
+    h = dx.tolist()
+    slope = np.diff(y, axis=0)
+    slope /= dx[:, None]
+    d0, d1 = xs[2] - xs[0], xs[-1] - xs[-3]
+    b = np.empty(y.shape)  # C order: the elimination below works row by row
+    b[0] = ((h[0] + 2 * d0) * h[1] * slope[0] + h[0] * h[0] * slope[1]) / d0
+    inner = np.multiply(dx[1:, None], slope[:-1], out=b[1:-1])
+    inner += dx[:-1, None] * slope[1:]
+    inner *= 3
+    b[-1] = (h[-1] * h[-1] * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
+    diag = [h[1]] + [2 * (a + c) for a, c in zip(h[:-1], h[1:])] + [h[-2]]
+    upper = [d0] + h[:-1]  # row i's coefficient of slope i+1
+    lower = h[1:] + [d1]   # row i+1's coefficient of slope i
+    rows = list(b)
+    for i in range(len(h)):
+        fact = lower[i] / diag[i]
+        diag[i + 1] -= fact * upper[i]
+        rows[i + 1] -= fact * rows[i]
+    rows[-1] /= diag[-1]
+    for i in range(len(h) - 1, -1, -1):
+        rows[i] -= upper[i] * rows[i + 1]
+        rows[i] /= diag[i]
+    return b
+
+
+def _spline_at(xs, y, t):
+    """Not-a-knot cubic spline through the rows of `y` at the knots `xs`,
+    evaluated at the points `t` inside [xs[0], xs[-1]], with CubicSpline's
+    arithmetic: its Hermite coefficients and PPoly's power sum, each point
+    on the interval that starts at or below it."""
+    s = _spline_slopes(xs, y)
+    j = np.minimum(np.searchsorted(xs, t, side="right") - 1, len(xs) - 2)
+    dx = (xs[j + 1] - xs[j])[:, None]
+    h = (t - xs[j])[:, None]
+    slope = (y[j + 1] - y[j]) / dx
+    excess = (s[j] + s[j + 1] - 2 * slope) / dx
+    return y[j] + s[j] * h + ((slope - s[j]) / dx - excess) * (h * h) + excess / dx * (h * h * h)
+
+
 def rescale(w, lam):
     """Mass-preserving rescaling: W_lam(z) = lam^2 W(lam*z) on the same axes.
 
     When the momentum axis is DFT-conjugate to the position axis the momentum
     resampling is done exactly through the band-limited trigonometric
-    representation; otherwise a bicubic spline is used.  Points that fall
-    outside the source domain are treated as zero; a warning reports the mass
-    deviation when it exceeds MASS_TOL.
+    representation and positions by the not-a-knot cubic spline along x;
+    otherwise by the bicubic not-a-knot spline, done as an x pass and then a
+    p pass (the tensor-product spline of an s = 0 FITPACK fit).  Points that
+    fall outside the source domain are treated as zero; a warning reports the
+    mass deviation when it exceeds MASS_TOL.
     """
     if lam <= 0:
         raise ValueError("rescale parameter must be positive")
@@ -352,11 +418,10 @@ def rescale(w, lam):
         first = lam * ps[np.argmax(okp)]
         resampled = _chirp_sum(a, -(w.p_axis.count // 2) * dx, dx, 2 * first / w.hbar,
                                2 * lam * w.p_axis.spacing / w.hbar, okp.sum(), sign=-1).real
-        spline = CubicSpline(xs, resampled, axis=0)
-        out[np.ix_(okx, okp)] = spline(lam * xs[okx])
+        out[np.ix_(okx, okp)] = _spline_at(xs, resampled, lam * xs[okx])
     else:
-        spline = RectBivariateSpline(xs, ps, w.values, kx=3, ky=3)
-        out[np.ix_(okx, okp)] = spline(lam * xs[okx], lam * ps[okp])
+        rows = _spline_at(xs, w.values, lam * xs[okx])
+        out[np.ix_(okx, okp)] = _spline_at(ps, rows.T, lam * ps[okp]).T
     out *= lam**2
     res = WignerGrid(w.x_axis, w.p_axis, out, w.hbar, w.imag_residual)
     drift = abs(trace(res) - trace(w))
@@ -404,17 +469,18 @@ def kernel_from_wigner(w):
 
     K(x_j, x_l) = sum_k W((x_j+x_l)/2, p_k) exp(i p_k (x_j-x_l) / hbar) dp.
     A midpoint row r = j+l only meets separations c = j-l of the parity of
-    r, so even r use the grid rows themselves and odd r the cubic-spline
-    (not-a-knot) midpoints along x, each transformed onto separations spaced 2*dx by a
-    chirp-z transform.  On grids whose momentum axis is DFT-conjugate to the
+    r, so even r use the grid rows themselves and odd r the midpoints of the
+    not-a-knot cubic spline along x, (y0 + y1)/2 + dx (s0 - s1)/8 from the
+    knot values y and slopes s; each is transformed onto separations spaced
+    2*dx by a chirp-z transform.  On grids whose momentum axis is DFT-conjugate to the
     position axis this inverts the pure-state construction exactly on even
     index sums.
     """
     xs = w.x_axis.points
     n = w.x_axis.count
     d, dp = w.x_axis.spacing, w.p_axis.spacing
-    # not-a-knot cubic spline along x, as CubicSpline builds it, but cheaper
-    mids = make_interp_spline(xs, w.values, k=3, axis=0)(xs[:-1] + d / 2)
+    slopes = _spline_slopes(xs, w.values)
+    mids = (w.values[:-1] + w.values[1:]) / 2 + d * (slopes[:-1] - slopes[1:]) / 8
     # column t of row r holds separation c = c0 + 2t, the first c of r's parity
     b = np.empty((2 * n - 1, n), dtype=complex)
     for parity, rows in ((0, w.values), (1, mids)):

@@ -12,7 +12,6 @@ A real 2N x 2N matrix S is symplectic when S^T J S = J.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, schur
 
 __all__ = [
     "symplectic_form",
@@ -118,32 +117,26 @@ class WilliamsonFactorization:
 def williamson(M):
     """Williamson normal form of a symmetric positive-definite matrix.
 
-    Computes M^(1/2), block-diagonalizes the skew-symmetric matrix
-    K = M^(1/2) J M^(1/2) with a real Schur decomposition, and assembles a
-    symplectic S with M = S^T D S.  The relative reconstruction residual
-    and the symplecticity residual of S are recorded on the result.
+    Computes M^(1/2) and the skew-symmetric K = M^(1/2) J M^(1/2), whose
+    Hermitian i K has eigenvalues +/- mu_j.  An eigenvector e of +mu_j,
+    rotated so that its first entry of modulus >= half the largest is
+    positive imaginary, gives the orthonormal pair u = sqrt(2) Im e,
+    v = sqrt(2) Re e with K u = -mu_j v and K v = mu_j u (for one degree of
+    freedom, the coordinate axes).  The pairs assemble a symplectic S with
+    M = S^T D S.  The relative reconstruction residual and the symplecticity
+    residual of S are recorded on the result.
     """
     M, n = _check_spd(M)
     root = _sqrtm_spd(M)
     J = symplectic_form(n)
     K = root @ J @ root
     K = 0.5 * (K - K.T)
-    T, Z = schur(K, output="real")
-
-    pairs = []
-    for i in range(n):
-        a, b = 2 * i, 2 * i + 1
-        mu = T[a, b]
-        u, v = Z[:, a].copy(), Z[:, b].copy()
-        if abs(T[a, a]) > 1e-8 * abs(mu):
-            raise ValueError("Schur block structure not found; decomposition failed")
-        if mu < 0:
-            mu, u, v = -mu, v, u
-        pairs.append((mu, u, v))
-    pairs.sort(key=lambda t: -t[0])
-
-    spectrum = np.array([p[0] for p in pairs])
-    Q = np.column_stack([p[1] for p in pairs] + [p[2] for p in pairs])
+    ev, E = np.linalg.eigh(1j * K)
+    spectrum, E = ev[::-1][:n], E[:, ::-1][:, :n]  # +mu_j, descending
+    size = np.abs(E)
+    lead = E[np.argmax(size >= 0.5 * size.max(axis=0), axis=0), np.arange(n)]
+    E = E * (1j * np.abs(lead) / lead)
+    Q = np.sqrt(2.0) * np.concatenate([E.imag, E.real], axis=1)
     scale = np.concatenate([spectrum, spectrum])
     S = (Q.T / np.sqrt(scale)[:, None]) @ root
 
@@ -159,17 +152,19 @@ def williamson(M):
 def random_symplectic(seed, ndof):
     """Deterministic pseudo-random symplectic matrix.
 
-    Composes two exponentials exp(J H) of random symmetric generators H,
-    which stays inside the symplectic group.
+    Composes two Cayley transforms (I - A/2)^(-1) (I + A/2) of Hamiltonian
+    matrices A = J H with random symmetric H; each is symplectic.
     """
     if ndof < 1:
         raise ValueError("ndof must be >= 1")
     rng = np.random.default_rng(seed)
     dim = 2 * ndof
     J = symplectic_form(ndof)
-    S = np.eye(dim)
+    eye = np.eye(dim)
+    S = eye
     for _ in range(2):
         H = rng.normal(size=(dim, dim))
         H = 0.25 * (H + H.T) / np.sqrt(dim)
-        S = S @ expm(J @ H)
+        A = J @ H
+        S = S @ np.linalg.solve(eye - A / 2, eye + A / 2)
     return S

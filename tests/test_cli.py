@@ -1,6 +1,9 @@
 import argparse
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +337,48 @@ def test_malformed_spec_is_one_line_error(capsys, argv):
                                   '{"type":"bump"}'])
 def test_odd_grid_size_rejected(capsys, spec):
     assert_input_error(capsys, ["analyze", spec, "--grid-n", "255"], "count must be even")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", '{"type":"fock","n":1.7}'],
+    ["analyze", '{"type":"fock","n":true}'],
+    ["analyze", '{"type":"fock","n":"1"}'],
+    ["analyze", '{"type":"mixture","components":[{"weight":0.5,"state":{"type":"fock","n":0.9}},'
+                '{"weight":0.5,"state":{"type":"fock","n":1}}]}'],
+    ["hardy", '{"type":"fock","n":1.5}'],
+    ["hardy", '{"type":"fock","n":NaN}'],
+], ids=["fractional", "bool", "string", "mixture-fractional", "hardy-fractional", "hardy-nan"])
+def test_fock_n_must_be_an_integer(capsys, argv):
+    # int() would have truncated these to a Fock state the report does not name
+    assert_input_error(capsys, argv, "integer 'n'")
+
+
+def test_fock_n_that_does_not_fit_fails_before_building(capsys):
+    # an integer too large for a float, and one whose Hermite rows would not fit in memory
+    for n in (10**400, 10**12):
+        assert_input_error(capsys, ["hardy", f'{{"type":"fock","n":{n}}}'], "grid too narrow")
+    code, rep = run_cli(capsys, "hardy", '{"type":"fock","n":1.0}')
+    assert code == 0 and rep["input"]["n"] == 1.0
+
+
+def test_commands_do_not_import_scipy():
+    script = """
+import contextlib, io, sys
+from wigcheck.cli import main
+runs = [["analyze", '{"type":"fock","n":1,"rescale":1.2}'],
+        ["analyze", '{"type":"gaussian","mean":[0,0],"cov":[[0.6,0.1],[0.1,0.5]],"rescale":1.1}'],
+        ["capacity", '{"M": [[4,0,0,0],[0,2,0,0],[0,0,0.111,0],[0,0,0,0.3]]}'],
+        ["klm", '{"type":"fock","n":0,"rescale":1.5}'],
+        ["hardy", '{"type":"fock","n":1}']]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+assert codes == [2, 2, 0, 2, 0], codes
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_long_inline_spec_is_not_taken_for_a_path(capsys):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+import scipy.fft
+from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from wigcheck import (AxisGrid, SymplecticFourier, default_axis, fock_state,
                       fourier_wavefunction, gaussian_wavepacket, kernel_from_wigner,
                       load_wigner_manifest, mixture_wigner, operator_spectrum_oracle,
                       rescale, save_wigner_manifest, trace,
                       wigner_gaussian, wigner_momentum_axis, wigner_of_pure)
-from wigcheck.states import WaveFunctionGrid, WignerGrid, _boundary_band_sum, _chirp_sum
+from wigcheck.states import (WaveFunctionGrid, WignerGrid, _boundary_band_sum, _chirp_sum,
+                             _fast_len, _spline_at)
 
 
 def test_fock_normalization_and_orthogonality():
@@ -386,3 +388,44 @@ def test_symplectic_fourier_matches_complex_quadrature(no_grid):
                        for x, p in pts]) * no_grid.cell_area
     assert np.abs(f(pts) - direct).max() <= 1e-13
     assert f(pts[0]) == f(pts[:1])[0]
+
+
+def test_fast_len_matches_next_fast_len():
+    assert [_fast_len(n) for n in range(1, 5001)] == [scipy.fft.next_fast_len(n)
+                                                      for n in range(1, 5001)]
+
+
+def _spline_cases():
+    rng = np.random.default_rng(11)
+    xs = np.linspace(-3.2, 2.5, 41)
+    yield "random", xs, rng.normal(size=(41, 7)), np.sort(rng.uniform(xs[0], xs[-1], 60))
+    yield "knots", xs, rng.normal(size=(41, 3)), xs
+    yield "last point", xs, rng.normal(size=(41, 2)), xs[[-1, -1, 0]]
+    xs = np.cumsum(rng.uniform(0.8, 1.2, 41))
+    yield "uneven knots", xs, rng.normal(size=(41, 5)), np.sort(rng.uniform(xs[0], xs[-1], 60))
+    for n in (0, 1):
+        w = wigner_of_pure(fock_state(n))
+        xs = w.x_axis.points
+        for lam in (0.9, 1.2, 1.5):
+            ok = (lam * xs >= xs[0]) & (lam * xs <= xs[-1])
+            yield f"fock{n} x{lam}", xs, w.values, lam * xs[ok]
+
+
+@pytest.mark.parametrize("case", list(_spline_cases()), ids=lambda case: case[0])
+def test_spline_at_is_bit_equal_to_cubic_spline(case):
+    _, xs, y, t = case
+    assert np.array_equal(_spline_at(xs, y, t), CubicSpline(xs, y, axis=0)(t))
+
+
+@pytest.mark.parametrize("lam", [0.8, 1.1, 1.4])
+def test_two_pass_rescale_matches_bivariate_spline(lam):
+    # equal x and p axes are not DFT-conjugate, so rescale interpolates both
+    axis = default_axis()
+    w = wigner_gaussian([0.3, -0.2], [[0.7, 0.2], [0.2, 0.4]], axis, axis)
+    xs = axis.points
+    ok = (lam * xs >= xs[0]) & (lam * xs <= xs[-1])
+    want = np.zeros_like(w.values)
+    want[np.ix_(ok, ok)] = RectBivariateSpline(xs, xs, w.values, kx=3, ky=3)(lam * xs[ok],
+                                                                             lam * xs[ok])
+    got = rescale(w, lam).values / lam**2
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(w.values).max()

@@ -97,6 +97,19 @@ def test_williamson_diagonal_example():
     assert is_symplectic(fact.S, tol=1e-10)
 
 
+@pytest.mark.parametrize("M", [[[4.0, 0.0], [0.0, 0.111]], [[2.0, 0.3], [0.3, 1.5]],
+                               [[0.2, -0.15], [-0.15, 3.0]]])
+def test_williamson_of_one_mode_is_the_scaled_root(M):
+    # one degree of freedom: the pair (u, v) is the coordinate axes, so
+    # S = M^(1/2) / det(M)^(1/4), the symmetric choice
+    M = np.array(M)
+    w, V = np.linalg.eigh(M)
+    root = (V * np.sqrt(w)) @ V.T
+    fact = williamson(M)
+    assert np.allclose(fact.S, root / np.linalg.det(M) ** 0.25, rtol=1e-14, atol=0)
+    assert fact.spectrum == pytest.approx([np.sqrt(np.linalg.det(M))], rel=1e-14)
+
+
 def test_williamson_random_residuals():
     rng = np.random.default_rng(5)
     for ndof in (1, 2, 3):
