@@ -21,10 +21,9 @@ from .states import (AxisGrid, SymplecticFourier, WaveFunctionGrid, WignerGrid, 
                      load_wigner_manifest, mixture_wigner, operator_spectrum_oracle,
                      rescale, save_wigner_manifest, trace,
                      wigner_gaussian, wigner_momentum_axis, wigner_of_pure)
-from .symplectic import (WilliamsonFactorization, is_symplectic, random_symplectic,
-                         symplectic_form, symplectic_product, symplectic_spectrum,
-                         williamson)
+from .symplectic import (WilliamsonFactorization, is_symplectic, symplectic_form,
+                         symplectic_spectrum, williamson)
 from .uncertainty import (CovarianceMatrix, RSInequality, UncertaintyReport,
                           check_quantum_psd, check_rs, check_williamson_criterion,
                           covariance_from_grid, hbar_sweep, lambda_star,
-                          rescale_covariance, uncertainty_report)
+                          uncertainty_report)

@@ -64,24 +64,19 @@ class Blob:
     """Symplectic image of the ball of radius sqrt(hbar)."""
 
     S: np.ndarray
-    center: np.ndarray
+    center: np.ndarray  # the origin
     matrix: np.ndarray  # ellipsoid matrix inv(S S^T); symplectic spectrum (1, ..., 1)
     hbar: float = 1.0
 
-    def capacity(self):
-        return capacity(self.matrix, self.hbar)
 
-
-def quantum_blob(S, center=None, hbar=1.0):
-    """Quantum blob for a symplectic matrix S and an optional center."""
+def quantum_blob(S, hbar=1.0):
+    """Quantum blob centred at the origin for a symplectic matrix S."""
     S = np.asarray(S, dtype=float)
     if not is_symplectic(S, SYMPLECTIC_TOL):
         raise ValueError("matrix is not symplectic")
-    if center is None:
-        center = np.zeros(S.shape[0])
     matrix = np.linalg.inv(S @ S.T)
     matrix = 0.5 * (matrix + matrix.T)
-    return Blob(S=S, center=np.asarray(center, dtype=float), matrix=matrix, hbar=hbar)
+    return Blob(S=S, center=np.zeros(S.shape[0]), matrix=matrix, hbar=hbar)
 
 
 def find_contained_blob(M, hbar=1.0, tol=ADMISSIBLE_TOL):

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import __version__
 from .blobs import capacity, find_contained_blob, is_admissible, section_area
-from .domination import compact_support_flag, fit_dominating_gaussian, hardy_fit
+from .domination import C_MAX_FACTOR, compact_support_flag, fit_dominating_gaussian, hardy_fit
 from .fixtures import NO_COUNT, NO_EXTENT, moment_p4, narcowich_oconnell_grid, truncated_bump_grid
-from .klm import klm_check
+from .klm import DEFAULT_TOL as DEFAULT_KLM_TOL, klm_check
 from .states import (as_dict, default_axis, fock_state, load_wigner_manifest, mixture_wigner,
                      operator_spectrum_oracle, rescale, save_wigner_manifest, trace,
                      wigner_gaussian, wigner_of_pure)
@@ -66,8 +66,10 @@ def _load_spec(source):
 
 
 def _positive(value, name):
-    """`value` as a positive, finite float; InputError otherwise."""
+    """`value` as a positive, finite float; InputError otherwise (a bool too)."""
     try:
+        if isinstance(value, bool):  # float(True) would be 1.0
+            raise TypeError
         number = float(value)
     except (TypeError, ValueError):
         raise InputError(f"{name} must be a number, got {value!r}") from None
@@ -113,6 +115,8 @@ def build_state(spec, hbar, args):
             w = mixture_wigner(comps)
         elif kind == "grid":
             w = load_wigner_manifest(spec["manifest"])
+            if (args.hbar is not None or "hbar" in spec) and hbar != w.hbar:
+                raise InputError(f"hbar {hbar!r} differs from the manifest's hbar {w.hbar!r}")
             hbar = w.hbar
         elif kind == "narcowich-oconnell":
             axis = default_axis(1.0, max(count, NO_COUNT), max(extent, NO_EXTENT))
@@ -385,20 +389,20 @@ def build_parser():
                      description="Is this phase-space function a Wigner distribution?")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hbar", type=float, default=None, help="override hbar")
+    common.add_argument("--hbar", type=_positive_arg, default=None, help="override hbar")
     common.add_argument("--grid-n", type=_at_least(16, int), default=256,
                         help="grid points per axis (even)")
     common.add_argument("--grid-extent", type=_positive_arg, default=8.0,
                         help="half-width of the position axis in units of sqrt(hbar)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-    common.add_argument("--rescale", type=float, default=None,
+    common.add_argument("--rescale", type=_positive_arg, default=None,
                         help="apply a rescaling parameter to the built state")
     common.add_argument("--max-order", type=_at_least(1, int), default=5,
                         help="largest sampled order")
     common.add_argument("--trials", type=_at_least(1, int), default=50, help="point sets per order")
-    common.add_argument("--cmax-factor", type=_at_least(1.0), default=1.25,
+    common.add_argument("--cmax-factor", type=_at_least(1.0), default=C_MAX_FACTOR,
                         help="cap on the domination constant, relative to max W")
-    common.add_argument("--tol-klm", type=_at_least(0.0), default=1e-6)
+    common.add_argument("--tol-klm", type=_at_least(0.0), default=DEFAULT_KLM_TOL)
     common.add_argument("--tol-oracle", type=_at_least(0.0), default=DEFAULT_ORACLE_TOL)
     common.add_argument("--tol-p4", type=_at_least(0.0), default=DEFAULT_P4_TOL)
     common.add_argument("-o", "--output", default=None, help="write the JSON report here")
@@ -425,7 +429,7 @@ def main(argv=None):
         report, witnesses = args.run(spec, hbar, args)
         if report is not None:
             _emit(report, args)
-    except (InputError, OSError, ValueError) as exc:
+    except (InputError, OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2 if witnesses else 0

@@ -35,6 +35,7 @@ VERDICT_BAND = 0.02
 HARDY_BAND = 0.05
 HARDY_CAP_FACTOR = 10.0  # largest C of a decay fit, relative to the peak amplitude
 FIT_FLOOR = 1e-9  # W / max W below which values are quadrature noise, not constraints
+C_MAX_FACTOR = 1.25  # default cap on the domination constant C, relative to max W
 # compact support: values above SUPPORT_THRESHOLD * peak sit at least
 # MARGIN_CELLS inside the grid, and those outside that box below HARD_ZERO * peak
 SUPPORT_THRESHOLD, MARGIN_CELLS, HARD_ZERO = 1e-10, 2, 1e-14
@@ -264,7 +265,7 @@ def _line_envelope(w, mu):
     return M / max(1.0, float((_forms(w) @ M[[0, 0, 1], [0, 1, 1]]).max())), [a]
 
 
-def fit_dominating_gaussian(w, c_max_factor=1.25):
+def fit_dominating_gaussian(w, c_max_factor=C_MAX_FACTOR):
     """Tightest dominating Gaussian of a Wigner grid, maximizing mu_1(M).
 
     Constraints use the points with W >= FIT_FLOOR * max(W): negative values

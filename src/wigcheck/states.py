@@ -177,9 +177,6 @@ class WignerGrid:
     def cell_area(self):
         return self.x_axis.spacing * self.p_axis.spacing
 
-    def meshgrid(self):
-        return np.meshgrid(self.x_axis.points, self.p_axis.points, indexing="ij")
-
 
 def _hermite_functions(n, xi):
     """Normalized Hermite functions h_0..h_n at points xi (stable recurrence)."""
@@ -437,7 +434,8 @@ class SymplecticFourier:
     quadrature over the stored grid, so any point is admissible.  The grid
     is real, so the quadrature runs in real arithmetic: one real product of
     [cos; sin](p x') with the grid, then the cos/sin(x p') factors.  Hence
-    F(-z) = conj F(z) holds exactly, and F(0) equals the grid trace.
+    F(-z) = conj F(z) holds exactly.  The attribute `trace` is `trace(w)`,
+    the value F(0).
     """
 
     def __init__(self, w):
@@ -445,8 +443,7 @@ class SymplecticFourier:
         self._ps = w.p_axis.points
         self._vals = w.values
         self._area = w.cell_area
-        self.boundary_ratio = _frame_ratio(w.values)
-        self.trace = float(w.values.sum() * self._area)
+        self.trace = trace(w)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)

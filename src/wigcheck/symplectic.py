@@ -15,12 +15,10 @@ import numpy as np
 
 __all__ = [
     "symplectic_form",
-    "symplectic_product",
     "is_symplectic",
     "symplectic_spectrum",
     "WilliamsonFactorization",
     "williamson",
-    "random_symplectic",
 ]
 
 PD_TOL = 1e-12
@@ -37,22 +35,6 @@ def _check_phase_space_dim(dim):
     if dim < 2 or dim % 2 != 0:
         raise ValueError(f"phase-space dimension must be even and >= 2, got {dim}")
     return dim // 2
-
-
-def symplectic_product(z1, z2):
-    """Symplectic product sigma(z1, z2) = z2^T J z1 = p1.x2 - p2.x1.
-
-    Antisymmetric and bilinear; both arguments must be vectors of the same
-    even length 2N.
-    """
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    if z1.shape != z2.shape or z1.ndim != 1:
-        raise ValueError("arguments must be 1-d vectors of equal length")
-    n = _check_phase_space_dim(z1.size)
-    x1, p1 = z1[:n], z1[n:]
-    x2, p2 = z2[:n], z2[n:]
-    return float(p1 @ x2 - p2 @ x1)
 
 
 def is_symplectic(S, tol=1e-10):
@@ -84,17 +66,31 @@ def _sqrtm_spd(M):
     return (V * np.sqrt(w)) @ V.T
 
 
+def _normal_modes(M):
+    """The symmetrized M, its root M^(1/2) and K = M^(1/2) J M^(1/2) of a
+    symmetric positive-definite M.  K is skew-symmetric up to rounding, and
+    the Hermitian i K has the eigenvalues +/- mu_j, with mu_j the symplectic
+    spectrum of M."""
+    M, n = _check_spd(M)
+    root = _sqrtm_spd(M)
+    return M, root, root @ symplectic_form(n) @ root
+
+
 def symplectic_spectrum(M):
     """Symplectic spectrum of a symmetric positive-definite matrix.
 
-    The eigenvalues of J M come in pairs +/- i mu_j with mu_j > 0; the
+    The eigenvalues of J M come in pairs +/- i mu_j with mu_j > 0; they are
+    the eigenvalues +/- mu_j of the Hermitian i K of `_normal_modes`.  The
     returned array holds the N values mu_j sorted in descending order.
+    Raises when the eigenproblem does not give N finite positive values, as
+    happens when the entries of M are near the largest float.
     """
-    M, n = _check_spd(M)
-    root = _sqrtm_spd(M)
-    K = root @ symplectic_form(n) @ root  # skew-symmetric, eigenvalues +/- i mu_j
-    ev = np.linalg.eigvalsh(1j * K)       # Hermitian, eigenvalues +/- mu_j
-    return np.sort(ev[ev > 0])[::-1].copy()
+    _, _, K = _normal_modes(M)
+    ev = np.linalg.eigvalsh(1j * K)
+    mu = ev[np.isfinite(ev) & (ev > 0)]
+    if mu.size != K.shape[0] // 2:
+        raise ValueError("symplectic spectrum is not finite: the matrix entries are too large")
+    return np.sort(mu)[::-1].copy()
 
 
 @dataclass
@@ -106,30 +102,20 @@ class WilliamsonFactorization:
     residual: float = 0.0
     symplectic_residual: float = 0.0
 
-    @property
-    def D(self):
-        return np.diag(np.concatenate([self.spectrum, self.spectrum]))
-
-    def reconstruct(self):
-        return self.S.T @ self.D @ self.S
-
 
 def williamson(M):
     """Williamson normal form of a symmetric positive-definite matrix.
 
-    Computes M^(1/2) and the skew-symmetric K = M^(1/2) J M^(1/2), whose
-    Hermitian i K has eigenvalues +/- mu_j.  An eigenvector e of +mu_j,
-    rotated so that its first entry of modulus >= half the largest is
-    positive imaginary, gives the orthonormal pair u = sqrt(2) Im e,
-    v = sqrt(2) Re e with K u = -mu_j v and K v = mu_j u (for one degree of
-    freedom, the coordinate axes).  The pairs assemble a symplectic S with
-    M = S^T D S.  The relative reconstruction residual and the symplecticity
-    residual of S are recorded on the result.
+    K of `_normal_modes` is made exactly skew-symmetric.  An eigenvector e
+    of +mu_j of the Hermitian i K, rotated so that its first entry of
+    modulus >= half the largest is positive imaginary, gives the orthonormal
+    pair u = sqrt(2) Im e, v = sqrt(2) Re e with K u = -mu_j v and
+    K v = mu_j u (for one degree of freedom, the coordinate axes).  The pairs
+    assemble a symplectic S with M = S^T D S.  The relative reconstruction
+    residual and the symplecticity residual of S are recorded on the result.
     """
-    M, n = _check_spd(M)
-    root = _sqrtm_spd(M)
-    J = symplectic_form(n)
-    K = root @ J @ root
+    M, root, K = _normal_modes(M)
+    n = M.shape[0] // 2
     K = 0.5 * (K - K.T)
     ev, E = np.linalg.eigh(1j * K)
     spectrum, E = ev[::-1][:n], E[:, ::-1][:, :n]  # +mu_j, descending
@@ -142,29 +128,9 @@ def williamson(M):
 
     recon = S.T @ np.diag(scale) @ S
     residual = np.abs(recon - M).max() / np.abs(M).max()
+    J = symplectic_form(n)
     sym_res = np.abs(S.T @ J @ S - J).max()
     if residual > 1e-6:
         raise ValueError(f"Williamson decomposition failed to converge (residual {residual:.3e})")
     return WilliamsonFactorization(S=S, spectrum=spectrum, residual=float(residual),
                                    symplectic_residual=float(sym_res))
-
-
-def random_symplectic(seed, ndof):
-    """Deterministic pseudo-random symplectic matrix.
-
-    Composes two Cayley transforms (I - A/2)^(-1) (I + A/2) of Hamiltonian
-    matrices A = J H with random symmetric H; each is symplectic.
-    """
-    if ndof < 1:
-        raise ValueError("ndof must be >= 1")
-    rng = np.random.default_rng(seed)
-    dim = 2 * ndof
-    J = symplectic_form(ndof)
-    eye = np.eye(dim)
-    S = eye
-    for _ in range(2):
-        H = rng.normal(size=(dim, dim))
-        H = 0.25 * (H + H.T) / np.sqrt(dim)
-        A = J @ H
-        S = S @ np.linalg.solve(eye - A / 2, eye + A / 2)
-    return S

@@ -23,7 +23,6 @@ __all__ = [
     "check_rs",
     "check_quantum_psd",
     "check_williamson_criterion",
-    "rescale_covariance",
     "lambda_star",
     "UncertaintyReport",
     "uncertainty_report",
@@ -39,7 +38,6 @@ class CovarianceMatrix:
 
     sigma: np.ndarray
     mean: np.ndarray
-    hbar: float = 1.0
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
@@ -67,7 +65,7 @@ def covariance_from_grid(w):
     total = weight.sum()
     if total > 0 and _boundary_band_sum(weight) > TAIL_TOL * total:
         warnings.warn("second moments may not have converged (heavy tail at the grid boundary)")
-    return CovarianceMatrix(np.array([[sxx, sxp], [sxp, spp]]), np.array([mx, mp]), w.hbar)
+    return CovarianceMatrix(np.array([[sxx, sxp], [sxp, spp]]), np.array([mx, mp]))
 
 
 @dataclass
@@ -124,20 +122,16 @@ def check_williamson_criterion(sigma, hbar=1.0):
     return bool(nu_min >= hbar / 2 - BOUNDARY_BAND * norm), nu_min
 
 
-def rescale_covariance(sigma, lam):
-    """Covariance of the lam-rescaled state: Sigma / lam^2."""
-    if lam <= 0:
-        raise ValueError("rescale parameter must be positive")
-    return np.asarray(sigma, dtype=float) / lam**2
-
-
 def lambda_star(sigma, hbar=1.0):
     """Largest rescaling parameter that keeps the covariance admissible.
 
     Equals sqrt(2 * nu_min / hbar); a value below 1 means the covariance
     already violates the uncertainty principle.
     """
-    nu = symplectic_spectrum(np.asarray(sigma, dtype=float))
+    return _lambda_star(symplectic_spectrum(np.asarray(sigma, dtype=float)), hbar)
+
+
+def _lambda_star(nu, hbar):
     return float(np.sqrt(2.0 * nu[-1] / hbar))
 
 
@@ -173,7 +167,7 @@ def uncertainty_report(sigma, hbar=1.0):
         psd_ok=psd_ok,
         nu_min=float(nu[-1]),
         nu_max=float(nu[0]),
-        lambda_star=lambda_star(sigma, hbar),
+        lambda_star=_lambda_star(nu, hbar),
         verdict="pass" if psd_ok else "fail",
         boundary=boundary,
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wigcheck import (fock_state, mixture_wigner, narcowich_oconnell_grid,
-                      wigner_of_pure)
+                      symplectic_form, wigner_of_pure)
 
 
 def random_spd(rng, dim, lo=0.2, hi=2.0):
@@ -11,6 +11,27 @@ def random_spd(rng, dim, lo=0.2, hi=2.0):
     q, _ = np.linalg.qr(a)
     eigs = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
     return (q * eigs) @ q.T
+
+
+def random_symplectic(seed, ndof):
+    """Deterministic pseudo-random symplectic matrix.
+
+    Composes two Cayley transforms (I - A/2)^(-1) (I + A/2) of Hamiltonian
+    matrices A = J H with random symmetric H; each is symplectic.
+    """
+    if ndof < 1:
+        raise ValueError("ndof must be >= 1")
+    rng = np.random.default_rng(seed)
+    dim = 2 * ndof
+    J = symplectic_form(ndof)
+    eye = np.eye(dim)
+    S = eye
+    for _ in range(2):
+        H = rng.normal(size=(dim, dim))
+        H = 0.25 * (H + H.T) / np.sqrt(dim)
+        A = J @ H
+        S = S @ np.linalg.solve(eye - A / 2, eye + A / 2)
+    return S
 
 
 @pytest.fixture(scope="session")

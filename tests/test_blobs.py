@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_spd
+from conftest import random_spd, random_symplectic
 from wigcheck import (capacity, check_quantum_psd, find_contained_blob,
-                      is_admissible, quantum_blob, random_symplectic,
-                      section_area, symplectic_spectrum)
+                      is_admissible, quantum_blob, section_area, symplectic_spectrum)
 
 
 def test_capacity_examples():
@@ -107,7 +106,7 @@ def test_admissible_sections_coupled_counterexamples_logged():
 def test_quantum_blob_examples():
     blob = quantum_blob(np.eye(2))
     assert np.allclose(blob.matrix, np.eye(2))
-    assert blob.capacity() == pytest.approx(np.pi)
+    assert capacity(blob.matrix, blob.hbar) == pytest.approx(np.pi)
 
     blob = quantum_blob(np.diag([2.0, 0.5]))
     assert np.allclose(blob.matrix, np.diag([0.25, 4.0]))
@@ -119,7 +118,7 @@ def test_quantum_blob_random_capacity():
         S = random_symplectic(seed, 2)
         blob = quantum_blob(S)
         assert np.allclose(symplectic_spectrum(blob.matrix), 1.0, atol=1e-9)
-        assert abs(blob.capacity() - np.pi) <= 1e-9
+        assert abs(capacity(blob.matrix, blob.hbar) - np.pi) <= 1e-9
 
 
 def test_quantum_blob_rejects_non_symplectic():

@@ -309,10 +309,15 @@ def test_non_finite_cmax_factor_rejected(capsys, value):
     ["hbar-sweep", '{"type":"fock","n":0}', "--values", "-1"],
     ["hbar-sweep", '{"type":"fock","n":0}', "--values", "1,nan"],
     ["hbar-sweep", '{"type":"fock","n":0}', "--values", "inf"],
+    ["analyze", '{"type":"fock","n":0}', "--hbar", "-1"],
+    ["analyze", '{"type":"fock","n":0}', "--hbar", "nan"],
+    ["analyze", '{"type":"fock","n":0}', "--rescale", "-1"],
+    ["analyze", '{"type":"grid","manifest":"missing.json"}', "--rescale", "0"],
 ], ids=["cmax-below-1", "grid-n-0", "grid-n-14", "extent-inf", "extent-0", "hardy-extent-nan",
         "lambdas-inf", "lambdas-nan", "lambdas-start-0", "lambdas-reversed", "lambdas-step-0",
         "lambdas-count-overflows", "lambdas-two-parts", "values-zero", "values-negative",
-        "values-nan", "values-inf"])
+        "values-nan", "values-inf", "hbar-negative", "hbar-nan", "rescale-negative",
+        "rescale-0-missing-manifest"])
 def test_bad_numbers_rejected_at_parse_time(capsys, monkeypatch, argv):
     # rejected before any spec is loaded or grid built
     monkeypatch.setattr(cli, "_load_spec", lambda source: pytest.fail("spec loaded"))
@@ -351,6 +356,42 @@ def test_odd_grid_size_rejected(capsys, spec):
 def test_fock_n_must_be_an_integer(capsys, argv):
     # int() would have truncated these to a Fock state the report does not name
     assert_input_error(capsys, argv, "integer 'n'")
+
+
+@pytest.mark.parametrize("spec", ['{"type":"fock","n":0,"hbar":true}',
+                                  '{"type":"fock","n":0,"rescale":true}'], ids=["hbar", "rescale"])
+def test_bool_hbar_or_rescale_rejected(capsys, spec):
+    # float(True) is 1.0: the report would name a value the spec does not give
+    assert_input_error(capsys, ["analyze", spec], "must be a number, got True")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", '{"type":"fock","n":0,"hbar":1e300}'],
+    ["analyze", '{"type":"gaussian","mean":[0,0],"cov":[[1,0],[0,1]]}', "--rescale", "1e300"],
+    ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "0.1:1e300:1e299"],
+    ["analyze", '{"type":"narcowich-oconnell","alpha":1e300}'],
+    # the first array, 7.3 TiB, cannot be allocated at all, so no memory is touched
+    ["wigner", '{"type":"fock","n":0}', "--grid-n", "1000000000000"],
+    ["capacity", '{"M": [[1e308, 0], [0, 1e308]]}'],
+], ids=["hbar-squared", "rescale-squared", "sweep-lambda-squared", "alpha-squared",
+        "grid-too-large", "capacity-spectrum"])
+def test_numbers_out_of_range_are_one_line_errors(capsys, argv):
+    assert_input_error(capsys, argv)
+
+
+def test_explicit_hbar_must_match_the_manifest(tmp_path, capsys):
+    manifest = tmp_path / "grid.json"
+    assert main(["wigner", '{"type":"fock","n":0,"hbar":2}', "--grid-n", "64",
+                 "-o", str(manifest)]) == 0
+    spec = {"type": "grid", "manifest": str(manifest)}
+    quick = ["--no-klm", "--no-domination", "--no-oracle"]
+    assert_input_error(capsys, ["analyze", json.dumps(spec), "--hbar", "1", *quick],
+                       "differs from the manifest")
+    assert_input_error(capsys, ["analyze", json.dumps({**spec, "hbar": 3}), *quick],
+                       "differs from the manifest")
+    for extra, flags in (({}, []), ({"hbar": 2}, []), ({}, ["--hbar", "2"])):
+        code, rep = run_cli(capsys, "analyze", json.dumps({**spec, **extra}), *flags, *quick)
+        assert code == 0 and rep["hbar"] == 2.0 and rep["input"]["hbar"] == 2.0
 
 
 def test_fock_n_that_does_not_fit_fails_before_building(capsys):

@@ -87,7 +87,8 @@ def test_fit_scaling_equivariance(vacuum_wigner):
 
 def test_fit_domination_is_pointwise(vacuum_wigner):
     cert = fit_dominating_gaussian(vacuum_wigner)
-    X, P = vacuum_wigner.meshgrid()
+    X, P = np.meshgrid(vacuum_wigner.x_axis.points, vacuum_wigner.p_axis.points,
+                       indexing="ij")
     quad = (cert.M[0, 0] * X * X + 2 * cert.M[0, 1] * X * P + cert.M[1, 1] * P * P)
     mask = vacuum_wigner.values >= cert.floor * vacuum_wigner.values.max()
     lhs = vacuum_wigner.values[mask] * np.exp(quad[mask] / vacuum_wigner.hbar)
@@ -202,7 +203,7 @@ DEGENERATE = {"single-value", "line"}
 def _constraints(w, c_max_factor=1.25, floor=1e-9):
     """The fit's constraint set, built as fit_dominating_gaussian builds it."""
     peak = w.values.max()
-    X, P = w.meshgrid()
+    X, P = np.meshgrid(w.x_axis.points, w.p_axis.points, indexing="ij")
     mask = w.values >= floor * peak
     budget = w.hbar * (np.log(c_max_factor) - np.log(w.values[mask] / peak))
     return X[mask], P[mask], budget

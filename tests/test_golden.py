@@ -1,4 +1,5 @@
-"""Golden reports of every command line in the README "Command line" block.
+"""Golden reports of every command line in the README "Command line" block,
+and the values the README "Library" block states.
 
 Each golden file holds the command line, its exit code and its report.
 Keys, strings, booleans, integers and nulls must match exactly; floats
@@ -10,6 +11,7 @@ Regenerate (only when a report is meant to change) with
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
 """
 
+import ast
 import io
 import json
 import shlex
@@ -17,6 +19,7 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wigcheck.cli import main
@@ -74,6 +77,22 @@ def test_readme_command_matches_golden(index, capsys):
 def test_every_golden_has_a_readme_command():
     expected = {golden_path(i, argv).name for i, argv in enumerate(COMMANDS)}
     assert {p.name for p in GOLDEN.glob("*.json")} == expected
+
+
+def test_readme_library_block():
+    block = (ROOT / "README.md").read_text().split("## Library", 1)[1]
+    block = block.split("```python", 1)[1].split("```", 1)[0]
+    env, values = {}, {}
+    for node in ast.parse(block).body:
+        code = ast.get_source_segment(block, node)
+        if isinstance(node, ast.Expr):
+            values[code] = eval(code, env)
+        else:
+            exec(code, env)
+    assert values["wc.check_quantum_psd(sigma, 1.0)"][0] is True
+    assert values["wc.operator_spectrum_oracle(w)[-1]"] == pytest.approx(-0.405, abs=5e-4)
+    assert values["wc.klm_check(w, seed=3).overall"] == "violation_certificate"
+    assert values["wc.capacity(np.diag([4.0, 1.0]))"] == pytest.approx(np.pi / 2)
 
 
 if __name__ == "__main__":

@@ -383,7 +383,7 @@ def test_rescale_without_momentum_overlap_is_zero():
 def test_symplectic_fourier_matches_complex_quadrature(no_grid):
     f = SymplecticFourier(no_grid)
     pts = np.random.default_rng(5).normal(size=(7, 2))
-    X, P = no_grid.meshgrid()
+    X, P = np.meshgrid(no_grid.x_axis.points, no_grid.p_axis.points, indexing="ij")
     direct = np.array([(np.exp(1j * (p * X - P * x)) * no_grid.values).sum()
                        for x, p in pts]) * no_grid.cell_area
     assert np.abs(f(pts) - direct).max() <= 1e-13

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_spd
+from conftest import random_spd, random_symplectic
 from wigcheck import (as_dict, check_quantum_psd, check_rs, check_williamson_criterion,
                       covariance_from_grid, default_axis, fock_state, hbar_sweep,
-                      lambda_star, random_symplectic, rescale_covariance,
-                      uncertainty_report, wigner_gaussian, wigner_of_pure)
+                      lambda_star, uncertainty_report, wigner_gaussian, wigner_of_pure)
 
 
 def test_covariance_vacuum(vacuum_wigner):
@@ -73,7 +72,7 @@ def test_quantum_psd_boundary_and_failure():
 
 
 def test_quantum_psd_fails_after_rescaling():
-    sigma = rescale_covariance(0.5 * np.eye(2), 1.2)
+    sigma = 0.5 * np.eye(2) / 1.2**2
     ok, _ = check_quantum_psd(sigma, 1.0)
     assert not ok
 
@@ -100,14 +99,14 @@ def test_criteria_agree_on_random_covariances():
 
 def test_rescale_covariance_examples():
     sigma = 0.5 * np.eye(2)
-    assert np.array_equal(rescale_covariance(sigma, 1.0), sigma)
-    assert np.allclose(rescale_covariance(sigma, 2.0), np.eye(2) / 8)
+    assert np.array_equal(sigma / 1.0**2, sigma)
+    assert np.allclose(sigma / 2.0**2, np.eye(2) / 8)
 
 
 def test_rescale_covariance_grid_cross_check(fock1_wigner):
     from wigcheck import rescale
     lam = 1.3
-    direct = rescale_covariance(covariance_from_grid(fock1_wigner).sigma, lam)
+    direct = covariance_from_grid(fock1_wigner).sigma / lam**2
     via_grid = covariance_from_grid(rescale(fock1_wigner, lam)).sigma
     assert np.allclose(direct, via_grid, atol=1e-3)
 
@@ -129,7 +128,7 @@ def test_lambda_star_matches_sweep():
         sigma = random_spd(rng, 2, lo=0.3, hi=1.5)
         star = lambda_star(sigma, hbar)
         for lam in np.linspace(0.5 * star, 1.5 * star, 11):
-            ok, _ = check_quantum_psd(rescale_covariance(sigma, lam), hbar)
+            ok, _ = check_quantum_psd(sigma / lam**2, hbar)
             if abs(lam - star) > 1e-9:
                 assert ok == (lam < star)
 
