@@ -21,6 +21,7 @@ input errors.
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -208,13 +209,13 @@ def _domination_with_blob(w, args):
 
 
 def _oracle(w, args):
-    """Operator-spectrum ground truth."""
-    eigs = operator_spectrum_oracle(w)
-    oracle = {"top_eigenvalues": as_dict(eigs[:10]),
-              "min_eigenvalue": float(eigs[-1]),
-              "eigenvalue_sum": float(eigs.sum()),
-              "tol": args.tol_oracle,
-              "positive": bool(eigs[-1] >= -args.tol_oracle)}
+    """Operator-spectrum ground truth on the two same-parity kernel blocks."""
+    even, odd = operator_spectrum_oracle(w)
+    low = float(min(even[-1], odd[-1]))
+    sums = [float(even.sum()), float(odd.sum())]  # their mean is the trace
+    oracle = {"top_eigenvalues": as_dict(even[:10]), "min_eigenvalue": low,
+              "eigenvalue_sum": (sums[0] + sums[1]) / 2, "sublattice_sums": sums,
+              "tol": args.tol_oracle, "positive": low >= -args.tol_oracle}
     witnesses = []
     if not oracle["positive"]:
         witnesses.append({"type": "oracle_negative_eigenvalue",
@@ -423,15 +424,21 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    try:
-        spec = _load_spec(args.spec)
-        hbar = _positive(args.hbar if args.hbar is not None else spec.get("hbar", 1.0), "hbar")
-        report, witnesses = args.run(spec, hbar, args)
-        if report is not None:
-            _emit(report, args)
-    except (InputError, OSError, ValueError, OverflowError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # warnings wait for the command to end: an input error prints its one line alone
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            spec = _load_spec(args.spec)
+            hbar = _positive(args.hbar if args.hbar is not None else spec.get("hbar", 1.0), "hbar")
+            report, witnesses = args.run(spec, hbar, args)
+            if report is not None:
+                _emit(report, args)
+        except (InputError, OSError, ValueError, OverflowError, MemoryError) as exc:
+            if isinstance(exc, OverflowError):
+                exc = "numerical overflow: an input number is too large to compute with"
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    for msg in caught:
+        warnings.showwarning(msg.message, msg.category, msg.filename, msg.lineno)
     return 2 if witnesses else 0
 
 

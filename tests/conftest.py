@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wigcheck import (fock_state, mixture_wigner, narcowich_oconnell_grid,
-                      symplectic_form, wigner_of_pure)
+                      operator_spectrum_oracle, symplectic_form, wigner_of_pure)
 
 
 def random_spd(rng, dim, lo=0.2, hi=2.0):
@@ -11,6 +11,11 @@ def random_spd(rng, dim, lo=0.2, hi=2.0):
     q, _ = np.linalg.qr(a)
     eigs = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
     return (q * eigs) @ q.T
+
+
+def oracle_min(w):
+    """Smallest eigenvalue of the two same-parity kernel blocks."""
+    return min(eigs[-1] for eigs in operator_spectrum_oracle(w))
 
 
 def random_symplectic(seed, ndof):

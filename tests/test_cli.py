@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wigcheck import cli
+from wigcheck import cli, default_axis, fock_state, mixture_wigner
 from wigcheck.cli import _emit, main
 
 
@@ -120,6 +122,36 @@ def test_oracle_command(capsys):
     code, rep = run_cli(capsys, "oracle", '{"type":"fock","n":1,"rescale":1.2}')
     assert code == 2
     assert rep["oracle"]["min_eigenvalue"] < -1e-3
+
+
+@pytest.mark.parametrize("grid_n", ["96", "128"])
+def test_fock1_has_no_oracle_witness_on_coarse_grids(capsys, grid_n):
+    # the sublattice blocks take every entry from a grid row, so a true state's
+    # kernel is positive to round-off however coarse the grid
+    for command in ("oracle", "analyze"):
+        code, rep = run_cli(capsys, command, '{"type":"fock","n":1}', "--grid-n", grid_n)
+        assert code == 0
+        assert rep["oracle"]["min_eigenvalue"] >= -1e-12
+
+
+@pytest.mark.parametrize("grid_n", ["96", "128"])
+@pytest.mark.parametrize("spec", ['{"type":"fock","n":1,"rescale":1.2}',
+                                  '{"type":"fock","n":0,"rescale":1.5}',
+                                  '{"type":"bump","radius":1.0}'])
+def test_non_states_keep_their_oracle_witness_on_coarse_grids(capsys, spec, grid_n):
+    code, rep = run_cli(capsys, "oracle", spec, "--grid-n", grid_n)
+    assert code == 2
+    assert rep["oracle"]["min_eigenvalue"] < -1e-3
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(st.floats(0.01, 0.99), st.integers(48, 128))
+def test_fock_mixtures_have_no_oracle_witness(weight, half):
+    axis = default_axis(count=2 * half)
+    w = mixture_wigner([(weight, fock_state(0, axis)), (1 - weight, fock_state(1, axis))])
+    fragment, witnesses = cli._oracle(w, argparse.Namespace(tol_oracle=cli.DEFAULT_ORACLE_TOL))
+    assert fragment["oracle"]["min_eigenvalue"] >= -1e-12
+    assert witnesses == []
 
 
 def test_capacity_command(capsys):
@@ -377,6 +409,36 @@ def test_bool_hbar_or_rescale_rejected(capsys, spec):
         "grid-too-large", "capacity-spectrum"])
 def test_numbers_out_of_range_are_one_line_errors(capsys, argv):
     assert_input_error(capsys, argv)
+
+
+def _python(*argv):
+    """Run python with warnings shown (`-W default`) and the package on the path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    return subprocess.run([sys.executable, "-W", "default", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", '{"type":"fock","n":0,"hbar":1e300}'],
+    ["analyze", '{"type":"fock","n":0}', "--rescale", "1e300"],
+], ids=["hbar", "rescale"])
+def test_overflow_prints_one_line_and_no_warnings(argv):
+    # the overflowing runs warn before they fail; the warnings are dropped
+    done = _python("-m", "wigcheck.cli", *argv)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: numerical overflow: an input number is too large")
+    assert done.stderr.count("\n") == 1
+
+
+def test_warnings_of_a_successful_command_follow_unchanged():
+    done = _python("-m", "wigcheck.cli", "wigner", '{"type":"fock","n":0}', "--rescale", "0.3",
+                   "--grid-n", "64")
+    assert done.returncode == 0 and json.loads(done.stdout)["trace"] > 0
+    direct = _python("-c", "from wigcheck import default_axis, fock_state, rescale, "
+                           "wigner_of_pure; "
+                           "rescale(wigner_of_pure(fock_state(0, default_axis(count=64))), 0.3)")
+    assert "UserWarning: rescale mass drift" in direct.stderr
+    assert done.stderr == direct.stderr
 
 
 def test_explicit_hbar_must_match_the_manifest(tmp_path, capsys):

@@ -90,7 +90,8 @@ def test_readme_library_block():
         else:
             exec(code, env)
     assert values["wc.check_quantum_psd(sigma, 1.0)"][0] is True
-    assert values["wc.operator_spectrum_oracle(w)[-1]"] == pytest.approx(-0.405, abs=5e-4)
+    assert values["min(e[-1] for e in wc.operator_spectrum_oracle(w))"] == pytest.approx(
+        -0.405, abs=5e-4)
     assert values["wc.klm_check(w, seed=3).overall"] == "violation_certificate"
     assert values["wc.capacity(np.diag([4.0, 1.0]))"] == pytest.approx(np.pi / 2)
 

@@ -3,10 +3,11 @@ import pytest
 import scipy.fft
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
+from conftest import oracle_min
 from wigcheck import (AxisGrid, SymplecticFourier, default_axis, fock_state,
                       fourier_wavefunction, gaussian_wavepacket, kernel_from_wigner,
                       load_wigner_manifest, mixture_wigner, operator_spectrum_oracle,
-                      rescale, save_wigner_manifest, trace,
+                      rescale, save_wigner_manifest, trace, truncated_bump_grid,
                       wigner_gaussian, wigner_momentum_axis, wigner_of_pure)
 from wigcheck.states import (WaveFunctionGrid, WignerGrid, _boundary_band_sum, _chirp_sum,
                              _fast_len, _spline_at)
@@ -163,48 +164,59 @@ def test_symplectic_fourier_reality_symmetry(fock1_wigner):
 
 
 def test_kernel_round_trip(vacuum_psi, vacuum_wigner):
-    k = kernel_from_wigner(vacuum_wigner)
     ref = np.outer(vacuum_psi.values, np.conj(vacuum_psi.values))
-    assert np.abs(k - ref).max() <= 1e-5
+    blocks = kernel_from_wigner(vacuum_wigner)
+    for parity, k in enumerate(blocks):
+        assert np.abs(k - ref[parity::2, parity::2]).max() <= 1e-12
+    assert len(blocks) == 2
 
 
 def test_kernel_diagonal_trace(fock1_wigner):
-    k = kernel_from_wigner(fock1_wigner)
-    diag_sum = float(np.real(np.trace(k))) * fock1_wigner.x_axis.spacing
-    assert diag_sum == pytest.approx(trace(fock1_wigner), abs=1e-5)
+    diag_sum = sum(float(np.real(np.trace(k))) for k in kernel_from_wigner(fock1_wigner))
+    assert diag_sum * fock1_wigner.x_axis.spacing == pytest.approx(trace(fock1_wigner), abs=1e-12)
 
 
 def test_kernel_hermitian(no_grid):
-    k = kernel_from_wigner(no_grid)
-    assert np.abs(k - k.conj().T).max() <= 1e-8
+    for k in kernel_from_wigner(no_grid):
+        assert np.array_equal(k, k.conj().T)
 
 
 def test_oracle_vacuum_projector(vacuum_wigner):
-    eigs = operator_spectrum_oracle(vacuum_wigner)
-    assert eigs[0] == pytest.approx(1.0, abs=1e-4)
-    assert np.abs(eigs[1:]).max() <= 1e-4
+    for eigs in operator_spectrum_oracle(vacuum_wigner):
+        assert eigs[0] == pytest.approx(1.0, abs=1e-4)
+        assert np.abs(eigs[1:]).max() <= 1e-4
 
 
 def test_oracle_mixture_spectrum(mixture_5050):
-    eigs = operator_spectrum_oracle(mixture_5050)
-    assert eigs[0] == pytest.approx(0.5, abs=1e-3)
-    assert eigs[1] == pytest.approx(0.5, abs=1e-3)
-    assert np.abs(eigs[2:]).max() <= 1e-3
+    for eigs in operator_spectrum_oracle(mixture_5050):
+        assert eigs[0] == pytest.approx(0.5, abs=1e-3)
+        assert eigs[1] == pytest.approx(0.5, abs=1e-3)
+        assert np.abs(eigs[2:]).max() <= 1e-3
 
 
 def test_oracle_sum_matches_trace(mixture_5050, no_grid):
     for w in (mixture_5050, no_grid):
-        eigs = operator_spectrum_oracle(w)
-        assert eigs.sum() == pytest.approx(trace(w), abs=1e-4)
+        even, odd = operator_spectrum_oracle(w)
+        assert (even.sum() + odd.sum()) / 2 == pytest.approx(trace(w), abs=1e-12)
+
+
+def test_oracle_block_sums_split_the_trace_on_the_bump():
+    # each block's diagonal holds every other x-row: alone it misses the trace,
+    # the mean of the two holds every row once
+    axis = default_axis()
+    w = truncated_bump_grid(axis, axis, radius=1.0, profile="cosine")
+    sums = [eigs.sum() for eigs in operator_spectrum_oracle(w)]
+    assert (sums[0] + sums[1]) / 2 == pytest.approx(trace(w), abs=1e-12)
+    assert all(abs(s - trace(w)) > 1e-6 for s in sums)
 
 
 def test_oracle_rescaled_fock1_negative_two_grids():
     vals = []
     for count in (256, 512):
         w = wigner_of_pure(fock_state(1, default_axis(count=count)))
-        eigs = operator_spectrum_oracle(rescale(w, 1.2))
-        assert eigs[-1] <= -1e-3
-        vals.append(eigs[-1])
+        low = oracle_min(rescale(w, 1.2))
+        assert low <= -1e-3
+        vals.append(low)
     assert 0.5 <= vals[0] / vals[1] <= 2.0
 
 
@@ -320,16 +332,17 @@ def test_boundary_band_sum_counts_each_band_entry_once(shape):
     assert _boundary_band_sum(a) == pytest.approx(a[band].sum(), rel=1e-14)
 
 
-def _dense_kernel(w):
-    """Kernel by dense quadrature over every midpoint row and separation."""
-    xs, ps = w.x_axis.points, w.p_axis.points
+def _dense_blocks(w):
+    """The two same-parity kernel blocks by a direct momentum sum: entry
+    (j, l) sums grid row (j+l)/2 against exp(i p (j-l) dx / hbar) dp."""
     n, d = w.x_axis.count, w.x_axis.spacing
-    half = CubicSpline(xs, w.values, axis=0)(xs[0] + np.arange(2 * n - 1) * (d / 2))
     seps = np.arange(-(n - 1), n) * d
-    b = half @ (np.exp(1j * np.outer(ps, seps) / w.hbar) * w.p_axis.spacing)
-    j = np.arange(n)
-    k = b[j[:, None] + j, j[:, None] - j + n - 1]
-    return 0.5 * (k + k.conj().T)
+    rows = w.values @ (np.exp(1j * np.outer(w.p_axis.points, seps) / w.hbar) * w.p_axis.spacing)
+    blocks = []
+    for parity in (0, 1):
+        j = np.arange(parity, n, 2)
+        blocks.append(rows[(j[:, None] + j) // 2, j[:, None] - j + n - 1])
+    return blocks
 
 
 def test_kernel_matches_dense_quadrature(no_grid):
@@ -338,8 +351,9 @@ def test_kernel_matches_dense_quadrature(no_grid):
     off_centre = WignerGrid(x_axis, p_axis, rng.normal(size=(301, 250)), hbar=0.7)
     for w in (off_centre, no_grid):
         bound = 1e-12 * np.abs(w.values).sum(axis=1).max() * w.p_axis.spacing
-        got = kernel_from_wigner(w)
-        assert np.abs(got - _dense_kernel(w)).max() <= bound
+        for got, want in zip(kernel_from_wigner(w), _dense_blocks(w), strict=True):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= bound
 
 
 def _dense_rescale(w, lam):
