@@ -36,6 +36,8 @@ from .states import (as_dict, default_axis, fock_state, load_wigner_manifest, mi
                      wigner_gaussian, wigner_of_pure)
 from .uncertainty import covariance_from_grid, hbar_sweep, lambda_star, uncertainty_report
 
+DEFAULT_EXTENT = 8.0  # half-width of the position axis, in units of sqrt(hbar)
+FOCK_MARGIN = 6.0  # tail room beyond a Fock state's turning point, same units
 DEFAULT_ORACLE_TOL = 1e-5
 DEFAULT_P4_TOL = 1e-4
 
@@ -79,14 +81,23 @@ def _positive(value, name):
     return number
 
 
-def _fock(spec, axis, hbar):
-    n = spec.get("n")
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    # a bool is an int to Python; a fractional n must not be truncated
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InputError(f"a fock spec needs an integer 'n', got {n!r}")
-    return fock_state(n, axis, hbar)
+def _fock_states(specs, hbar, args):
+    """Wavefunctions of the fock `specs` on one position axis, of half-width
+    `--grid-extent` or else the largest turning point sqrt(2n+1) plus
+    FOCK_MARGIN, at least DEFAULT_EXTENT and at most sqrt(pi*count/4), past
+    which the conjugate momentum axis is the shorter (units of sqrt(hbar))."""
+    ns = [spec.get("n") for spec in specs]
+    ns = [int(n) if isinstance(n, float) and n.is_integer() else n for n in ns]
+    for n in ns:  # a bool is an int to Python; a fractional n must not be truncated
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InputError(f"a fock spec needs an integer 'n', got {n!r}")
+    count, extent = args.grid_n, args.grid_extent
+    if extent is None:
+        top = min(max([0, *ns]), count)  # no n above count fits; this bounds the float
+        extent = max(DEFAULT_EXTENT, min(np.sqrt(2 * top + 1) + FOCK_MARGIN,
+                                         np.sqrt(np.pi * count / 4)))
+    axis = default_axis(hbar, count, extent)
+    return [fock_state(n, axis, hbar) for n in ns]
 
 
 def build_state(spec, hbar, args):
@@ -95,25 +106,21 @@ def build_state(spec, hbar, args):
         raise InputError("state spec must be an object with a 'type' key")
     kind = spec["type"]
     count = args.grid_n
-    extent = args.grid_extent
+    extent = DEFAULT_EXTENT if args.grid_extent is None else args.grid_extent
 
     try:
         if kind == "fock":
-            w = wigner_of_pure(_fock(spec, default_axis(hbar, count, extent), hbar))
+            w = wigner_of_pure(_fock_states([spec], hbar, args)[0])
         elif kind == "gaussian":
             axis = default_axis(hbar, count, extent)
-            w = wigner_gaussian(np.asarray(spec["mean"], dtype=float),
-                                np.asarray(spec["cov"], dtype=float),
-                                axis, axis, hbar)
+            w = wigner_gaussian(spec["mean"], spec["cov"], axis, axis, hbar)
         elif kind == "mixture":
-            axis = default_axis(hbar, count, extent)
-            comps = []
-            for item in spec["components"]:
-                state = item["state"]
-                if not isinstance(state, dict) or state.get("type") != "fock":
-                    raise InputError("mixture components must be fock states")
-                comps.append((float(item["weight"]), _fock(state, axis, hbar)))
-            w = mixture_wigner(comps)
+            items = spec["components"]
+            states = [item["state"] for item in items]
+            if not all(isinstance(state, dict) and state.get("type") == "fock" for state in states):
+                raise InputError("mixture components must be fock states")
+            weights = [float(item["weight"]) for item in items]
+            w = mixture_wigner(zip(weights, _fock_states(states, hbar, args)))
         elif kind == "grid":
             w = load_wigner_manifest(spec["manifest"])
             if (args.hbar is not None or "hbar" in spec) and hbar != w.hbar:
@@ -306,7 +313,7 @@ def _capacity(spec, hbar, args):
 def _hardy(spec, hbar, args):
     if spec.get("type") != "fock":
         raise InputError("hardy expects a fock state spec")
-    psi = _fock(spec, default_axis(hbar, args.grid_n, args.grid_extent), hbar)
+    psi = _fock_states([spec], hbar, args)[0]
     return {"input": spec, "hbar": hbar, "hardy": as_dict(hardy_fit(psi))}, []
 
 
@@ -393,8 +400,9 @@ def build_parser():
     common.add_argument("--hbar", type=_positive_arg, default=None, help="override hbar")
     common.add_argument("--grid-n", type=_at_least(16, int), default=256,
                         help="grid points per axis (even)")
-    common.add_argument("--grid-extent", type=_positive_arg, default=8.0,
-                        help="half-width of the position axis in units of sqrt(hbar)")
+    common.add_argument("--grid-extent", type=_positive_arg, default=None,
+                        help="half-width of the position axis in units of sqrt(hbar) "
+                             "(default 8, wider for Fock states with n >= 2)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     common.add_argument("--rescale", type=_positive_arg, default=None,
                         help="apply a rescaling parameter to the built state")

@@ -154,6 +154,38 @@ def test_fock_mixtures_have_no_oracle_witness(weight, half):
     assert witnesses == []
 
 
+@pytest.mark.parametrize("spec, n_max", [
+    ('{"type":"fock","n":2}', 2), ('{"type":"fock","n":5}', 5),
+    ('{"type":"mixture","components":[{"weight":0.5,"state":{"type":"fock","n":0}},'
+     '{"weight":0.5,"state":{"type":"fock","n":3}}]}', 3)])
+def test_fock_states_above_n1_fit_the_default_grid(capsys, spec, n_max):
+    code = main(["analyze", spec])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    rep = json.loads(captured.out)
+    assert rep["classification"] == "consistent_with_state"
+    assert rep["trace"] == pytest.approx(1.0, abs=1e-12)
+    # the turning point sqrt(2n+1) plus the tail margin, in units of sqrt(hbar)
+    assert -rep["grid"]["x_axis"]["min"] == pytest.approx(np.sqrt(2 * n_max + 1) + cli.FOCK_MARGIN)
+    # an explicit extent is kept as given
+    assert_input_error(capsys, ["analyze", spec, "--grid-extent", "8"], "grid too narrow")
+
+
+def test_default_extent_of_n_up_to_1_is_unchanged(capsys):
+    for spec in ('{"type":"fock","n":1}', '{"type":"gaussian","mean":[0,0],"cov":[[1,0],[0,1]]}'):
+        code, rep = run_cli(capsys, "analyze", spec, "--no-klm", "--no-domination", "--no-oracle")
+        assert code == 0 and rep["grid"]["x_axis"]["min"] == -cli.DEFAULT_EXTENT
+
+
+def test_hardy_of_fock2_on_the_default_grid(capsys):
+    code = main(["hardy", '{"type":"fock","n":2}'])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    hardy = json.loads(captured.out)["hardy"]
+    # a polynomial times a Gaussian decays slower than the Gaussian alone
+    assert hardy["verdict"] == "consistent" and hardy["product"] < 1
+
+
 def test_capacity_command(capsys):
     code, rep = run_cli(capsys, "capacity", '{"M": [[4.0,0],[0,0.1111111111111111]]}')
     assert code == 0

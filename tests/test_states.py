@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -9,8 +11,8 @@ from wigcheck import (AxisGrid, SymplecticFourier, default_axis, fock_state,
                       load_wigner_manifest, mixture_wigner, operator_spectrum_oracle,
                       rescale, save_wigner_manifest, trace, truncated_bump_grid,
                       wigner_gaussian, wigner_momentum_axis, wigner_of_pure)
-from wigcheck.states import (WaveFunctionGrid, WignerGrid, _boundary_band_sum, _chirp_sum,
-                             _fast_len, _spline_at)
+from wigcheck.states import (_CHUNK_ROWS, WaveFunctionGrid, WignerGrid, _boundary_band_sum,
+                             _chirp_sum, _fast_len, _is_wigner_conjugate, _spline_at)
 
 
 def test_fock_normalization_and_orthogonality():
@@ -181,6 +183,18 @@ def test_kernel_hermitian(no_grid):
         assert np.array_equal(k, k.conj().T)
 
 
+def test_oracle_memory_stays_within_three_grids(no_grid):
+    # the rows stream through the chirp-z in blocks: the kernel's peak is the
+    # unpacked rows and the two blocks, each about the size of the grid
+    tracemalloc.start()
+    try:
+        operator_spectrum_oracle(no_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * no_grid.values.nbytes
+
+
 def test_oracle_vacuum_projector(vacuum_wigner):
     for eigs in operator_spectrum_oracle(vacuum_wigner):
         assert eigs[0] == pytest.approx(1.0, abs=1e-4)
@@ -347,9 +361,15 @@ def _dense_blocks(w):
 
 def test_kernel_matches_dense_quadrature(no_grid):
     rng = np.random.default_rng(3)
-    x_axis, p_axis = AxisGrid(-5.0, 6.0, 301), AxisGrid(-4.0, 3.5, 250)
-    off_centre = WignerGrid(x_axis, p_axis, rng.normal(size=(301, 250)), hbar=0.7)
-    for w in (off_centre, no_grid):
+    grids = [no_grid]
+    # off-centre, non-conjugate grids.  n rows pack into ceil(n/2): 17 into one
+    # partial row block with an unpaired row, 130 into a full block and one
+    # row more, 257 into two full blocks and an unpaired row
+    for n, m in ((301, 250), (17, 20), (2 * _CHUNK_ROWS + 2, 97), (4 * _CHUNK_ROWS + 1, 64)):
+        x_axis, p_axis = AxisGrid(-5.0, 6.0, n), AxisGrid(-4.0, 3.5, m)
+        grids.append(WignerGrid(x_axis, p_axis, rng.normal(size=(n, m)), hbar=0.7))
+        assert not _is_wigner_conjugate(grids[-1])
+    for w in grids:
         bound = 1e-12 * np.abs(w.values).sum(axis=1).max() * w.p_axis.spacing
         for got, want in zip(kernel_from_wigner(w), _dense_blocks(w), strict=True):
             assert got.shape == want.shape
