@@ -19,6 +19,7 @@ input errors.
 """
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -97,7 +98,10 @@ def _fock_states(specs, hbar, args):
         extent = max(DEFAULT_EXTENT, min(np.sqrt(2 * top + 1) + FOCK_MARGIN,
                                          np.sqrt(np.pi * count / 4)))
     axis = default_axis(hbar, count, extent)
-    return [fock_state(n, axis, hbar) for n in ns]
+    try:  # every command that builds Fock states reports their errors alike
+        return [fock_state(n, axis, hbar) for n in ns]
+    except ValueError as exc:
+        raise InputError(f"invalid state spec: {exc}") from exc
 
 
 def build_state(spec, hbar, args):
@@ -392,6 +396,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {self.prog}: {message}\n")
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="wigcheck",
                      description="Is this phase-space function a Wigner distribution?")

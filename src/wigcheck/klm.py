@@ -9,17 +9,18 @@ order m.  A finite randomized search can only certify failure: a negative
 eigenvalue at any order is a proof that the grid is not a state, while
 "no violation found" proves nothing.
 
-The diagonal of F is the grid trace, so order 1 needs no transform, and the
-lower triangle is the conjugate of the upper one, so only the m(m-1)/2
-differences with j < k are transformed.  The search draws all point sets of
-an order first and assembles and diagonalizes their matrices in stacks.
+The diagonal of F is the grid trace and the lower triangle the conjugate of
+the upper one, so only the m(m-1)/2 differences j < k go through the folded
+quadrature of `SymplecticFourier`, built once per search and reused by the
+witness re-check.  All point sets of an order are drawn first, and their
+matrices are phased in real arithmetic and diagonalized in stacks.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import SymplecticFourier, trace
+from .states import SymplecticFourier, _rotate, trace
 from .uncertainty import covariance_from_grid
 
 __all__ = [
@@ -66,9 +67,9 @@ def klm_matrix(fsw, points, hbar=1.0):
     t, m = pts.shape[:2]
     j, k = np.triu_indices(m, 1)
     x, p = pts[..., 0], pts[..., 1]
-    upper = fsw((pts[:, j] - pts[:, k]).reshape(-1, 2)).reshape(t, j.size)
+    f = fsw((pts[:, j] - pts[:, k]).reshape(-1, 2)).reshape(t, j.size)
     sig = p[:, j] * x[:, k] - x[:, j] * p[:, k]
-    upper *= np.exp(PHASE_SIGN * 0.5j * hbar * sig)
+    upper = _rotate(f.real, f.imag, PHASE_SIGN * 0.5 * hbar * sig)
     mat = np.empty((t, m, m), dtype=complex)
     mat[:, j, k] = upper
     mat[:, k, j] = upper.conj()
@@ -137,8 +138,8 @@ def klm_check(w, max_order=5, trials_per_order=50, seed=0, tol=DEFAULT_TOL):
     """
     if abs(trace(w) - 1.0) > 1e-3:
         raise ValueError("grid must have unit trace for the positivity search")
-    fsw = SymplecticFourier(w)
     cov = covariance_from_grid(w).sigma
+    fsw = SymplecticFourier(w)  # after the covariance, whose transients set the peak memory
     eigs = np.linalg.eigvalsh(cov)
     if eigs.min() > 0:
         chol = np.linalg.cholesky(cov)
@@ -165,7 +166,7 @@ def klm_check(w, max_order=5, trials_per_order=50, seed=0, tol=DEFAULT_TOL):
             worst = min(worst, float(low[:i + 1].min()))
             witness = KLMWitness(order, pts[trial], vecs[i, :, 0], float(low[i]), trial,
                                  draws[trial][1])
-            _verify(w, witness, tol)
+            _verify(w, witness, tol, fsw)
             orders.append(KLMOrderRecord(order, trial + 1, worst))
             return KLMReport("violation_certificate", orders, witness, seed,
                              max_order, trials_per_order, tol)
@@ -174,22 +175,22 @@ def klm_check(w, max_order=5, trials_per_order=50, seed=0, tol=DEFAULT_TOL):
                      trials_per_order, tol)
 
 
-def _verify(w, witness, tol):
+def _verify(w, witness, tol, fsw):
     """Raise unless the witness's quadratic form reproduces its eigenvalue.
 
     Round-off in v^H F v scales with the matrix entries, which are bounded by
     the integral of |W|.
     """
-    value = witness_quadratic_form(w, witness)
+    value = witness_quadratic_form(w, witness, fsw)
     bound = 1e-9 * witness.order * max(1.0, float(np.abs(w.values).sum() * w.cell_area))
     if not (value < -tol and abs(value - witness.min_eigenvalue) <= bound):
         raise ValueError(f"KLM witness does not reproduce: v^H F v = {value:.3e}, "
                          f"eigenvalue {witness.min_eigenvalue:.3e}")
 
 
-def witness_quadratic_form(w, witness):
-    """Re-evaluate a witness: v^H F v for the stored points and eigenvector."""
-    fsw = SymplecticFourier(w)
-    mat = klm_matrix(fsw, witness.points, w.hbar)
+def witness_quadratic_form(w, witness, fsw=None):
+    """Re-evaluate a witness: v^H F v for the stored points and eigenvector,
+    with `fsw` if given, the transform of `w` the search already built."""
+    mat = klm_matrix(fsw or SymplecticFourier(w), witness.points, w.hbar)
     v = witness.eigenvector
     return float(np.real(v.conj() @ mat @ v))

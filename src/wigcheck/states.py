@@ -44,6 +44,7 @@ ALIASING_TOL = 1e-8  # largest Wigner amplitude on the outer momentum columns, r
 MASS_TOL = 1e-5  # largest trace drift of `rescale`, relative to max(1, |trace|)
 TAIL_TOL = 1e-6  # largest share of a moment's weight on the boundary band
 _CHUNK_ROWS = 64  # packed rows per chirp-z call: about 1.5 MB of FFT work at 768^2
+_ALIGN = 8  # SymplecticFourier's least rows and column multiple: OpenBLAS rounds by batch
 
 
 @dataclass(frozen=True)
@@ -431,18 +432,28 @@ def rescale(w, lam):
 class SymplecticFourier:
     """Evaluator for F_sigma W(z) = int exp(i sigma(z, z')) W(z') dz'.
 
-    The kernel at z = (x, p) is exp(i (p x' - p' x)); evaluation is a direct
-    quadrature over the stored grid, so any point is admissible.  The grid
-    is real, so the quadrature runs in real arithmetic: one real product of
-    [cos; sin](p x') with the grid, then the cos/sin(x p') factors.  Hence
-    F(-z) = conj F(z) holds exactly.  The attribute `trace` is `trace(w)`,
-    the value F(0).
+    A direct quadrature over the stored grid, so any z = (x, p) is admissible.
+    At the offsets u, v from the axis midpoints (x_c, p_c) the kernel
+    exp(i (p x' - p' x)) is exp(i (p x_c - x p_c)) cos/sin(p u) cos/sin(x v),
+    so a call is cos(p u) @ [W_ee | W_eo] and sin(p u) @ [W_oe | W_oo] on the
+    grid's parity quadrants (u, v >= 0, an odd count's centre once), a sum over
+    v and the phase, in real arithmetic: half the work of the unfolded grid.
+    F(-z) = conj F(z) exactly, no value depends on its batch, and `trace` is F(0).
     """
 
     def __init__(self, w):
-        self._xs = w.x_axis.points
-        self._ps = w.p_axis.points
-        self._vals = w.values
+        # the upper half of an axis is a[n // 2:], its mirrored lower half a[::-1][n // 2:]
+        i, j = w.x_axis.count // 2, w.p_axis.count // 2
+        self._xc, self._pc = (0.5 * (a.min + a.max) for a in (w.x_axis, w.p_axis))
+        self._ox, self._op = w.x_axis.points[i:] - self._xc, w.p_axis.points[j:] - self._pc
+        hp = len(self._op)
+        self._blocks = np.zeros((2, len(self._ox), -(-2 * hp // _ALIGN) * _ALIGN))
+        for op, block in zip((np.add, np.subtract), self._blocks):  # [W_ee | W_eo], [W_oe | W_oo]
+            upper, lower = (op(v[i:, j:], v[::-1][i:, j:]) for v in (w.values, w.values[:, ::-1]))
+            np.add(upper, lower, out=block[:, :hp])
+            np.subtract(upper, lower, out=block[:, hp:2 * hp])
+        self._blocks[0, 0] *= 1 - w.x_axis.count % 2 / 2  # an odd count's centre, added twice
+        self._blocks[:, :, 0] *= 1 - w.p_axis.count % 2 / 2
         self._area = w.cell_area
         self.trace = trace(w)
 
@@ -450,16 +461,24 @@ class SymplecticFourier:
         z = np.asarray(z, dtype=float)
         single = z.ndim == 1
         pts = np.atleast_2d(z)
-        k = pts.shape[0]
-        px = np.outer(pts[:, 1], self._xs)
-        cs = np.concatenate([np.cos(px), np.sin(px)]) @ self._vals
-        xp = np.outer(pts[:, 0], self._ps)
+        k, hp = pts.shape[0], len(self._op)
+        if 0 < k < _ALIGN:
+            pts = np.concatenate([pts, np.zeros((_ALIGN - k, 2))])
+        px, xp = np.outer(pts[:, 1], self._ox), np.outer(pts[:, 0], self._op)
+        c, s = np.cos(px) @ self._blocks[0], np.sin(px) @ self._blocks[1]
         cx, sx = np.cos(xp), np.sin(xp)
-        # (C + iS) W (c - is): real part CWc + SWs, imaginary part SWc - CWs
-        re = np.einsum("ij,ij->i", cs[:k], cx) + np.einsum("ij,ij->i", cs[k:], sx)
-        im = np.einsum("ij,ij->i", cs[k:], cx) - np.einsum("ij,ij->i", cs[:k], sx)
-        out = (re + 1j * im) * self._area
+        # sum over u, v of W(u, v) (cos pu + i sin pu)(cos xv - i sin xv)
+        re = np.einsum("ij,ij->i", c[:, :hp], cx) + np.einsum("ij,ij->i", s[:, hp:2 * hp], sx)
+        im = np.einsum("ij,ij->i", s[:, :hp], cx) - np.einsum("ij,ij->i", c[:, hp:2 * hp], sx)
+        theta = pts[:, 1] * self._xc - pts[:, 0] * self._pc
+        out = _rotate(re * self._area, im * self._area, theta)[:k]
         return out[0] if single else out
+
+
+def _rotate(re, im, theta):
+    """(re + i im) exp(i theta) in real arithmetic, rounded alike at any array length."""
+    c, s = np.cos(theta), np.sin(theta)
+    return (re * c - im * s) + 1j * (re * s + im * c)
 
 
 def kernel_from_wigner(w):

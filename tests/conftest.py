@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from wigcheck import (fock_state, mixture_wigner, narcowich_oconnell_grid,
-                      operator_spectrum_oracle, symplectic_form, wigner_of_pure)
+from wigcheck import (AxisGrid, fock_state, mixture_wigner, narcowich_oconnell_grid,
+                      operator_spectrum_oracle, symplectic_form, wigner_gaussian,
+                      wigner_of_pure)
 
 
 def random_spd(rng, dim, lo=0.2, hi=2.0):
@@ -67,3 +68,13 @@ def mixture_5050(vacuum_psi, fock1_psi):
 @pytest.fixture(scope="session")
 def no_grid():
     return narcowich_oconnell_grid(alpha=0.5, beta=0.5)
+
+
+@pytest.fixture(scope="session")
+def odd_offcentre_grid():
+    """A rotated squeezed Gaussian on 301 x 301 points, x in [-3, 11] and
+    p in [-4, 6]: an odd count on axes not centred on the origin."""
+    c, s = np.cos(0.6), np.sin(0.6)
+    rot = np.array([[c, -s], [s, c]])
+    return wigner_gaussian([4.0, 1.0], rot @ np.diag([1.8, 0.4]) @ rot.T,
+                           AxisGrid(-3.0, 11.0, 301), AxisGrid(-4.0, 6.0, 301))

@@ -52,6 +52,15 @@ def test_analyze_narcowich_oconnell(capsys):
     assert rep["moment_p4"] == pytest.approx(-6.0, rel=0.02)
 
 
+def test_successive_calls_parse_their_own_flags(capsys):
+    # one parser serves every call of a process; no flag may leak into the next call
+    assert cli.build_parser() is cli.build_parser()
+    _, skipped = run_cli(capsys, "analyze", '{"type":"fock","n":0}', "--no-klm", "--seed", "3")
+    _, full = run_cli(capsys, "analyze", '{"type":"fock","n":0}')
+    assert skipped["klm"] is None and skipped["seed"] == 3
+    assert full["klm"]["overall"] == "no_violation_found" and full["seed"] == 0
+
+
 def test_analyze_skips_are_inconclusive(capsys):
     code, rep = run_cli(capsys, "analyze", '{"type":"fock","n":0}',
                         "--no-klm", "--no-oracle", "--no-domination")
@@ -489,9 +498,12 @@ def test_explicit_hbar_must_match_the_manifest(tmp_path, capsys):
 
 
 def test_fock_n_that_does_not_fit_fails_before_building(capsys):
-    # an integer too large for a float, and one whose Hermite rows would not fit in memory
+    # an integer too large for a float, and one whose Hermite rows would not fit in
+    # memory; every command reports it as the same spec error
     for n in (10**400, 10**12):
-        assert_input_error(capsys, ["hardy", f'{{"type":"fock","n":{n}}}'], "grid too narrow")
+        for command in ("hardy", "analyze"):
+            assert_input_error(capsys, [command, f'{{"type":"fock","n":{n}}}'],
+                               "error: invalid state spec: grid too narrow")
     code, rep = run_cli(capsys, "hardy", '{"type":"fock","n":1.0}')
     assert code == 0 and rep["input"]["n"] == 1.0
 

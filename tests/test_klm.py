@@ -116,14 +116,17 @@ def test_report_serializes(vacuum_wigner):
     assert d["seed"] == 0 and d["phase_sign"] == 1
 
 
-def test_stacked_matrices_match_single_sets(fock1_wigner):
-    f = SymplecticFourier(fock1_wigner)
-    pts = np.random.default_rng(2).normal(size=(4, 3, 2))
-    stacked = klm_matrix(f, pts)
-    assert stacked.shape == (4, 3, 3)
-    for one, mat in zip(pts, stacked):
-        assert np.array_equal(klm_matrix(f, one), mat)
-        assert np.array_equal(mat, mat.conj().T)
+def test_stacked_matrices_match_single_sets(fock1_wigner, odd_offcentre_grid):
+    rng = np.random.default_rng(2)
+    for w in (fock1_wigner, odd_offcentre_grid):
+        f = SymplecticFourier(w)
+        for order in range(2, 6):
+            pts = rng.normal(size=(60, order, 2))
+            stacked = klm_matrix(f, pts)
+            assert stacked.shape == (60, order, order)
+            for one, mat in zip(pts, stacked):
+                assert np.array_equal(klm_matrix(f, one), mat)
+                assert np.array_equal(mat, mat.conj().T)
 
 
 def _full_matrix(fsw, pts, hbar):
@@ -224,6 +227,6 @@ def test_rescaled_witnesses_reproduce(fock_128, n, lam, seed):
 
 
 def test_unreproduced_witness_is_an_error(vacuum_wigner, monkeypatch):
-    monkeypatch.setattr(klm, "witness_quadratic_form", lambda w, witness: 0.0)
+    monkeypatch.setattr(klm, "witness_quadratic_form", lambda w, witness, fsw=None: 0.0)
     with pytest.raises(ValueError, match="does not reproduce"):
         klm_check(rescale(vacuum_wigner, 1.5), max_order=3, seed=0)

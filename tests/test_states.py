@@ -158,11 +158,11 @@ def test_symplectic_fourier_vacuum_analytic(vacuum_wigner):
     assert np.abs(f(pts) - expected).max() <= 1e-4
 
 
-def test_symplectic_fourier_reality_symmetry(fock1_wigner):
-    f = SymplecticFourier(fock1_wigner)
-    rng = np.random.default_rng(0)
-    pts = rng.normal(size=(8, 2))
-    assert np.abs(np.conj(f(pts)) - f(-pts)).max() <= 1e-12
+def test_symplectic_fourier_reality_symmetry(fock1_wigner, odd_offcentre_grid):
+    pts = np.random.default_rng(0).normal(size=(8, 2))
+    for w in (fock1_wigner, odd_offcentre_grid):
+        f = SymplecticFourier(w)
+        assert np.array_equal(f(-pts), f(pts).conj())
 
 
 def test_kernel_round_trip(vacuum_psi, vacuum_wigner):
@@ -414,14 +414,17 @@ def test_rescale_without_momentum_overlap_is_zero():
     assert not out.values.any()
 
 
-def test_symplectic_fourier_matches_complex_quadrature(no_grid):
-    f = SymplecticFourier(no_grid)
-    pts = np.random.default_rng(5).normal(size=(7, 2))
-    X, P = np.meshgrid(no_grid.x_axis.points, no_grid.p_axis.points, indexing="ij")
-    direct = np.array([(np.exp(1j * (p * X - P * x)) * no_grid.values).sum()
-                       for x, p in pts]) * no_grid.cell_area
-    assert np.abs(f(pts) - direct).max() <= 1e-13
-    assert f(pts[0]) == f(pts[:1])[0]
+def test_symplectic_fourier_matches_complex_quadrature(no_grid, odd_offcentre_grid):
+    # the folded quadrature against the plain sum over the whole grid, on an
+    # even count and on an odd count whose axes are not centred on the origin
+    pts = np.random.default_rng(5).normal(size=(9, 2)) * 2
+    for w in (no_grid, odd_offcentre_grid):
+        f = SymplecticFourier(w)
+        X, P = np.meshgrid(w.x_axis.points, w.p_axis.points, indexing="ij")
+        direct = np.array([(np.exp(1j * (p * X - P * x)) * w.values).sum()
+                           for x, p in pts]) * w.cell_area
+        assert np.abs(f(pts) - direct).max() <= 1e-14 * np.abs(w.values).sum() * w.cell_area
+        assert f(pts[0]) == f(pts[:1])[0]
 
 
 def test_fast_len_matches_next_fast_len():
