@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import _chirp_sum, trace
+from .states import _abs_max, _chirp_sum, trace
 from .symplectic import symplectic_spectrum
 
 __all__ = [
@@ -181,7 +181,10 @@ def domination_verdict(mu1):
 def _forms(w):
     """Rows (x^2, 2xp, p^2) of points w: w^T M w = _forms(w) @ (M_xx, M_xp, M_pp)."""
     x, p = w[..., 0], w[..., 1]
-    return np.stack([x * x, 2.0 * x * p, p * p], axis=-1)
+    out = np.empty(w.shape[:-1] + (3,))
+    np.multiply(w, w, out=out[..., ::2])
+    np.multiply(2.0 * x, p, out=out[..., 1])
+    return out
 
 
 def _through(w):
@@ -211,7 +214,8 @@ def _lowner_john(w):
     q = _forms(w)
     # rounding of q @ m is a few ulp of |q| @ |m|, which exceeds q @ m ~ 1
     # by up to ~cond(M) for a thin ellipse
-    slack = CONTACT_TOL * np.abs(q)
+    slack = np.abs(q)
+    slack *= CONTACT_TOL
     a = int(np.argmax(q[:, 0] + q[:, 2]))
     b = int(np.argmax(np.abs(w[a, 0] * w[:, 1] - w[a, 1] * w[:, 0])))
     basis, m = [a, b], _through(w[[a, b]])
@@ -294,6 +298,7 @@ def fit_dominating_gaussian(w, c_max_factor=C_MAX_FACTOR):
     i, j = np.nonzero(w.values >= FIT_FLOOR * peak)
     z = np.stack([w.x_axis.points[i], w.p_axis.points[j]], axis=1)
     vals = w.values[i, j]
+    del i, j
     budget = w.hbar * (np.log(c_max_factor) - np.log(vals / peak))
     away = (z != 0).any(axis=1)
     exchanges, unbounded, converged, gap = 0, False, True, 0.0
@@ -343,31 +348,31 @@ def compact_support_flag(w):
     the threshold smoothly and fail the second test.  Returns
     (flag, diagnostics).
     """
-    absvals = np.abs(w.values)
-    peak = absvals.max()
+    v = w.values
+    row_max, col_max = _abs_max(v, axis=1), _abs_max(v, axis=0)  # max |W| per row, column
+    peak = row_max.max()
     diag = {"support_threshold": SUPPORT_THRESHOLD, "margin_cells": MARGIN_CELLS}
     if peak == 0:
         diag["reason"] = "grid is identically zero"
         return False, diag
-    live = absvals > SUPPORT_THRESHOLD * peak
-    if not live.any():
+    live_rows = np.flatnonzero(row_max > SUPPORT_THRESHOLD * peak)
+    if not live_rows.size:
         diag["reason"] = "no values above threshold"
         return False, diag
-    li, lj = np.where(live)
-    i0, i1 = int(li.min()), int(li.max())
-    j0, j1 = int(lj.min()), int(lj.max())
-    nx, np_ = absvals.shape
+    live_cols = np.flatnonzero(col_max > SUPPORT_THRESHOLD * peak)
+    i0, i1, j0, j1 = (int(e) for e in (live_rows[0], live_rows[-1], live_cols[0], live_cols[-1]))
+    nx, np_ = v.shape
     diag["box"] = {"x": [i0, i1], "p": [j0, j1]}
     interior = (i0 >= MARGIN_CELLS and j0 >= MARGIN_CELLS
                 and i1 < nx - MARGIN_CELLS and j1 < np_ - MARGIN_CELLS)
     if not interior:
         diag["reason"] = "support box touches the grid boundary"
         return False, diag
-    outer = np.ones_like(absvals, dtype=bool)
     a0, a1 = max(i0 - MARGIN_CELLS, 0), min(i1 + MARGIN_CELLS, nx - 1)
     b0, b1 = max(j0 - MARGIN_CELLS, 0), min(j1 + MARGIN_CELLS, np_ - 1)
-    outer[a0:a1 + 1, b0:b1 + 1] = False
-    outer_max = float(absvals[outer].max()) if outer.any() else 0.0
+    # outside the inflated box: the rows above and below it, the side strips of its rows
+    outside = [row_max[:a0], row_max[a1 + 1:], v[a0:a1 + 1, :b0], v[a0:a1 + 1, b1 + 1:]]
+    outer_max = max((float(_abs_max(part)) for part in outside if part.size), default=0.0)
     diag["outer_max_ratio"] = outer_max / peak
     flag = bool(outer_max <= HARD_ZERO * peak)
     if not flag:

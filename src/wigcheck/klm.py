@@ -11,9 +11,10 @@ eigenvalue at any order is a proof that the grid is not a state, while
 
 The diagonal of F is the grid trace and the lower triangle the conjugate of
 the upper one, so only the m(m-1)/2 differences j < k go through the folded
-quadrature of `SymplecticFourier`, built once per search and reused by the
-witness re-check.  All point sets of an order are drawn first, and their
-matrices are phased in real arithmetic and diagonalized in stacks.
+quadrature of `SymplecticFourier`, built once per search; a witness is
+re-checked by an independent, unfolded quadrature.  All point sets of an
+order are drawn first, and their matrices are phased in real arithmetic and
+diagonalized in stacks.
 """
 
 from dataclasses import dataclass
@@ -166,7 +167,7 @@ def klm_check(w, max_order=5, trials_per_order=50, seed=0, tol=DEFAULT_TOL):
             worst = min(worst, float(low[:i + 1].min()))
             witness = KLMWitness(order, pts[trial], vecs[i, :, 0], float(low[i]), trial,
                                  draws[trial][1])
-            _verify(w, witness, tol, fsw)
+            _verify(w, witness, tol)
             orders.append(KLMOrderRecord(order, trial + 1, worst))
             return KLMReport("violation_certificate", orders, witness, seed,
                              max_order, trials_per_order, tol)
@@ -175,22 +176,29 @@ def klm_check(w, max_order=5, trials_per_order=50, seed=0, tol=DEFAULT_TOL):
                      trials_per_order, tol)
 
 
-def _verify(w, witness, tol, fsw):
+def _verify(w, witness, tol):
     """Raise unless the witness's quadratic form reproduces its eigenvalue.
 
     Round-off in v^H F v scales with the matrix entries, which are bounded by
     the integral of |W|.
     """
-    value = witness_quadratic_form(w, witness, fsw)
+    value = witness_quadratic_form(w, witness)
     bound = 1e-9 * witness.order * max(1.0, float(np.abs(w.values).sum() * w.cell_area))
     if not (value < -tol and abs(value - witness.min_eigenvalue) <= bound):
         raise ValueError(f"KLM witness does not reproduce: v^H F v = {value:.3e}, "
                          f"eigenvalue {witness.min_eigenvalue:.3e}")
 
 
-def witness_quadratic_form(w, witness, fsw=None):
+def witness_quadratic_form(w, witness):
     """Re-evaluate a witness: v^H F v for the stored points and eigenvector,
-    with `fsw` if given, the transform of `w` the search already built."""
-    mat = klm_matrix(fsw or SymplecticFourier(w), witness.points, w.hbar)
-    v = witness.eigenvector
-    return float(np.real(v.conj() @ mat @ v))
+    each difference z = (x, p) transformed by the unfolded sum exp(i p x') @ W
+    @ exp(-i x p') dA, independent of the folded quadrature that found it."""
+    pts, v = witness.points, witness.eigenvector
+    j, k = np.triu_indices(len(pts), 1)
+    x, p = (pts[j] - pts[k]).T
+    px = np.outer(p, w.x_axis.points)
+    rows = np.cos(px) @ w.values + 1j * (np.sin(px) @ w.values)
+    f = (rows * np.exp(-1j * np.outer(x, w.p_axis.points))).sum(axis=1) * w.cell_area
+    sig = pts[j, 1] * pts[k, 0] - pts[j, 0] * pts[k, 1]
+    upper = f * np.exp(0.5j * PHASE_SIGN * w.hbar * sig)  # F[j, k]; F[k, j] is its conjugate
+    return float(trace(w) * np.vdot(v, v).real + 2 * (v[j].conj() * upper * v[k]).real.sum())

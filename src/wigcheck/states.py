@@ -43,7 +43,7 @@ NORM_TOL = 1e-6  # largest deviation of a pure state's norm from 1
 ALIASING_TOL = 1e-8  # largest Wigner amplitude on the outer momentum columns, relative
 MASS_TOL = 1e-5  # largest trace drift of `rescale`, relative to max(1, |trace|)
 TAIL_TOL = 1e-6  # largest share of a moment's weight on the boundary band
-_CHUNK_ROWS = 64  # packed rows per chirp-z call: about 1.5 MB of FFT work at 768^2
+_CHUNK_ROWS = 64  # rows (the kernel: row pairs) per chirp-z call: ~1.5 MB of FFT work at 768^2
 _ALIGN = 8  # SymplecticFourier's least rows and column multiple: OpenBLAS rounds by batch
 
 
@@ -167,7 +167,8 @@ class WignerGrid:
     imag_residual: float = 0.0
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        # a strided view, such as the real part of a complex grid, keeps its parent alive
+        self.values = np.ascontiguousarray(self.values, dtype=float)
         if self.values.shape != (self.x_axis.count, self.p_axis.count):
             raise ValueError("values must have shape (len(x_axis), len(p_axis))")
         if not (np.isfinite(self.hbar) and self.hbar > 0):
@@ -262,10 +263,9 @@ def wigner_of_pure(psi):
     rows = np.arange(n)[:, None]
     corr = pad[rows + offs[None, :] + n] * np.conjugate(pad[rows - offs[None, :] + n])
     wc = (d / (np.pi * hbar)) * _cdft(corr, axis=1)
-    imag_residual = float(np.abs(wc.imag).max())
-    w = WignerGrid(axis, p_axis, wc.real, hbar, imag_residual)
-    edge = max(np.abs(w.values[:, :2]).max(), np.abs(w.values[:, -2:]).max())
-    if edge > ALIASING_TOL * np.abs(w.values).max():
+    w = WignerGrid(axis, p_axis, wc.real, hbar, float(_abs_max(wc.imag)))
+    edge = max(_abs_max(w.values[:, :2]), _abs_max(w.values[:, -2:]))
+    if edge > ALIASING_TOL * _abs_max(w.values):
         warnings.warn(f"possible momentum aliasing: boundary amplitude ratio {edge:.2e}")
     return w
 
@@ -313,24 +313,26 @@ def mixture_wigner(components):
     return WignerGrid(grids[0].x_axis, grids[0].p_axis, vals, first.hbar, resid)
 
 
-def _boundary_band_sum(a):
-    """Sum of the 2-d array `a` over its outer two rows and columns.
+def _boundary_band_sum(a, rw, cw):
+    """Sums of |a_ij| (rw_i + cw_j) over the outer two rows and columns of the
+    2-d array `a`, each entry once, and over all of `a`: (band, whole).
 
-    Each entry counts once; an array with at most four rows or columns is all
-    band.
+    An array with at most four rows or columns is all band.  The whole sum
+    comes from the row and column sums of |a|, the band sum from its strips.
     """
-    if min(a.shape) <= 4:
-        return a.sum()
-    inner = a[2:-2]
-    return a[:2].sum() + a[-2:].sum() + inner[:, :2].sum() + inner[:, -2:].sum()
+    mag = np.abs(a)
+    whole = float(rw @ mag.sum(axis=1) + cw @ mag.sum(axis=0))
+    del mag
+    n, m = a.shape
+    ends = [(slice(0, min(2, k)), slice(max(2, k - 2), k)) for k in (n, m)]  # first, last two
+    blocks = [(r, slice(None)) for r in ends[0]] + [(slice(2, n - 2), c) for c in ends[1]]
+    band = sum(float((np.abs(a[r, c]) * (rw[r, None] + cw[c])).sum()) for r, c in blocks)
+    return band, whole
 
 
-def _frame_ratio(values):
-    """Largest |value| on the outer rows and columns over the largest |value|;
-    0 for an all-zero array."""
-    peak = np.abs(values).max()
-    frame = max(np.abs(values[[0, -1], :]).max(), np.abs(values[:, [0, -1]]).max())
-    return float(frame / peak) if peak > 0 else 0.0
+def _abs_max(a, axis=None):
+    """max |a| along `axis` from two reductions, without an |a| copy."""
+    return np.maximum(a.max(axis=axis), -a.min(axis=axis))
 
 
 def trace(w):
@@ -413,10 +415,13 @@ def rescale(w, lam):
         # W[i, k] = sum_m a[i, m] exp(-2 i p_k (m*dx) / hbar): resample p exactly,
         # from the offsets m*dx onto the contiguous run of targets lam*p_k
         dx = w.x_axis.spacing
-        a = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(w.values, axes=1), axis=1), axes=1)
-        first = lam * ps[np.argmax(okp)]
-        resampled = _chirp_sum(a, -(w.p_axis.count // 2) * dx, dx, 2 * first / w.hbar,
-                               2 * lam * w.p_axis.spacing / w.hbar, okp.sum(), sign=-1).real
+        first, m = lam * ps[np.argmax(okp)], okp.sum()
+        resampled = np.empty((n, m))
+        for r0 in range(0, n, _CHUNK_ROWS):  # row blocks: no full-grid FFT work arrays
+            a = np.fft.ifft(np.fft.ifftshift(w.values[r0:r0 + _CHUNK_ROWS], axes=1), axis=1)
+            resampled[r0:r0 + len(a)] = _chirp_sum(
+                np.fft.fftshift(a, axes=1), -(w.p_axis.count // 2) * dx, dx, 2 * first / w.hbar,
+                2 * lam * w.p_axis.spacing / w.hbar, m, sign=-1).real
         out[np.ix_(okx, okp)] = _spline_at(xs, resampled, lam * xs[okx])
     else:
         rows = _spline_at(xs, w.values, lam * xs[okx])

@@ -49,21 +49,19 @@ class CovarianceMatrix:
 def covariance_from_grid(w):
     """First and second phase-space moments of a Wigner grid.
 
-    sigma_ab = int z_a z_b W dz - mean_a mean_b.  Warns when the boundary
-    band contributes more than TAIL_TOL of the second moment (heavy tail).
+    sigma_ab = int z_a z_b W dz - mean_a mean_b, read from the marginals (the
+    row and column sums of the grid) and W @ p.  Warns when the boundary band
+    contributes more than TAIL_TOL of the second moment (heavy tail).
     """
-    x = w.x_axis.points[:, None]
-    p = w.p_axis.points[None, :]
+    x, p = w.x_axis.points, w.p_axis.points
     area = w.cell_area
-    mx = float((x * w.values).sum() * area)
-    mp = float((p * w.values).sum() * area)
-    sxx = float((x * x * w.values).sum() * area) - mx * mx
-    spp = float((p * p * w.values).sum() * area) - mp * mp
-    sxp = float((x * p * w.values).sum() * area) - mx * mp
-
-    weight = (x * x + p * p) * np.abs(w.values)
-    total = weight.sum()
-    if total > 0 and _boundary_band_sum(weight) > TAIL_TOL * total:
+    rows, cols = w.values.sum(axis=1), w.values.sum(axis=0)
+    mx, mp = float(x @ rows * area), float(p @ cols * area)
+    sxx = float((x * x) @ rows * area) - mx * mx
+    spp = float((p * p) @ cols * area) - mp * mp
+    sxp = float(x @ (w.values @ p) * area) - mx * mp
+    band, total = _boundary_band_sum(w.values, x * x, p * p)
+    if band > TAIL_TOL * total:
         warnings.warn("second moments may not have converged (heavy tail at the grid boundary)")
     return CovarianceMatrix(np.array([[sxx, sxp], [sxp, spp]]), np.array([mx, mp]))
 

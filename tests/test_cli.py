@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -548,3 +549,38 @@ def test_benchmark_spans_still_find_their_functions():
         mod = importlib.import_module(module)
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+def _grid_specs(tmp_path):
+    axis = default_axis(count=64)
+    grid = cli.wigner_gaussian([0, 0], 0.5 * np.eye(2), axis, axis)
+    cli.save_wigner_manifest(grid, tmp_path / "csv.json", csv_path=tmp_path / "values.csv")
+    cli.save_wigner_manifest(grid, tmp_path / "inline.json")
+    return {
+        "fock": {"type": "fock", "n": 1},
+        "mixture": {"type": "mixture", "components": [
+            {"weight": 0.5, "state": {"type": "fock", "n": 0}},
+            {"weight": 0.5, "state": {"type": "fock", "n": 1}}]},
+        "gaussian": {"type": "gaussian", "mean": [0, 0], "cov": [[0.5, 0], [0, 0.5]]},
+        "narcowich-oconnell": {"type": "narcowich-oconnell", "alpha": 0.5, "beta": 0.5},
+        "bump": {"type": "bump", "radius": 1.0},
+        "csv manifest": {"type": "grid", "manifest": str(tmp_path / "csv.json")},
+        "inline manifest": {"type": "grid", "manifest": str(tmp_path / "inline.json")},
+    }
+
+
+@pytest.mark.parametrize("rescale", [None, 1.1])
+@pytest.mark.parametrize("kind", ["fock", "mixture", "gaussian", "narcowich-oconnell", "bump",
+                                  "csv manifest", "inline manifest"])
+def test_every_spec_builds_one_contiguous_real_grid(tmp_path, kind, rescale):
+    # a strided real view would keep a complex grid twice its size alive
+    args = cli.build_parser().parse_args(["analyze", "{}"])
+    args.rescale = rescale
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rescaling N-O pushes mass off its grid
+        w, _ = cli.build_state(_grid_specs(tmp_path)[kind], 1.0, args)
+    assert w.values.dtype == np.float64 and w.values.flags.c_contiguous
+    base = w.values
+    while base is not None:
+        assert not np.iscomplexobj(base)
+        base = getattr(base, "base", None)

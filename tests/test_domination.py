@@ -140,6 +140,75 @@ def test_compact_support_bump_true_and_dominated():
     assert cert.verdict == "not_a_wigner_distribution"
 
 
+def _mask_support_flag(w):
+    """`compact_support_flag` by full-grid masks: the |W| copy, the index
+    arrays of the live values and the mask of everything outside the box."""
+    absvals = np.abs(w.values)
+    peak = absvals.max()
+    diag = {"support_threshold": domination.SUPPORT_THRESHOLD,
+            "margin_cells": domination.MARGIN_CELLS}
+    if peak == 0:
+        diag["reason"] = "grid is identically zero"
+        return False, diag
+    live = absvals > domination.SUPPORT_THRESHOLD * peak
+    if not live.any():
+        diag["reason"] = "no values above threshold"
+        return False, diag
+    li, lj = np.where(live)
+    i0, i1, j0, j1 = int(li.min()), int(li.max()), int(lj.min()), int(lj.max())
+    nx, np_ = absvals.shape
+    margin = domination.MARGIN_CELLS
+    diag["box"] = {"x": [i0, i1], "p": [j0, j1]}
+    if not (i0 >= margin and j0 >= margin and i1 < nx - margin and j1 < np_ - margin):
+        diag["reason"] = "support box touches the grid boundary"
+        return False, diag
+    outer = np.ones_like(absvals, dtype=bool)
+    outer[max(i0 - margin, 0):min(i1 + margin, nx - 1) + 1,
+          max(j0 - margin, 0):min(j1 + margin, np_ - 1) + 1] = False
+    outer_max = float(absvals[outer].max()) if outer.any() else 0.0
+    diag["outer_max_ratio"] = outer_max / peak
+    flag = bool(outer_max <= domination.HARD_ZERO * peak)
+    if not flag:
+        diag["reason"] = "tail does not vanish outside the support box"
+    return flag, diag
+
+
+def _support_cases():
+    axis = default_axis()
+    cosine = truncated_bump_grid(axis, axis, radius=1.0)
+    outlier = cosine.values.copy()
+    outlier[20, 200] = 1e-12 * outlier.max()  # far outside the box, below the threshold
+    filled = np.zeros((20, 20))
+    filled[2:-2, 2:-2] = -1.0  # the inflated box is the whole grid: nothing outside
+    wide = AxisGrid(-4.0, 4.0, 100), AxisGrid(-3.0, 5.0, 130)
+    return {
+        "cosine bump": cosine,
+        "indicator bump": truncated_bump_grid(axis, axis, radius=1.0, profile="indicator"),
+        "bump on unequal axes": truncated_bump_grid(*wide, radius=1.5),
+        "gaussian": wigner_gaussian([0.5, -1.0], np.diag([1.0, 0.3]), axis, axis),
+        "fock 1": wigner_of_pure(fock_state(1)),
+        "bump touching the boundary": truncated_bump_grid(axis, axis, radius=7.95),
+        "bump with an outlier": WignerGrid(axis, axis, outlier),
+        "box filling the grid": WignerGrid(*[AxisGrid(-1.0, 1.0, 20)] * 2, filled),
+        "all zero": WignerGrid(axis, axis, np.zeros((256, 256))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_support_cases()))
+def test_compact_support_flag_matches_the_mask_version(name):
+    w = _support_cases()[name]
+    assert compact_support_flag(w) == _mask_support_flag(w)
+
+
+def test_compact_support_flag_with_every_value_below_the_threshold(monkeypatch):
+    # no finite grid has all of its values under a threshold below 1
+    monkeypatch.setattr(domination, "SUPPORT_THRESHOLD", 2.0)
+    w = _support_cases()["cosine bump"]
+    flag, diag = compact_support_flag(w)
+    assert (flag, diag) == _mask_support_flag(w)
+    assert diag["reason"] == "no values above threshold"
+
+
 def test_fit_rejects_small_cap(vacuum_wigner):
     with pytest.raises(ValueError):
         fit_dominating_gaussian(vacuum_wigner, c_max_factor=0.5)

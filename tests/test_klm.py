@@ -230,3 +230,22 @@ def test_unreproduced_witness_is_an_error(vacuum_wigner, monkeypatch):
     monkeypatch.setattr(klm, "witness_quadratic_form", lambda w, witness, fsw=None: 0.0)
     with pytest.raises(ValueError, match="does not reproduce"):
         klm_check(rescale(vacuum_wigner, 1.5), max_order=3, seed=0)
+
+
+def test_recheck_catches_an_error_of_the_search_transform(vacuum_wigner, monkeypatch):
+    # the re-check's unfolded sum shares no code with SymplecticFourier, so a
+    # transform that is off by 1e-3 finds a witness the re-check refuses
+    call = SymplecticFourier.__call__
+    monkeypatch.setattr(SymplecticFourier, "__call__", lambda self, z: call(self, z) + 1e-3)
+    with pytest.raises(ValueError, match="does not reproduce"):
+        klm_check(rescale(vacuum_wigner, 1.5), max_order=3, seed=0)
+
+
+def test_recheck_matches_the_folded_transform(odd_offcentre_grid):
+    # on a non-state grid with an odd count and off-centre axes the two
+    # quadratures agree far inside the re-check's bound
+    w = rescale(odd_offcentre_grid, 1.4)
+    report = klm_check(w, seed=0)
+    assert report.witness is not None
+    value = witness_quadratic_form(w, report.witness)
+    assert abs(value - report.witness.min_eigenvalue) <= 1e-12

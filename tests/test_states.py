@@ -1,3 +1,4 @@
+import argparse
 import tracemalloc
 
 import numpy as np
@@ -6,11 +7,12 @@ import scipy.fft
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from conftest import oracle_min
-from wigcheck import (AxisGrid, SymplecticFourier, default_axis, fock_state,
+from wigcheck import (AxisGrid, SymplecticFourier, cli, default_axis, fock_state,
                       fourier_wavefunction, gaussian_wavepacket, kernel_from_wigner,
-                      load_wigner_manifest, mixture_wigner, operator_spectrum_oracle,
-                      rescale, save_wigner_manifest, trace, truncated_bump_grid,
-                      wigner_gaussian, wigner_momentum_axis, wigner_of_pure)
+                      load_wigner_manifest, mixture_wigner, narcowich_oconnell_grid,
+                      operator_spectrum_oracle, rescale, save_wigner_manifest, trace,
+                      truncated_bump_grid, wigner_gaussian, wigner_momentum_axis,
+                      wigner_of_pure)
 from wigcheck.states import (_CHUNK_ROWS, WaveFunctionGrid, WignerGrid, _boundary_band_sum,
                              _chirp_sum, _fast_len, _is_wigner_conjugate, _spline_at)
 
@@ -195,6 +197,35 @@ def test_oracle_memory_stays_within_three_grids(no_grid):
     assert peak <= 3 * no_grid.values.nbytes
 
 
+def test_no_build_and_moments_stay_lean(no_grid):
+    # the N-O grid is one real product, its imaginary residual a second one
+    # released before the grid is made; the moments read marginals and one |W|
+    tracemalloc.start()
+    try:
+        narcowich_oconnell_grid(0.5, 0.5)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        cli._moments(no_grid, argparse.Namespace(tol_p4=cli.DEFAULT_P4_TOL))
+        moments = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert build <= 2.5 * no_grid.values.nbytes
+    assert moments <= 1.5 * no_grid.values.nbytes
+
+
+def test_rescale_streams_its_rows(fock1_wigner):
+    # the exact momentum resampling runs the chirp-z in row blocks: no full-grid
+    # FFT work arrays, whose padded length is about twice the row
+    tracemalloc.start()
+    try:
+        rescale(fock1_wigner, 1.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * fock1_wigner.values.nbytes
+
+
 def test_oracle_vacuum_projector(vacuum_wigner):
     for eigs in operator_spectrum_oracle(vacuum_wigner):
         assert eigs[0] == pytest.approx(1.0, abs=1e-4)
@@ -343,7 +374,9 @@ def test_boundary_band_sum_counts_each_band_entry_once(shape):
     band = np.zeros(shape, dtype=bool)
     band[:2, :] = band[-2:, :] = True
     band[:, :2] = band[:, -2:] = True
-    assert _boundary_band_sum(a) == pytest.approx(a[band].sum(), rel=1e-14)
+    got, whole = _boundary_band_sum(a, np.ones(shape[0]), np.zeros(shape[1]))
+    assert got == pytest.approx(a[band].sum(), rel=1e-14)
+    assert whole == pytest.approx(a.sum(), rel=1e-14)
 
 
 def _dense_blocks(w):

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import random_spd, random_symplectic
-from wigcheck import (as_dict, check_quantum_psd, check_rs, check_williamson_criterion,
+from wigcheck import (AxisGrid, as_dict, check_quantum_psd, check_rs, check_williamson_criterion,
                       covariance_from_grid, default_axis, fock_state, hbar_sweep,
-                      lambda_star, uncertainty_report, wigner_gaussian, wigner_of_pure)
+                      lambda_star, moment_p4, uncertainty_report, wigner_gaussian,
+                      wigner_of_pure)
+from wigcheck.states import WignerGrid
 
 
 def test_covariance_vacuum(vacuum_wigner):
@@ -215,3 +219,61 @@ def test_uncertainty_report_fields(vacuum_wigner):
     d = as_dict(rep)
     assert d["verdict"] == "pass"
     assert len(d["rs"]) == 1
+
+
+def _dense_moments(w):
+    """Means, covariance and fourth momentum moment by full-grid Riemann sums,
+    with the scales sum |W| |z|, sum |W| z.z and sum |W| p^4 of their round-off."""
+    x, p, v, area = w.x_axis.points[:, None], w.p_axis.points[None, :], w.values, w.cell_area
+    mx, mp = (x * v).sum() * area, (p * v).sum() * area
+    sxx = (x * x * v).sum() * area - mx * mx
+    spp = (p * p * v).sum() * area - mp * mp
+    sxp = (x * p * v).sum() * area - mx * mp
+    mag = np.abs(v) * area
+    scales = [((np.abs(x) + np.abs(p)) * mag).sum(), ((x * x + p * p) * mag).sum(),
+              (p**4 * mag).sum()]
+    return np.array([mx, mp]), np.array([[sxx, sxp], [sxp, spp]]), (p**4 * v).sum() * area, scales
+
+
+def _rotated_squeezed_grid():
+    c, s = np.cos(1.1), np.sin(1.1)
+    rot = np.array([[c, -s], [s, c]])
+    # 200 and 170 points: neither axis is DFT-conjugate to the other
+    return wigner_gaussian([0.7, -0.4], rot @ np.diag([2.5, 0.2]) @ rot.T,
+                           AxisGrid(-9.0, 10.0, 200), AxisGrid(-7.0, 6.0, 170))
+
+
+@pytest.mark.parametrize("name", ["fock1", "rotated-squeezed", "odd-offcentre", "no"])
+def test_marginal_moments_match_dense_sums(name, fock1_wigner, odd_offcentre_grid, no_grid):
+    w = {"fock1": fock1_wigner, "rotated-squeezed": _rotated_squeezed_grid(),
+         "odd-offcentre": odd_offcentre_grid, "no": no_grid}[name]
+    mean, sigma, p4, (scale1, scale2, scale4) = _dense_moments(w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # p^4 has a heavy tail on the off-centre grid
+        cov = covariance_from_grid(w)
+        got_p4 = moment_p4(w)
+    assert np.abs(cov.mean - mean).max() <= 1e-13 * scale1
+    assert np.abs(cov.sigma - sigma).max() <= 1e-13 * scale2
+    assert abs(got_p4 - p4) <= 1e-13 * scale4
+
+
+@pytest.mark.parametrize("cell,in_band", [
+    ((1, 192), True), ((128, 254), True), ((255, 5), True), ((0, 0), True),
+    ((2, 192), False), ((128, 253), False)])
+def test_moment_warnings_follow_the_boundary_band(vacuum_wigner, cell, in_band):
+    # one cell of 1e-3 of the peak on the outer two rows or columns is a heavy
+    # tail for both moments; the same cell one step further in is not
+    values = vacuum_wigner.values.copy()
+    values[cell] = 1e-3 * values.max()
+    w = WignerGrid(vacuum_wigner.x_axis, vacuum_wigner.p_axis, values)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        covariance_from_grid(w)
+        moment_p4(w)
+    messages = [str(c.message) for c in caught]
+    if in_band:
+        assert messages == [
+            "second moments may not have converged (heavy tail at the grid boundary)",
+            "fourth moment may not have converged (heavy tail at the boundary)"]
+    else:
+        assert messages == []
