@@ -385,7 +385,11 @@ def _emit(report, args):
         target = Path(args.output)
         tmp = target.with_name(target.name + ".tmp")
         tmp.write_text(text)
-        tmp.replace(target)
+        try:
+            tmp.replace(target)
+        except OSError:
+            tmp.unlink()
+            raise
     else:
         sys.stdout.write(text)
 

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import _abs_max, _chirp_sum, trace
+from .states import _CHUNK_ROWS, _abs_max, _chirp_sum, trace
 from .symplectic import symplectic_spectrum
 
 __all__ = [
@@ -49,6 +49,7 @@ GAP_TOL = 1e-9
 LINE_SIN = 1e-9
 # rounding allowance of the pointwise re-check of the fitted envelope
 DOMINATION_RTOL = 1e-9
+_POINT_BLOCK = 16384  # scaled points per block of a pass over the constraints
 
 
 @dataclass
@@ -200,6 +201,25 @@ def _through(w):
     return np.linalg.lstsq(_forms(w), np.ones(3), rcond=None)[0]
 
 
+def _norm2(w):
+    """|w_i|^2 of the rows of w, rounded as (w * w).sum(axis=1)."""
+    return w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]
+
+
+def _argmax(w, score):
+    """(max, first index of the max) of score(block) over blocks of about
+    _POINT_BLOCK rows of w: a pass holds one block's forms at a time.  No
+    block but a whole w has one row: numpy rounds a one-row matrix-vector
+    product as a dot, unlike the same row of a longer product."""
+    best, at, stops = -np.inf, 0, [*range(_POINT_BLOCK, len(w) - 1, _POINT_BLOCK), len(w)]
+    for s, e in zip([0, *stops], stops):
+        values = score(w[s:e])
+        k = int(np.argmax(values))
+        if values[k] > best:
+            best, at = values[k], s + k
+    return best, at
+
+
 def _lowner_john(w):
     """Largest-det M with w_i^T M w_i <= 1 for all rows of w, which span the plane.
 
@@ -211,22 +231,25 @@ def _lowner_john(w):
     the loop ends at the exact optimum.  Returns (M, basis, exchanges), M
     scaled to hold everywhere.
     """
-    q = _forms(w)
-    # rounding of q @ m is a few ulp of |q| @ |m|, which exceeds q @ m ~ 1
-    # by up to ~cond(M) for a thin ellipse
-    slack = np.abs(q)
-    slack *= CONTACT_TOL
-    a = int(np.argmax(q[:, 0] + q[:, 2]))
-    b = int(np.argmax(np.abs(w[a, 0] * w[:, 1] - w[a, 1] * w[:, 0])))
+    def excess(block):  # of q @ m over 1, and the largest q @ m of the pass
+        nonlocal r_max
+        q = _forms(block)
+        r = q @ m
+        r_max = max(r_max, r.max())
+        # rounding of q @ m is a few ulp of |q| @ |m|, which exceeds q @ m ~ 1
+        # by up to ~cond(M) for a thin ellipse
+        return r - np.abs(q, out=q) * CONTACT_TOL @ np.abs(m)
+
+    a = _argmax(w, _norm2)[1]
+    b = _argmax(w, lambda block: np.abs(w[a, 0] * block[:, 1] - w[a, 1] * block[:, 0]))[1]
     basis, m = [a, b], _through(w[[a, b]])
     for exchanges in range(MAX_EXCHANGES + 1):
-        r = q @ m
-        excess = r - slack @ np.abs(m)
-        k = int(np.argmax(excess))
-        if excess[k] <= 1.0 or exchanges == MAX_EXCHANGES:
-            m = m / r.max()
+        r_max = -np.inf
+        top, k = _argmax(w, excess)
+        if top <= 1.0 or exchanges == MAX_EXCHANGES:
+            m = m / r_max
             return np.array([[m[0], m[1]], [m[1], m[2]]]), basis, exchanges
-        rows, best = q[basis + [k]], -np.inf
+        rows, best = _forms(w[basis + [k]]), -np.inf
         for sub in [*combinations(basis, 1), *combinations(basis, 2)]:
             cand = _through(w[[*sub, k]])
             cand = cand / max(1.0, float((rows @ cand).max()))
@@ -260,13 +283,24 @@ def _line_envelope(w, mu):
     """
     if not len(w):
         return mu * np.eye(2), []
-    norm2 = (w * w).sum(axis=1)
-    a = int(np.argmax(norm2))
-    if (np.abs(w[a, 0] * w[:, 1] - w[a, 1] * w[:, 0]) > LINE_SIN * np.sqrt(norm2[a] * norm2)).any():
-        return None
+    top, a = _argmax(w, _norm2)
+    if _argmax(w, lambda block: np.abs(w[a, 0] * block[:, 1] - w[a, 1] * block[:, 0])
+               > LINE_SIN * np.sqrt(top * _norm2(block)))[0]:
+        return None  # a point off the line through w_a
     normal = np.array([-w[a, 1], w[a, 0]])
-    M = np.outer(w[a], w[a]) / norm2[a] ** 2 + mu * mu * np.outer(normal, normal)
-    return M / max(1.0, float((_forms(w) @ M[[0, 0, 1], [0, 1, 1]]).max())), [a]
+    M = np.outer(w[a], w[a]) / top ** 2 + mu * mu * np.outer(normal, normal)
+    form = M[[0, 0, 1], [0, 1, 1]]
+    return M / max(1.0, float(_argmax(w, lambda block: _forms(block) @ form)[0])), [a]
+
+
+def _constraints(w, peak):
+    """(flat grid index, z, W) of the constraints W >= FIT_FLOOR * peak, by row blocks."""
+    xs, ps = w.x_axis.points, w.p_axis.points
+    for r0 in range(0, len(xs), _CHUNK_ROWS):
+        block = w.values[r0:r0 + _CHUNK_ROWS].ravel()
+        at = np.flatnonzero(block >= FIT_FLOOR * peak)
+        i, j = np.divmod(at, len(ps))
+        yield at + r0 * len(ps), np.stack([xs[r0 + i], ps[j]], axis=1), block[at]
 
 
 def fit_dominating_gaussian(w, c_max_factor=C_MAX_FACTOR):
@@ -286,7 +320,8 @@ def fit_dominating_gaussian(w, c_max_factor=C_MAX_FACTOR):
       the certificate is `unbounded` with the M of `_line_envelope` at
       mu_1 = 2 (1 + VERDICT_BAND), twice the verdict threshold.
     C is recomputed over every constraint; the check raises ValueError if it
-    exceeds c_max_factor * max(W) beyond rounding.
+    exceeds c_max_factor * max(W) beyond rounding.  Only the points w_i and
+    their grid indices are held; the rest is streamed by row blocks.
     """
     if abs(trace(w) - 1.0) > 1e-3:
         warnings.warn("dominating fit on a grid without unit trace")
@@ -295,19 +330,26 @@ def fit_dominating_gaussian(w, c_max_factor=C_MAX_FACTOR):
     peak = w.values.max()
     if peak <= 0:
         raise ValueError("grid has no positive values to dominate")
-    i, j = np.nonzero(w.values >= FIT_FLOOR * peak)
-    z = np.stack([w.x_axis.points[i], w.p_axis.points[j]], axis=1)
-    vals = w.values[i, j]
-    del i, j
-    budget = w.hbar * (np.log(c_max_factor) - np.log(vals / peak))
-    away = (z != 0).any(axis=1)
+    n_constraints = int(np.count_nonzero(w.values >= FIT_FLOOR * peak))
+    wpts, where = np.empty((n_constraints, 2)), np.empty(n_constraints, int)
+    live, contacts = 0, None
+    for at, z, vals in _constraints(w, peak):
+        budget = w.hbar * (np.log(c_max_factor) - np.log(vals / peak))
+        away = (z[:, 0] != 0) | (z[:, 1] != 0)
+        pinned = away & (budget <= 0)
+        if pinned.any():
+            contacts = z[pinned][:1]
+            break
+        if not away.all():  # the origin, at most one point
+            at, z, budget = at[away], z[away], budget[away]
+        end = live + len(z)
+        np.divide(z, np.sqrt(budget)[:, None], out=wpts[live:end])
+        where[live:end], live = at, end
     exchanges, unbounded, converged, gap = 0, False, True, 0.0
-    pinned = away & (budget <= 0)
-    if pinned.any():
-        M, contacts = np.zeros((2, 2)), z[pinned][:1]
+    if contacts is not None:
+        M = np.zeros((2, 2))
     else:
-        live = np.flatnonzero(away)
-        wpts = z[live] / np.sqrt(budget[live])[:, None]
+        wpts = wpts[:live]
         line = _line_envelope(wpts, 2.0 * (1.0 + VERDICT_BAND))
         if line is not None:
             (M, basis), unbounded, gap = line, True, None
@@ -315,13 +357,20 @@ def fit_dominating_gaussian(w, c_max_factor=C_MAX_FACTOR):
             M, basis, exchanges = _lowner_john(wpts)
             gap = _duality_gap(M, wpts[basis])
             converged = gap is not None and gap <= GAP_TOL
-        contacts = z[live[basis]]
+        i, j = np.divmod(where[basis], w.p_axis.count)
+        contacts = np.stack([w.x_axis.points[i], w.p_axis.points[j]], axis=1)
+    del wpts, where
     if not converged:
         warnings.warn("dominating-Gaussian fit did not certify its optimum; returning best found")
 
     if M.any():
         spectrum = symplectic_spectrum(M)
-        C = float((vals * np.exp(_forms(z) @ M[[0, 0, 1], [0, 1, 1]] / w.hbar)).max())
+        form, C = M[[0, 0, 1], [0, 1, 1]], 0.0
+        for _, z, vals in _constraints(w, peak):
+            if len(z) == 1 < n_constraints:  # a one-row block, doubled: see _argmax
+                z, vals = np.repeat(z, 2, axis=0), np.repeat(vals, 2)
+            if len(z):
+                C = max(C, float((vals * np.exp(_forms(z) @ form / w.hbar)).max()))
         if C > c_max_factor * peak * (1.0 + DOMINATION_RTOL):
             raise ValueError(f"dominating fit needs C = {C:.6g} above the cap "
                              f"{c_max_factor:g} * max W = {c_max_factor * peak:.6g}")
@@ -333,7 +382,7 @@ def fit_dominating_gaussian(w, c_max_factor=C_MAX_FACTOR):
         M=M, C=C, spectrum=spectrum, mu1=mu1,
         verdict=domination_verdict(mu1), hbar=w.hbar,
         c_max_factor=c_max_factor, floor=FIT_FLOOR,
-        n_constraints=len(vals), converged=converged,
+        n_constraints=n_constraints, converged=converged,
         n_evaluations=exchanges, contacts=contacts, duality_gap=gap,
         unbounded=unbounded,
     )

@@ -16,7 +16,6 @@ from .states import TAIL_TOL, WignerGrid, _abs_max, _boundary_band_sum, _chirp_s
 __all__ = [
     "narcowich_oconnell_grid",
     "moment_p4",
-    "p4_series_reference",
     "truncated_bump_grid",
 ]
 
@@ -92,28 +91,6 @@ def moment_p4(w):
     if band > TAIL_TOL * weight:
         warnings.warn("fourth moment may not have converged (heavy tail at the boundary)")
     return total
-
-
-def p4_series_reference(alpha, beta):
-    """Fourth momentum moment from the Taylor coefficient of the transform.
-
-    The moment equals the fourth derivative at p = 0 of the momentum profile
-    (1 - beta p^2/2) exp(-beta^2 p^4), i.e. 24 times its p^4 series
-    coefficient.  Computed by truncated polynomial arithmetic; the result is
-    -24*beta^2 and is independent of alpha.
-    """
-    deg = 4
-    # series of exp(-beta^2 p^4) up to p^deg
-    exp_series = np.zeros(deg + 1)
-    term = 1.0
-    for k in range(deg // 4 + 1):
-        exp_series[4 * k] = term
-        term *= -beta**2 / (k + 1)
-    prefactor = np.zeros(deg + 1)
-    prefactor[0] = 1.0
-    prefactor[2] = -0.5 * beta
-    product = np.polynomial.polynomial.polymul(prefactor, exp_series)[: deg + 1]
-    return float(24.0 * product[4])
 
 
 def truncated_bump_grid(x_axis, p_axis, hbar=1.0, radius=1.0, profile="cosine"):

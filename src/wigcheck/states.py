@@ -14,17 +14,15 @@ from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 __all__ = [
     "AxisGrid",
     "default_axis",
     "wigner_momentum_axis",
-    "fourier_momentum_axis",
     "WaveFunctionGrid",
     "WignerGrid",
     "fock_state",
-    "gaussian_wavepacket",
-    "fourier_wavefunction",
     "wigner_of_pure",
     "wigner_gaussian",
     "mixture_wigner",
@@ -43,7 +41,7 @@ NORM_TOL = 1e-6  # largest deviation of a pure state's norm from 1
 ALIASING_TOL = 1e-8  # largest Wigner amplitude on the outer momentum columns, relative
 MASS_TOL = 1e-5  # largest trace drift of `rescale`, relative to max(1, |trace|)
 TAIL_TOL = 1e-6  # largest share of a moment's weight on the boundary band
-_CHUNK_ROWS = 64  # rows (the kernel: row pairs) per chirp-z call: ~1.5 MB of FFT work at 768^2
+_CHUNK_ROWS = 64  # grid rows per block of a streamed pass (the kernel: row pairs per chirp-z)
 _ALIGN = 8  # SymplecticFourier's least rows and column multiple: OpenBLAS rounds by batch
 
 
@@ -56,8 +54,8 @@ class AxisGrid:
     count: int
 
     def __post_init__(self):
-        if not self.min < self.max:
-            raise ValueError("min must be < max")
+        if not (np.isfinite(self.min) and np.isfinite(self.max) and self.min < self.max):
+            raise ValueError(f"axis needs finite min < max, got {self.min!r}, {self.max!r}")
         if self.count < 16:
             raise ValueError("count must be >= 16")
 
@@ -79,7 +77,10 @@ class AxisGrid:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(float(d["min"]), float(d["max"]), int(d["count"]))
+        count = d["count"]  # 16.0 is a count; a bool, a string or 16.9 is not
+        if isinstance(count, bool) or not isinstance(count, (int, float)) or count % 1:
+            raise ValueError(f"axis count must be an integer, got {count!r}")
+        return cls(float(d["min"]), float(d["max"]), int(count))
 
 
 def default_axis(hbar=1.0, count=256, extent=8.0):
@@ -90,16 +91,6 @@ def default_axis(hbar=1.0, count=256, extent=8.0):
 def wigner_momentum_axis(axis, hbar=1.0):
     """Momentum axis conjugate to `axis` for the Wigner transform (dp = pi*hbar/(n*dx))."""
     return AxisGrid.centered(axis.count, np.pi * hbar / (axis.count * axis.spacing))
-
-
-def fourier_momentum_axis(axis, hbar=1.0):
-    """Momentum axis conjugate to `axis` for wavefunctions (dp = 2*pi*hbar/(n*dx))."""
-    return AxisGrid.centered(axis.count, 2.0 * np.pi * hbar / (axis.count * axis.spacing))
-
-
-def _cdft(a, axis=-1):
-    # centered DFT: X[k] = sum_m a[m] exp(-2 pi i k m / n) with k, m in [-n/2, n/2)
-    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(a, axes=axis), axis=axis), axes=axis)
 
 
 def _fast_len(n):
@@ -115,8 +106,9 @@ def _fast_len(n):
         n += 1
 
 
-def _chirp_sum(v, s0, ds, t0, dt, m, sign=1):
-    """out[..., k] = sum_j v[..., j] exp(sign*i (t0 + k*dt)(s0 + j*ds)) for k < m.
+def _chirp_sum(v, s0, ds, t0, dt, m, sign=1, imag=None):
+    """out[..., k] = sum_j v[..., j] exp(sign*i (t0 + k*dt)(s0 + j*ds)) for k < m,
+    with v + i imag in place of v when `imag` is given (its rows padded with zeros).
 
     Exact for any pair of uniform grids (chirp-z transform): Bluestein's
     jk = (j^2 + k^2 - (k-j)^2)/2 turns the sum into a convolution with a
@@ -131,12 +123,21 @@ def _chirp_sum(v, s0, ds, t0, dt, m, sign=1):
     j = np.arange(n) - jc
     k = np.arange(m) - kc
     q = np.arange(-(n - 1), m) - (kc - jc)
-    size = _fast_len(n + m - 1)
+    size = _fast_len(n + max(m, 1) - 1)  # room for v even when m = 0
     pre = np.exp(1j * (sign * tc * ds * j + 0.5 * a * (j * j)))
     chirp = np.fft.fft(np.exp(-0.5j * a * (q * q)), size)
-    conv = np.fft.ifft(np.fft.fft(v * pre, size, axis=-1) * chirp, axis=-1)
-    post = np.exp(1j * (sign * (tc * sc + sc * dt * k) + 0.5 * a * (k * k)))
-    return conv[..., n - 1:n - 1 + m] * post
+    conv = np.zeros(v.shape[:-1] + (size,), dtype=complex)  # the one work array, FFT'd in place
+    head = conv[..., :n]
+    head[...] = v
+    if imag is not None:  # v + i imag, built in the work array
+        head[:len(imag)].imag = imag
+    head *= pre
+    np.fft.fft(conv, axis=-1, out=conv)
+    conv *= chirp
+    np.fft.ifft(conv, axis=-1, out=conv)
+    out = conv[..., n - 1:n - 1 + m]
+    out *= np.exp(1j * (sign * (tc * sc + sc * dt * k) + 0.5 * a * (k * k)))
+    return out
 
 
 @dataclass
@@ -216,33 +217,9 @@ def fock_state(n, axis=None, hbar=1.0):
     return WaveFunctionGrid(axis, vals, hbar)
 
 
-def gaussian_wavepacket(rate=1.0, axis=None, hbar=1.0):
-    """Real Gaussian psi(x) propto exp(-rate*x^2 / (2*hbar)), normalized."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    if axis is None:
-        axis = default_axis(hbar)
-    xs = axis.points
-    vals = (rate / (np.pi * hbar)) ** 0.25 * np.exp(-rate * xs**2 / (2 * hbar))
-    vals = vals / np.sqrt(np.sum(vals**2) * axis.spacing)
-    return WaveFunctionGrid(axis, vals, hbar)
-
-
 def _require_normalized(psi):
     if abs(psi.norm_squared() - 1.0) > NORM_TOL:
         raise ValueError("wavefunction is not normalized")
-
-
-def fourier_wavefunction(psi):
-    """Unitary hbar-scaled Fourier transform of a wavefunction.
-
-    F psi(p) = (2 pi hbar)^(-1/2) int exp(-i p x / hbar) psi(x) dx, sampled
-    on the conjugate momentum axis.
-    """
-    axis, hbar = psi.axis, psi.hbar
-    out_axis = fourier_momentum_axis(axis, hbar)
-    vals = axis.spacing / np.sqrt(2 * np.pi * hbar) * _cdft(psi.values)
-    return WaveFunctionGrid(out_axis, vals, hbar)
 
 
 def wigner_of_pure(psi):
@@ -257,13 +234,20 @@ def wigner_of_pure(psi):
     axis, hbar = psi.axis, psi.hbar
     n = axis.count
     p_axis = wigner_momentum_axis(axis, hbar)
-    d = axis.spacing
     pad = np.concatenate([np.zeros(n, dtype=complex), psi.values, np.zeros(n, dtype=complex)])
-    offs = np.arange(n) - n // 2
-    rows = np.arange(n)[:, None]
-    corr = pad[rows + offs[None, :] + n] * np.conjugate(pad[rows - offs[None, :] + n])
-    wc = (d / (np.pi * hbar)) * _cdft(corr, axis=1)
-    w = WignerGrid(axis, p_axis, wc.real, hbar, float(_abs_max(wc.imag)))
+    # psi(x_r + y) and psi(x_r - y) at offset y = (t - n//2) dx are [r, t] of these windows
+    lo = n - n // 2
+    ahead = sliding_window_view(pad, n)[lo:lo + n]
+    back = sliding_window_view(pad[::-1], n)[lo + n - 1:lo - 1:-1]
+    # the products in ifftshifted column order: offsets 0 .. lo-1, then -(n//2) .. -1
+    wc = np.empty((n, n), dtype=complex)
+    for dst, t in ((wc[:, :lo], slice(n // 2, None)), (wc[:, lo:], slice(0, n // 2))):
+        np.multiply(ahead[:, t], np.conjugate(back[:, t], out=dst), out=dst)
+    np.fft.fft(wc, axis=1, out=wc)
+    np.multiply(axis.spacing / (np.pi * hbar), wc, out=wc)
+    values = np.empty((n, n))  # the real part, fftshifted back to centred columns
+    values[:, :n // 2], values[:, n // 2:] = wc.real[:, lo:], wc.real[:, :lo]
+    w = WignerGrid(axis, p_axis, values, hbar, float(_abs_max(wc.imag)))
     edge = max(_abs_max(w.values[:, :2]), _abs_max(w.values[:, -2:]))
     if edge > ALIASING_TOL * _abs_max(w.values):
         warnings.warn(f"possible momentum aliasing: boundary amplitude ratio {edge:.2e}")
@@ -320,14 +304,23 @@ def _boundary_band_sum(a, rw, cw):
     An array with at most four rows or columns is all band.  The whole sum
     comes from the row and column sums of |a|, the band sum from its strips.
     """
-    mag = np.abs(a)
-    whole = float(rw @ mag.sum(axis=1) + cw @ mag.sum(axis=0))
-    del mag
+    rows, cols = _abs_sums(a)
+    whole = float(rw @ rows + cw @ cols)
     n, m = a.shape
     ends = [(slice(0, min(2, k)), slice(max(2, k - 2), k)) for k in (n, m)]  # first, last two
     blocks = [(r, slice(None)) for r in ends[0]] + [(slice(2, n - 2), c) for c in ends[1]]
     band = sum(float((np.abs(a[r, c]) * (rw[r, None] + cw[c])).sum()) for r, c in blocks)
     return band, whole
+
+
+def _abs_sums(a):
+    """Row and column sums of |a|, by blocks of rows: no |a| copy."""
+    rows, cols = np.empty(len(a)), np.zeros(a.shape[1])
+    for r0 in range(0, len(a), _CHUNK_ROWS):
+        mag = np.abs(a[r0:r0 + _CHUNK_ROWS])
+        rows[r0:r0 + len(mag)] = mag.sum(axis=1)
+        cols += mag.sum(axis=0)
+    return rows, cols
 
 
 def _abs_max(a, axis=None):
@@ -453,10 +446,13 @@ class SymplecticFourier:
         self._ox, self._op = w.x_axis.points[i:] - self._xc, w.p_axis.points[j:] - self._pc
         hp = len(self._op)
         self._blocks = np.zeros((2, len(self._ox), -(-2 * hp // _ALIGN) * _ALIGN))
+        v, f = w.values, w.values[:, ::-1]
+        lower = np.empty((len(self._ox), hp))  # the one temporary, a quarter grid
         for op, block in zip((np.add, np.subtract), self._blocks):  # [W_ee | W_eo], [W_oe | W_oo]
-            upper, lower = (op(v[i:, j:], v[::-1][i:, j:]) for v in (w.values, w.values[:, ::-1]))
-            np.add(upper, lower, out=block[:, :hp])
+            op(f[i:, j:], f[::-1][i:, j:], out=lower)
+            upper = op(v[i:, j:], v[::-1][i:, j:], out=block[:, :hp])
             np.subtract(upper, lower, out=block[:, hp:2 * hp])
+            upper += lower
         self._blocks[0, 0] *= 1 - w.x_axis.count % 2 / 2  # an odd count's centre, added twice
         self._blocks[:, :, 0] *= 1 - w.p_axis.count % 2 / 2
         self._area = w.cell_area
@@ -486,49 +482,55 @@ def _rotate(re, im, theta):
     return (re * c - im * s) + 1j * (re * s + im * c)
 
 
+def _kernel_views(w):
+    """The two same-parity kernel blocks as read-only views of one transform
+    b[r, m], grid row r at separation 2*m*dx: entry (a, c), a >= c, of block
+    `parity` is b[parity + a + c, a - c].  Only the lower triangle and the
+    real diagonal are kernel entries; every read stays inside b.  A real row's
+    chirp-z transform has T[-m] = conj T[m], so rows r and r + ceil(n/2) share
+    one complex transform, _CHUNK_ROWS pairs at a time."""
+    n, dp = w.x_axis.count, w.p_axis.spacing
+    h = (n + 1) // 2  # rows of the even block; the odd one has n - h
+    step = 2 * w.x_axis.spacing / w.hbar
+    b = np.empty((n, h), dtype=complex)
+    for r0 in range(0, h, _CHUNK_ROWS):
+        low = b[r0:min(r0 + _CHUNK_ROWS, h)]
+        high = b[r0 + h:r0 + h + len(low)]  # with n odd, row h-1 has no partner
+        t = _chirp_sum(w.values[r0:r0 + len(low)], w.p_axis.min, dp, -(h - 1) * step, step,
+                       2 * h - 1, imag=w.values[r0 + h:r0 + h + len(high)])
+        pos, neg = t[:, h - 1:], t[:, h - 1::-1]  # separations +-2*m*dx, m >= 0
+        np.subtract(pos[:len(high)], np.conjugate(neg[:len(high)], out=high), out=high)
+        high *= -0.5j * dp
+        np.add(pos, np.conjugate(neg, out=low), out=low)
+        low *= 0.5 * dp
+        del t, pos, neg  # before the next block's transform
+    s = b.itemsize
+    return tuple(as_strided(b[parity:], (size, size), ((h + 1) * s, (h - 1) * s), writeable=False)
+                 for parity, size in enumerate((h, n - h)))
+
+
 def kernel_from_wigner(w):
     """Operator kernel of a Wigner grid on its two same-parity sublattices.
 
     K(x_j, x_l) = sum_k W((x_j+x_l)/2, p_k) exp(i p_k (x_j-x_l) / hbar) dp.
     Returns the blocks (K[0::2, 0::2], K[1::2, 1::2]).  Their entries have
     j+l even, so the midpoint (x_j+x_l)/2 is grid row (j+l)/2 and nothing
-    between grid rows enters.  A real row's chirp-z transform onto the
-    separations 2*m*dx has T[-m] = conj T[m], so rows r and r + ceil(n/2)
-    share one complex transform, _CHUNK_ROWS pairs at a time; the blocks are
-    filled by diagonals, exactly Hermitian.  On DFT-conjugate axes this
-    inverts the pure-state construction exactly.
+    between grid rows enters.  Each block is the lower triangle of its
+    `_kernel_views` view plus the conjugate transpose of the strict part,
+    exactly Hermitian.  On DFT-conjugate axes this inverts the pure-state
+    construction exactly.
     """
-    n, dp = w.x_axis.count, w.p_axis.spacing
-    h = (n + 1) // 2  # rows of the even block; the odd one has n - h
-    step = 2 * w.x_axis.spacing / w.hbar
-    b = np.empty((n, h), dtype=complex)  # b[r, m]: grid row r at separation 2*m*dx
-    for r0 in range(0, h, _CHUNK_ROWS):
-        v = w.values[r0:min(r0 + _CHUNK_ROWS, h)].astype(complex)
-        pair = w.values[r0 + h:r0 + h + len(v)]  # with n odd, row h-1 has no partner
-        v[:len(pair)].imag = pair
-        t = _chirp_sum(v, w.p_axis.min, dp, -(h - 1) * step, step, 2 * h - 1)
-        pos, neg = t[:, h - 1:], t[:, h - 1::-1].conj()  # separations +-2*m*dx, m >= 0
-        b[r0:r0 + len(v)] = (pos + neg) * (0.5 * dp)
-        b[r0 + h:r0 + h + len(pair)] = (pos[:len(pair)] - neg[:len(pair)]) * (-0.5j * dp)
-    blocks = []
-    for parity, size in enumerate((h, n - h)):
-        k = np.empty((size, size), dtype=complex)
-        flat = k.reshape(-1)
-        flat[::size + 1] = b[parity:2 * size - 1 + parity:2, 0].real
-        for m in range(1, size):  # entries (a+m, a) come from grid row 2a+m+parity
-            col = b[parity + m:2 * size - 1 - m + parity:2, m]
-            flat[m * size::size + 1], flat[m:(size - m) * size:size + 1] = col, col.conj()
-        blocks.append(k)
-    return tuple(blocks)
+    return tuple(np.tril(view) + np.tril(view, -1).conj().T for view in _kernel_views(w))
 
 
 def operator_spectrum_oracle(w):
     """Ground-truth spectrum test: (even, odd), the eigenvalues of the two
     `kernel_from_wigner` blocks times 2dx, each in descending order.  By
     Cauchy interlacing a negative one is one of the whole kernel, so the grid
-    is not a state; the mean of the two sums is the grid trace."""
+    is not a state; the mean of the two sums is the grid trace.  eigvalsh
+    reads the lower triangles of the `_kernel_views` views: no block copy."""
     scale = 2 * w.x_axis.spacing  # applied to the eigenvalues: no scaled copy of a block
-    return tuple(np.linalg.eigvalsh(k)[::-1] * scale for k in kernel_from_wigner(w))
+    return tuple(np.linalg.eigvalsh(k, UPLO="L")[::-1] * scale for k in _kernel_views(w))
 
 
 def save_wigner_manifest(w, path, csv_path=None):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wigcheck import (AxisGrid, fock_state, mixture_wigner, narcowich_oconnell_grid,
-                      operator_spectrum_oracle, symplectic_form, wigner_gaussian,
-                      wigner_of_pure)
+from wigcheck import (AxisGrid, WaveFunctionGrid, default_axis, fock_state, mixture_wigner,
+                      narcowich_oconnell_grid, operator_spectrum_oracle, symplectic_form,
+                      wigner_gaussian, wigner_of_pure)
 
 
 def random_spd(rng, dim, lo=0.2, hi=2.0):
@@ -17,6 +17,55 @@ def random_spd(rng, dim, lo=0.2, hi=2.0):
 def oracle_min(w):
     """Smallest eigenvalue of the two same-parity kernel blocks."""
     return min(eigs[-1] for eigs in operator_spectrum_oracle(w))
+
+
+def gaussian_wavepacket(rate=1.0, axis=None, hbar=1.0):
+    """Real Gaussian psi(x) propto exp(-rate*x^2 / (2*hbar)), normalized."""
+    if rate <= 0:
+        raise ValueError("rate must be positive")
+    if axis is None:
+        axis = default_axis(hbar)
+    xs = axis.points
+    vals = (rate / (np.pi * hbar)) ** 0.25 * np.exp(-rate * xs**2 / (2 * hbar))
+    vals = vals / np.sqrt(np.sum(vals**2) * axis.spacing)
+    return WaveFunctionGrid(axis, vals, hbar)
+
+
+def fourier_wavefunction(psi):
+    """Unitary hbar-scaled Fourier transform of a wavefunction.
+
+    F psi(p) = (2 pi hbar)^(-1/2) int exp(-i p x / hbar) psi(x) dx, sampled
+    on the conjugate momentum axis (dp = 2*pi*hbar/(n*dx)).
+    """
+    axis, hbar = psi.axis, psi.hbar
+    out_axis = AxisGrid.centered(axis.count, 2.0 * np.pi * hbar / (axis.count * axis.spacing))
+    # centred DFT: X[k] = sum_m a[m] exp(-2 pi i k m / n) with k, m in [-n/2, n/2)
+    dft = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(psi.values)))
+    vals = axis.spacing / np.sqrt(2 * np.pi * hbar) * dft
+    return WaveFunctionGrid(out_axis, vals, hbar)
+
+
+def p4_series_reference(alpha, beta):
+    """Fourth momentum moment of the Narcowich-O'Connell function from the
+    Taylor coefficient of its transform.
+
+    The moment equals the fourth derivative at p = 0 of the momentum profile
+    (1 - beta p^2/2) exp(-beta^2 p^4), i.e. 24 times its p^4 series
+    coefficient.  Computed by truncated polynomial arithmetic; the result is
+    -24*beta^2 and is independent of alpha.
+    """
+    deg = 4
+    # series of exp(-beta^2 p^4) up to p^deg
+    exp_series = np.zeros(deg + 1)
+    term = 1.0
+    for k in range(deg // 4 + 1):
+        exp_series[4 * k] = term
+        term *= -beta**2 / (k + 1)
+    prefactor = np.zeros(deg + 1)
+    prefactor[0] = 1.0
+    prefactor[2] = -0.5 * beta
+    product = np.polynomial.polynomial.polymul(prefactor, exp_series)[: deg + 1]
+    return float(24.0 * product[4])
 
 
 def random_symplectic(seed, ndof):

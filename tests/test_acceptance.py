@@ -6,14 +6,15 @@ lines alongside the pytest verdicts.
 
 import numpy as np
 
-from conftest import oracle_min, random_spd, random_symplectic
+from conftest import (fourier_wavefunction, oracle_min, p4_series_reference, random_spd,
+                      random_symplectic)
 from wigcheck import (capacity, check_quantum_psd, check_rs,
                       check_williamson_criterion, compact_support_flag,
                       covariance_from_grid, default_axis, fit_dominating_gaussian,
-                      fock_state, fourier_wavefunction, hbar_sweep, is_admissible,
+                      fock_state, hbar_sweep, is_admissible,
                       klm_check, lambda_star, moment_p4,
                       operator_spectrum_oracle,
-                      p4_series_reference, rescale, symplectic_spectrum, domination_verdict,
+                      rescale, symplectic_spectrum, domination_verdict,
                       trace, truncated_bump_grid, wigner_gaussian, wigner_of_pure)
 from wigcheck.states import AxisGrid
 from wigcheck.symplectic import williamson

@@ -289,6 +289,45 @@ def test_manifest_with_negative_hbar_is_input_error(tmp_path, capsys):
     assert err.startswith("error:") and "hbar must be positive" in err
 
 
+@pytest.mark.parametrize("axis, key, value, shown", [
+    ("x_axis", "count", 64.9, "axis count must be an integer, got 64.9"),
+    ("p_axis", "count", True, "axis count must be an integer, got True"),
+    ("x_axis", "count", "64", "axis count must be an integer, got '64'"),
+    ("x_axis", "min", -np.inf, "axis needs finite min < max, got -inf"),
+    ("p_axis", "max", np.nan, "axis needs finite min < max, got"),
+], ids=["fractional count", "bool count", "string count", "infinite min", "nan max"])
+def test_manifest_axis_is_checked_at_load(tmp_path, capsys, axis, key, value, shown):
+    # a fractional count was truncated, and an infinite min ended in a failed eigensolve
+    manifest = _vacuum_manifest(tmp_path, capsys)
+    doc = json.loads(manifest.read_text())
+    doc[axis][key] = value
+    manifest.write_text(json.dumps(doc))
+    assert _analyze_grid(manifest) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: invalid state spec: {shown}")
+
+
+def test_manifest_count_may_be_an_integral_float(tmp_path, capsys):
+    manifest = _vacuum_manifest(tmp_path, capsys)
+    doc = json.loads(manifest.read_text())
+    doc["x_axis"]["count"] = 64.0
+    manifest.write_text(json.dumps(doc))
+    assert main(["oracle", json.dumps({"type": "grid", "manifest": str(manifest)})]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle"]["positive"]
+
+
+def test_failed_output_replace_leaves_no_temporary_file(tmp_path, capsys):
+    # the report cannot replace a directory: one error line, and no <output>.tmp left
+    target = tmp_path / "edge"
+    target.mkdir()
+    assert main(["wigner", '{"type":"fock","n":0}', "--grid-n", "64", "-o", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["edge"]
+
+
 @pytest.mark.parametrize("flag", ["--trials", "--max-order"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_klm_counts_below_one_rejected(capsys, flag, value):

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from test_states import _dense_rescale
+from conftest import gaussian_wavepacket
+from test_states import _dense_rescale, _traced_peak
 from wigcheck import (as_dict, capacity, compact_support_flag, covariance_from_grid,
                       default_axis, fit_dominating_gaussian, fock_state,
-                      gaussian_wavepacket, hardy_fit, rescale, domination_verdict,
+                      hardy_fit, rescale, domination_verdict, symplectic_spectrum,
                       truncated_bump_grid, wigner_gaussian, wigner_of_pure)
 from wigcheck import domination
 from wigcheck.cli import main
@@ -514,3 +517,141 @@ def test_hardy_transform_matches_dense_sum(psi, monkeypatch):
     dense = np.exp(-1j * np.outer(xs, xs) / psi.hbar) @ psi.values
     assert len(seen) == 1
     assert np.abs(seen[0] - dense).max() <= 1e-12 * np.abs(psi.values).sum()
+
+
+# --- the streamed fit against the whole-array fit ---------------------------
+
+def _whole_lowner_john(w):
+    """_lowner_john with every constraint's forms, r and excess held at once."""
+    q = domination._forms(w)
+    slack = np.abs(q) * domination.CONTACT_TOL
+    a = int(np.argmax(q[:, 0] + q[:, 2]))
+    b = int(np.argmax(np.abs(w[a, 0] * w[:, 1] - w[a, 1] * w[:, 0])))
+    basis, m = [a, b], domination._through(w[[a, b]])
+    for exchanges in range(domination.MAX_EXCHANGES + 1):
+        r = q @ m
+        excess = r - slack @ np.abs(m)
+        k = int(np.argmax(excess))
+        if excess[k] <= 1.0 or exchanges == domination.MAX_EXCHANGES:
+            m = m / r.max()
+            return np.array([[m[0], m[1]], [m[1], m[2]]]), basis, exchanges
+        rows, best = q[basis + [k]], -np.inf
+        for sub in [*combinations(basis, 1), *combinations(basis, 2)]:
+            cand = domination._through(w[[*sub, k]])
+            cand = cand / max(1.0, float((rows @ cand).max()))
+            det = cand[0] * cand[2] - cand[1] * cand[1]
+            if cand[0] > 0 and det > best:
+                best, m, new = det, cand, [*sub, k]
+        basis = new
+
+
+def _whole_line_envelope(w, mu):
+    if not len(w):
+        return mu * np.eye(2), []
+    norm2 = (w * w).sum(axis=1)
+    a = int(np.argmax(norm2))
+    if (np.abs(w[a, 0] * w[:, 1] - w[a, 1] * w[:, 0]) > domination.LINE_SIN
+            * np.sqrt(norm2[a] * norm2)).any():
+        return None
+    normal = np.array([-w[a, 1], w[a, 0]])
+    M = np.outer(w[a], w[a]) / norm2[a] ** 2 + mu * mu * np.outer(normal, normal)
+    return M / max(1.0, float((domination._forms(w) @ M[[0, 0, 1], [0, 1, 1]]).max())), [a]
+
+
+def _whole_array_fit(w, c_max_factor):
+    """fit_dominating_gaussian over whole-grid arrays of the constraints:
+    (M, C, spectrum, contacts, n_constraints, exchanges, duality gap, unbounded)."""
+    peak = w.values.max()
+    i, j = np.nonzero(w.values >= domination.FIT_FLOOR * peak)
+    z = np.stack([w.x_axis.points[i], w.p_axis.points[j]], axis=1)
+    vals = w.values[i, j]
+    budget = w.hbar * (np.log(c_max_factor) - np.log(vals / peak))
+    away = (z != 0).any(axis=1)
+    exchanges, unbounded, gap = 0, False, 0.0
+    pinned = away & (budget <= 0)
+    if pinned.any():
+        M, contacts = np.zeros((2, 2)), z[pinned][:1]
+    else:
+        live = np.flatnonzero(away)
+        wpts = z[live] / np.sqrt(budget[live])[:, None]
+        line = _whole_line_envelope(wpts, 2.0 * (1.0 + domination.VERDICT_BAND))
+        if line is not None:
+            (M, basis), unbounded, gap = line, True, None
+        else:
+            M, basis, exchanges = _whole_lowner_john(wpts)
+            gap = domination._duality_gap(M, wpts[basis])
+        contacts = z[live[basis]]
+    if M.any():
+        spectrum = symplectic_spectrum(M)
+        C = float((vals * np.exp(domination._forms(z) @ M[[0, 0, 1], [0, 1, 1]] / w.hbar)).max())
+    else:
+        spectrum, C = np.array([0.0]), float(peak)
+    return M, C, spectrum, contacts, len(vals), exchanges, gap, unbounded
+
+
+def _three_point_grid():
+    # three positive values off one line: the fewest constraints with a bounded fit
+    axis = default_axis(count=64)
+    vals = np.zeros((64, 64))
+    vals[40, 37] = vals[20, 33] = vals[35, 12] = 1.0 / (3 * axis.spacing**2)
+    return WignerGrid(axis, axis, vals)
+
+
+def _manifest_grids():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "benchmark" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    axis = AxisGrid.from_dict(workloads.MANIFEST_AXIS)
+    return {f"manifest {m.case.name}": WignerGrid(axis, axis, m.values)
+            for m in workloads.manifest_inputs(Path("."))}
+
+
+def _fit_cases(vacuum_wigner, fock1_wigner, mixture_5050):
+    axis = default_axis()
+    return {"vacuum": vacuum_wigner, "fock01 mixture": mixture_5050,
+            "squeezed": wigner_gaussian([0, 0], np.diag([1.0, 0.25]), axis, axis),
+            "fock1 x1.2": rescale(fock1_wigner, 1.2), "vacuum x1.5": rescale(vacuum_wigner, 1.5),
+            "bump": truncated_bump_grid(axis, axis, radius=1.0),
+            "three points": _three_point_grid(),
+            **{name: REDUCTION_GRIDS[name]() for name in ("bump-indicator", *sorted(DEGENERATE))},
+            **_manifest_grids()}
+
+
+def _assert_same_fit(w, c_max_factor):
+    cert = fit_dominating_gaussian(w, c_max_factor=c_max_factor)
+    M, C, spectrum, contacts, n_constraints, exchanges, gap, unbounded = _whole_array_fit(
+        w, c_max_factor)
+    for got, want in ((cert.M, M), (cert.spectrum, spectrum), (cert.contacts, contacts)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert (cert.C, cert.n_constraints, cert.n_evaluations) == (C, n_constraints, exchanges)
+    assert (cert.duality_gap, cert.unbounded) == (gap, unbounded)
+    return cert
+
+
+@pytest.mark.parametrize("c_max_factor", [1.0, 1.25, 10.0])
+def test_streamed_fit_is_the_whole_array_fit(no_grid, vacuum_wigner, fock1_wigner, mixture_5050,
+                                             c_max_factor):
+    # the constraints stream by row blocks and the solver's passes by point
+    # blocks; every number of the certificate stays bit for bit
+    kinds = set()
+    cases = _fit_cases(vacuum_wigner, fock1_wigner, mixture_5050)
+    for w in [no_grid, *cases.values()]:
+        cert = _assert_same_fit(w, c_max_factor)
+        kinds.add("unbounded" if cert.unbounded else "pinned" if not cert.M.any() else "fit")
+    assert kinds == {"fit", "unbounded"} | ({"pinned"} if c_max_factor == 1.0 else set())
+
+
+def test_streamed_fit_with_tiny_blocks(vacuum_wigner, fock1_wigner, mixture_5050, monkeypatch):
+    # blocks of a few rows and points: argmax ties and contacts across block edges
+    monkeypatch.setattr(domination, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(domination, "_POINT_BLOCK", 7)
+    cases = _fit_cases(vacuum_wigner, fock1_wigner, mixture_5050)
+    for name in ("vacuum", "fock1 x1.2", "squeezed", "three points", "line", "bump-indicator"):
+        for c_max_factor in (1.0, 1.25):
+            _assert_same_fit(cases[name], c_max_factor)
+
+
+def test_fit_memory_stays_within_1_3_grids(no_grid):
+    # held: the scaled points and their grid indices; streamed: everything else
+    assert _traced_peak(lambda: fit_dominating_gaussian(no_grid)) <= 1.3 * no_grid.values.nbytes

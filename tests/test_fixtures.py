@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_min
+from conftest import oracle_min, p4_series_reference
 from wigcheck import (check_quantum_psd, check_rs, covariance_from_grid, default_axis,
-                      moment_p4, narcowich_oconnell_grid, p4_series_reference, trace,
-                      wigner_gaussian)
+                      moment_p4, narcowich_oconnell_grid, trace, wigner_gaussian)
 from wigcheck.fixtures import NO_COUNT, NO_EXTENT
 
 

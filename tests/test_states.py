@@ -6,9 +6,9 @@ import pytest
 import scipy.fft
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
-from conftest import oracle_min
+from conftest import fourier_wavefunction, gaussian_wavepacket, oracle_min
 from wigcheck import (AxisGrid, SymplecticFourier, cli, default_axis, fock_state,
-                      fourier_wavefunction, gaussian_wavepacket, kernel_from_wigner,
+                      kernel_from_wigner,
                       load_wigner_manifest, mixture_wigner, narcowich_oconnell_grid,
                       operator_spectrum_oracle, rescale, save_wigner_manifest, trace,
                       truncated_bump_grid, wigner_gaussian, wigner_momentum_axis,
@@ -185,16 +185,79 @@ def test_kernel_hermitian(no_grid):
         assert np.array_equal(k, k.conj().T)
 
 
-def test_oracle_memory_stays_within_three_grids(no_grid):
-    # the rows stream through the chirp-z in blocks: the kernel's peak is the
-    # unpacked rows and the two blocks, each about the size of the grid
+def _traced_peak(run):
+    """Peak of tracemalloc's traced memory during run(), above its start."""
     tracemalloc.start()
     try:
-        operator_spectrum_oracle(no_grid)
-        peak = tracemalloc.get_traced_memory()[1]
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * no_grid.values.nbytes
+
+
+def test_oracle_memory_stays_within_1_6_grids(no_grid):
+    # the transform b (one grid) and one row block's chirp-z work array; the
+    # eigensolver reads the blocks as views of b, so no block is materialized
+    assert _traced_peak(lambda: operator_spectrum_oracle(no_grid)) <= 1.6 * no_grid.values.nbytes
+
+
+def test_klm_stage_memory_stays_within_1_5_grids(no_grid):
+    # SymplecticFourier's blocks (one grid) and a quarter-grid temporary; the
+    # witness check sums |W| by row blocks
+    args = cli.build_parser().parse_args(["klm", "{}"])
+    assert _traced_peak(lambda: cli._klm(no_grid, args)) <= 1.5 * no_grid.values.nbytes
+
+
+def _oracle_cases(no_grid, odd_offcentre_grid):
+    yield "narcowich-oconnell", no_grid
+    yield "fock1 x1.2", rescale(wigner_of_pure(fock_state(1)), 1.2)
+    yield "odd off-centre", odd_offcentre_grid
+    rng = np.random.default_rng(3)
+    for n, m in ((301, 250), (17, 20), (4 * _CHUNK_ROWS + 1, 64)):  # odd, non-conjugate
+        yield f"random {n}x{m}", WignerGrid(AxisGrid(-5.0, 6.0, n), AxisGrid(-4.0, 3.5, m),
+                                            rng.normal(size=(n, m)), hbar=0.7)
+
+
+def test_oracle_views_match_the_hermitian_blocks_bit_for_bit(no_grid, odd_offcentre_grid):
+    # eigvalsh reads only the lower triangle and the real diagonal, so the
+    # strided views give the eigenvalues of the expanded Hermitian blocks exactly
+    for name, w in _oracle_cases(no_grid, odd_offcentre_grid):
+        want = [np.linalg.eigvalsh(k)[::-1] * (2 * w.x_axis.spacing) for k in kernel_from_wigner(w)]
+        got = operator_spectrum_oracle(w)
+        assert [g.tobytes() for g in got] == [x.tobytes() for x in want], name
+
+
+def _gather_wigner_of_pure(psi):
+    """wigner_of_pure by index gathers and a centred DFT of the whole grid."""
+    n, hbar = psi.axis.count, psi.hbar
+    pad = np.concatenate([np.zeros(n, dtype=complex), psi.values, np.zeros(n, dtype=complex)])
+    offs = np.arange(n) - n // 2
+    rows = np.arange(n)[:, None]
+    corr = pad[rows + offs[None, :] + n] * np.conjugate(pad[rows - offs[None, :] + n])
+    dft = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(corr, axes=1), axis=1), axes=1)
+    wc = (psi.axis.spacing / (np.pi * hbar)) * dft
+    return wc.real, np.abs(wc.imag).max()
+
+
+@pytest.mark.parametrize("n", [256, 300])
+def test_wigner_of_pure_matches_the_gather_version(n):
+    axis = default_axis(1.0, n, 10.0)
+    states = [fock_state(k, axis) for k in range(4)]
+    for psi in states:
+        values, resid = _gather_wigner_of_pure(psi)
+        w = wigner_of_pure(psi)
+        assert w.values.tobytes() == values.tobytes() and w.imag_residual == resid
+    mix = mixture_wigner([(0.25, states[0]), (0.75, states[3])])
+    want = sum(weight * _gather_wigner_of_pure(states[k])[0]
+               for weight, k in ((0.25, 0), (0.75, 3)))
+    assert mix.values.tobytes() == want.tobytes()
+
+
+def test_wigner_of_pure_stays_within_3_5_grids():
+    # the complex products, transformed in place, and the real result
+    psi = fock_state(1, default_axis(1.0, 512))
+    assert _traced_peak(lambda: wigner_of_pure(psi)) <= 3.5 * 512 * 512 * 8
 
 
 def test_no_build_and_moments_stay_lean(no_grid):
