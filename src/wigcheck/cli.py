@@ -53,17 +53,20 @@ class InputError(Exception):
 
 def _load_spec(source):
     """The spec, one JSON object: inline JSON, a file path, or - for stdin."""
-    if source == "-":
-        spec = json.load(sys.stdin)
-    elif source.lstrip().startswith(("{", "[")):
-        # inline JSON is never taken for a path: a long one is not a valid file name
-        try:
-            spec = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"cannot read state spec {source!r}: {exc}") from exc
-    else:
-        with open(source) as fh:
-            spec = json.load(fh)
+    try:  # json's parser recurses once per level of nesting
+        if source == "-":
+            spec = json.load(sys.stdin)
+        elif source.lstrip().startswith(("{", "[")):
+            # inline JSON is never taken for a path: a long one is not a valid file name
+            try:
+                spec = json.loads(source)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"cannot read state spec {source!r}: {exc}") from exc
+        else:
+            with open(source) as fh:
+                spec = json.load(fh)
+    except RecursionError:
+        raise InputError("the state spec is nested too deeply to read") from None
     if not isinstance(spec, dict):
         raise InputError("the spec must be a JSON object")
     return spec

@@ -484,15 +484,20 @@ def _rotate(re, im, theta):
 
 def _kernel_views(w):
     """The two same-parity kernel blocks as read-only views of one transform
-    b[r, m], grid row r at separation 2*m*dx: entry (a, c), a >= c, of block
-    `parity` is b[parity + a + c, a - c].  Only the lower triangle and the
-    real diagonal are kernel entries; every read stays inside b.  A real row's
-    chirp-z transform has T[-m] = conj T[m], so rows r and r + ceil(n/2) share
-    one complex transform, _CHUNK_ROWS pairs at a time."""
+    b[r, m], grid row r at separation 2*m*dx, and a bound on the Frobenius
+    norm of each block's imaginary part.  Entry (a, c), a >= c, of block
+    `parity` is b[parity + a + c, a - c], and no entry of b is read twice:
+    only the lower triangle and the real diagonal are kernel entries, the
+    upper triangle holds their conjugates, so ||Im K||_F <= sqrt(2) ||Im b||_F.
+    Every read stays inside b.  A real row's chirp-z transform has
+    T[-m] = conj T[m], so rows r and r + ceil(n/2) share one complex
+    transform, _CHUNK_ROWS pairs at a time; each block adds its rows'
+    sum of (Im b)^2 as it writes them."""
     n, dp = w.x_axis.count, w.p_axis.spacing
     h = (n + 1) // 2  # rows of the even block; the odd one has n - h
     step = 2 * w.x_axis.spacing / w.hbar
     b = np.empty((n, h), dtype=complex)
+    imag_sq = 0.0
     for r0 in range(0, h, _CHUNK_ROWS):
         low = b[r0:min(r0 + _CHUNK_ROWS, h)]
         high = b[r0 + h:r0 + h + len(low)]  # with n odd, row h-1 has no partner
@@ -504,9 +509,11 @@ def _kernel_views(w):
         np.add(pos, np.conjugate(neg, out=low), out=low)
         low *= 0.5 * dp
         del t, pos, neg  # before the next block's transform
+        imag_sq += sum(float(np.einsum("ij,ij->", rows.imag, rows.imag)) for rows in (low, high))
     s = b.itemsize
-    return tuple(as_strided(b[parity:], (size, size), ((h + 1) * s, (h - 1) * s), writeable=False)
-                 for parity, size in enumerate((h, n - h)))
+    views = tuple(as_strided(b[parity:], (size, size), ((h + 1) * s, (h - 1) * s), writeable=False)
+                  for parity, size in enumerate((h, n - h)))
+    return views, np.sqrt(2 * imag_sq)
 
 
 def kernel_from_wigner(w):
@@ -520,7 +527,8 @@ def kernel_from_wigner(w):
     exactly Hermitian.  On DFT-conjugate axes this inverts the pure-state
     construction exactly.
     """
-    return tuple(np.tril(view) + np.tril(view, -1).conj().T for view in _kernel_views(w))
+    views, _ = _kernel_views(w)
+    return tuple(np.tril(view) + np.tril(view, -1).conj().T for view in views)
 
 
 def operator_spectrum_oracle(w):
@@ -528,9 +536,20 @@ def operator_spectrum_oracle(w):
     `kernel_from_wigner` blocks times 2dx, each in descending order.  By
     Cauchy interlacing a negative one is one of the whole kernel, so the grid
     is not a state; the mean of the two sums is the grid trace.  eigvalsh
-    reads the lower triangles of the `_kernel_views` views: no block copy."""
+    reads the lower triangles of the `_kernel_views` views: no block copy.
+
+    A grid mirror-symmetric in p has a real kernel, and the imaginary part of
+    the computed one is round-off.  By Weyl's inequality, dropping it moves
+    each eigenvalue by at most ||Im K||_2 <= ||Im K||_F; when that move, times
+    2dx, is within the transform's own round-off n eps sum|W| dA, eigvalsh
+    gets the real parts of the views, a real symmetric solve about twice as
+    fast.  Any other grid keeps the complex Hermitian solve."""
+    views, imag_norm = _kernel_views(w)
     scale = 2 * w.x_axis.spacing  # applied to the eigenvalues: no scaled copy of a block
-    return tuple(np.linalg.eigvalsh(k, UPLO="L")[::-1] * scale for k in _kernel_views(w))
+    roundoff = w.x_axis.count * np.finfo(float).eps * _abs_sums(w.values)[0].sum() * w.cell_area
+    if scale * imag_norm <= roundoff:
+        views = [view.real for view in views]
+    return tuple(np.linalg.eigvalsh(k, UPLO="L")[::-1] * scale for k in views)
 
 
 def save_wigner_manifest(w, path, csv_path=None):
@@ -558,7 +577,10 @@ def load_wigner_manifest(path):
     """Load a Wigner grid from a JSON manifest written by `save_wigner_manifest`."""
     path = Path(path)
     with open(path) as fh:
-        manifest = json.load(fh)
+        try:  # json's parser recurses once per level of nesting
+            manifest = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"manifest {str(path)!r} is nested too deeply to read") from None
     x_axis = AxisGrid.from_dict(manifest["x_axis"])
     p_axis = AxisGrid.from_dict(manifest["p_axis"])
     hbar = float(manifest.get("hbar", 1.0))

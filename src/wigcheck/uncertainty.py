@@ -22,7 +22,6 @@ __all__ = [
     "RSInequality",
     "check_rs",
     "check_quantum_psd",
-    "check_williamson_criterion",
     "lambda_star",
     "UncertaintyReport",
     "uncertainty_report",
@@ -109,15 +108,6 @@ def check_quantum_psd(sigma, hbar=1.0):
     min_eig = float(np.linalg.eigvalsh(h).min())
     norm = np.abs(np.linalg.eigvalsh(sigma)).max()
     return bool(min_eig >= -BOUNDARY_BAND * norm), min_eig
-
-
-def check_williamson_criterion(sigma, hbar=1.0):
-    """Smallest symplectic eigenvalue test; returns (nu_min >= hbar/2, nu_min)."""
-    sigma = np.asarray(sigma, dtype=float)
-    nu = symplectic_spectrum(sigma)
-    norm = np.abs(np.linalg.eigvalsh(sigma)).max()
-    nu_min = float(nu[-1])
-    return bool(nu_min >= hbar / 2 - BOUNDARY_BAND * norm), nu_min
 
 
 def lambda_star(sigma, hbar=1.0):

@@ -3,7 +3,8 @@ import pytest
 
 from wigcheck import (AxisGrid, WaveFunctionGrid, default_axis, fock_state, mixture_wigner,
                       narcowich_oconnell_grid, operator_spectrum_oracle, symplectic_form,
-                      wigner_gaussian, wigner_of_pure)
+                      symplectic_spectrum, wigner_gaussian, wigner_of_pure)
+from wigcheck.uncertainty import BOUNDARY_BAND
 
 
 def random_spd(rng, dim, lo=0.2, hi=2.0):
@@ -12,6 +13,15 @@ def random_spd(rng, dim, lo=0.2, hi=2.0):
     q, _ = np.linalg.qr(a)
     eigs = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
     return (q * eigs) @ q.T
+
+
+def check_williamson_criterion(sigma, hbar=1.0):
+    """Smallest symplectic eigenvalue test; returns (nu_min >= hbar/2, nu_min)."""
+    sigma = np.asarray(sigma, dtype=float)
+    nu = symplectic_spectrum(sigma)
+    norm = np.abs(np.linalg.eigvalsh(sigma)).max()
+    nu_min = float(nu[-1])
+    return bool(nu_min >= hbar / 2 - BOUNDARY_BAND * norm), nu_min
 
 
 def oracle_min(w):

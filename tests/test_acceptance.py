@@ -6,10 +6,9 @@ lines alongside the pytest verdicts.
 
 import numpy as np
 
-from conftest import (fourier_wavefunction, oracle_min, p4_series_reference, random_spd,
-                      random_symplectic)
-from wigcheck import (capacity, check_quantum_psd, check_rs,
-                      check_williamson_criterion, compact_support_flag,
+from conftest import (check_williamson_criterion, fourier_wavefunction, oracle_min,
+                      p4_series_reference, random_spd, random_symplectic)
+from wigcheck import (capacity, check_quantum_psd, check_rs, compact_support_flag,
                       covariance_from_grid, default_axis, fit_dominating_gaussian,
                       fock_state, hbar_sweep, is_admissible,
                       klm_check, lambda_star, moment_p4,

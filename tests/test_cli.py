@@ -1,5 +1,6 @@
 import argparse
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -287,6 +288,37 @@ def test_manifest_with_negative_hbar_is_input_error(tmp_path, capsys):
     assert _analyze_grid(manifest) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "hbar must be positive" in err
+
+
+@pytest.mark.parametrize("depth", [990, 100_000])
+@pytest.mark.parametrize("where", ["inline", "file", "stdin", "manifest values"])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, monkeypatch, where, depth):
+    # json's parser recurses once per level of nesting: about 1000 levels ended
+    # in a RecursionError traceback.  Where the interpreter's limit lets 990
+    # levels parse, the junk is echoed or numpy rejects the values instead
+    deep = "[" * depth + "]" * depth
+    spec = '{"type":"fock","n":0,"junk":' + deep + "}"
+    if where == "file":
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        spec = str(path)
+    elif where == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+        spec = "-"
+    elif where == "manifest values":
+        manifest = _vacuum_manifest(tmp_path, capsys)
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "values": None}).replace("null", deep))
+        spec = json.dumps({"type": "grid", "manifest": str(manifest)})
+    code = main(["oracle", spec, "--grid-n", "64"])
+    captured = capsys.readouterr()
+    if code == 0:
+        assert depth < 1000 and json.loads(captured.out)["oracle"]["positive"]
+        return
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    if depth > 1000:
+        assert "nested too deeply" in captured.err
 
 
 @pytest.mark.parametrize("axis, key, value, shown", [

@@ -14,7 +14,8 @@ from wigcheck import (AxisGrid, SymplecticFourier, cli, default_axis, fock_state
                       truncated_bump_grid, wigner_gaussian, wigner_momentum_axis,
                       wigner_of_pure)
 from wigcheck.states import (_CHUNK_ROWS, WaveFunctionGrid, WignerGrid, _boundary_band_sum,
-                             _chirp_sum, _fast_len, _is_wigner_conjugate, _spline_at)
+                             _abs_sums, _chirp_sum, _fast_len, _is_wigner_conjugate,
+                             _kernel_views, _spline_at)
 
 
 def test_fock_normalization_and_orthogonality():
@@ -219,13 +220,48 @@ def _oracle_cases(no_grid, odd_offcentre_grid):
                                             rng.normal(size=(n, m)), hbar=0.7)
 
 
+def _weyl_bound(w):
+    """2dx times the `_kernel_views` bound on ||Im K||_F, which by Weyl's
+    inequality bounds each eigenvalue's move when Im K is dropped; the
+    transform's round-off scale n eps sum|W| dA; and whether the bound is
+    within it, which selects the oracle's real symmetric solve."""
+    bound = 2 * w.x_axis.spacing * _kernel_views(w)[1]
+    roundoff = w.x_axis.count * np.finfo(float).eps * _abs_sums(w.values)[0].sum() * w.cell_area
+    return bound, roundoff, bound <= roundoff
+
+
 def test_oracle_views_match_the_hermitian_blocks_bit_for_bit(no_grid, odd_offcentre_grid):
     # eigvalsh reads only the lower triangle and the real diagonal, so the
-    # strided views give the eigenvalues of the expanded Hermitian blocks exactly
+    # strided views give the eigenvalues of the expanded Hermitian blocks
+    # exactly: of their real parts where Im K is round-off, else of the blocks
     for name, w in _oracle_cases(no_grid, odd_offcentre_grid):
-        want = [np.linalg.eigvalsh(k)[::-1] * (2 * w.x_axis.spacing) for k in kernel_from_wigner(w)]
+        real = _weyl_bound(w)[2]
+        want = [np.linalg.eigvalsh(k.real if real else k)[::-1] * (2 * w.x_axis.spacing)
+                for k in kernel_from_wigner(w)]
         got = operator_spectrum_oracle(w)
         assert [g.tobytes() for g in got] == [x.tobytes() for x in want], name
+
+
+def test_oracle_real_path_stays_within_the_weyl_bound(no_grid, odd_offcentre_grid,
+                                                      vacuum_wigner, mixture_5050):
+    axis = default_axis()
+    battery = {"vacuum": vacuum_wigner, "fock 0+1 mixture": mixture_5050,
+               "squeezed": wigner_gaussian([0, 0], np.diag([1.0, 0.25]), axis, axis),
+               "bump": truncated_bump_grid(axis, axis, radius=1.0),
+               "vacuum x1.5": rescale(vacuum_wigner, 1.5)}
+    shifted = wigner_gaussian([0, 0.5], 0.5 * np.eye(2), axis, axis)
+    cases = [*_oracle_cases(no_grid, odd_offcentre_grid), *battery.items(),
+             ("gaussian shifted in p", shifted)]
+    # grids mirror-symmetric in p have a real kernel; the rest keep the complex solve
+    real_path = {"narcowich-oconnell", "fock1 x1.2", *battery}
+    for name, w in cases:
+        bound, roundoff, real = _weyl_bound(w)
+        assert real == (name in real_path), name
+        complex_eigs = [np.linalg.eigvalsh(k)[::-1] * (2 * w.x_axis.spacing)
+                        for k in kernel_from_wigner(w)]
+        # Weyl's bound on the exact move, plus the two eigensolvers' own round-off
+        for got, want in zip(operator_spectrum_oracle(w), complex_eigs, strict=True):
+            assert np.abs(got - want).max() <= bound + roundoff, name
 
 
 def _gather_wigner_of_pure(psi):

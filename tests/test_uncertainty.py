@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_spd, random_symplectic
-from wigcheck import (AxisGrid, as_dict, check_quantum_psd, check_rs, check_williamson_criterion,
+from conftest import check_williamson_criterion, random_spd, random_symplectic
+from wigcheck import (AxisGrid, as_dict, check_quantum_psd, check_rs,
                       covariance_from_grid, default_axis, fock_state, hbar_sweep,
                       lambda_star, moment_p4, uncertainty_report, wigner_gaussian,
                       wigner_of_pure)
