@@ -53,20 +53,17 @@ class InputError(Exception):
 
 def _load_spec(source):
     """The spec, one JSON object: inline JSON, a file path, or - for stdin."""
-    try:  # json's parser recurses once per level of nesting
-        if source == "-":
-            spec = json.load(sys.stdin)
-        elif source.lstrip().startswith(("{", "[")):
-            # inline JSON is never taken for a path: a long one is not a valid file name
-            try:
-                spec = json.loads(source)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"cannot read state spec {source!r}: {exc}") from exc
-        else:
-            with open(source) as fh:
-                spec = json.load(fh)
-    except RecursionError:
-        raise InputError("the state spec is nested too deeply to read") from None
+    if source == "-":
+        spec = json.load(sys.stdin)
+    elif source.lstrip().startswith(("{", "[")):
+        # inline JSON is never taken for a path: a long one is not a valid file name
+        try:
+            spec = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"cannot read state spec {source!r}: {exc}") from exc
+    else:
+        with open(source) as fh:
+            spec = json.load(fh)
     if not isinstance(spec, dict):
         raise InputError("the spec must be a JSON object")
     return spec
@@ -452,9 +449,11 @@ def main(argv=None):
             report, witnesses = args.run(spec, hbar, args)
             if report is not None:
                 _emit(report, args)
-        except (InputError, OSError, ValueError, OverflowError, MemoryError) as exc:
+        except (InputError, OSError, ValueError, OverflowError, MemoryError, RecursionError) as exc:
             if isinstance(exc, OverflowError):
                 exc = "numerical overflow: an input number is too large to compute with"
+            elif isinstance(exc, RecursionError):  # json reads and writes recursively
+                exc = "the JSON input is nested too deeply to read or echo"
             print(f"error: {exc}", file=sys.stderr)
             return 1
     for msg in caught:

@@ -484,15 +484,13 @@ def _rotate(re, im, theta):
 
 def _kernel_views(w):
     """The two same-parity kernel blocks as read-only views of one transform
-    b[r, m], grid row r at separation 2*m*dx, and a bound on the Frobenius
-    norm of each block's imaginary part.  Entry (a, c), a >= c, of block
-    `parity` is b[parity + a + c, a - c], and no entry of b is read twice:
-    only the lower triangle and the real diagonal are kernel entries, the
-    upper triangle holds their conjugates, so ||Im K||_F <= sqrt(2) ||Im b||_F.
-    Every read stays inside b.  A real row's chirp-z transform has
-    T[-m] = conj T[m], so rows r and r + ceil(n/2) share one complex
-    transform, _CHUNK_ROWS pairs at a time; each block adds its rows'
-    sum of (Im b)^2 as it writes them."""
+    b[r, m], grid row r at separation 2*m*dx, and sqrt(2) ||Im b||_F >= ||Im K||_F.
+    Entry (a, c), a >= c, of block `parity` is b[parity + a + c, a - c]: each
+    entry of b is read once, as the lower triangle and the real diagonal; the
+    upper triangle holds their conjugates.  Every read stays inside b.  A real
+    row's chirp-z transform has T[-m] = conj T[m], so rows r and r + ceil(n/2)
+    share one complex transform, _CHUNK_ROWS pairs at a time; each block adds
+    its rows' sum of (Im b)^2 as it writes them."""
     n, dp = w.x_axis.count, w.p_axis.spacing
     h = (n + 1) // 2  # rows of the even block; the odd one has n - h
     step = 2 * w.x_axis.spacing / w.hbar
@@ -538,18 +536,23 @@ def operator_spectrum_oracle(w):
     is not a state; the mean of the two sums is the grid trace.  eigvalsh
     reads the lower triangles of the `_kernel_views` views: no block copy.
 
-    A grid mirror-symmetric in p has a real kernel, and the imaginary part of
-    the computed one is round-off.  By Weyl's inequality, dropping it moves
-    each eigenvalue by at most ||Im K||_2 <= ||Im K||_F; when that move, times
-    2dx, is within the transform's own round-off n eps sum|W| dA, eigvalsh
-    gets the real parts of the views, a real symmetric solve about twice as
-    fast.  Any other grid keeps the complex Hermitian solve."""
-    views, imag_norm = _kernel_views(w)
+    A grid mirror-symmetric in p has a real kernel; the computed one's imaginary
+    part is round-off.  By Weyl's inequality dropping it moves each eigenvalue
+    by at most ||Im K||_2 <= ||Im K||_F, so when 2dx times that is within the
+    transform's round-off, eigvalsh solves the real parts (`_oracle_views`),
+    about twice as fast; any other grid keeps the complex Hermitian solve."""
     scale = 2 * w.x_axis.spacing  # applied to the eigenvalues: no scaled copy of a block
+    return tuple(np.linalg.eigvalsh(k, UPLO="L")[::-1] * scale for k in _oracle_views(w)[0])
+
+
+def _oracle_views(w):
+    """The views `operator_spectrum_oracle` solves, the Weyl bound 2dx ||Im K||_F
+    on the eigenvalue move of dropping Im K, and the transform's round-off
+    n eps sum|W| dA: the real parts of the views when the bound is within it."""
+    views, imag_norm = _kernel_views(w)
+    bound = 2 * w.x_axis.spacing * imag_norm
     roundoff = w.x_axis.count * np.finfo(float).eps * _abs_sums(w.values)[0].sum() * w.cell_area
-    if scale * imag_norm <= roundoff:
-        views = [view.real for view in views]
-    return tuple(np.linalg.eigvalsh(k, UPLO="L")[::-1] * scale for k in views)
+    return ([view.real for view in views] if bound <= roundoff else views), bound, roundoff
 
 
 def save_wigner_manifest(w, path, csv_path=None):
@@ -577,10 +580,7 @@ def load_wigner_manifest(path):
     """Load a Wigner grid from a JSON manifest written by `save_wigner_manifest`."""
     path = Path(path)
     with open(path) as fh:
-        try:  # json's parser recurses once per level of nesting
-            manifest = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"manifest {str(path)!r} is nested too deeply to read") from None
+        manifest = json.load(fh)
     x_axis = AxisGrid.from_dict(manifest["x_axis"])
     p_axis = AxisGrid.from_dict(manifest["p_axis"])
     hbar = float(manifest.get("hbar", 1.0))

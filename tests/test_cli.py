@@ -1,5 +1,6 @@
 import argparse
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -319,6 +320,32 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys, monkeypatch, where,
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     if depth > 1000:
         assert "nested too deeply" in captured.err
+
+
+def test_echo_too_deep_to_write_is_input_error(monkeypatch, capsys):
+    # from Python 3.12 the C parser has its own, higher recursion limit, while
+    # json.dumps with indent encodes in Python (through 3.13) against the
+    # interpreter's: a spec can parse and its echo in the report still raise
+    # RecursionError.  The Python encoder under a limit tightened around the
+    # echo makes that case at a depth any interpreter parses
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    emit = cli._emit
+
+    def emit_near_the_limit(report, args):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            emit(report, args)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    monkeypatch.setattr(cli, "_emit", emit_near_the_limit)
+    deep = "[" * 200 + "]" * 200
+    code = main(["oracle", '{"type":"fock","n":0,"junk":' + deep + "}", "--grid-n", "64"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "nested too deeply" in captured.err
 
 
 @pytest.mark.parametrize("axis, key, value, shown", [

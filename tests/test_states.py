@@ -14,8 +14,8 @@ from wigcheck import (AxisGrid, SymplecticFourier, cli, default_axis, fock_state
                       truncated_bump_grid, wigner_gaussian, wigner_momentum_axis,
                       wigner_of_pure)
 from wigcheck.states import (_CHUNK_ROWS, WaveFunctionGrid, WignerGrid, _boundary_band_sum,
-                             _abs_sums, _chirp_sum, _fast_len, _is_wigner_conjugate,
-                             _kernel_views, _spline_at)
+                             _chirp_sum, _fast_len, _is_wigner_conjugate, _oracle_views,
+                             _spline_at)
 
 
 def test_fock_normalization_and_orthogonality():
@@ -221,13 +221,9 @@ def _oracle_cases(no_grid, odd_offcentre_grid):
 
 
 def _weyl_bound(w):
-    """2dx times the `_kernel_views` bound on ||Im K||_F, which by Weyl's
-    inequality bounds each eigenvalue's move when Im K is dropped; the
-    transform's round-off scale n eps sum|W| dA; and whether the bound is
-    within it, which selects the oracle's real symmetric solve."""
-    bound = 2 * w.x_axis.spacing * _kernel_views(w)[1]
-    roundoff = w.x_axis.count * np.finfo(float).eps * _abs_sums(w.values)[0].sum() * w.cell_area
-    return bound, roundoff, bound <= roundoff
+    """The oracle's Weyl bound, its round-off scale, and whether it solves real blocks."""
+    views, bound, roundoff = _oracle_views(w)
+    return bound, roundoff, not np.iscomplexobj(views[0])
 
 
 def test_oracle_views_match_the_hermitian_blocks_bit_for_bit(no_grid, odd_offcentre_grid):
