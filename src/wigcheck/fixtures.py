@@ -11,7 +11,8 @@ import warnings
 
 import numpy as np
 
-from .states import TAIL_TOL, WignerGrid, _abs_max, _boundary_band_sum, _chirp_sum, default_axis
+from .states import (_CHUNK_ROWS, TAIL_TOL, WignerGrid, _abs_max, _boundary_band_sum, _chirp_sum,
+                     default_axis)
 
 __all__ = [
     "narcowich_oconnell_grid",
@@ -100,18 +101,18 @@ def truncated_bump_grid(x_axis, p_axis, hbar=1.0, radius=1.0, profile="cosine"):
     used to exercise the compact-support detector and the domination fit.
     `profile` is "cosine" (smooth cos^2 cap) or "indicator" (flat top).
     """
-    X, P = np.meshgrid(x_axis.points, p_axis.points, indexing="ij")
-    r = np.sqrt(X**2 + P**2)
-    inside = r < radius
-    vals = np.zeros_like(r)
-    if profile == "cosine":
-        vals[inside] = np.cos(0.5 * np.pi * r[inside] / radius) ** 2
-    elif profile == "indicator":
-        vals[inside] = 1.0
-    else:
+    if profile not in ("cosine", "indicator"):
         raise ValueError(f"unknown profile: {profile}")
+    xs, ps = x_axis.points, p_axis.points
+    vals = np.zeros((x_axis.count, p_axis.count))
+    for r0 in range(0, len(vals), _CHUNK_ROWS):  # by row blocks
+        r = np.sqrt(xs[r0:r0 + _CHUNK_ROWS, None] ** 2 + ps**2)
+        inside, block = r < radius, vals[r0:r0 + len(r)]
+        block[inside] = (np.cos(0.5 * np.pi * r[inside] / radius) ** 2
+                         if profile == "cosine" else 1.0)
     area = x_axis.spacing * p_axis.spacing
-    total = vals.sum() * area
+    total = vals.sum() * area  # over the whole array, as one pairwise sum
     if total <= 0:
         raise ValueError("bump radius too small for the grid resolution")
-    return WignerGrid(x_axis, p_axis, vals / total, hbar)
+    vals /= total
+    return WignerGrid(x_axis, p_axis, vals, hbar)

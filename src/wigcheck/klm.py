@@ -110,12 +110,9 @@ class KLMReport:
     phase_sign: int = PHASE_SIGN
 
 
-def _lattice_points(order, scale):
-    base = np.array([
-        [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
-        [2.0, 0.0], [0.0, 2.0], [2.0, 1.0], [1.0, 2.0],
-    ])
-    return scale * base[:order]
+# an axis-aligned point set of order k: the first k of these points, times a scale
+_LATTICE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                     [2.0, 0.0], [0.0, 2.0], [2.0, 1.0], [1.0, 2.0]])
 
 
 def _sample_points(rng, order, trial, trials, chol, base_scale):
@@ -126,7 +123,7 @@ def _sample_points(rng, order, trial, trials, chol, base_scale):
         return pts, "random"
     frac = trial / max(trials, 2)
     a = base_scale * (0.3 + 3.2 * frac)
-    return _lattice_points(order, a), "lattice"
+    return a * _LATTICE[:order], "lattice"
 
 
 def klm_check(w, max_order=5, trials_per_order=50, seed=0, tol=DEFAULT_TOL):

@@ -239,15 +239,19 @@ def wigner_of_pure(psi):
     lo = n - n // 2
     ahead = sliding_window_view(pad, n)[lo:lo + n]
     back = sliding_window_view(pad[::-1], n)[lo + n - 1:lo - 1:-1]
-    # the products in ifftshifted column order: offsets 0 .. lo-1, then -(n//2) .. -1
-    wc = np.empty((n, n), dtype=complex)
-    for dst, t in ((wc[:, :lo], slice(n // 2, None)), (wc[:, lo:], slice(0, n // 2))):
-        np.multiply(ahead[:, t], np.conjugate(back[:, t], out=dst), out=dst)
-    np.fft.fft(wc, axis=1, out=wc)
-    np.multiply(axis.spacing / (np.pi * hbar), wc, out=wc)
-    values = np.empty((n, n))  # the real part, fftshifted back to centred columns
-    values[:, :n // 2], values[:, n // 2:] = wc.real[:, lo:], wc.real[:, :lo]
-    w = WignerGrid(axis, p_axis, values, hbar, float(_abs_max(wc.imag)))
+    values, imag = np.empty((n, n)), []  # the real part, fftshifted back to centred columns
+    work = np.empty((min(n, _CHUNK_ROWS), n), dtype=complex)  # one row block of products
+    for r0 in range(0, n, _CHUNK_ROWS):
+        rows = slice(r0, r0 + _CHUNK_ROWS)
+        wc = work[:len(values[rows])]
+        # the products in ifftshifted column order: offsets 0 .. lo-1, then -(n//2) .. -1
+        for dst, t in ((wc[:, :lo], slice(n // 2, None)), (wc[:, lo:], slice(0, n // 2))):
+            np.multiply(ahead[rows, t], np.conjugate(back[rows, t], out=dst), out=dst)
+        np.fft.fft(wc, axis=1, out=wc)
+        np.multiply(axis.spacing / (np.pi * hbar), wc, out=wc)
+        values[rows, :n // 2], values[rows, n // 2:] = wc.real[:, lo:], wc.real[:, :lo]
+        imag.append(_abs_max(wc.imag))
+    w = WignerGrid(axis, p_axis, values, hbar, float(max(imag)))
     edge = max(_abs_max(w.values[:, :2]), _abs_max(w.values[:, -2:]))
     if edge > ALIASING_TOL * _abs_max(w.values):
         warnings.warn(f"possible momentum aliasing: boundary amplitude ratio {edge:.2e}")
@@ -267,9 +271,13 @@ def wigner_gaussian(mean, sigma, x_axis, p_axis, hbar=1.0):
     if np.abs(sigma - sigma.T).max() > 1e-12 * max(1.0, np.abs(sigma).max()) or det <= 0:
         raise ValueError("sigma must be symmetric positive definite")
     inv = np.linalg.inv(sigma)
-    X, P = np.meshgrid(x_axis.points - mean[0], p_axis.points - mean[1], indexing="ij")
-    quad = inv[0, 0] * X * X + 2 * inv[0, 1] * X * P + inv[1, 1] * P * P
-    vals = np.exp(-0.5 * quad) / (2 * np.pi * np.sqrt(det))
+    xs, ps = x_axis.points - mean[0], p_axis.points - mean[1]
+    xx, xp, pp = inv[0, 0] * xs * xs, 2 * inv[0, 1] * xs, inv[1, 1] * ps * ps
+    vals = np.empty((x_axis.count, p_axis.count))
+    for r0 in range(0, len(vals), _CHUNK_ROWS):  # the quadratic form, summed left to right
+        rows = slice(r0, r0 + _CHUNK_ROWS)
+        vals[rows] = np.exp(-0.5 * (xx[rows, None] + xp[rows, None] * ps + pp))
+    vals /= 2 * np.pi * np.sqrt(det)
     return WignerGrid(x_axis, p_axis, vals, hbar)
 
 
@@ -291,10 +299,12 @@ def mixture_wigner(components):
     for _, psi in components[1:]:
         if psi.axis != first.axis or psi.hbar != first.hbar:
             raise ValueError("mixture components live on incompatible grids")
-    grids = [wigner_of_pure(psi) for _, psi in components]
-    vals = sum(w * g.values for w, g in zip(weights, grids))
-    resid = max(g.imag_residual for g in grids)
-    return WignerGrid(grids[0].x_axis, grids[0].p_axis, vals, first.hbar, resid)
+    vals, resids = 0, []  # as sum() does, from 0: a -0.0 of the first term becomes +0.0
+    for weight, (_, psi) in zip(weights, components):  # the sum so far plus each weighted grid
+        g = wigner_of_pure(psi)
+        resids.append(g.imag_residual)
+        vals = np.add(vals, np.multiply(g.values, weight, out=g.values), out=g.values)
+    return WignerGrid(g.x_axis, g.p_axis, vals, first.hbar, max(resids))
 
 
 def _boundary_band_sum(a, rw, cw):
@@ -342,21 +352,31 @@ def _spline_slopes(xs, y):
     """Knot slopes of the not-a-knot cubic spline through the rows of `y`
     at the knots `xs` (at least four).
 
-    Builds CubicSpline's tridiagonal slope system, end rows included, and
-    eliminates it in LAPACK gtsv's order without row swaps (the system is
-    diagonally dominant), so the slopes match CubicSpline's bit for bit.
+    Builds CubicSpline's tridiagonal slope system by row blocks, end rows
+    included, and eliminates it in LAPACK gtsv's order without row swaps (it
+    is diagonally dominant), so the slopes match CubicSpline's bit for bit.
     """
     dx = np.diff(xs)
     h = dx.tolist()
-    slope = np.diff(y, axis=0)
-    slope /= dx[:, None]
+
+    def slopes(lo, hi):  # divided differences lo .. hi-1 of the rows of y
+        d = np.subtract(y[lo + 1:hi + 1], y[lo:hi])
+        d /= dx[lo:hi, None]
+        return d
+
     d0, d1 = xs[2] - xs[0], xs[-1] - xs[-3]
     b = np.empty(y.shape)  # C order: the elimination below works row by row
+    slope = slopes(0, 2)
     b[0] = ((h[0] + 2 * d0) * h[1] * slope[0] + h[0] * h[0] * slope[1]) / d0
-    inner = np.multiply(dx[1:, None], slope[:-1], out=b[1:-1])
-    inner += dx[:-1, None] * slope[1:]
-    inner *= 3
+    slope = slopes(len(h) - 2, len(h))
     b[-1] = (h[-1] * h[-1] * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
+    for r0 in range(1, len(h), _CHUNK_ROWS):  # row i: 3 (dx[i] slope[i-1] + dx[i-1] slope[i])
+        r1 = min(r0 + _CHUNK_ROWS, len(h))
+        slope = slopes(r0 - 1, r1)
+        inner = np.multiply(dx[r0:r1, None], slope[:-1], out=b[r0:r1])
+        inner += np.multiply(dx[r0 - 1:r1 - 1, None], slope[1:], out=slope[1:])
+        inner *= 3
+        del slope  # before the next block's differences
     diag = [h[1]] + [2 * (a + c) for a, c in zip(h[:-1], h[1:])] + [h[-2]]
     upper = [d0] + h[:-1]  # row i's coefficient of slope i+1
     lower = h[1:] + [d1]   # row i+1's coefficient of slope i
@@ -372,18 +392,39 @@ def _spline_slopes(xs, y):
     return b
 
 
-def _spline_at(xs, y, t):
+def _spline_at(xs, y, t, out=None):
     """Not-a-knot cubic spline through the rows of `y` at the knots `xs`,
     evaluated at the points `t` inside [xs[0], xs[-1]], with CubicSpline's
     arithmetic: its Hermite coefficients and PPoly's power sum, each point
-    on the interval that starts at or below it."""
+    on the interval that starts at or below it; by blocks of points, into
+    `out` (a new array when None)."""
     s = _spline_slopes(xs, y)
-    j = np.minimum(np.searchsorted(xs, t, side="right") - 1, len(xs) - 2)
-    dx = (xs[j + 1] - xs[j])[:, None]
-    h = (t - xs[j])[:, None]
-    slope = (y[j + 1] - y[j]) / dx
-    excess = (s[j] + s[j + 1] - 2 * slope) / dx
-    return y[j] + s[j] * h + ((slope - s[j]) / dx - excess) * (h * h) + excess / dx * (h * h * h)
+    if out is None:
+        out = np.empty((len(t),) + y.shape[1:])
+    for r0 in range(0, len(t), _CHUNK_ROWS):
+        at, dst = t[r0:r0 + _CHUNK_ROWS], out[r0:r0 + _CHUNK_ROWS]
+        j = np.minimum(np.searchsorted(xs, at, side="right") - 1, len(xs) - 2)
+        dx, h = (xs[j + 1] - xs[j])[:, None], (at - xs[j])[:, None]
+        # y[j] + s[j] h + ((slope - s[j])/dx - excess) h^2 + excess/dx h^3 with slope =
+        # (y[j+1] - y[j])/dx, excess = (s[j] + s[j+1] - 2 slope)/dx: in place, rounded alike
+        slope = y[j + 1] - y[j]
+        slope /= dx
+        excess = s[j + 1]
+        excess += s[j]
+        excess -= np.multiply(slope, 2, out=dst)
+        excess /= dx
+        slope -= s[j]
+        slope /= dx
+        slope -= excess
+        slope *= h * h
+        np.multiply(s[j], h, out=dst)
+        dst += y[j]
+        dst += slope
+        excess /= dx
+        excess *= h * h * h
+        dst += excess
+        del slope, excess  # before the next block's gathers
+    return out
 
 
 def rescale(w, lam):
@@ -401,9 +442,10 @@ def rescale(w, lam):
         raise ValueError("rescale parameter must be positive")
     xs, ps = w.x_axis.points, w.p_axis.points
     n = w.x_axis.count
-    out = np.zeros_like(w.values)
     okx = (lam * xs >= xs[0]) & (lam * xs <= xs[-1])
     okp = (lam * ps >= ps[0]) & (lam * ps <= ps[-1])
+    # each is one run, as lam > 0: the spline passes write into it as a slice
+    xrun, prun = (slice(np.argmax(ok), np.argmax(ok) + ok.sum()) for ok in (okx, okp))
     if _is_wigner_conjugate(w) and n % 2 == 0:
         # W[i, k] = sum_m a[i, m] exp(-2 i p_k (m*dx) / hbar): resample p exactly,
         # from the offsets m*dx onto the contiguous run of targets lam*p_k
@@ -411,14 +453,18 @@ def rescale(w, lam):
         first, m = lam * ps[np.argmax(okp)], okp.sum()
         resampled = np.empty((n, m))
         for r0 in range(0, n, _CHUNK_ROWS):  # row blocks: no full-grid FFT work arrays
-            a = np.fft.ifft(np.fft.ifftshift(w.values[r0:r0 + _CHUNK_ROWS], axes=1), axis=1)
+            a = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(
+                w.values[r0:r0 + _CHUNK_ROWS], axes=1), axis=1), axes=1)
             resampled[r0:r0 + len(a)] = _chirp_sum(
-                np.fft.fftshift(a, axes=1), -(w.p_axis.count // 2) * dx, dx, 2 * first / w.hbar,
+                a, -(w.p_axis.count // 2) * dx, dx, 2 * first / w.hbar,
                 2 * lam * w.p_axis.spacing / w.hbar, m, sign=-1).real
-        out[np.ix_(okx, okp)] = _spline_at(xs, resampled, lam * xs[okx])
+        del a
+        out = np.zeros_like(w.values)  # after the first pass's work arrays are gone
+        _spline_at(xs, resampled, lam * xs[okx], out=out[xrun, prun])
     else:
         rows = _spline_at(xs, w.values, lam * xs[okx])
-        out[np.ix_(okx, okp)] = _spline_at(ps, rows.T, lam * ps[okp]).T
+        out = np.zeros_like(w.values)
+        _spline_at(ps, rows.T, lam * ps[okp], out=out[xrun, prun].T)
     out *= lam**2
     res = WignerGrid(w.x_axis, w.p_axis, out, w.hbar, w.imag_residual)
     drift = abs(trace(res) - trace(w))
@@ -558,7 +604,7 @@ def _oracle_views(w):
 def save_wigner_manifest(w, path, csv_path=None):
     """Write a Wigner grid as a JSON manifest, values inline or in a CSV file.
 
-    The CSV is row-major with one row per x index.
+    The CSV is row-major with one row per x index.  Both are written by rows.
     """
     path = Path(path)
     manifest = {
@@ -566,14 +612,19 @@ def save_wigner_manifest(w, path, csv_path=None):
         "p_axis": as_dict(w.p_axis),
         "hbar": w.hbar,
     }
-    if csv_path is None:
-        manifest["values"] = w.values.tolist()
-    else:
+    if csv_path is not None:
         csv_path = Path(csv_path)
         np.savetxt(csv_path, w.values, delimiter=",", fmt="%.17g")
         manifest["values_path"] = str(csv_path.name if csv_path.parent == path.parent else csv_path)
+    text = json.dumps(manifest)
     with open(path, "w") as fh:
-        fh.write(json.dumps(manifest) + "\n")
+        if csv_path is None:  # json.dumps({**manifest, "values": w.values.tolist()}), by blocks
+            fh.write(text[:-1] + ', "values": [')
+            for r0 in range(0, len(w.values), _CHUNK_ROWS):
+                fh.write(", " if r0 else "")
+                fh.write(json.dumps(w.values[r0:r0 + _CHUNK_ROWS].tolist())[1:-1])
+            text = "]}"
+        fh.write(text + "\n")
 
 
 def load_wigner_manifest(path):
@@ -583,7 +634,9 @@ def load_wigner_manifest(path):
         manifest = json.load(fh)
     x_axis = AxisGrid.from_dict(manifest["x_axis"])
     p_axis = AxisGrid.from_dict(manifest["p_axis"])
-    hbar = float(manifest.get("hbar", 1.0))
+    hbar = manifest.get("hbar", 1.0)
+    if isinstance(hbar, bool):  # float(True) would be 1.0
+        raise ValueError(f"manifest hbar must be a number, got {hbar!r}")
     if "values" in manifest:
         values = np.asarray(manifest["values"], dtype=float)
     elif "values_path" in manifest:
@@ -593,7 +646,7 @@ def load_wigner_manifest(path):
         values = np.loadtxt(vp, delimiter=",", ndmin=2)
     else:
         raise ValueError("manifest needs 'values' or 'values_path'")
-    return WignerGrid(x_axis, p_axis, values, hbar)
+    return WignerGrid(x_axis, p_axis, values, float(hbar))
 
 
 def as_dict(obj):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from wigcheck import (AxisGrid, WaveFunctionGrid, default_axis, fock_state, mixture_wigner,
                       narcowich_oconnell_grid, operator_spectrum_oracle, symplectic_form,
                       symplectic_spectrum, wigner_gaussian, wigner_of_pure)
+from wigcheck.states import _CHUNK_ROWS, _chirp_sum, _is_wigner_conjugate
 from wigcheck.uncertainty import BOUNDARY_BAND
 
 
@@ -137,3 +139,104 @@ def odd_offcentre_grid():
     rot = np.array([[c, -s], [s, c]])
     return wigner_gaussian([4.0, 1.0], rot @ np.diag([1.8, 0.4]) @ rot.T,
                            AxisGrid(-3.0, 11.0, 301), AxisGrid(-4.0, 6.0, 301))
+
+
+# --- whole-array builders: the reference the row-blocked builders match bit for bit ---
+
+def whole_wigner_of_pure(psi):
+    """wigner_of_pure on the whole grid at once: (values, imag_residual)."""
+    n, hbar = psi.axis.count, psi.hbar
+    pad = np.concatenate([np.zeros(n, dtype=complex), psi.values, np.zeros(n, dtype=complex)])
+    lo = n - n // 2
+    ahead = sliding_window_view(pad, n)[lo:lo + n]
+    back = sliding_window_view(pad[::-1], n)[lo + n - 1:lo - 1:-1]
+    wc = np.empty((n, n), dtype=complex)
+    for dst, t in ((wc[:, :lo], slice(n // 2, None)), (wc[:, lo:], slice(0, n // 2))):
+        np.multiply(ahead[:, t], np.conjugate(back[:, t], out=dst), out=dst)
+    np.fft.fft(wc, axis=1, out=wc)
+    np.multiply(psi.axis.spacing / (np.pi * hbar), wc, out=wc)
+    values = np.empty((n, n))
+    values[:, :n // 2], values[:, n // 2:] = wc.real[:, lo:], wc.real[:, :lo]
+    return values, float(np.maximum(wc.imag.max(), -wc.imag.min()))
+
+
+def whole_mixture_wigner(components):
+    """mixture_wigner as one sum() of weighted whole grids: (values, imag_residual)."""
+    grids = [(weight, whole_wigner_of_pure(psi)) for weight, psi in components]
+    return (sum(weight * values for weight, (values, _) in grids),
+            max(resid for _, (_, resid) in grids))
+
+
+def whole_wigner_gaussian(mean, sigma, x_axis, p_axis):
+    """wigner_gaussian's values on a meshgrid."""
+    inv = np.linalg.inv(sigma)
+    X, P = np.meshgrid(x_axis.points - mean[0], p_axis.points - mean[1], indexing="ij")
+    quad = inv[0, 0] * X * X + 2 * inv[0, 1] * X * P + inv[1, 1] * P * P
+    return np.exp(-0.5 * quad) / (2 * np.pi * np.sqrt(np.linalg.det(sigma)))
+
+
+def whole_bump(x_axis, p_axis, radius, profile):
+    """truncated_bump_grid's values on a meshgrid."""
+    X, P = np.meshgrid(x_axis.points, p_axis.points, indexing="ij")
+    r = np.sqrt(X**2 + P**2)
+    inside = r < radius
+    vals = np.zeros_like(r)
+    vals[inside] = np.cos(0.5 * np.pi * r[inside] / radius) ** 2 if profile == "cosine" else 1.0
+    return vals / (vals.sum() * (x_axis.spacing * p_axis.spacing))
+
+
+def _whole_spline_at(xs, y, t):
+    """The not-a-knot spline of `rescale`, slopes and evaluation on whole arrays."""
+    dx = np.diff(xs)
+    h = dx.tolist()
+    slope = np.diff(y, axis=0)
+    slope /= dx[:, None]
+    d0, d1 = xs[2] - xs[0], xs[-1] - xs[-3]
+    b = np.empty(y.shape)
+    b[0] = ((h[0] + 2 * d0) * h[1] * slope[0] + h[0] * h[0] * slope[1]) / d0
+    inner = np.multiply(dx[1:, None], slope[:-1], out=b[1:-1])
+    inner += dx[:-1, None] * slope[1:]
+    inner *= 3
+    b[-1] = (h[-1] * h[-1] * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
+    diag = [h[1]] + [2 * (a + c) for a, c in zip(h[:-1], h[1:])] + [h[-2]]
+    upper, lower, rows = [d0] + h[:-1], h[1:] + [d1], list(b)
+    for i in range(len(h)):
+        fact = lower[i] / diag[i]
+        diag[i + 1] -= fact * upper[i]
+        rows[i + 1] -= fact * rows[i]
+    rows[-1] /= diag[-1]
+    for i in range(len(h) - 1, -1, -1):
+        rows[i] -= upper[i] * rows[i + 1]
+        rows[i] /= diag[i]
+    s = b
+    j = np.minimum(np.searchsorted(xs, t, side="right") - 1, len(xs) - 2)
+    dx = (xs[j + 1] - xs[j])[:, None]
+    h = (t - xs[j])[:, None]
+    slope = (y[j + 1] - y[j]) / dx
+    excess = (s[j] + s[j + 1] - 2 * slope) / dx
+    return y[j] + s[j] * h + ((slope - s[j]) / dx - excess) * (h * h) + excess / dx * (h * h * h)
+
+
+def whole_rescale(w, lam):
+    """rescale's values with each spline pass on whole arrays, the momentum
+    resampling by row blocks as before, and the result scattered by np.ix_."""
+    xs, ps = w.x_axis.points, w.p_axis.points
+    n = w.x_axis.count
+    out = np.zeros_like(w.values)
+    okx = (lam * xs >= xs[0]) & (lam * xs <= xs[-1])
+    okp = (lam * ps >= ps[0]) & (lam * ps <= ps[-1])
+    if _is_wigner_conjugate(w) and n % 2 == 0:
+        dx = w.x_axis.spacing
+        first, m = lam * ps[np.argmax(okp)], okp.sum()
+        resampled = np.empty((n, m))
+        for r0 in range(0, n, _CHUNK_ROWS):
+            a = np.fft.ifft(np.fft.ifftshift(w.values[r0:r0 + _CHUNK_ROWS], axes=1), axis=1)
+            resampled[r0:r0 + len(a)] = _chirp_sum(
+                np.fft.fftshift(a, axes=1), -(w.p_axis.count // 2) * dx, dx, 2 * first / w.hbar,
+                2 * lam * w.p_axis.spacing / w.hbar, m, sign=-1).real
+        out[np.ix_(okx, okp)] = _whole_spline_at(xs, resampled, lam * xs[okx])
+    else:
+        rows = _whole_spline_at(xs, w.values, lam * xs[okx])
+        out[np.ix_(okx, okp)] = _whole_spline_at(ps, rows.T, lam * ps[okp]).T
+    out *= lam**2
+    return out

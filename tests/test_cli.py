@@ -291,6 +291,18 @@ def test_manifest_with_negative_hbar_is_input_error(tmp_path, capsys):
     assert err.startswith("error:") and "hbar must be positive" in err
 
 
+def test_manifest_with_bool_hbar_is_input_error(tmp_path, capsys):
+    # float(True) is 1.0: a bool must not pass for hbar = 1, as in a spec
+    manifest = _vacuum_manifest(tmp_path, capsys)
+    doc = json.loads(manifest.read_text())
+    doc["hbar"] = True
+    manifest.write_text(json.dumps(doc))
+    assert _analyze_grid(manifest) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid state spec: manifest hbar must be a number, got True\n"
+
+
 @pytest.mark.parametrize("depth", [990, 100_000])
 @pytest.mark.parametrize("where", ["inline", "file", "stdin", "manifest values"])
 def test_deeply_nested_json_is_input_error(tmp_path, capsys, monkeypatch, where, depth):

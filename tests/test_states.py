@@ -1,4 +1,5 @@
 import argparse
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 import scipy.fft
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
-from conftest import fourier_wavefunction, gaussian_wavepacket, oracle_min
+from conftest import (fourier_wavefunction, gaussian_wavepacket, oracle_min, whole_bump,
+                      whole_mixture_wigner, whole_rescale, whole_wigner_gaussian,
+                      whole_wigner_of_pure)
 from wigcheck import (AxisGrid, SymplecticFourier, cli, default_axis, fock_state,
                       kernel_from_wigner,
                       load_wigner_manifest, mixture_wigner, narcowich_oconnell_grid,
@@ -286,10 +289,117 @@ def test_wigner_of_pure_matches_the_gather_version(n):
     assert mix.values.tobytes() == want.tobytes()
 
 
-def test_wigner_of_pure_stays_within_3_5_grids():
-    # the complex products, transformed in place, and the real result
+def _same_bits(got, want):
+    """Equal values, signs of zero included, and equal imaginary residuals."""
+    (got, got_resid), (want, want_resid) = got, want
+    return got.tobytes() == want.tobytes() and repr(got_resid) == repr(want_resid)
+
+
+@pytest.mark.filterwarnings("ignore:possible momentum aliasing")
+@pytest.mark.parametrize("n, extent, states", [(256, 8.0, 2), (256, 40.0, 3), (300, 10.0, 3)])
+def test_wigner_of_pure_matches_the_whole_array_code(n, extent, states):
+    axis = default_axis(1.0, n, extent)
+    for k in range(states):
+        psi = fock_state(k, axis)
+        w = wigner_of_pure(psi)
+        assert _same_bits((w.values, w.imag_residual), whole_wigner_of_pure(psi)), k
+
+
+@pytest.mark.filterwarnings("ignore:possible momentum aliasing")
+def test_mixture_matches_one_sum_of_whole_grids():
+    # Fock 1 first: on this wide grid its weighted term has -0.0 entries where
+    # the others are zero too, and sum() from 0 turns them into +0.0
+    axis = default_axis(1.0, 256, 40.0)
+    states = [(0.3, fock_state(1, axis)), (0.5, fock_state(0, axis)), (0.2, fock_state(2, axis))]
+    terms = [weight * whole_wigner_of_pure(psi)[0] for weight, psi in states]
+    in_order = terms[0] + terms[1] + terms[2]
+    assert np.signbit(in_order[in_order == 0]).any()
+    for parts in (states, [(0.5, states[0][1]), (0.5, states[1][1])], [(1.0, states[0][1])]):
+        w = mixture_wigner(parts)
+        assert _same_bits((w.values, w.imag_residual), whole_mixture_wigner(parts))
+
+
+ODD_AXES = (AxisGrid(-3.0, 11.0, 301), AxisGrid(-4.0, 6.0, 250))  # odd, not centred on 0
+
+
+def test_gaussian_and_bump_match_the_meshgrid_code():
+    axis = default_axis()
+    sigma = np.array([[0.7, 0.2], [0.2, 0.4]])
+    for x_axis, p_axis, mean in ((axis, axis, [0.3, -0.2]), (*ODD_AXES, [4.0, 1.0])):
+        got = wigner_gaussian(mean, sigma, x_axis, p_axis).values
+        assert got.tobytes() == whole_wigner_gaussian(mean, sigma, x_axis, p_axis).tobytes()
+    for x_axis, p_axis in ((axis, axis), (AxisGrid(-3.0, 2.0, 301), AxisGrid(-2.5, 2.0, 250))):
+        for profile in ("cosine", "indicator"):
+            for radius in (1.0, 2.3):
+                got = truncated_bump_grid(x_axis, p_axis, radius=radius, profile=profile).values
+                want = whole_bump(x_axis, p_axis, radius, profile)
+                assert got.tobytes() == want.tobytes(), (profile, radius)
+
+
+def _rescale_cases():
+    axis = default_axis()
+    conjugate = wigner_gaussian([0.4, -0.6], [[0.8, 0.3], [0.3, 0.5]], axis,
+                                wigner_momentum_axis(axis))
+    equal_axes = wigner_gaussian([0.3, -0.2], [[0.7, 0.2], [0.2, 0.4]], axis, axis)
+    odd = wigner_gaussian([4.0, 1.0], [[1.0, 0.3], [0.3, 0.5]], *ODD_AXES)
+    for lam in (0.8, 1.2, 1.5):
+        yield f"fock1 x{lam}", wigner_of_pure(fock_state(1)), lam
+        yield f"conjugate gaussian x{lam}", conjugate, lam
+        yield f"equal axes x{lam}", equal_axes, lam
+        yield f"odd off-centre x{lam}", odd, lam
+    n, dx = 64, 0.25  # DFT-conjugate axes whose momentum targets all leave the grid
+    p_axis = AxisGrid(50.0, 50.0 + (n - 1) * np.pi / (n * dx), n)
+    yield "no momentum overlap", WignerGrid(AxisGrid.centered(n, dx), p_axis, np.ones((n, n))), 2.0
+    far = WignerGrid(AxisGrid(50.0, 60.0, 40), AxisGrid(-2.0, 3.0, 33), np.ones((40, 33)))
+    yield "no position overlap", far, 2.0
+
+
+@pytest.mark.filterwarnings("ignore:rescale mass drift")
+@pytest.mark.parametrize("case", list(_rescale_cases()), ids=lambda case: case[0])
+def test_rescale_matches_the_whole_array_code(case):
+    # both branches: DFT-conjugate axes (exact momentum resampling) and the two spline passes
+    _, w, lam = case
+    got = rescale(w, lam)
+    assert got.values.tobytes() == whole_rescale(w, lam).tobytes()
+    assert got.imag_residual == w.imag_residual
+
+
+GRID_512 = 512 * 512 * 8  # bytes of one 512 x 512 grid
+
+
+def test_wigner_of_pure_stays_within_1_6_grids():
+    # the real result and one row block of complex products, transformed in place
     psi = fock_state(1, default_axis(1.0, 512))
-    assert _traced_peak(lambda: wigner_of_pure(psi)) <= 3.5 * 512 * 512 * 8
+    assert _traced_peak(lambda: wigner_of_pure(psi)) <= 1.6 * GRID_512
+
+
+def test_gaussian_and_bump_builds_stay_lean():
+    # the result, evaluated by row blocks; the bump's normalising sum is over the whole grid
+    axis = default_axis(1.0, 512)
+    assert _traced_peak(lambda: wigner_gaussian([0, 0], np.diag([1.0, 0.25]), axis, axis)) \
+        <= 1.5 * GRID_512
+    for profile in ("cosine", "indicator"):
+        assert _traced_peak(lambda: truncated_bump_grid(axis, axis, profile=profile)) \
+            <= 2.5 * GRID_512
+
+
+def test_mixture_of_two_stays_within_2_6_grids():
+    # the running sum and the next component's build
+    axis = default_axis(1.0, 512)
+    parts = [(0.5, fock_state(0, axis)), (0.5, fock_state(1, axis))]
+    assert _traced_peak(lambda: mixture_wigner(parts)) <= 2.6 * GRID_512
+
+
+@pytest.mark.parametrize("lam", [0.8, 1.2])
+@pytest.mark.parametrize("conjugate", [True, False])
+def test_rescale_stays_within_3_5_grids(conjugate, lam):
+    # the result, the resampled or x-splined rows, their spline slopes and three
+    # blocks of the evaluation; no full-grid gathers or FFT work arrays
+    axis = default_axis(1.0, 512)
+    p_axis = wigner_momentum_axis(axis) if conjugate else axis
+    w = wigner_gaussian([0.3, -0.2], [[0.7, 0.2], [0.2, 0.4]], axis, p_axis)
+    assert _is_wigner_conjugate(w) == conjugate
+    assert _traced_peak(lambda: rescale(w, lam)) <= 3.5 * GRID_512
 
 
 def test_no_build_and_moments_stay_lean(no_grid):
@@ -311,14 +421,15 @@ def test_no_build_and_moments_stay_lean(no_grid):
 
 def test_rescale_streams_its_rows(fock1_wigner):
     # the exact momentum resampling runs the chirp-z in row blocks: no full-grid
-    # FFT work arrays, whose padded length is about twice the row
+    # FFT work arrays, whose padded length is about twice the row; the spline
+    # passes gather by blocks of target rows
     tracemalloc.start()
     try:
         rescale(fock1_wigner, 1.2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * fock1_wigner.values.nbytes
+    assert peak <= 4 * fock1_wigner.values.nbytes
 
 
 def test_oracle_vacuum_projector(vacuum_wigner):
@@ -396,6 +507,28 @@ def test_manifest_round_trip_inline(tmp_path, vacuum_wigner):
     assert back.x_axis == vacuum_wigner.x_axis
     assert back.p_axis == vacuum_wigner.p_axis
     assert np.array_equal(back.values, vacuum_wigner.values)
+
+
+def test_inline_manifest_is_the_text_of_json_dumps(tmp_path):
+    # written by row blocks, byte for byte what one json.dumps of the manifest gives:
+    # an odd row count, a last block shorter than the others, and both signed zeros
+    n = 2 * _CHUNK_ROWS + 45
+    values = np.random.default_rng(4).normal(size=(n, 37))
+    values[3, :4] = [0.0, -0.0, 1e-300, -5e-324]
+    w = WignerGrid(AxisGrid(-3.0, 11.0, n), AxisGrid(-4.0, 6.0, 37), values, hbar=0.7)
+    path = tmp_path / "w.json"
+    save_wigner_manifest(w, path)
+    manifest = {"x_axis": {"min": -3.0, "max": 11.0, "count": n},
+                "p_axis": {"min": -4.0, "max": 6.0, "count": 37}, "hbar": 0.7,
+                "values": values.tolist()}
+    assert path.read_text() == json.dumps(manifest) + "\n"
+    assert load_wigner_manifest(path).values.tobytes() == values.tobytes()
+
+
+def test_inline_manifest_writer_stays_within_2_5_grids(tmp_path):
+    # one block of rows as Python floats and JSON text at a time, not the whole grid
+    w = wigner_of_pure(fock_state(1, default_axis(1.0, 512)))
+    assert _traced_peak(lambda: save_wigner_manifest(w, tmp_path / "w.json")) <= 2.5 * GRID_512
 
 
 def test_manifest_round_trip_csv(tmp_path, fock1_wigner):
