@@ -243,7 +243,7 @@ def wigner_of_pure(psi):
     work = np.empty((min(n, _CHUNK_ROWS), n), dtype=complex)  # one row block of products
     for r0 in range(0, n, _CHUNK_ROWS):
         rows = slice(r0, r0 + _CHUNK_ROWS)
-        wc = work[:len(values[rows])]
+        wc = work[:n - r0]
         # the products in ifftshifted column order: offsets 0 .. lo-1, then -(n//2) .. -1
         for dst, t in ((wc[:, :lo], slice(n // 2, None)), (wc[:, lo:], slice(0, n // 2))):
             np.multiply(ahead[rows, t], np.conjugate(back[rows, t], out=dst), out=dst)
