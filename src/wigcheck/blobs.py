@@ -89,9 +89,9 @@ def find_contained_blob(M, hbar=1.0, tol=ADMISSIBLE_TOL):
     Raises for an inadmissible ellipsoid (no blob fits).
     """
     M = np.asarray(M, dtype=float)
-    if not is_admissible(M, hbar, tol):
-        raise ValueError("ellipsoid is not admissible: no quantum blob fits inside")
     fact = williamson(M)
+    if not fact.spectrum[0] <= 1.0 + tol:  # the test of `is_admissible`, on this spectrum
+        raise ValueError("ellipsoid is not admissible: no quantum blob fits inside")
     s_blob = np.linalg.inv(fact.S)
     blob = quantum_blob(s_blob, hbar=hbar)
     gap = fact.S.T @ fact.S - M

@@ -189,7 +189,9 @@ def _klm(w, args):
 
 
 def _domination(w, args):
-    """Dominating-Gaussian fit with the compact-support flag beside it."""
+    """Dominating-Gaussian fit with the compact-support flag inside it, plus
+    the capacity pi*hbar/mu_1 of the fitted ellipsoid and its contained
+    quantum blob; the blob is None for M = 0, which has no capacity."""
     compact, diag = compact_support_flag(w)
     # a compactly supported candidate is dominated by an arbitrarily tight
     # Gaussian once C may grow, so use a generous cap
@@ -198,25 +200,17 @@ def _domination(w, args):
     witnesses = []
     if cert.verdict == "not_a_wigner_distribution":
         witnesses.append({"type": "domination_mu1_above_1", "mu1": cert.mu1})
-    return {"domination": as_dict(cert), "compact_support": compact,
-            "compact_support_diagnostics": diag}, witnesses
-
-
-def _domination_with_blob(w, args):
-    """`_domination` with the flag inside the fit, plus the capacity and
-    contained quantum blob of the fitted ellipsoid."""
-    fragment, witnesses = _domination(w, args)
-    dom = fragment.pop("domination")
-    dom.update(fragment)
-    M, hbar = np.asarray(dom["M"]), w.hbar
-    blob = {"capacity": capacity(M, hbar),
-            "admissible": is_admissible(M, hbar, tol=VERDICT_CAP_TOL)}
-    if blob["admissible"]:
-        contained, resid = find_contained_blob(M, hbar, tol=VERDICT_CAP_TOL)
-        blob["contained_blob"] = as_dict(contained)
-        blob["containment_residual"] = resid
-        blob["section_areas"] = [section_area(M, 0, hbar)]
-    return {"domination": dom, "blob": blob}, witnesses
+    blob = None
+    if cert.mu1 > 0:  # the fit's mu_1 is the one `capacity` and `is_admissible` compute
+        blob = {"capacity": float(np.pi * w.hbar / cert.mu1),
+                "admissible": cert.mu1 <= 1.0 + VERDICT_CAP_TOL}
+        if blob["admissible"]:
+            contained, resid = find_contained_blob(cert.M, w.hbar, tol=VERDICT_CAP_TOL)
+            blob["contained_blob"] = as_dict(contained)
+            blob["containment_residual"] = resid
+            blob["section_areas"] = [section_area(cert.M, 0, w.hbar)]
+    return {"domination": {**as_dict(cert), "compact_support": compact,
+                           "compact_support_diagnostics": diag}, "blob": blob}, witnesses
 
 
 def _oracle(w, args):
@@ -236,7 +230,7 @@ def _oracle(w, args):
 
 def _analyze(w, args):
     """The full battery: the moments, then every stage not switched off."""
-    optional = ((_klm, args.no_klm), (_domination_with_blob, args.no_domination),
+    optional = ((_klm, args.no_klm), (_domination, args.no_domination),
                 (_oracle, args.no_oracle))
     report = {"seed": args.seed, "klm": None, "domination": None, "blob": None,
               "oracle": None}
@@ -267,6 +261,11 @@ def _rescale_sweep(w, args):
             "sweep": entries}, []
 
 
+def _hbar_sweep(w, args):
+    """Uncertainty checks at each hbar of `--values`."""
+    return {"sweep": as_dict(hbar_sweep(w, args.values))}, []
+
+
 # --- commands: (spec, hbar, args) -> (report or None, hard witnesses) -------
 
 def _on_grid(stage):
@@ -279,19 +278,14 @@ def _on_grid(stage):
 
 
 def _wigner(spec, hbar, args):
+    if args.csv and (not args.output or args.output == "-"):
+        raise InputError("--csv requires -o MANIFEST_PATH")  # before any grid is built
     w, echo = build_state(spec, hbar, args)
     if args.csv:
-        if not args.output or args.output == "-":
-            raise InputError("--csv requires -o MANIFEST_PATH")
         save_wigner_manifest(w, args.output, csv_path=args.csv)
         return None, []
     return {"input": echo, "x_axis": as_dict(w.x_axis), "p_axis": as_dict(w.p_axis),
             "hbar": w.hbar, "trace": trace(w), "values": as_dict(w.values)}, []
-
-
-def _hbar_sweep(spec, hbar, args):
-    w, echo = build_state(spec, hbar, args)
-    return {"input": echo, "sweep": as_dict(hbar_sweep(w, args.values))}, []
 
 
 def _capacity(spec, hbar, args):
@@ -317,6 +311,8 @@ def _capacity(spec, hbar, args):
 def _hardy(spec, hbar, args):
     if spec.get("type") != "fock":
         raise InputError("hardy expects a fock state spec")
+    if "rescale" in spec or args.rescale is not None:
+        raise InputError("invalid state spec: hardy fits a wavefunction and takes no rescale")
     psi = _fock_states([spec], hbar, args)[0]
     return {"input": spec, "hbar": hbar, "hardy": as_dict(hardy_fit(psi))}, []
 
@@ -372,7 +368,7 @@ COMMANDS = {
     "oracle": ("operator spectrum ground truth", _on_grid(_oracle), []),
     "capacity": ('capacity and admissibility of an ellipsoid matrix {"M": [[...]]}',
                  _capacity, []),
-    "hbar-sweep": ("uncertainty checks at several values of hbar", _hbar_sweep, [
+    "hbar-sweep": ("uncertainty checks at several values of hbar", _on_grid(_hbar_sweep), [
         ("--values", {"required": True, "type": _positive_list,
                       "help": "comma-separated hbar values"})]),
     "hardy": ("Gaussian decay rates of a pure state and its transform", _hardy, []),

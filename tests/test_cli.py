@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wigcheck import cli, default_axis, fock_state, mixture_wigner
+from wigcheck import cli, default_axis, fock_state, mixture_wigner, symplectic
 from wigcheck.cli import _emit, main
 
 
@@ -99,6 +99,14 @@ def test_wigner_inline_values(capsys):
     assert len(rep["values"]) == 64
 
 
+@pytest.mark.parametrize("output", [[], ["-o", "-"]], ids=["no-output", "stdout"])
+def test_wigner_csv_without_a_manifest_path_is_checked_first(capsys, monkeypatch, output):
+    # the flag error comes before any grid is built, here before the missing manifest
+    monkeypatch.setattr(cli, "build_state", lambda *a: pytest.fail("grid built"))
+    assert_input_error(capsys, ["wigner", '{"type":"grid","manifest":"/nope.json"}',
+                                "--csv", "v.csv", *output], "--csv requires -o")
+
+
 def test_rescale_sweep_flips_at_lambda_star(capsys):
     code, rep = run_cli(capsys, "rescale-sweep", '{"type":"fock","n":0}',
                         "--lambdas", "0.9:1.1:0.05")
@@ -123,8 +131,48 @@ def test_klm_command_exit_codes(capsys):
 def test_dominate_command_on_bump(capsys):
     code, rep = run_cli(capsys, "dominate", '{"type":"bump","radius":1.0}')
     assert code == 2
-    assert rep["compact_support"]
+    assert rep["domination"]["compact_support"]
     assert rep["domination"]["mu1"] > 1.0
+
+
+def test_dominate_and_analyze_report_one_domination_and_blob(capsys):
+    bump = '{"type":"bump","radius":1.0}'
+    _, dominate = run_cli(capsys, "dominate", bump)
+    _, analyze = run_cli(capsys, "analyze", bump, "--no-klm", "--no-oracle")
+    assert dominate["domination"] == analyze["domination"]
+    assert dominate["blob"] == analyze["blob"]
+    assert dominate["blob"]["capacity"] == cli.capacity(dominate["domination"]["M"])
+
+
+def test_zero_fit_has_a_null_blob(tmp_path, capsys):
+    # clipped at half its peak, the grid reaches its maximum away from the
+    # origin; at --cmax-factor 1 that point pins the fit to M = 0, which has
+    # no capacity
+    axis = default_axis(count=64)
+    grid = cli.wigner_gaussian([0, 0], 0.5 * np.eye(2), axis, axis)
+    np.minimum(grid.values, 0.5 * grid.values.max(), out=grid.values)
+    grid.values /= cli.trace(grid)
+    cli.save_wigner_manifest(grid, tmp_path / "clipped.json")
+    spec = json.dumps({"type": "grid", "manifest": str(tmp_path / "clipped.json")})
+    for argv in (["dominate"], ["analyze", "--no-klm", "--no-oracle"]):
+        code, rep = run_cli(capsys, *argv, spec, "--cmax-factor", "1")
+        assert code == 0, argv
+        assert rep["domination"]["mu1"] == 0.0 and rep["blob"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", '{"type":"fock","n":0}', "--no-klm", "--no-oracle"],
+    ["capacity", '{"M": [[4,0],[0,0.111]], "hbar": 1.0}'],
+], ids=["analyze", "capacity"])
+def test_the_symplectic_spectrum_is_computed_at_most_three_times(capsys, monkeypatch, argv):
+    # analyze: the uncertainty report, the fit and the blob's `williamson`;
+    # capacity: `capacity`, `is_admissible` and the blob's `williamson`
+    calls, normal_modes = [], symplectic._normal_modes
+    monkeypatch.setattr(symplectic, "_normal_modes", lambda M: calls.append(1) or normal_modes(M))
+    code, rep = run_cli(capsys, *argv)
+    assert code == 0
+    assert "contained_blob" in (rep["blob"] if argv[0] == "analyze" else rep)
+    assert len(calls) <= 3
 
 
 def test_oracle_command(capsys):
@@ -212,6 +260,15 @@ def test_hbar_sweep_command(capsys):
     assert code == 0
     verdicts = [e["verdict"] for e in rep["sweep"]]
     assert verdicts == ["pass", "pass", "fail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["hardy", '{"type":"fock","n":0,"rescale":1.2}'],
+    ["hardy", '{"type":"fock","n":0}', "--rescale", "1.2"],
+], ids=["spec", "flag"])
+def test_hardy_rejects_rescale(capsys, argv):
+    # a rescaled Wigner grid has no wavefunction for the fit to read
+    assert_input_error(capsys, argv, "invalid state spec:")
 
 
 def test_hardy_command(capsys):
