@@ -164,6 +164,7 @@ def klm_check(w, max_order=5, trials_per_order=50, seed=0, tol=DEFAULT_TOL):
             worst = min(worst, float(low[:i + 1].min()))
             witness = KLMWitness(order, pts[trial], vecs[i, :, 0], float(low[i]), trial,
                                  draws[trial][1])
+            del fsw  # the re-check reads only the grid
             _verify(w, witness, tol)
             orders.append(KLMOrderRecord(order, trial + 1, worst))
             return KLMReport("violation_certificate", orders, witness, seed,

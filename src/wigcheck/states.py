@@ -492,13 +492,15 @@ class SymplecticFourier:
         self._ox, self._op = w.x_axis.points[i:] - self._xc, w.p_axis.points[j:] - self._pc
         hp = len(self._op)
         self._blocks = np.zeros((2, len(self._ox), -(-2 * hp // _ALIGN) * _ALIGN))
-        v, f = w.values, w.values[:, ::-1]
-        lower = np.empty((len(self._ox), hp))  # the one temporary, a quarter grid
+        v, f = w.values[:, j:], w.values[:, ::-1][:, j:]
+        lower = np.empty((min(len(self._ox), _CHUNK_ROWS), hp))  # the one temporary, a row block
         for op, block in zip((np.add, np.subtract), self._blocks):  # [W_ee | W_eo], [W_oe | W_oo]
-            op(f[i:, j:], f[::-1][i:, j:], out=lower)
-            upper = op(v[i:, j:], v[::-1][i:, j:], out=block[:, :hp])
-            np.subtract(upper, lower, out=block[:, hp:2 * hp])
-            upper += lower
+            for r0 in range(0, len(self._ox), _CHUNK_ROWS):
+                rows, out = slice(i + r0, i + r0 + _CHUNK_ROWS), block[r0:r0 + _CHUNK_ROWS]
+                low = op(f[rows], f[::-1][rows], out=lower[:len(out)])
+                upper = op(v[rows], v[::-1][rows], out=out[:, :hp])
+                np.subtract(upper, low, out=out[:, hp:2 * hp])
+                upper += low
         self._blocks[0, 0] *= 1 - w.x_axis.count % 2 / 2  # an odd count's centre, added twice
         self._blocks[:, :, 0] *= 1 - w.p_axis.count % 2 / 2
         self._area = w.cell_area
@@ -528,36 +530,51 @@ def _rotate(re, im, theta):
     return (re * c - im * s) + 1j * (re * s + im * c)
 
 
-def _kernel_views(w):
+def _kernel_views(w, real_within=None):
     """The two same-parity kernel blocks as read-only views of one transform
-    b[r, m], grid row r at separation 2*m*dx, and sqrt(2) ||Im b||_F >= ||Im K||_F.
-    Entry (a, c), a >= c, of block `parity` is b[parity + a + c, a - c]: each
-    entry of b is read once, as the lower triangle and the real diagonal; the
-    upper triangle holds their conjugates.  Every read stays inside b.  A real
-    row's chirp-z transform has T[-m] = conj T[m], so rows r and r + ceil(n/2)
-    share one complex transform, _CHUNK_ROWS pairs at a time; each block adds
-    its rows' sum of (Im b)^2 as it writes them."""
+    b[r, m], grid row r at separation 2*m*dx, and the Weyl bound
+    2dx sqrt(2) ||Im b||_F >= 2dx ||Im K||_F.  Entry (a, c), a >= c, of block
+    `parity` is b[parity + a + c, a - c]: each entry of b is read once, as the
+    lower triangle and the real diagonal; the upper triangle holds their
+    conjugates.  Every read stays inside b.  A real row's chirp-z transform
+    has T[-m] = conj T[m], so rows r and r + ceil(n/2) share one complex
+    transform, _CHUNK_ROWS pairs at a time; each block adds its rows' sum of
+    (Im b)^2 as it writes them.  With `real_within`, b holds only Re b (half
+    a grid) while the bound stays within it; at the first block where it
+    does not, the blocks are redone into a complex b."""
     n, dp = w.x_axis.count, w.p_axis.spacing
     h = (n + 1) // 2  # rows of the even block; the odd one has n - h
     step = 2 * w.x_axis.spacing / w.hbar
-    b = np.empty((n, h), dtype=complex)
-    imag_sq = 0.0
-    for r0 in range(0, h, _CHUNK_ROWS):
+
+    def write(b, r0):  # rows r0 .. r0 + _CHUNK_ROWS of each half of b; their sum of (Im b)^2
         low = b[r0:min(r0 + _CHUNK_ROWS, h)]
         high = b[r0 + h:r0 + h + len(low)]  # with n odd, row h-1 has no partner
         t = _chirp_sum(w.values[r0:r0 + len(low)], w.p_axis.min, dp, -(h - 1) * step, step,
                        2 * h - 1, imag=w.values[r0 + h:r0 + h + len(high)])
         pos, neg = t[:, h - 1:], t[:, h - 1::-1]  # separations +-2*m*dx, m >= 0
-        np.subtract(pos[:len(high)], np.conjugate(neg[:len(high)], out=high), out=high)
-        high *= -0.5j * dp
-        np.add(pos, np.conjugate(neg, out=low), out=low)
-        low *= 0.5 * dp
-        del t, pos, neg  # before the next block's transform
-        imag_sq += sum(float(np.einsum("ij,ij->", rows.imag, rows.imag)) for rows in (low, high))
+        # a real b's rows pass through one complex block laid out as b's, so einsum sums alike
+        work = None if b.dtype == complex else np.empty(low.shape, dtype=complex)
+        sums = []
+        for op, factor, rows in ((np.add, 0.5 * dp, low), (np.subtract, -0.5j * dp, high)):
+            c = rows if work is None else work[:len(rows)]
+            op(pos[:len(c)], np.conjugate(neg[:len(c)], out=c), out=c)
+            c *= factor
+            sums.append(float(np.einsum("ij,ij->", c.imag, c.imag)))
+            rows.real[...] = c.real  # a real array is its own real part
+        return sum(sums)
+
+    b = np.empty((n, h), dtype=complex if real_within is None else float)
+    imag_sq = 0.0
+    for r0 in range(0, h, _CHUNK_ROWS):
+        imag_sq += write(b, r0)
+        bound = 2 * w.x_axis.spacing * np.sqrt(2 * imag_sq)
+        if b.dtype == float and bound > real_within:
+            del b  # Re b goes before the complex b is made
+            return _kernel_views(w)
     s = b.itemsize
     views = tuple(as_strided(b[parity:], (size, size), ((h + 1) * s, (h - 1) * s), writeable=False)
                   for parity, size in enumerate((h, n - h)))
-    return views, np.sqrt(2 * imag_sq)
+    return views, bound
 
 
 def kernel_from_wigner(w):
@@ -594,11 +611,9 @@ def operator_spectrum_oracle(w):
 def _oracle_views(w):
     """The views `operator_spectrum_oracle` solves, the Weyl bound 2dx ||Im K||_F
     on the eigenvalue move of dropping Im K, and the transform's round-off
-    n eps sum|W| dA: the real parts of the views when the bound is within it."""
-    views, imag_norm = _kernel_views(w)
-    bound = 2 * w.x_axis.spacing * imag_norm
+    n eps sum|W| dA: views of Re b alone when the bound is within it."""
     roundoff = w.x_axis.count * np.finfo(float).eps * _abs_sums(w.values)[0].sum() * w.cell_area
-    return ([view.real for view in views] if bound <= roundoff else views), bound, roundoff
+    return (*_kernel_views(w, roundoff), roundoff)
 
 
 def save_wigner_manifest(w, path, csv_path=None):

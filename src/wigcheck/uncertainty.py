@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import TAIL_TOL, _boundary_band_sum
-from .symplectic import symplectic_form, symplectic_spectrum
+from .symplectic import PD_TOL, symplectic_form, symplectic_spectrum
 
 __all__ = [
     "CovarianceMatrix",
@@ -114,13 +114,20 @@ def lambda_star(sigma, hbar=1.0):
     """Largest rescaling parameter that keeps the covariance admissible.
 
     Equals sqrt(2 * nu_min / hbar); a value below 1 means the covariance
-    already violates the uncertainty principle.
+    already violates the uncertainty principle.  None when sigma is not
+    positive definite: then no rescaling makes it admissible.
     """
-    return _lambda_star(symplectic_spectrum(np.asarray(sigma, dtype=float)), hbar)
+    return _lambda_star(_spectrum(np.asarray(sigma, dtype=float)), hbar)
+
+
+def _spectrum(sigma):
+    """Symplectic spectrum of sigma, or None when sigma is not positive definite."""
+    eig = np.linalg.eigvalsh(sigma)
+    return symplectic_spectrum(sigma) if eig.min() > PD_TOL * np.abs(eig).max() else None
 
 
 def _lambda_star(nu, hbar):
-    return float(np.sqrt(2.0 * nu[-1] / hbar))
+    return None if nu is None else float(np.sqrt(2.0 * nu[-1] / hbar))
 
 
 @dataclass
@@ -132,9 +139,9 @@ class UncertaintyReport:
     rs_ok: bool
     psd_min_eigenvalue: float
     psd_ok: bool
-    nu_min: float
-    nu_max: float
-    lambda_star: float
+    nu_min: float | None  # None, with lambda_star, when sigma is not positive definite
+    nu_max: float | None
+    lambda_star: float | None
     verdict: str  # "pass" when psd_ok, else "fail"
     boundary: bool
 
@@ -144,7 +151,7 @@ def uncertainty_report(sigma, hbar=1.0):
     sigma = np.asarray(sigma, dtype=float)
     rs = check_rs(sigma, hbar)
     psd_ok, min_eig = check_quantum_psd(sigma, hbar)
-    nu = symplectic_spectrum(sigma)
+    nu = _spectrum(sigma)
     norm = np.abs(np.linalg.eigvalsh(sigma)).max()
     boundary = bool(abs(min_eig) <= BOUNDARY_BAND * norm)
     return UncertaintyReport(
@@ -153,8 +160,8 @@ def uncertainty_report(sigma, hbar=1.0):
         rs_ok=all(r.ok for r in rs),
         psd_min_eigenvalue=min_eig,
         psd_ok=psd_ok,
-        nu_min=float(nu[-1]),
-        nu_max=float(nu[0]),
+        nu_min=None if nu is None else float(nu[-1]),
+        nu_max=None if nu is None else float(nu[0]),
         lambda_star=_lambda_star(nu, hbar),
         verdict="pass" if psd_ok else "fail",
         boundary=boundary,

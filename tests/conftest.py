@@ -5,7 +5,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from wigcheck import (AxisGrid, WaveFunctionGrid, default_axis, fock_state, mixture_wigner,
                       narcowich_oconnell_grid, operator_spectrum_oracle, symplectic_form,
                       symplectic_spectrum, wigner_gaussian, wigner_of_pure)
-from wigcheck.states import _CHUNK_ROWS, _chirp_sum, _is_wigner_conjugate
+from wigcheck.states import _ALIGN, _CHUNK_ROWS, _chirp_sum, _is_wigner_conjugate
 from wigcheck.uncertainty import BOUNDARY_BAND
 
 
@@ -240,3 +240,21 @@ def whole_rescale(w, lam):
         out[np.ix_(okx, okp)] = _whole_spline_at(ps, rows.T, lam * ps[okp]).T
     out *= lam**2
     return out
+
+
+def whole_symplectic_blocks(w):
+    """SymplecticFourier's parity blocks [W_ee | W_eo], [W_oe | W_oo], folded
+    from whole quadrant views at once."""
+    i, j = w.x_axis.count // 2, w.p_axis.count // 2
+    hp = w.p_axis.count - j
+    blocks = np.zeros((2, w.x_axis.count - i, -(-2 * hp // _ALIGN) * _ALIGN))
+    v, f = w.values, w.values[:, ::-1]
+    lower = np.empty((w.x_axis.count - i, hp))
+    for op, block in zip((np.add, np.subtract), blocks):
+        op(f[i:, j:], f[::-1][i:, j:], out=lower)
+        upper = op(v[i:, j:], v[::-1][i:, j:], out=block[:, :hp])
+        np.subtract(upper, lower, out=block[:, hp:2 * hp])
+        upper += lower
+    blocks[0, 0] *= 1 - w.x_axis.count % 2 / 2
+    blocks[:, :, 0] *= 1 - w.p_axis.count % 2 / 2
+    return blocks

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wigcheck import cli, default_axis, fock_state, mixture_wigner, symplectic
+from wigcheck import (AxisGrid, WignerGrid, cli, default_axis, fock_state, mixture_wigner,
+                      save_wigner_manifest, symplectic, wigner_gaussian)
 from wigcheck.cli import _emit, main
 
 
@@ -260,6 +261,40 @@ def test_hbar_sweep_command(capsys):
     assert code == 0
     verdicts = [e["verdict"] for e in rep["sweep"]]
     assert verdicts == ["pass", "pass", "fail"]
+
+
+def _negative_variance_spec(tmp_path):
+    """A unit-trace 128 x 128 manifest on [-8, 8]^2, W = 2 G(0.25 I) - G(2 I):
+    Var x = Var p = -1.5, a covariance that is not positive definite."""
+    axis = AxisGrid(-8.0, 8.0, 128)
+    narrow, wide = (wigner_gaussian([0, 0], s * np.eye(2), axis, axis) for s in (0.25, 2.0))
+    save_wigner_manifest(WignerGrid(axis, axis, 2 * narrow.values - wide.values),
+                         tmp_path / "negative.json")
+    return json.dumps({"type": "grid", "manifest": str(tmp_path / "negative.json")})
+
+
+@pytest.mark.filterwarnings("ignore:.*may not have converged")
+@pytest.mark.parametrize("argv, exit_code", [
+    (["analyze"], 2),
+    (["hbar-sweep", "--values", "0.5,1.0"], 0),
+    (["rescale-sweep", "--lambdas", "1:2:0.5"], 0),
+], ids=["analyze", "hbar-sweep", "rescale-sweep"])
+def test_covariance_that_is_not_positive_definite_fails_uncertainty(tmp_path, capsys, argv,
+                                                                    exit_code):
+    # such a sigma has no symplectic spectrum: nu_min, nu_max and lambda_star are
+    # null, and Sigma + i hbar J / 2 is not PSD either
+    code, rep = run_cli(capsys, argv[0], _negative_variance_spec(tmp_path), *argv[1:])
+    assert code == exit_code
+    if argv[0] == "analyze":
+        assert rep["covariance"]["sigma"][0][0] == pytest.approx(-1.5, abs=1e-6)
+        assert rep["witnesses"][0]["type"] == "quantum_psd_failure"
+        entries = [rep["uncertainty"]]
+    else:
+        entries = rep["sweep"]
+        assert rep.get("lambda_star", None) is None
+    for entry in entries:
+        assert entry["nu_min"] is None and entry["verdict"] == "fail"
+        assert entry.get("lambda_star", None) is None and entry.get("nu_max", None) is None
 
 
 @pytest.mark.parametrize("argv", [

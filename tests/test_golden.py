@@ -9,13 +9,15 @@ the oracle eigenvalues between BLAS thread counts and nothing of substance.
 Regenerate (only when a report is meant to change) with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
+
+which rewrites only the goldens that no longer match, deletes those no
+README command produces, and prints each file it wrote or deleted.
 """
 
 import ast
 import io
 import json
 import shlex
-import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -38,8 +40,8 @@ def readme_commands():
 COMMANDS = readme_commands()
 
 
-def golden_path(index, argv):
-    return GOLDEN / f"{index:02d}-{argv[0]}.json"
+def golden_path(index, argv, directory=GOLDEN):
+    return directory / f"{index:02d}-{argv[0]}.json"
 
 
 def run(argv, capsys):
@@ -96,15 +98,51 @@ def test_readme_library_block():
     assert values["wc.capacity(np.diag([4.0, 1.0]))"] == pytest.approx(np.pi / 2)
 
 
-if __name__ == "__main__":
-    for old in GOLDEN.glob("*.json"):
-        old.unlink()
-    GOLDEN.mkdir(exist_ok=True)
-    for index, argv in enumerate(COMMANDS):
+def regenerate(commands=COMMANDS, directory=GOLDEN):
+    """Rewrite each golden whose argv, exit code or report no longer matches
+    its command, delete the goldens no command produces, and print each file
+    written or deleted.  A golden that still matches keeps its bits."""
+    directory.mkdir(exist_ok=True)
+    wanted = set()
+    for index, argv in enumerate(commands):
+        path = golden_path(index, argv, directory)
+        wanted.add(path)
         out = io.StringIO()
         with redirect_stdout(out):
             code = main(list(argv))
-        golden = {"argv": argv, "exit_code": code, "report": json.loads(out.getvalue())}
-        text = json.dumps(golden, indent=1)
-        golden_path(index, argv).write_text(text + "\n")
-        print(f"{golden_path(index, argv).name}: exit {code}", file=sys.stderr)
+        report = json.loads(out.getvalue())
+        try:
+            golden = json.loads(path.read_text())
+            assert golden["argv"] == argv and golden["exit_code"] == code
+            assert_matches(report, golden["report"])
+            continue
+        except (OSError, ValueError, TypeError, KeyError, AssertionError):
+            pass
+        golden = {"argv": argv, "exit_code": code, "report": report}
+        path.write_text(json.dumps(golden, indent=1) + "\n")
+        print(f"wrote {path.name}: exit {code}")
+    for path in sorted(set(directory.glob("*.json")) - wanted):
+        path.unlink()
+        print(f"deleted {path.name}")
+
+
+def test_regenerate_rewrites_only_stale_goldens(tmp_path, capsys):
+    commands = [["capacity", '{"M": [[4,0],[0,0.111]]}'], ["hardy", '{"type":"fock","n":0}']]
+    regenerate(commands, tmp_path)
+    names = [golden_path(i, argv).name for i, argv in enumerate(commands)]
+    assert capsys.readouterr().out.splitlines() == [f"wrote {name}: exit 0" for name in names]
+    current, stale = (tmp_path / name for name in names)
+    golden = json.loads(stale.read_text())
+    golden["report"]["moved"] = True
+    stale.write_text(json.dumps(golden))
+    current.write_text(current.read_text().replace("\n", "\n "))  # the same JSON, other bytes
+    kept = current.read_bytes()
+    (tmp_path / "99-orphan.json").write_text("{}")
+    regenerate(commands, tmp_path)
+    assert capsys.readouterr().out.splitlines() == [f"wrote {names[1]}: exit 0",
+                                                    "deleted 99-orphan.json"]
+    assert current.read_bytes() == kept and "moved" not in stale.read_text()
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -8,9 +8,9 @@ import scipy.fft
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from conftest import (fourier_wavefunction, gaussian_wavepacket, oracle_min, whole_bump,
-                      whole_mixture_wigner, whole_rescale, whole_wigner_gaussian,
-                      whole_wigner_of_pure)
-from wigcheck import (AxisGrid, SymplecticFourier, cli, default_axis, fock_state,
+                      whole_mixture_wigner, whole_rescale, whole_symplectic_blocks,
+                      whole_wigner_gaussian, whole_wigner_of_pure)
+from wigcheck import (AxisGrid, SymplecticFourier, cli, default_axis, fock_state, states,
                       kernel_from_wigner,
                       load_wigner_manifest, mixture_wigner, narcowich_oconnell_grid,
                       operator_spectrum_oracle, rescale, save_wigner_manifest, trace,
@@ -200,27 +200,65 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-def test_oracle_memory_stays_within_1_6_grids(no_grid):
-    # the transform b (one grid) and one row block's chirp-z work array; the
-    # eigensolver reads the blocks as views of b, so no block is materialized
-    assert _traced_peak(lambda: operator_spectrum_oracle(no_grid)) <= 1.6 * no_grid.values.nbytes
+def test_oracle_real_path_memory_stays_within_1_0_grids(no_grid):
+    # Re b (half a grid), one row block's chirp-z work array and one complex
+    # block of b's layout; the eigensolver reads the blocks as views of b
+    assert _traced_peak(lambda: operator_spectrum_oracle(no_grid)) <= 1.0 * no_grid.values.nbytes
 
 
-def test_klm_stage_memory_stays_within_1_5_grids(no_grid):
-    # SymplecticFourier's blocks (one grid) and a quarter-grid temporary; the
-    # witness check sums |W| by row blocks
+def test_oracle_complex_path_memory_stays_within_1_6_grids():
+    # a Gaussian shifted in p leaves the real path at its first block: the
+    # complex b (one grid) and one row block's chirp-z work array
+    axis = default_axis(1.0, 768)
+    w = wigner_gaussian([0, 0.5], 0.5 * np.eye(2), axis, axis)
+    assert not _weyl_bound(w)[2]
+    assert _traced_peak(lambda: operator_spectrum_oracle(w)) <= 1.6 * w.values.nbytes
+
+
+def test_klm_stage_memory_stays_within_1_2_grids(no_grid):
+    # SymplecticFourier's blocks (one grid), folded by row blocks; the search's
+    # stacked matrices; the witness check sums |W| by row blocks
     args = cli.build_parser().parse_args(["klm", "{}"])
-    assert _traced_peak(lambda: cli._klm(no_grid, args)) <= 1.5 * no_grid.values.nbytes
+    assert _traced_peak(lambda: cli._klm(no_grid, args)) <= 1.2 * no_grid.values.nbytes
+
+
+def _late_asymmetric_grid():
+    """A centred squeezed Gaussian on 256 x 256 points, mirror-symmetric in p
+    except on row 100: the oracle's first row block (rows 0-63 and 128-191)
+    stays on the real path, the second (rows 64-127 and 192-255) leaves it."""
+    axis = default_axis()
+    w = wigner_gaussian([0, 0], np.diag([1.0, 0.25]), axis, axis)
+    w.values[100] *= 1 + 0.01 * np.tanh(axis.points)
+    return w
 
 
 def _oracle_cases(no_grid, odd_offcentre_grid):
     yield "narcowich-oconnell", no_grid
     yield "fock1 x1.2", rescale(wigner_of_pure(fock_state(1)), 1.2)
     yield "odd off-centre", odd_offcentre_grid
+    yield "asymmetric in p on row 100", _late_asymmetric_grid()
     rng = np.random.default_rng(3)
     for n, m in ((301, 250), (17, 20), (4 * _CHUNK_ROWS + 1, 64)):  # odd, non-conjugate
         yield f"random {n}x{m}", WignerGrid(AxisGrid(-5.0, 6.0, n), AxisGrid(-4.0, 3.5, m),
                                             rng.normal(size=(n, m)), hbar=0.7)
+
+
+def test_oracle_leaves_the_real_path_at_the_first_block_past_the_bound(monkeypatch):
+    # each row block is one chirp-z call; a grid that leaves the real path at
+    # its second block of two is transformed 2 + 2 times, one that stays on it twice
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _chirp_sum(*args, **kwargs)
+
+    monkeypatch.setattr(states, "_chirp_sum", counted)
+    axis = default_axis()
+    for w, real, count in ((_late_asymmetric_grid(), False, 4),
+                           (wigner_gaussian([0, 0], np.diag([1.0, 0.25]), axis, axis), True, 2)):
+        calls.clear()
+        assert (not np.iscomplexobj(_oracle_views(w)[0][0])) == real
+        assert len(calls) == count
 
 
 def _weyl_bound(w):
@@ -686,6 +724,15 @@ def test_symplectic_fourier_matches_complex_quadrature(no_grid, odd_offcentre_gr
                            for x, p in pts]) * w.cell_area
         assert np.abs(f(pts) - direct).max() <= 1e-14 * np.abs(w.values).sum() * w.cell_area
         assert f(pts[0]) == f(pts[:1])[0]
+
+
+def test_symplectic_fourier_folds_by_row_blocks_bit_for_bit(no_grid, odd_offcentre_grid,
+                                                           vacuum_wigner):
+    # even counts (one and several row blocks), odd counts, and axes off the origin
+    rng = np.random.default_rng(9)
+    small = WignerGrid(AxisGrid(-2.0, 3.0, 17), AxisGrid(1.0, 4.0, 20), rng.normal(size=(17, 20)))
+    for w in (no_grid, vacuum_wigner, odd_offcentre_grid, small):
+        assert SymplecticFourier(w)._blocks.tobytes() == whole_symplectic_blocks(w).tobytes()
 
 
 def test_fast_len_matches_next_fast_len():

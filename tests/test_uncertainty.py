@@ -125,6 +125,15 @@ def test_lambda_star_flags_failing_covariance():
     assert lambda_star(0.2 * np.eye(2), 1.0) < 1.0
 
 
+@pytest.mark.parametrize("sigma", [np.diag([-1.5, -1.5]), np.diag([1.0, 0.0]), np.zeros((2, 2))])
+def test_sigma_that_is_not_positive_definite_has_no_spectrum(sigma):
+    # Sigma + i hbar J / 2 >= 0 implies Sigma >= 0, so the PSD test fails too
+    rep = uncertainty_report(sigma)
+    assert (rep.nu_min, rep.nu_max, rep.lambda_star) == (None, None, None)
+    assert not rep.psd_ok and rep.verdict == "fail"
+    assert lambda_star(sigma) is None
+
+
 def test_lambda_star_matches_sweep():
     rng = np.random.default_rng(11)
     hbar = 1.0
