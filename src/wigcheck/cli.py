@@ -29,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .blobs import capacity, find_contained_blob, is_admissible, section_area
-from .domination import C_MAX_FACTOR, compact_support_flag, fit_dominating_gaussian, hardy_fit
+from .domination import (C_MAX_FACTOR, VERDICT_BAND, compact_support_flag,
+                         fit_dominating_gaussian, hardy_fit)
 from .fixtures import NO_COUNT, NO_EXTENT, moment_p4, narcowich_oconnell_grid, truncated_bump_grid
 from .klm import DEFAULT_TOL as DEFAULT_KLM_TOL, klm_check
 from .states import (as_dict, default_axis, fock_state, load_wigner_manifest, mixture_wigner,
@@ -41,10 +42,6 @@ DEFAULT_EXTENT = 8.0  # half-width of the position axis, in units of sqrt(hbar)
 FOCK_MARGIN = 6.0  # tail room beyond a Fock state's turning point, same units
 DEFAULT_ORACLE_TOL = 1e-5
 DEFAULT_P4_TOL = 1e-4
-
-# admissibility slack for fitted certificates: the fit reports
-# mu1 = 1 + O(1%) on tight Gaussian states, which are still admissible
-VERDICT_CAP_TOL = 2.5e-2
 
 
 class InputError(Exception):
@@ -82,6 +79,15 @@ def _positive(value, name):
     return number
 
 
+def _numbers(value, name):
+    """`value`; InputError if it holds a JSON true or false, which numpy reads as 1 or 0."""
+    if isinstance(value, bool):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    for item in value if isinstance(value, list) else ():
+        _numbers(item, name)
+    return value
+
+
 def _fock_states(specs, hbar, args):
     """Wavefunctions of the fock `specs` on one position axis, of half-width
     `--grid-extent` or else the largest turning point sqrt(2n+1) plus
@@ -117,13 +123,14 @@ def build_state(spec, hbar, args):
             w = wigner_of_pure(_fock_states([spec], hbar, args)[0])
         elif kind == "gaussian":
             axis = default_axis(hbar, count, extent)
-            w = wigner_gaussian(spec["mean"], spec["cov"], axis, axis, hbar)
+            w = wigner_gaussian(_numbers(spec["mean"], "gaussian mean"),
+                                _numbers(spec["cov"], "gaussian cov"), axis, axis, hbar)
         elif kind == "mixture":
             items = spec["components"]
             states = [item["state"] for item in items]
             if not all(isinstance(state, dict) and state.get("type") == "fock" for state in states):
                 raise InputError("mixture components must be fock states")
-            weights = [float(item["weight"]) for item in items]
+            weights = [_positive(item["weight"], "mixture weight") for item in items]
             w = mixture_wigner(zip(weights, _fock_states(states, hbar, args)))
         elif kind == "grid":
             w = load_wigner_manifest(spec["manifest"])
@@ -132,13 +139,13 @@ def build_state(spec, hbar, args):
             hbar = w.hbar
         elif kind == "narcowich-oconnell":
             axis = default_axis(1.0, max(count, NO_COUNT), max(extent, NO_EXTENT))
-            w = narcowich_oconnell_grid(float(spec.get("alpha", hbar / 2)),
-                                        float(spec.get("beta", hbar / 2)),
+            w = narcowich_oconnell_grid(_positive(spec.get("alpha", hbar / 2), "alpha"),
+                                        _positive(spec.get("beta", hbar / 2), "beta"),
                                         axis, axis, hbar)
         elif kind == "bump":
             axis = default_axis(hbar, count, extent)
             w = truncated_bump_grid(axis, axis, hbar,
-                                    radius=float(spec.get("radius", 1.0)),
+                                    radius=_positive(spec.get("radius", 1.0), "bump radius"),
                                     profile=spec.get("profile", "cosine"))
         else:
             raise InputError(f"unknown state type: {kind!r}")
@@ -203,9 +210,9 @@ def _domination(w, args):
     blob = None
     if cert.mu1 > 0:  # the fit's mu_1 is the one `capacity` and `is_admissible` compute
         blob = {"capacity": float(np.pi * w.hbar / cert.mu1),
-                "admissible": cert.mu1 <= 1.0 + VERDICT_CAP_TOL}
+                "admissible": cert.verdict != "not_a_wigner_distribution"}
         if blob["admissible"]:
-            contained, resid = find_contained_blob(cert.M, w.hbar, tol=VERDICT_CAP_TOL)
+            contained, resid = find_contained_blob(cert.M, w.hbar, tol=VERDICT_BAND)
             blob["contained_blob"] = as_dict(contained)
             blob["containment_residual"] = resid
             blob["section_areas"] = [section_area(cert.M, 0, w.hbar)]

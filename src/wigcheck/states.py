@@ -217,45 +217,9 @@ def fock_state(n, axis=None, hbar=1.0):
     return WaveFunctionGrid(axis, vals, hbar)
 
 
-def _require_normalized(psi):
-    if abs(psi.norm_squared() - 1.0) > NORM_TOL:
-        raise ValueError("wavefunction is not normalized")
-
-
 def wigner_of_pure(psi):
-    """Wigner distribution of a normalized pure state.
-
-    W(x, p) = (1/(pi*hbar)) int exp(-2 i p y / hbar) psi(x+y) conj(psi(x-y)) dy,
-    evaluated by a centered DFT over the offset variable.  The momentum axis
-    is conjugate to the position axis.  The largest imaginary part discarded
-    when taking the real part is recorded on the result.
-    """
-    _require_normalized(psi)
-    axis, hbar = psi.axis, psi.hbar
-    n = axis.count
-    p_axis = wigner_momentum_axis(axis, hbar)
-    pad = np.concatenate([np.zeros(n, dtype=complex), psi.values, np.zeros(n, dtype=complex)])
-    # psi(x_r + y) and psi(x_r - y) at offset y = (t - n//2) dx are [r, t] of these windows
-    lo = n - n // 2
-    ahead = sliding_window_view(pad, n)[lo:lo + n]
-    back = sliding_window_view(pad[::-1], n)[lo + n - 1:lo - 1:-1]
-    values, imag = np.empty((n, n)), []  # the real part, fftshifted back to centred columns
-    work = np.empty((min(n, _CHUNK_ROWS), n), dtype=complex)  # one row block of products
-    for r0 in range(0, n, _CHUNK_ROWS):
-        rows = slice(r0, r0 + _CHUNK_ROWS)
-        wc = work[:n - r0]
-        # the products in ifftshifted column order: offsets 0 .. lo-1, then -(n//2) .. -1
-        for dst, t in ((wc[:, :lo], slice(n // 2, None)), (wc[:, lo:], slice(0, n // 2))):
-            np.multiply(ahead[rows, t], np.conjugate(back[rows, t], out=dst), out=dst)
-        np.fft.fft(wc, axis=1, out=wc)
-        np.multiply(axis.spacing / (np.pi * hbar), wc, out=wc)
-        values[rows, :n // 2], values[rows, n // 2:] = wc.real[:, lo:], wc.real[:, :lo]
-        imag.append(_abs_max(wc.imag))
-    w = WignerGrid(axis, p_axis, values, hbar, float(max(imag)))
-    edge = max(_abs_max(w.values[:, :2]), _abs_max(w.values[:, -2:]))
-    if edge > ALIASING_TOL * _abs_max(w.values):
-        warnings.warn(f"possible momentum aliasing: boundary amplitude ratio {edge:.2e}")
-    return w
+    """Wigner distribution of a normalized pure state: the mixture of one."""
+    return mixture_wigner([(1.0, psi)])
 
 
 def wigner_gaussian(mean, sigma, x_axis, p_axis, hbar=1.0):
@@ -282,10 +246,12 @@ def wigner_gaussian(mean, sigma, x_axis, p_axis, hbar=1.0):
 
 
 def mixture_wigner(components):
-    """Convex combination of pure-state Wigner grids.
+    """Wigner distribution of sum_i w_i |psi_i><psi_i| from (w_i, psi_i) pairs:
+    positive weights summing to 1, normalized states on one axis and hbar.
 
-    `components` is a sequence of (weight, WaveFunctionGrid) with positive
-    weights summing to 1; all states must share the same axis and hbar.
+    W(x, p) = (1/(pi*hbar)) int exp(-2 i p y / hbar) rho(x+y, x-y) dy with
+    rho(x+y, x-y) = sum_i w_i psi_i(x+y) conj(psi_i(x-y)), by one centered DFT over
+    y onto the conjugate momentum axis; the largest discarded imaginary part is kept.
     """
     components = list(components)
     if not components:
@@ -295,16 +261,42 @@ def mixture_wigner(components):
         raise ValueError("mixture weights must be positive")
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("mixture weights must sum to 1")
-    first = components[0][1]
-    for _, psi in components[1:]:
-        if psi.axis != first.axis or psi.hbar != first.hbar:
+    axis, hbar = components[0][1].axis, components[0][1].hbar
+    n, lo = axis.count, axis.count - axis.count // 2
+    kernels = []
+    for weight, (_, psi) in zip(weights, components):
+        if psi.axis != axis or psi.hbar != hbar:
             raise ValueError("mixture components live on incompatible grids")
-    vals, resids = 0, []  # as sum() does, from 0: a -0.0 of the first term becomes +0.0
-    for weight, (_, psi) in zip(weights, components):  # the sum so far plus each weighted grid
-        g = wigner_of_pure(psi)
-        resids.append(g.imag_residual)
-        vals = np.add(vals, np.multiply(g.values, weight, out=g.values), out=g.values)
-    return WignerGrid(g.x_axis, g.p_axis, vals, first.hbar, max(resids))
+        if abs(psi.norm_squared() - 1.0) > NORM_TOL:
+            raise ValueError("wavefunction is not normalized")
+        pad = np.concatenate([np.zeros(n, dtype=complex), psi.values, np.zeros(n, dtype=complex)])
+        # psi(x_r + y) and psi(x_r - y) at offset y = (t - n//2) dx are [r, t] of these windows
+        kernels.append((weight, sliding_window_view(pad, n)[lo:lo + n],
+                        sliding_window_view(pad[::-1], n)[lo + n - 1:lo - 1:-1]))
+    values, imag = np.empty((n, n)), []  # the real part, fftshifted back to centred columns
+    work = np.empty((min(n, _CHUNK_ROWS), n), dtype=complex)  # one row block of the kernel
+    term = np.empty_like(work) if len(kernels) > 1 else None  # a further component's block
+    for r0 in range(0, n, _CHUNK_ROWS):
+        rows = slice(r0, r0 + _CHUNK_ROWS)
+        wc = work[:n - r0]
+        for k, (weight, ahead, back) in enumerate(kernels):
+            block = term[:n - r0] if k else wc
+            # the products in ifftshifted column order: offsets 0 .. lo-1, then -(n//2) .. -1
+            for dst, t in ((block[:, :lo], slice(n // 2, None)), (block[:, lo:], slice(0, n // 2))):
+                np.multiply(ahead[rows, t], np.conjugate(back[rows, t], out=dst), out=dst)
+            # the real and imaginary parts times a real weight: 1.0 leaves every bit
+            np.multiply(block.view(float), weight, out=block.view(float))
+            if k:
+                wc += block
+        np.fft.fft(wc, axis=1, out=wc)
+        np.multiply(axis.spacing / (np.pi * hbar), wc, out=wc)
+        values[rows, :n // 2], values[rows, n // 2:] = wc.real[:, lo:], wc.real[:, :lo]
+        imag.append(_abs_max(wc.imag))
+    w = WignerGrid(axis, wigner_momentum_axis(axis, hbar), values, hbar, float(max(imag)))
+    edge = max(_abs_max(w.values[:, :2]), _abs_max(w.values[:, -2:]))
+    if edge > ALIASING_TOL * _abs_max(w.values):
+        warnings.warn(f"possible momentum aliasing: boundary amplitude ratio {edge:.2e}")
+    return w
 
 
 def _boundary_band_sum(a, rw, cw):

@@ -143,9 +143,9 @@ def odd_offcentre_grid():
 
 # --- whole-array builders: the reference the row-blocked builders match bit for bit ---
 
-def whole_wigner_of_pure(psi):
-    """wigner_of_pure on the whole grid at once: (values, imag_residual)."""
-    n, hbar = psi.axis.count, psi.hbar
+def _whole_products(psi):
+    """psi(x+y) conj(psi(x-y)) on the whole grid, in ifftshifted column order."""
+    n = psi.axis.count
     pad = np.concatenate([np.zeros(n, dtype=complex), psi.values, np.zeros(n, dtype=complex)])
     lo = n - n // 2
     ahead = sliding_window_view(pad, n)[lo:lo + n]
@@ -153,18 +153,34 @@ def whole_wigner_of_pure(psi):
     wc = np.empty((n, n), dtype=complex)
     for dst, t in ((wc[:, :lo], slice(n // 2, None)), (wc[:, lo:], slice(0, n // 2))):
         np.multiply(ahead[:, t], np.conjugate(back[:, t], out=dst), out=dst)
+    return wc
+
+
+def _whole_transform(wc, axis, hbar):
+    """Row DFT of the products `wc`, in place, to (values, imag_residual)."""
+    n, lo = axis.count, axis.count - axis.count // 2
     np.fft.fft(wc, axis=1, out=wc)
-    np.multiply(psi.axis.spacing / (np.pi * hbar), wc, out=wc)
+    np.multiply(axis.spacing / (np.pi * hbar), wc, out=wc)
     values = np.empty((n, n))
     values[:, :n // 2], values[:, n // 2:] = wc.real[:, lo:], wc.real[:, :lo]
     return values, float(np.maximum(wc.imag.max(), -wc.imag.min()))
 
 
+def whole_wigner_of_pure(psi):
+    """wigner_of_pure on the whole grid at once: (values, imag_residual)."""
+    return _whole_transform(_whole_products(psi), psi.axis, psi.hbar)
+
+
 def whole_mixture_wigner(components):
-    """mixture_wigner as one sum() of weighted whole grids: (values, imag_residual)."""
-    grids = [(weight, whole_wigner_of_pure(psi)) for weight, psi in components]
-    return (sum(weight * values for weight, (values, _) in grids),
-            max(resid for _, (_, resid) in grids))
+    """mixture_wigner as one whole-grid transform of the kernel sum_i w_i
+    psi_i(x+y) conj(psi_i(x-y)), summed in order: (values, imag_residual)."""
+    kernel = None
+    for weight, psi in components:
+        wc = _whole_products(psi)
+        flat = wc.view(float)
+        flat *= weight
+        kernel = wc if kernel is None else np.add(kernel, wc, out=kernel)
+    return _whole_transform(kernel, psi.axis, psi.hbar)
 
 
 def whole_wigner_gaussian(mean, sigma, x_axis, p_axis):

@@ -145,6 +145,18 @@ def test_dominate_and_analyze_report_one_domination_and_blob(capsys):
     assert dominate["blob"]["capacity"] == cli.capacity(dominate["domination"]["M"])
 
 
+@pytest.mark.parametrize("lam, code, verdict", [(1.004, 0, "boundary"),
+                                                (1.005, 2, "not_a_wigner_distribution")])
+def test_blob_is_admissible_exactly_when_the_verdict_allows_a_state(capsys, lam, code, verdict):
+    # vacuum x1.004 and x1.005 fit mu_1 = 1.0189 and 1.0209, on either side
+    # of the verdict band's edge 1.02
+    got, rep = run_cli(capsys, "dominate", json.dumps({"type": "fock", "n": 0, "rescale": lam}))
+    assert got == code and rep["domination"]["verdict"] == verdict
+    mu1, blob = rep["domination"]["mu1"], rep["blob"]
+    assert abs(mu1 - 1.0) < 0.025 and (mu1 <= 1.0 + cli.VERDICT_BAND) == (code == 0)
+    assert blob["admissible"] == (code == 0) and ("contained_blob" in blob) == (code == 0)
+
+
 def test_zero_fit_has_a_null_blob(tmp_path, capsys):
     # clipped at half its peak, the grid reaches its maximum away from the
     # origin; at --cmax-factor 1 that point pins the fit to M = 0, which has
@@ -634,8 +646,17 @@ def test_fock_n_must_be_an_integer(capsys, argv):
     assert_input_error(capsys, argv, "integer 'n'")
 
 
-@pytest.mark.parametrize("spec", ['{"type":"fock","n":0,"hbar":true}',
-                                  '{"type":"fock","n":0,"rescale":true}'], ids=["hbar", "rescale"])
+@pytest.mark.parametrize("spec", [
+    '{"type":"fock","n":0,"hbar":true}',
+    '{"type":"fock","n":0,"rescale":true}',
+    '{"type":"bump","radius":true}',
+    '{"type":"mixture","components":[{"weight":true,"state":{"type":"fock","n":0}}]}',
+    '{"type":"narcowich-oconnell","alpha":true,"beta":0.5}',
+    '{"type":"narcowich-oconnell","alpha":0.5,"beta":true}',
+    '{"type":"gaussian","mean":[true,false],"cov":[[1,0],[0,1]]}',
+    '{"type":"gaussian","mean":[0,0],"cov":[[1,0],[0,true]]}',
+], ids=["hbar", "rescale", "bump-radius", "mixture-weight", "no-alpha", "no-beta",
+        "gaussian-mean", "gaussian-cov"])
 def test_bool_hbar_or_rescale_rejected(capsys, spec):
     # float(True) is 1.0: the report would name a value the spec does not give
     assert_input_error(capsys, ["analyze", spec], "must be a number, got True")
