@@ -13,8 +13,8 @@ plus optional top-level keys "hbar" and "rescale" (a positive scaling
 parameter applied to the built grid).  Every subcommand takes one path:
 load the spec, resolve hbar, build the input, run its stages and emit one
 report.  A stage maps (grid, args) to (report fragment, hard witnesses).
-Exit codes: 0 when the input is consistent with a state or inconclusive,
-2 when a stage returns a hard witness (proven not to be a state), 1 on
+Exit codes: 0 when no stage returns a hard witness (for `analyze`,
+consistent with a state), 2 when one does (proven not to be a state), 1 on
 input errors.
 """
 
@@ -32,7 +32,7 @@ from .blobs import capacity, find_contained_blob, is_admissible, section_area
 from .domination import (C_MAX_FACTOR, VERDICT_BAND, compact_support_flag,
                          fit_dominating_gaussian, hardy_fit)
 from .fixtures import NO_COUNT, NO_EXTENT, moment_p4, narcowich_oconnell_grid, truncated_bump_grid
-from .klm import DEFAULT_TOL as DEFAULT_KLM_TOL, klm_check
+from .klm import klm_check
 from .states import (as_dict, default_axis, fock_state, load_wigner_manifest, mixture_wigner,
                      operator_spectrum_oracle, rescale, save_wigner_manifest, trace,
                      wigner_gaussian, wigner_of_pure)
@@ -40,8 +40,8 @@ from .uncertainty import covariance_from_grid, hbar_sweep, lambda_star, uncertai
 
 DEFAULT_EXTENT = 8.0  # half-width of the position axis, in units of sqrt(hbar)
 FOCK_MARGIN = 6.0  # tail room beyond a Fock state's turning point, same units
-DEFAULT_ORACLE_TOL = 1e-5
-DEFAULT_P4_TOL = 1e-4
+ORACLE_TOL = 1e-5  # a kernel eigenvalue below -ORACLE_TOL is a hard witness
+P4_TOL = 1e-4  # a fourth momentum moment below -P4_TOL is a hard witness
 
 
 class InputError(Exception):
@@ -67,9 +67,9 @@ def _load_spec(source):
 
 
 def _positive(value, name):
-    """`value` as a positive, finite float; InputError otherwise (a bool too)."""
+    """`value` as a positive, finite float; InputError otherwise (a bool or a string too)."""
     try:
-        if isinstance(value, bool):  # float(True) would be 1.0
+        if isinstance(value, (bool, str)):  # float(True) would be 1.0, float("1.5") 1.5
             raise TypeError
         number = float(value)
     except (TypeError, ValueError):
@@ -80,8 +80,8 @@ def _positive(value, name):
 
 
 def _numbers(value, name):
-    """`value`; InputError if it holds a JSON true or false, which numpy reads as 1 or 0."""
-    if isinstance(value, bool):
+    """`value`; InputError if it holds a JSON bool or string, which numpy reads as a number."""
+    if isinstance(value, (bool, str)):
         raise InputError(f"{name} must be a number, got {value!r}")
     for item in value if isinstance(value, list) else ():
         _numbers(item, name)
@@ -175,7 +175,7 @@ def _moments(w, args):
     if not unc.psd_ok:
         witnesses.append({"type": "quantum_psd_failure",
                           "min_eigenvalue": unc.psd_min_eigenvalue})
-    if p4 < -args.tol_p4:
+    if p4 < -P4_TOL:
         witnesses.append({"type": "negative_p4_moment", "value": p4})
     return {"grid": {"x_axis": as_dict(w.x_axis), "p_axis": as_dict(w.p_axis)},
             "trace": tr,
@@ -186,8 +186,7 @@ def _moments(w, args):
 
 def _klm(w, args):
     """Finite-order positivity search."""
-    klm = klm_check(w, max_order=args.max_order, trials_per_order=args.trials,
-                    seed=args.seed, tol=args.tol_klm)
+    klm = klm_check(w, max_order=args.max_order, trials_per_order=args.trials, seed=args.seed)
     witnesses = []
     if klm.overall == "violation_certificate":
         witnesses.append({"type": "klm_violation", "order": klm.witness.order,
@@ -227,7 +226,7 @@ def _oracle(w, args):
     sums = [float(even.sum()), float(odd.sum())]  # their mean is the trace
     oracle = {"top_eigenvalues": as_dict(even[:10]), "min_eigenvalue": low,
               "eigenvalue_sum": (sums[0] + sums[1]) / 2, "sublattice_sums": sums,
-              "tol": args.tol_oracle, "positive": low >= -args.tol_oracle}
+              "tol": ORACLE_TOL, "positive": low >= -ORACLE_TOL}
     witnesses = []
     if not oracle["positive"]:
         witnesses.append({"type": "oracle_negative_eigenvalue",
@@ -236,23 +235,15 @@ def _oracle(w, args):
 
 
 def _analyze(w, args):
-    """The full battery: the moments, then every stage not switched off."""
-    optional = ((_klm, args.no_klm), (_domination, args.no_domination),
-                (_oracle, args.no_oracle))
-    report = {"seed": args.seed, "klm": None, "domination": None, "blob": None,
-              "oracle": None}
-    witnesses = []
-    for stage in [_moments] + [stage for stage, skip in optional if not skip]:
+    """The full battery: moments, KLM search, domination fit and oracle.  The
+    input is proven not a state exactly when a stage returns a hard witness."""
+    report, witnesses = {"seed": args.seed}, []
+    for stage in (_moments, _klm, _domination, _oracle):
         fragment, found = stage(w, args)
         report.update(fragment)
         witnesses += found
     report["witnesses"] = witnesses
-    if witnesses:
-        report["classification"] = "proven_not_a_state"
-    elif not args.no_oracle:
-        report["classification"] = "consistent_with_state"
-    else:
-        report["classification"] = "inconclusive"
+    report["classification"] = "proven_not_a_state" if witnesses else "consistent_with_state"
     return report, witnesses
 
 
@@ -297,7 +288,7 @@ def _wigner(spec, hbar, args):
 
 def _capacity(spec, hbar, args):
     try:
-        M = np.asarray(spec["M"], dtype=float)
+        M = np.asarray(_numbers(spec["M"], "capacity M"), dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"capacity needs a JSON object with an 'M' matrix: {exc}") from exc
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0 or M.shape[0] % 2:
@@ -362,10 +353,7 @@ def _lambdas(text):
 
 # name: (help, command, arguments beyond the spec and the common flags)
 COMMANDS = {
-    "analyze": ("run the full check pipeline", _on_grid(_analyze), [
-        ("--no-klm", {"action": "store_true"}),
-        ("--no-domination", {"action": "store_true"}),
-        ("--no-oracle", {"action": "store_true"})]),
+    "analyze": ("run the full check pipeline", _on_grid(_analyze), []),
     "wigner": ("dump the Wigner grid", _wigner, [
         ("--csv", {"default": None, "help": "write values to this CSV file"})]),
     "rescale-sweep": ("uncertainty verdict along a rescaling sweep", _on_grid(_rescale_sweep), [
@@ -423,9 +411,6 @@ def build_parser():
     common.add_argument("--trials", type=_at_least(1, int), default=50, help="point sets per order")
     common.add_argument("--cmax-factor", type=_at_least(1.0), default=C_MAX_FACTOR,
                         help="cap on the domination constant, relative to max W")
-    common.add_argument("--tol-klm", type=_at_least(0.0), default=DEFAULT_KLM_TOL)
-    common.add_argument("--tol-oracle", type=_at_least(0.0), default=DEFAULT_ORACLE_TOL)
-    common.add_argument("--tol-p4", type=_at_least(0.0), default=DEFAULT_P4_TOL)
     common.add_argument("-o", "--output", default=None, help="write the JSON report here")
 
     sub = parser.add_subparsers(dest="command", required=True)

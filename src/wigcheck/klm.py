@@ -17,6 +17,7 @@ order are drawn first, and their matrices are phased in real arithmetic and
 diagonalized in stacks.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,14 @@ PHASE_SIGN = +1
 _CHUNK_TRIALS = 10
 
 
+@functools.cache
+def _pairs(m):
+    """Index pairs j < k of an order-m point set: one read-only table per order."""
+    j, k = np.triu_indices(m, 1)
+    j.flags.writeable = k.flags.writeable = False
+    return j, k
+
+
 def klm_matrix(fsw, points, hbar=1.0):
     """Assemble the phase-weighted sample matrix for one or many point sets.
 
@@ -66,7 +75,7 @@ def klm_matrix(fsw, points, hbar=1.0):
     if single:
         pts = np.atleast_2d(pts)[None]
     t, m = pts.shape[:2]
-    j, k = np.triu_indices(m, 1)
+    j, k = _pairs(m)
     x, p = pts[..., 0], pts[..., 1]
     f = fsw((pts[:, j] - pts[:, k]).reshape(-1, 2)).reshape(t, j.size)
     sig = p[:, j] * x[:, k] - x[:, j] * p[:, k]
@@ -192,7 +201,7 @@ def witness_quadratic_form(w, witness):
     each difference z = (x, p) transformed by the unfolded sum exp(i p x') @ W
     @ exp(-i x p') dA, independent of the folded quadrature that found it."""
     pts, v = witness.points, witness.eigenvector
-    j, k = np.triu_indices(len(pts), 1)
+    j, k = _pairs(len(pts))
     x, p = (pts[j] - pts[k]).T
     px = np.outer(p, w.x_axis.points)
     rows = np.cos(px) @ w.values + 1j * (np.sin(px) @ w.values)

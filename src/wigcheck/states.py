@@ -80,6 +80,9 @@ class AxisGrid:
         count = d["count"]  # 16.0 is a count; a bool, a string or 16.9 is not
         if isinstance(count, bool) or not isinstance(count, (int, float)) or count % 1:
             raise ValueError(f"axis count must be an integer, got {count!r}")
+        for key in ("min", "max"):
+            if isinstance(d[key], (bool, str)):  # float(True) would be 1.0, float("1") 1.0
+                raise ValueError(f"axis {key} must be a number, got {d[key]!r}")
         return cls(float(d["min"]), float(d["max"]), int(count))
 
 
@@ -505,9 +508,11 @@ class SymplecticFourier:
         k, hp = pts.shape[0], len(self._op)
         if 0 < k < _ALIGN:
             pts = np.concatenate([pts, np.zeros((_ALIGN - k, 2))])
-        px, xp = np.outer(pts[:, 1], self._ox), np.outer(pts[:, 0], self._op)
-        c, s = np.cos(px) @ self._blocks[0], np.sin(px) @ self._blocks[1]
-        cx, sx = np.cos(xp), np.sin(xp)
+        px = np.outer(pts[:, 1], self._ox)  # sin overwrites these angles; freed before xp is made
+        c, s = np.cos(px) @ self._blocks[0], np.sin(px, out=px) @ self._blocks[1]
+        del px
+        xp = np.outer(pts[:, 0], self._op)
+        cx, sx = np.cos(xp), np.sin(xp, out=xp)
         # sum over u, v of W(u, v) (cos pu + i sin pu)(cos xv - i sin xv)
         re = np.einsum("ij,ij->i", c[:, :hp], cx) + np.einsum("ij,ij->i", s[:, hp:2 * hp], sx)
         im = np.einsum("ij,ij->i", s[:, :hp], cx) - np.einsum("ij,ij->i", c[:, hp:2 * hp], sx)
@@ -642,7 +647,7 @@ def load_wigner_manifest(path):
     x_axis = AxisGrid.from_dict(manifest["x_axis"])
     p_axis = AxisGrid.from_dict(manifest["p_axis"])
     hbar = manifest.get("hbar", 1.0)
-    if isinstance(hbar, bool):  # float(True) would be 1.0
+    if isinstance(hbar, (bool, str)):  # float(True) would be 1.0, float("1") 1.0
         raise ValueError(f"manifest hbar must be a number, got {hbar!r}")
     if "values" in manifest:
         values = np.asarray(manifest["values"], dtype=float)

@@ -26,7 +26,7 @@ def run_cli(capsys, *argv):
 
 
 def test_analyze_vacuum_consistent(capsys):
-    code, rep = run_cli(capsys, "analyze", '{"type":"fock","n":0}', "--no-klm")
+    code, rep = run_cli(capsys, "analyze", '{"type":"fock","n":0}')
     assert code == 0
     assert rep["classification"] == "consistent_with_state"
     assert rep["trace"] == pytest.approx(1.0, abs=1e-6)
@@ -46,7 +46,7 @@ def test_analyze_rescaled_fock1_headline(capsys):
 
 
 def test_analyze_narcowich_oconnell(capsys):
-    code, rep = run_cli(capsys, "analyze", '{"type":"narcowich-oconnell"}', "--no-domination")
+    code, rep = run_cli(capsys, "analyze", '{"type":"narcowich-oconnell"}')
     assert code == 2
     assert rep["classification"] == "proven_not_a_state"
     assert rep["uncertainty"]["verdict"] == "pass"
@@ -59,21 +59,14 @@ def test_analyze_narcowich_oconnell(capsys):
 def test_successive_calls_parse_their_own_flags(capsys):
     # one parser serves every call of a process; no flag may leak into the next call
     assert cli.build_parser() is cli.build_parser()
-    _, skipped = run_cli(capsys, "analyze", '{"type":"fock","n":0}', "--no-klm", "--seed", "3")
-    _, full = run_cli(capsys, "analyze", '{"type":"fock","n":0}')
-    assert skipped["klm"] is None and skipped["seed"] == 3
-    assert full["klm"]["overall"] == "no_violation_found" and full["seed"] == 0
-
-
-def test_analyze_skips_are_inconclusive(capsys):
-    code, rep = run_cli(capsys, "analyze", '{"type":"fock","n":0}',
-                        "--no-klm", "--no-oracle", "--no-domination")
-    assert code == 0
-    assert rep["classification"] == "inconclusive"
+    _, first = run_cli(capsys, "analyze", '{"type":"fock","n":0}', "--trials", "3", "--seed", "3")
+    _, second = run_cli(capsys, "analyze", '{"type":"fock","n":0}')
+    assert first["klm"]["trials_per_order"] == 3 and first["seed"] == 3
+    assert second["klm"]["trials_per_order"] == 50 and second["seed"] == 0
 
 
 def test_analyze_reproducible(capsys):
-    argv = ["analyze", '{"type":"fock","n":1,"rescale":1.3}', "--seed", "7", "--no-oracle"]
+    argv = ["analyze", '{"type":"fock","n":1,"rescale":1.3}', "--seed", "7"]
     code1 = main(argv)
     out1 = capsys.readouterr().out
     code2 = main(argv)
@@ -87,8 +80,7 @@ def test_wigner_dump_and_reload(tmp_path, capsys):
                  "--csv", str(tmp_path / "grid.csv")])
     capsys.readouterr()
     assert code == 0
-    code, rep = run_cli(capsys, "analyze", json.dumps({"type": "grid", "manifest": str(manifest)}),
-                        "--no-klm", "--no-domination")
+    code, rep = run_cli(capsys, "analyze", json.dumps({"type": "grid", "manifest": str(manifest)}))
     assert code == 0
     assert rep["classification"] == "consistent_with_state"
 
@@ -139,7 +131,7 @@ def test_dominate_command_on_bump(capsys):
 def test_dominate_and_analyze_report_one_domination_and_blob(capsys):
     bump = '{"type":"bump","radius":1.0}'
     _, dominate = run_cli(capsys, "dominate", bump)
-    _, analyze = run_cli(capsys, "analyze", bump, "--no-klm", "--no-oracle")
+    _, analyze = run_cli(capsys, "analyze", bump)
     assert dominate["domination"] == analyze["domination"]
     assert dominate["blob"] == analyze["blob"]
     assert dominate["blob"]["capacity"] == cli.capacity(dominate["domination"]["M"])
@@ -160,21 +152,22 @@ def test_blob_is_admissible_exactly_when_the_verdict_allows_a_state(capsys, lam,
 def test_zero_fit_has_a_null_blob(tmp_path, capsys):
     # clipped at half its peak, the grid reaches its maximum away from the
     # origin; at --cmax-factor 1 that point pins the fit to M = 0, which has
-    # no capacity
+    # no capacity.  The flat top is no state: analyze's oracle proves it
     axis = default_axis(count=64)
     grid = cli.wigner_gaussian([0, 0], 0.5 * np.eye(2), axis, axis)
     np.minimum(grid.values, 0.5 * grid.values.max(), out=grid.values)
     grid.values /= cli.trace(grid)
     cli.save_wigner_manifest(grid, tmp_path / "clipped.json")
     spec = json.dumps({"type": "grid", "manifest": str(tmp_path / "clipped.json")})
-    for argv in (["dominate"], ["analyze", "--no-klm", "--no-oracle"]):
-        code, rep = run_cli(capsys, *argv, spec, "--cmax-factor", "1")
-        assert code == 0, argv
-        assert rep["domination"]["mu1"] == 0.0 and rep["blob"] is None
+    code, dominate = run_cli(capsys, "dominate", spec, "--cmax-factor", "1")
+    assert code == 0 and dominate["domination"]["mu1"] == 0.0 and dominate["blob"] is None
+    code, analyze = run_cli(capsys, "analyze", spec, "--cmax-factor", "1")
+    assert code == 2 and analyze["domination"] == dominate["domination"] and analyze["blob"] is None
+    assert [w["type"] for w in analyze["witnesses"]] == ["oracle_negative_eigenvalue"]
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", '{"type":"fock","n":0}', "--no-klm", "--no-oracle"],
+    ["analyze", '{"type":"fock","n":0}', "--grid-n", "64"],
     ["capacity", '{"M": [[4,0],[0,0.111]], "hbar": 1.0}'],
 ], ids=["analyze", "capacity"])
 def test_the_symplectic_spectrum_is_computed_at_most_three_times(capsys, monkeypatch, argv):
@@ -222,7 +215,7 @@ def test_non_states_keep_their_oracle_witness_on_coarse_grids(capsys, spec, grid
 def test_fock_mixtures_have_no_oracle_witness(weight, half):
     axis = default_axis(count=2 * half)
     w = mixture_wigner([(weight, fock_state(0, axis)), (1 - weight, fock_state(1, axis))])
-    fragment, witnesses = cli._oracle(w, argparse.Namespace(tol_oracle=cli.DEFAULT_ORACLE_TOL))
+    fragment, witnesses = cli._oracle(w, argparse.Namespace())
     assert fragment["oracle"]["min_eigenvalue"] >= -1e-12
     assert witnesses == []
 
@@ -246,7 +239,7 @@ def test_fock_states_above_n1_fit_the_default_grid(capsys, spec, n_max):
 
 def test_default_extent_of_n_up_to_1_is_unchanged(capsys):
     for spec in ('{"type":"fock","n":1}', '{"type":"gaussian","mean":[0,0],"cov":[[1,0],[0,1]]}'):
-        code, rep = run_cli(capsys, "analyze", spec, "--no-klm", "--no-domination", "--no-oracle")
+        code, rep = run_cli(capsys, "analyze", spec)
         assert code == 0 and rep["grid"]["x_axis"]["min"] == -cli.DEFAULT_EXTENT
 
 
@@ -338,12 +331,10 @@ def test_bad_spec_is_input_error(capsys):
 
 def test_output_file(tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = main(["analyze", '{"type":"fock","n":0}', "--no-klm", "--no-oracle",
-                 "--no-domination", "-o", str(out)])
-    capsys.readouterr()
-    assert code == 0
+    code = main(["analyze", '{"type":"fock","n":0}', "--grid-n", "64", "-o", str(out)])
+    assert code == 0 and capsys.readouterr().out == ""
     rep = json.loads(out.read_text())
-    assert rep["classification"] == "inconclusive"
+    assert rep["classification"] == "consistent_with_state"
 
 
 def _vacuum_manifest(tmp_path, capsys, csv=False):
@@ -554,6 +545,9 @@ def test_every_report_is_plain_json(monkeypatch):
                                                  ._group_actions[0].choices)
     for report in reports:
         json.dumps(report, allow_nan=False)  # no default hook: numpy types raise
+        if "classification" in report:  # analyze runs every stage and decides
+            assert report["classification"] in ("consistent_with_state", "proven_not_a_state")
+            assert None not in (report["klm"], report["domination"], report["oracle"])
 
 
 def assert_input_error(capsys, argv, message=""):
@@ -566,11 +560,21 @@ def assert_input_error(capsys, argv, message=""):
 
 
 @pytest.mark.parametrize("flag", ["--tol-klm", "--tol-oracle", "--tol-p4"])
-@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "1e-6"])
 def test_bad_tolerances_rejected(capsys, flag, value):
-    # a negative tolerance would turn the vacuum into a bogus hard witness
+    # a negative tolerance would turn the vacuum into a bogus hard witness, and
+    # any other one could hide a witness: the tolerances are fixed, no flag sets them
     assert_input_error(capsys, ["analyze", '{"type":"fock","n":0}', flag, value],
-                       "must be at least 0.0 and finite")
+                       f"unrecognized arguments: {flag} {value}")
+
+
+def test_analyze_stages_cannot_be_switched_off(capsys):
+    assert main(["analyze", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert "--no-" not in help_text and "--tol-" not in help_text
+    for flag in ("--no-klm", "--no-domination", "--no-oracle"):
+        assert_input_error(capsys, ["analyze", '{"type":"fock","n":0}', flag],
+                           f"unrecognized arguments: {flag}")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -620,8 +624,11 @@ def test_bad_numbers_rejected_at_parse_time(capsys, monkeypatch, argv):
     ["capacity", '{"M": [[1,0],[0,1]], "hbar": 0}'],
     ["capacity", '{"M": [[1,0],[0,1]], "hbar": [1]}'],
     ["analyze", '{"type":"fock","n":0,"rescale":[1]}'],
+    ["capacity", '{"M": [["4",0],[0,0.111]]}'],
+    ["capacity", '{"M": [[4,0],[0,true]]}'],
 ], ids=["hardy-without-n", "hardy-list", "mixture-state-string", "capacity-hbar-negative",
-        "capacity-hbar-zero", "capacity-hbar-list", "rescale-list"])
+        "capacity-hbar-zero", "capacity-hbar-list", "rescale-list", "capacity-string",
+        "capacity-bool"])
 def test_malformed_spec_is_one_line_error(capsys, argv):
     assert_input_error(capsys, argv)
 
@@ -660,6 +667,35 @@ def test_fock_n_must_be_an_integer(capsys, argv):
 def test_bool_hbar_or_rescale_rejected(capsys, spec):
     # float(True) is 1.0: the report would name a value the spec does not give
     assert_input_error(capsys, ["analyze", spec], "must be a number, got True")
+
+
+STRING_NUMBERS = {
+    "rescale": {"type": "fock", "n": 0, "rescale": "1.2"},
+    "weight": {"type": "mixture",
+               "components": [{"weight": "1", "state": {"type": "fock", "n": 0}}]},
+    "alpha": {"type": "narcowich-oconnell", "alpha": "0.5", "beta": 0.5},
+    "beta": {"type": "narcowich-oconnell", "alpha": 0.5, "beta": "0.5"},
+    "radius": {"type": "bump", "radius": "1.5"},
+    "spec hbar": {"type": "bump", "radius": 1.5, "hbar": "1"},
+    "gaussian mean": {"type": "gaussian", "mean": ["0", 0], "cov": [[1, 0], [0, 1]]},
+}
+
+
+@pytest.mark.parametrize("case", [*STRING_NUMBERS, "manifest hbar", "axis min"])
+def test_string_numbers_rejected(tmp_path, capsys, case):
+    # float("1.5") is 1.5: the grid was built and the report echoed the string
+    spec = STRING_NUMBERS.get(case)
+    if spec is None:
+        manifest = _vacuum_manifest(tmp_path, capsys)
+        doc = json.loads(manifest.read_text())
+        if case == "manifest hbar":
+            doc["hbar"] = "1"
+        else:
+            doc["x_axis"]["min"] = str(doc["x_axis"]["min"])
+        manifest.write_text(json.dumps(doc))
+        spec = {"type": "grid", "manifest": str(manifest)}
+    assert_input_error(capsys, ["analyze", json.dumps(spec), "--grid-n", "64"],
+                       "must be a number, got '")
 
 
 @pytest.mark.parametrize("argv", [
@@ -711,13 +747,12 @@ def test_explicit_hbar_must_match_the_manifest(tmp_path, capsys):
     assert main(["wigner", '{"type":"fock","n":0,"hbar":2}', "--grid-n", "64",
                  "-o", str(manifest)]) == 0
     spec = {"type": "grid", "manifest": str(manifest)}
-    quick = ["--no-klm", "--no-domination", "--no-oracle"]
-    assert_input_error(capsys, ["analyze", json.dumps(spec), "--hbar", "1", *quick],
+    assert_input_error(capsys, ["analyze", json.dumps(spec), "--hbar", "1"],
                        "differs from the manifest")
-    assert_input_error(capsys, ["analyze", json.dumps({**spec, "hbar": 3}), *quick],
+    assert_input_error(capsys, ["analyze", json.dumps({**spec, "hbar": 3})],
                        "differs from the manifest")
     for extra, flags in (({}, []), ({"hbar": 2}, []), ({}, ["--hbar", "2"])):
-        code, rep = run_cli(capsys, "analyze", json.dumps({**spec, **extra}), *flags, *quick)
+        code, rep = run_cli(capsys, "oracle", json.dumps({**spec, **extra}), *flags)
         assert code == 0 and rep["hbar"] == 2.0 and rep["input"]["hbar"] == 2.0
 
 
@@ -757,7 +792,7 @@ def test_long_inline_spec_is_not_taken_for_a_path(capsys):
     components = [{"weight": 0.1, "state": {"type": "fock", "n": k % 2}} for k in range(10)]
     spec = json.dumps({"type": "mixture", "components": components})
     assert len(spec) > 255
-    code, rep = run_cli(capsys, "analyze", spec, "--no-klm", "--no-domination", "--no-oracle")
+    code, rep = run_cli(capsys, "analyze", spec)
     assert code == 0
     assert rep["input"]["components"] == components
 

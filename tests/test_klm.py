@@ -46,6 +46,13 @@ def test_matrix_hermitian_on_random_points(vacuum_wigner):
         assert np.abs(raw - raw.conj().T).max() <= 1e-10
 
 
+def test_pair_indices_are_one_read_only_table_per_order():
+    # every call of an order shares the table, so none may write into it
+    j, k = klm._pairs(4)
+    assert klm._pairs(4)[0] is j and not (j.flags.writeable or k.flags.writeable)
+    assert np.array_equal([j, k], np.triu_indices(4, 1))
+
+
 def test_vacuum_passes_through_order_five(vacuum_wigner):
     report = klm_check(vacuum_wigner, max_order=5, trials_per_order=50, seed=0)
     assert report.overall == "no_violation_found"

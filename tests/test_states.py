@@ -227,6 +227,15 @@ def test_klm_stage_memory_stays_within_1_2_grids(no_grid):
     assert _traced_peak(lambda: cli._klm(no_grid, args)) <= 1.2 * no_grid.values.nbytes
 
 
+def test_state_klm_stage_memory_stays_within_1_45_grids():
+    # a state runs all five orders, up to 100 points a call; each call drops
+    # its cos/sin factors once their products are taken
+    axis = default_axis(1.0, 768)
+    w = wigner_gaussian([0, 0], 0.5 * np.eye(2), axis, axis)
+    args = cli.build_parser().parse_args(["klm", "{}"])
+    assert _traced_peak(lambda: cli._klm(w, args)) <= 1.45 * w.values.nbytes
+
+
 def _late_asymmetric_grid():
     """A centred squeezed Gaussian on 256 x 256 points, mirror-symmetric in p
     except on row 100: the oracle's first row block (rows 0-63 and 128-191)
@@ -463,7 +472,7 @@ def test_no_build_and_moments_stay_lean(no_grid):
         build = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        cli._moments(no_grid, argparse.Namespace(tol_p4=cli.DEFAULT_P4_TOL))
+        cli._moments(no_grid, argparse.Namespace())
         moments = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
