@@ -32,7 +32,7 @@ from .blobs import capacity, find_contained_blob, is_admissible, section_area
 from .domination import (C_MAX_FACTOR, VERDICT_BAND, compact_support_flag,
                          fit_dominating_gaussian, hardy_fit)
 from .fixtures import NO_COUNT, NO_EXTENT, moment_p4, narcowich_oconnell_grid, truncated_bump_grid
-from .klm import klm_check
+from .klm import MAX_ORDER, klm_check
 from .states import (as_dict, default_axis, fock_state, load_wigner_manifest, mixture_wigner,
                      operator_spectrum_oracle, rescale, save_wigner_manifest, trace,
                      wigner_gaussian, wigner_of_pure)
@@ -315,13 +315,15 @@ def _hardy(spec, hbar, args):
     return {"input": spec, "hbar": hbar, "hardy": as_dict(hardy_fit(psi))}, []
 
 
-def _at_least(low, kind=float, above=False):
-    """argparse type: a finite `kind` number >= low, or > low when `above`."""
+def _at_least(low, kind=float, above=False, most=np.inf):
+    """argparse type: a finite `kind` number >= low, or > low when `above`, and <= most."""
     def parse(text):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {text}")
         if not (np.isfinite(value) and (value > low if above else value >= low)):
             bound = "above" if above else "at least"
             raise argparse.ArgumentTypeError(f"must be {bound} {low} and finite, got {text}")
@@ -403,11 +405,12 @@ def build_parser():
     common.add_argument("--grid-extent", type=_positive_arg, default=None,
                         help="half-width of the position axis in units of sqrt(hbar) "
                              "(default 8, wider for Fock states with n >= 2)")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
+    common.add_argument("--seed", type=_at_least(0, int, most=2**64 - 1), default=0,
+                        help="seed for randomized searches, below 2**64")
     common.add_argument("--rescale", type=_positive_arg, default=None,
                         help="apply a rescaling parameter to the built state")
-    common.add_argument("--max-order", type=_at_least(1, int), default=5,
-                        help="largest sampled order")
+    common.add_argument("--max-order", type=_at_least(1, int, most=MAX_ORDER), default=5,
+                        help=f"largest sampled order, at most {MAX_ORDER}")
     common.add_argument("--trials", type=_at_least(1, int), default=50, help="point sets per order")
     common.add_argument("--cmax-factor", type=_at_least(1.0), default=C_MAX_FACTOR,
                         help="cap on the domination constant, relative to max W")

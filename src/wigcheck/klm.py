@@ -15,6 +15,10 @@ quadrature of `SymplecticFourier`, built once per search; a witness is
 re-checked by an independent, unfolded quadrature.  All point sets of an
 order are drawn first, and their matrices are phased in real arithmetic and
 diagonalized in stacks.
+
+Point sets come from SplitMix64 uniforms and Box-Muller normals in numpy alone,
+keyed on (seed, order, draw): bit-for-bit reproducible on one machine, equal to
+round-off across CPUs, whose SIMD log, cos and sin may differ in the last bit.
 """
 
 import functools
@@ -122,17 +126,32 @@ class KLMReport:
 # an axis-aligned point set of order k: the first k of these points, times a scale
 _LATTICE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                      [2.0, 0.0], [0.0, 2.0], [2.0, 1.0], [1.0, 2.0]])
+MAX_ORDER = len(_LATTICE)
 
 
-def _sample_points(rng, order, trial, trials, chol, base_scale):
-    """Alternate random Gaussian clouds with axis-aligned lattices."""
-    if trial % 2 == 0:
-        factor = np.exp(rng.uniform(np.log(0.5), np.log(3.0)))
-        pts = rng.standard_normal((order, 2)) @ chol.T * factor
-        return pts, "random"
-    frac = trial / max(trials, 2)
-    a = base_scale * (0.3 + 3.2 * frac)
-    return a * _LATTICE[:order], "lattice"
+def _uniforms(seed, order, draws):
+    """Uniforms in [0, 1) at the uint64 array `draws`: the top 53 bits of SplitMix64
+    (Steele, Lea & Flood 2014) output order * 2**32 + draw + 1 of `seed`, one run of
+    the sequence per order.  uint64 arrays wrap mod 2**64 without a warning."""
+    z = (draws + np.uint64((order << 32) + 1)) * 0x9E3779B97F4A7C15 + np.uint64(seed)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+
+def _point_sets(seed, order, trials, chol, base_scale):
+    """The (trials, order, 2) point sets of one order: lattices of growing scale on
+    odd trials; on even trial t, draws t * (2 * order + 1) + k give a log-uniform
+    factor in [0.5, 3) and Box-Muller normals z, and the points are chol @ z times it."""
+    trial = np.arange(trials)
+    pts = (base_scale * (0.3 + 3.2 * (trial / max(trials, 2))))[:, None, None] * _LATTICE[:order]
+    draws = trial[::2, None] * (2 * order + 1) + np.arange(2 * order + 1)
+    u = _uniforms(seed, order, draws.astype(np.uint64))
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:, 1:order + 1, None])) * (0.5 * 6.0 ** u[:, :1, None])
+    angle = 2.0 * np.pi * u[:, order + 1:, None]
+    # chol @ z elementwise, so that one set and a stack of sets round alike
+    pts[::2] = r * np.cos(angle) * chol[:, 0] + r * np.sin(angle) * chol[:, 1]
+    return pts
 
 
 def klm_check(w, max_order=5, trials_per_order=50, seed=0, tol=DEFAULT_TOL):
@@ -143,23 +162,21 @@ def klm_check(w, max_order=5, trials_per_order=50, seed=0, tol=DEFAULT_TOL):
     eigenvalue falls below -tol.  A "no_violation_found" verdict is not a
     positivity proof.
     """
+    if max_order > MAX_ORDER:
+        raise ValueError(f"max_order must be at most {MAX_ORDER}, the lattice's point count")
     if abs(trace(w) - 1.0) > 1e-3:
         raise ValueError("grid must have unit trace for the positivity search")
     cov = covariance_from_grid(w).sigma
     fsw = SymplecticFourier(w)  # after the covariance, whose transients set the peak memory
-    eigs = np.linalg.eigvalsh(cov)
-    if eigs.min() > 0:
+    if np.linalg.eigvalsh(cov).min() > 0:
         chol = np.linalg.cholesky(cov)
     else:
         chol = np.sqrt(w.hbar / 2) * np.eye(2)
     base_scale = float(np.sqrt(2.0 * max(np.trace(cov) / 2.0, w.hbar / 4)))
 
-    rng = np.random.default_rng(seed)
     orders = []
     for order in range(1, max_order + 1):
-        draws = [_sample_points(rng, order, trial, trials_per_order, chol, base_scale)
-                 for trial in range(trials_per_order)]
-        pts = np.array([p for p, _ in draws])
+        pts = _point_sets(seed, order, trials_per_order, chol, base_scale)
         worst = np.inf
         for start in range(0, trials_per_order, _CHUNK_TRIALS):
             vals, vecs = np.linalg.eigh(klm_matrix(fsw, pts[start:start + _CHUNK_TRIALS], w.hbar))
@@ -172,7 +189,7 @@ def klm_check(w, max_order=5, trials_per_order=50, seed=0, tol=DEFAULT_TOL):
             trial = start + i
             worst = min(worst, float(low[:i + 1].min()))
             witness = KLMWitness(order, pts[trial], vecs[i, :, 0], float(low[i]), trial,
-                                 draws[trial][1])
+                                 "lattice" if trial % 2 else "random")
             del fsw  # the re-check reads only the grid
             _verify(w, witness, tol)
             orders.append(KLMOrderRecord(order, trial + 1, worst))

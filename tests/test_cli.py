@@ -503,6 +503,24 @@ def test_klm_counts_below_one_rejected(capsys, flag, value):
     assert "must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("value", ["9", "100"])
+def test_max_order_above_the_lattice_rejected(capsys, value):
+    # a lattice trial has one point per lattice point, eight of them
+    assert_input_error(capsys, ["klm", '{"type":"fock","n":0}', "--max-order", value],
+                       "--max-order: must be at most 8, got")
+
+
+@pytest.mark.parametrize("value", ["-1", str(2**64)])
+def test_seed_outside_64_bits_rejected(capsys, value):
+    assert_input_error(capsys, ["klm", '{"type":"fock","n":0}', "--seed", value], "--seed:")
+
+
+def test_largest_seed_runs_without_warnings(capsys):
+    assert main(["klm", '{"type":"fock","n":0}', "--seed", str(2**64 - 1), "--trials", "10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)["klm"]["seed"] == 2**64 - 1
+
+
 @pytest.mark.parametrize("matrix", ["3", "[]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
                                     "[[1, 0], [0, 1], [0, 0]]", "[1, 2]"])
 def test_capacity_rejects_non_square_or_odd_matrix(capsys, matrix):
@@ -767,7 +785,7 @@ def test_fock_n_that_does_not_fit_fails_before_building(capsys):
     assert code == 0 and rep["input"]["n"] == 1.0
 
 
-def test_commands_do_not_import_scipy():
+def test_commands_import_neither_scipy_nor_numpy_random():
     script = """
 import contextlib, io, sys
 from wigcheck.cli import main
@@ -779,12 +797,12 @@ runs = [["analyze", '{"type":"fock","n":1,"rescale":1.2}'],
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in runs]
 assert codes == [2, 2, 0, 2, 0], codes
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), "numpy.random" in sys.modules)
 """
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "[] False"
 
 
 def test_long_inline_spec_is_not_taken_for_a_path(capsys):

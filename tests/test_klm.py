@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -145,8 +146,107 @@ def _full_matrix(fsw, pts, hbar):
     return 0.5 * (mat + mat.conj().T)
 
 
+MASK = 2**64 - 1
+
+
+def _scalar_uniform(seed, order, draw):
+    """One draw of the point-set generator in Python integers, reduced mod 2**64
+    by hand: SplitMix64 output order * 2**32 + draw + 1 of `seed`, top 53 bits."""
+    z = (seed + ((order << 32) + draw + 1) * 0x9E3779B97F4A7C15) & MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+
+def _scalar_point_set(seed, order, trial, trials, chol, base_scale):
+    """One trial's point set and strategy from scalar draws.  The float functions
+    run on small arrays, as in the batch: on a numpy scalar `**` calls another
+    pow, which can round differently."""
+    if trial % 2:
+        return base_scale * (0.3 + 3.2 * (trial / max(trials, 2))) * klm._LATTICE[:order], "lattice"
+    u = np.array([_scalar_uniform(seed, order, trial * (2 * order + 1) + k)
+                  for k in range(2 * order + 1)])
+    r = np.sqrt(-2.0 * np.log(1.0 - u[1:order + 1, None])) * (0.5 * 6.0 ** u[:1, None])
+    angle = 2.0 * np.pi * u[order + 1:, None]
+    return r * np.cos(angle) * chol[:, 0] + r * np.sin(angle) * chol[:, 1], "random"
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63, MASK])
+def test_point_sets_are_the_scalar_draws_bit_for_bit(seed):
+    chol = np.linalg.cholesky(np.array([[1.3, 0.4], [0.4, 0.7]]))
+    for order in range(1, klm.MAX_ORDER + 1):
+        for trials in (1, 7, 50):
+            pts = klm._point_sets(seed, order, trials, chol, 1.7)
+            assert pts.shape == (trials, order, 2)
+            for trial in range(trials):
+                one, _ = _scalar_point_set(seed, order, trial, trials, chol, 1.7)
+                assert np.array_equal(pts[trial], one)
+
+
+def test_uniforms_are_reproducible_53_bit_fractions_of_the_unit_interval():
+    draws = np.arange(10**5, dtype=np.uint64)
+    for seed in (0, MASK):
+        u = klm._uniforms(seed, 3, draws)
+        assert np.array_equal(u, klm._uniforms(seed, 3, draws))
+        assert 0.0 <= u.min() and u.max() < 1.0
+        assert np.array_equal(u * 2.0**53, np.floor(u * 2.0**53))
+        assert [u[k] for k in (0, 1, 10**5 - 1)] == [_scalar_uniform(seed, 3, k)
+                                                     for k in (0, 1, 10**5 - 1)]
+
+
+def test_normals_have_zero_mean_and_unit_variance():
+    # 6250 clouds of 8 points: 10**5 normals, each divided by its cloud's factor
+    trials = 2 * 6250
+    pts = klm._point_sets(11, 8, trials, np.eye(2), 1.0)[::2]
+    first = np.arange(0, trials, 2, dtype=np.uint64) * np.uint64(2 * 8 + 1)
+    z = (pts / (0.5 * 6.0 ** klm._uniforms(11, 8, first))[:, None, None]).ravel()
+    assert z.size == 10**5
+    assert abs(z.mean()) < 5 * np.sqrt(1 / z.size)
+    assert abs(z.var() - 1.0) < 5 * np.sqrt(2 / z.size)
+
+
+def test_each_seed_and_order_has_its_own_stream():
+    draws = np.arange(64, dtype=np.uint64)
+    values = np.concatenate([klm._uniforms(seed, order, draws)
+                             for seed in (0, 1, 2, 2**32, 2**63, MASK)
+                             for order in range(1, klm.MAX_ORDER + 1)])
+    assert np.unique(values).size == values.size
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(0, MASK), st.integers(1, klm.MAX_ORDER))
+def test_generator_warns_for_no_seed(seed, order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        klm._point_sets(seed, order, 9, np.eye(2), 1.0)
+
+
+def test_order_above_the_lattice_is_an_error(vacuum_wigner):
+    with pytest.raises(ValueError, match=f"at most {klm.MAX_ORDER}"):
+        klm_check(vacuum_wigner, max_order=klm.MAX_ORDER + 1)
+    report = klm_check(vacuum_wigner, max_order=klm.MAX_ORDER, trials_per_order=4)
+    assert len(report.orders) == klm.MAX_ORDER
+
+
+def test_default_search_detection_over_seeds(vacuum_wigner, fock1_wigner, mixture_5050):
+    # the benchmark battery's grids at 256^2 plus the sub-vacuum Gaussian: every
+    # non-state has a witness and no state has one, on each of seeds 0-9
+    axis = default_axis()
+    non_states = {"fock1_x1.2": rescale(fock1_wigner, 1.2),
+                  "vacuum_x1.5": rescale(vacuum_wigner, 1.5),
+                  "bump": truncated_bump_grid(axis, axis),
+                  "gaussian_0.4": wigner_gaussian([0, 0], 0.4 * np.eye(2), axis, axis)}
+    states = {"vacuum": vacuum_wigner, "fock01_mixture": mixture_5050,
+              "squeezed": wigner_gaussian([0, 0], np.diag([1.0, 0.25]), axis, axis)}
+    for seed in range(10):
+        for name, w in {**non_states, **states}.items():
+            found = klm_check(w, seed=seed).witness is not None
+            assert found == (name in non_states), (name, seed)
+
+
 def _reference_search(w, max_order, trials, seed, tol):
-    """One point set at a time, each matrix from all m^2 differences."""
+    """One point set at a time, each drawn by scalar draws and each matrix
+    built from all m^2 differences."""
     fsw = SymplecticFourier(w)
     cov = covariance_from_grid(w).sigma
     if np.linalg.eigvalsh(cov).min() > 0:
@@ -154,12 +254,11 @@ def _reference_search(w, max_order, trials, seed, tol):
     else:
         chol = np.sqrt(w.hbar / 2) * np.eye(2)
     base_scale = float(np.sqrt(2.0 * max(np.trace(cov) / 2.0, w.hbar / 4)))
-    rng = np.random.default_rng(seed)
     orders = []
     for order in range(1, max_order + 1):
         worst = np.inf
         for trial in range(trials):
-            pts, strategy = klm._sample_points(rng, order, trial, trials, chol, base_scale)
+            pts, strategy = _scalar_point_set(seed, order, trial, trials, chol, base_scale)
             vals, vecs = np.linalg.eigh(_full_matrix(fsw, pts, w.hbar))
             worst = min(worst, vals[0])
             if vals[0] < -tol:
