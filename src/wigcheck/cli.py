@@ -10,9 +10,10 @@ State specs are JSON objects with a "type" tag:
     {"type": "bump", "radius": 1.0, "profile": "cosine"}
 
 plus optional top-level keys "hbar" and "rescale" (a positive scaling
-parameter applied to the built grid).  Every subcommand takes one path:
-load the spec, resolve hbar, build the input, run its stages and emit one
-report.  A stage maps (grid, args) to (report fragment, hard witnesses).
+parameter applied to the built grid); no flag sets either.  Every subcommand
+takes one path: load the spec, resolve hbar, build the input, run its stages
+and emit one report.  It takes only the flags its build and stages read.  A
+stage maps (grid, args) to (report fragment, hard witnesses).
 Exit codes: 0 when no stage returns a hard witness (for `analyze`,
 consistent with a state), 2 when one does (proven not to be a state), 1 on
 input errors.
@@ -40,6 +41,7 @@ from .uncertainty import covariance_from_grid, hbar_sweep, lambda_star, uncertai
 
 DEFAULT_EXTENT = 8.0  # half-width of the position axis, in units of sqrt(hbar)
 FOCK_MARGIN = 6.0  # tail room beyond a Fock state's turning point, same units
+FOCK_STEP = 0.05  # widening step of a default Fock axis whose tail is still on it, same units
 ORACLE_TOL = 1e-5  # a kernel eigenvalue below -ORACLE_TOL is a hard witness
 P4_TOL = 1e-4  # a fourth momentum moment below -P4_TOL is a hard witness
 
@@ -98,16 +100,21 @@ def _fock_states(specs, hbar, args):
     for n in ns:  # a bool is an int to Python; a fractional n must not be truncated
         if isinstance(n, bool) or not isinstance(n, int):
             raise InputError(f"a fock spec needs an integer 'n', got {n!r}")
-    count, extent = args.grid_n, args.grid_extent
+    count, extent, widest = args.grid_n, args.grid_extent, args.grid_extent
     if extent is None:
         top = min(max([0, *ns]), count)  # no n above count fits; this bounds the float
-        extent = max(DEFAULT_EXTENT, min(np.sqrt(2 * top + 1) + FOCK_MARGIN,
-                                         np.sqrt(np.pi * count / 4)))
-    axis = default_axis(hbar, count, extent)
-    try:  # every command that builds Fock states reports their errors alike
-        return [fock_state(n, axis, hbar) for n in ns]
-    except ValueError as exc:
-        raise InputError(f"invalid state spec: {exc}") from exc
+        turn = np.sqrt(2 * top + 1)
+        extent = max(DEFAULT_EXTENT, min(turn + FOCK_MARGIN, np.sqrt(np.pi * count / 4)))
+        # the axis ends a step short of its half-width: widen it while the tail is on
+        # the grid there and the momentum axis, pi*count/(4*extent), keeps half the margin
+        widest = np.pi * count / (4 * (turn + FOCK_MARGIN / 2))
+    while True:
+        try:  # every command that builds Fock states reports their errors alike
+            return [fock_state(n, default_axis(hbar, count, extent), hbar) for n in ns]
+        except ValueError as exc:
+            if extent + FOCK_STEP > widest:
+                raise InputError(f"invalid state spec: {exc}") from exc
+        extent += FOCK_STEP
 
 
 def build_state(spec, hbar, args):
@@ -134,7 +141,7 @@ def build_state(spec, hbar, args):
             w = mixture_wigner(zip(weights, _fock_states(states, hbar, args)))
         elif kind == "grid":
             w = load_wigner_manifest(spec["manifest"])
-            if (args.hbar is not None or "hbar" in spec) and hbar != w.hbar:
+            if "hbar" in spec and hbar != w.hbar:
                 raise InputError(f"hbar {hbar!r} differs from the manifest's hbar {w.hbar!r}")
             hbar = w.hbar
         elif kind == "narcowich-oconnell":
@@ -152,7 +159,7 @@ def build_state(spec, hbar, args):
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid state spec: {exc}") from exc
 
-    lam = args.rescale if args.rescale is not None else spec.get("rescale")
+    lam = spec.get("rescale")
     if lam is not None:
         lam = _positive(lam, "rescale parameter")
         w = rescale(w, lam)
@@ -309,14 +316,14 @@ def _capacity(spec, hbar, args):
 def _hardy(spec, hbar, args):
     if spec.get("type") != "fock":
         raise InputError("hardy expects a fock state spec")
-    if "rescale" in spec or args.rescale is not None:
+    if "rescale" in spec:
         raise InputError("invalid state spec: hardy fits a wavefunction and takes no rescale")
     psi = _fock_states([spec], hbar, args)[0]
     return {"input": spec, "hbar": hbar, "hardy": as_dict(hardy_fit(psi))}, []
 
 
 def _at_least(low, kind=float, above=False, most=np.inf):
-    """argparse type: a finite `kind` number >= low, or > low when `above`, and <= most."""
+    """argparse type: a `kind` number >= low (> low when `above`) and <= most, a float finite."""
     def parse(text):
         try:
             value = kind(text)
@@ -324,7 +331,7 @@ def _at_least(low, kind=float, above=False, most=np.inf):
             raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
         if value > most:
             raise argparse.ArgumentTypeError(f"must be at most {most}, got {text}")
-        if not (np.isfinite(value) and (value > low if above else value >= low)):
+        if not ((value > low if above else value >= low) and (kind is int or np.isfinite(value))):
             bound = "above" if above else "at least"
             raise argparse.ArgumentTypeError(f"must be {bound} {low} and finite, got {text}")
         return value
@@ -353,22 +360,41 @@ def _lambdas(text):
     return [start + i * step for i in range(int(round((stop - start) / step)) + 1)]
 
 
-# name: (help, command, arguments beyond the spec and the common flags)
+FLAGS = {  # flag: argparse options; integers stay within int64 (the seed: uint64)
+    "--grid-n": {"type": _at_least(16, int, most=2**63 - 1), "default": 256,
+                 "help": "grid points per axis (even)"},
+    "--grid-extent": {"type": _positive_arg, "help": "half-width of the position axis in units "
+                      "of sqrt(hbar) (default 8, wider for Fock states that need it)"},
+    "--seed": {"type": _at_least(0, int, most=2**64 - 1), "default": 0,
+               "help": "seed for randomized searches, below 2**64"},
+    "--max-order": {"type": _at_least(1, int, most=MAX_ORDER), "default": 5,
+                    "help": f"largest sampled order, at most {MAX_ORDER}"},
+    "--trials": {"type": _at_least(1, int, most=2**63 - 1), "default": 50,
+                 "help": "point sets per order"},
+    "--cmax-factor": {"type": _at_least(1.0), "default": C_MAX_FACTOR,
+                      "help": "cap on the domination constant, relative to max W"},
+    "--csv": {"help": "write values to this CSV file"},
+    "--lambdas": {"required": True, "type": _lambdas, "help": "start:stop:step"},
+    "--values": {"required": True, "type": _positive_list, "help": "comma-separated hbar values"},
+}
+GRID = ("--grid-n", "--grid-extent")
+KLM = (*GRID, "--seed", "--max-order", "--trials")
+
+# name: (help, command, the flags its build and stages read besides -o)
 COMMANDS = {
-    "analyze": ("run the full check pipeline", _on_grid(_analyze), []),
-    "wigner": ("dump the Wigner grid", _wigner, [
-        ("--csv", {"default": None, "help": "write values to this CSV file"})]),
-    "rescale-sweep": ("uncertainty verdict along a rescaling sweep", _on_grid(_rescale_sweep), [
-        ("--lambdas", {"required": True, "type": _lambdas, "help": "start:stop:step"})]),
-    "klm": ("finite-order positivity search", _on_grid(_klm), []),
-    "dominate": ("dominating-Gaussian fit", _on_grid(_domination), []),
-    "oracle": ("operator spectrum ground truth", _on_grid(_oracle), []),
+    "analyze": ("run the full check pipeline", _on_grid(_analyze), (*KLM, "--cmax-factor")),
+    "wigner": ("dump the Wigner grid", _wigner, (*GRID, "--csv")),
+    "rescale-sweep": ("uncertainty verdict along a rescaling sweep", _on_grid(_rescale_sweep),
+                      (*GRID, "--lambdas")),
+    "klm": ("finite-order positivity search", _on_grid(_klm), KLM),
+    "dominate": ("dominating-Gaussian fit", _on_grid(_domination), (*GRID, "--cmax-factor")),
+    "oracle": ("operator spectrum ground truth", _on_grid(_oracle), GRID),
     "capacity": ('capacity and admissibility of an ellipsoid matrix {"M": [[...]]}',
-                 _capacity, []),
-    "hbar-sweep": ("uncertainty checks at several values of hbar", _on_grid(_hbar_sweep), [
-        ("--values", {"required": True, "type": _positive_list,
-                      "help": "comma-separated hbar values"})]),
-    "hardy": ("Gaussian decay rates of a pure state and its transform", _hardy, []),
+                 _capacity, ()),
+    "hbar-sweep": ("uncertainty checks at several values of hbar", _on_grid(_hbar_sweep),
+                   (*GRID, "--values")),
+    # hardy reads no seed; it takes --seed because the benchmark passes it to every case
+    "hardy": ("Gaussian decay rates of a pure state and its transform", _hardy, (*GRID, "--seed")),
 }
 
 
@@ -398,30 +424,13 @@ def build_parser():
     parser = _Parser(prog="wigcheck",
                      description="Is this phase-space function a Wigner distribution?")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hbar", type=_positive_arg, default=None, help="override hbar")
-    common.add_argument("--grid-n", type=_at_least(16, int), default=256,
-                        help="grid points per axis (even)")
-    common.add_argument("--grid-extent", type=_positive_arg, default=None,
-                        help="half-width of the position axis in units of sqrt(hbar) "
-                             "(default 8, wider for Fock states with n >= 2)")
-    common.add_argument("--seed", type=_at_least(0, int, most=2**64 - 1), default=0,
-                        help="seed for randomized searches, below 2**64")
-    common.add_argument("--rescale", type=_positive_arg, default=None,
-                        help="apply a rescaling parameter to the built state")
-    common.add_argument("--max-order", type=_at_least(1, int, most=MAX_ORDER), default=5,
-                        help=f"largest sampled order, at most {MAX_ORDER}")
-    common.add_argument("--trials", type=_at_least(1, int), default=50, help="point sets per order")
-    common.add_argument("--cmax-factor", type=_at_least(1.0), default=C_MAX_FACTOR,
-                        help="cap on the domination constant, relative to max W")
-    common.add_argument("-o", "--output", default=None, help="write the JSON report here")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, command, arguments) in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=text)
+    for name, (text, command, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("spec", help="JSON file, inline JSON, or - for stdin")
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.add_argument("-o", "--output", default=None, help="write the JSON report here")
         p.set_defaults(run=command)
     return parser
 
@@ -436,7 +445,7 @@ def main(argv=None):
     with warnings.catch_warnings(record=True) as caught:
         try:
             spec = _load_spec(args.spec)
-            hbar = _positive(args.hbar if args.hbar is not None else spec.get("hbar", 1.0), "hbar")
+            hbar = _positive(spec.get("hbar", 1.0), "hbar")
             report, witnesses = args.run(spec, hbar, args)
             if report is not None:
                 _emit(report, args)

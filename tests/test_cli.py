@@ -237,6 +237,35 @@ def test_fock_states_above_n1_fit_the_default_grid(capsys, spec, n_max):
     assert_input_error(capsys, ["analyze", spec, "--grid-extent", "8"], "grid too narrow")
 
 
+FOCK01 = ('{"type":"mixture","components":[{"weight":0.5,"state":{"type":"fock","n":0}},'
+          '{"weight":0.5,"state":{"type":"fock","n":1}}]}')
+
+
+@pytest.mark.parametrize("spec", ['{"type":"fock","n":1}', '{"type":"fock","n":2}',
+                                  '{"type":"fock","n":3}', FOCK01],
+                         ids=["n1", "n2", "n3", "mixture01"])
+def test_default_fock_axis_widens_on_small_grids(capsys, spec):
+    # at 64 points the centred axis of half-width 8 ends at 8 - 0.25, where the
+    # tail of Fock 1 is still above FOCK_BOUNDARY_TOL; the default axis widens
+    code = main(["analyze", spec, "--grid-n", "64"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    rep = json.loads(captured.out)
+    assert rep["classification"] == "consistent_with_state"
+    assert -rep["grid"]["x_axis"]["min"] > cli.DEFAULT_EXTENT
+    # an explicit extent is kept as given
+    assert_input_error(capsys, ["analyze", spec, "--grid-n", "64", "--grid-extent", "8"],
+                       "grid too narrow")
+
+
+def test_default_fock_axis_does_not_widen_past_the_momentum_axis(capsys):
+    # Fock 0 fits at 64 points as it did; Fock 60 at 256 does not fit inside the
+    # momentum axis' margin, and widening its position axis would alias it
+    code, rep = run_cli(capsys, "analyze", '{"type":"fock","n":0}', "--grid-n", "64")
+    assert code == 0 and rep["grid"]["x_axis"]["min"] == -cli.DEFAULT_EXTENT
+    assert_input_error(capsys, ["oracle", '{"type":"fock","n":60}'], "grid too narrow")
+
+
 def test_default_extent_of_n_up_to_1_is_unchanged(capsys):
     for spec in ('{"type":"fock","n":1}', '{"type":"gaussian","mean":[0,0],"cov":[[1,0],[0,1]]}'):
         code, rep = run_cli(capsys, "analyze", spec)
@@ -302,13 +331,13 @@ def test_covariance_that_is_not_positive_definite_fails_uncertainty(tmp_path, ca
         assert entry.get("lambda_star", None) is None and entry.get("nu_max", None) is None
 
 
-@pytest.mark.parametrize("argv", [
-    ["hardy", '{"type":"fock","n":0,"rescale":1.2}'],
-    ["hardy", '{"type":"fock","n":0}', "--rescale", "1.2"],
+@pytest.mark.parametrize("argv, message", [
+    (["hardy", '{"type":"fock","n":0,"rescale":1.2}'], "invalid state spec:"),
+    (["hardy", '{"type":"fock","n":0}', "--rescale", "1.2"], "unrecognized arguments: --rescale"),
 ], ids=["spec", "flag"])
-def test_hardy_rejects_rescale(capsys, argv):
-    # a rescaled Wigner grid has no wavefunction for the fit to read
-    assert_input_error(capsys, argv, "invalid state spec:")
+def test_hardy_rejects_rescale(capsys, argv, message):
+    # a rescaled Wigner grid has no wavefunction for the fit to read; no flag sets rescale
+    assert_input_error(capsys, argv, message)
 
 
 def test_hardy_command(capsys):
@@ -538,19 +567,20 @@ def test_emit_refuses_non_finite_numbers(capsys):
     assert capsys.readouterr().out == ""
 
 
-SMALL = ["--grid-n", "64", "--trials", "5", "--max-order", "3"]
+SMALL = ["--grid-n", "64"]
+SMALL_KLM = [*SMALL, "--trials", "5", "--max-order", "3"]
 SUBCOMMANDS = [
-    ["analyze", '{"type":"fock","n":0}'],
-    ["analyze", '{"type":"bump","radius":1.5}'],
-    ["wigner", '{"type":"fock","n":0}', "--rescale", "1.1"],
-    ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "0.8:1.2:0.2"],
-    ["klm", '{"type":"fock","n":0,"rescale":1.5}'],
-    ["dominate", '{"type":"fock","n":0}'],
-    ["dominate", '{"type":"bump","radius":1.5}'],
-    ["oracle", '{"type":"fock","n":0}'],
+    ["analyze", '{"type":"fock","n":0}', *SMALL_KLM],
+    ["analyze", '{"type":"bump","radius":1.5}', *SMALL_KLM],
+    ["wigner", '{"type":"fock","n":0,"rescale":1.1}', *SMALL],
+    ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "0.8:1.2:0.2", *SMALL],
+    ["klm", '{"type":"fock","n":0,"rescale":1.5}', *SMALL_KLM],
+    ["dominate", '{"type":"fock","n":0}', *SMALL],
+    ["dominate", '{"type":"bump","radius":1.5}', *SMALL],
+    ["oracle", '{"type":"fock","n":0}', *SMALL],
     ["capacity", '{"M": [[2, 0], [0, 1]]}'],
-    ["hbar-sweep", '{"type":"fock","n":0}', "--values", "0.5,1,2"],
-    ["hardy", '{"type":"fock","n":0}'],
+    ["hbar-sweep", '{"type":"fock","n":0}', "--values", "0.5,1,2", *SMALL],
+    ["hardy", '{"type":"fock","n":0}', *SMALL],
 ]
 
 
@@ -558,9 +588,8 @@ def test_every_report_is_plain_json(monkeypatch):
     reports = []
     monkeypatch.setattr(cli, "_emit", lambda report, args: reports.append(report))
     for argv in SUBCOMMANDS:
-        assert main(argv + SMALL) in (0, 2), argv
-    assert {r[0] for r in SUBCOMMANDS} == set(cli.build_parser()._subparsers
-                                                 ._group_actions[0].choices)
+        assert main(argv) in (0, 2), argv
+    assert {r[0] for r in SUBCOMMANDS} == set(_subparsers())
     for report in reports:
         json.dumps(report, allow_nan=False)  # no default hook: numpy types raise
         if "classification" in report:  # analyze runs every stage and decides
@@ -595,6 +624,59 @@ def test_analyze_stages_cannot_be_switched_off(capsys):
                            f"unrecognized arguments: {flag}")
 
 
+GRID = {"--grid-n", "--grid-extent"}
+FLAGS = {  # the flags each command's build and stages read, besides -o
+    "analyze": GRID | {"--seed", "--max-order", "--trials", "--cmax-factor"},
+    "klm": GRID | {"--seed", "--max-order", "--trials"},
+    "dominate": GRID | {"--cmax-factor"},
+    "oracle": GRID,
+    "wigner": GRID | {"--csv"},
+    "rescale-sweep": GRID | {"--lambdas"},
+    "hbar-sweep": GRID | {"--values"},
+    "capacity": set(),
+    "hardy": GRID | {"--seed"},  # read by no stage: the benchmark passes it to every case
+}
+# every command took these once, with -o; hbar and rescale now come from the spec alone
+SHARED_BEFORE = {"--hbar": "1", "--rescale": "1.2", "--grid-n": "64", "--grid-extent": "8",
+                 "--seed": "7", "--max-order": "3", "--trials": "5", "--cmax-factor": "2"}
+REQUIRED = {"rescale-sweep": ["--lambdas", "1:1:1"], "hbar-sweep": ["--values", "1"]}
+REMOVED = [(command, flag) for command, flags in FLAGS.items() for flag in SHARED_BEFORE
+           if flag not in flags]
+
+
+def _subparsers():
+    return cli.build_parser()._subparsers._group_actions[0].choices
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    settable = 0
+    for name, parser in _subparsers().items():
+        options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        settable += len(options)
+        assert {s for a in options for s in a.option_strings} == FLAGS[name] | {"-o", "--output"}
+    assert settable == 37  # 84 with nine shared flags
+
+
+@pytest.mark.parametrize("command, flag", REMOVED, ids=[f"{c} {f}" for c, f in REMOVED])
+def test_removed_flags_are_input_errors(capsys, monkeypatch, command, flag):
+    # rejected before any spec is loaded: no flag is silently ignored
+    monkeypatch.setattr(cli, "_load_spec", lambda source: pytest.fail("spec loaded"))
+    spec = '{"M": [[2, 0], [0, 1]]}' if command == "capacity" else '{"type":"fock","n":0}'
+    argv = [command, spec, *REQUIRED.get(command, []), flag, SHARED_BEFORE[flag]]
+    assert_input_error(capsys, argv, f"unrecognized arguments: {flag} {SHARED_BEFORE[flag]}")
+
+
+@pytest.mark.parametrize("flag, value, bound", [
+    ("--seed", str(-10**29), "must be at least 0"),
+    ("--trials", str(10**27), f"must be at most {2**63 - 1}"),
+    ("--trials", str(2**63 + 5), f"must be at most {2**63 - 1}"),
+], ids=["seed-below-int64", "trials-far-above-int64", "trials-just-above-int64"])
+def test_integers_outside_int64_name_their_bound(capsys, flag, value, bound):
+    # numpy cannot test such an int for finiteness, and one just past int64 failed in the search
+    assert_input_error(capsys, ["klm", '{"type":"fock","n":0}', flag, value],
+                       f"argument {flag}: {bound}")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_cmax_factor_rejected(capsys, value):
     assert_input_error(capsys, ["dominate", '{"type":"fock","n":0}', "--grid-n", "64",
@@ -619,15 +701,10 @@ def test_non_finite_cmax_factor_rejected(capsys, value):
     ["hbar-sweep", '{"type":"fock","n":0}', "--values", "-1"],
     ["hbar-sweep", '{"type":"fock","n":0}', "--values", "1,nan"],
     ["hbar-sweep", '{"type":"fock","n":0}', "--values", "inf"],
-    ["analyze", '{"type":"fock","n":0}', "--hbar", "-1"],
-    ["analyze", '{"type":"fock","n":0}', "--hbar", "nan"],
-    ["analyze", '{"type":"fock","n":0}', "--rescale", "-1"],
-    ["analyze", '{"type":"grid","manifest":"missing.json"}', "--rescale", "0"],
 ], ids=["cmax-below-1", "grid-n-0", "grid-n-14", "extent-inf", "extent-0", "hardy-extent-nan",
         "lambdas-inf", "lambdas-nan", "lambdas-start-0", "lambdas-reversed", "lambdas-step-0",
         "lambdas-count-overflows", "lambdas-two-parts", "values-zero", "values-negative",
-        "values-nan", "values-inf", "hbar-negative", "hbar-nan", "rescale-negative",
-        "rescale-0-missing-manifest"])
+        "values-nan", "values-inf"])
 def test_bad_numbers_rejected_at_parse_time(capsys, monkeypatch, argv):
     # rejected before any spec is loaded or grid built
     monkeypatch.setattr(cli, "_load_spec", lambda source: pytest.fail("spec loaded"))
@@ -718,7 +795,7 @@ def test_string_numbers_rejected(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("argv", [
     ["analyze", '{"type":"fock","n":0,"hbar":1e300}'],
-    ["analyze", '{"type":"gaussian","mean":[0,0],"cov":[[1,0],[0,1]]}', "--rescale", "1e300"],
+    ["analyze", '{"type":"gaussian","mean":[0,0],"cov":[[1,0],[0,1]],"rescale":1e300}'],
     ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "0.1:1e300:1e299"],
     ["analyze", '{"type":"narcowich-oconnell","alpha":1e300}'],
     # the first array, 7.3 TiB, cannot be allocated at all, so no memory is touched
@@ -739,7 +816,7 @@ def _python(*argv):
 
 @pytest.mark.parametrize("argv", [
     ["analyze", '{"type":"fock","n":0,"hbar":1e300}'],
-    ["analyze", '{"type":"fock","n":0}', "--rescale", "1e300"],
+    ["analyze", '{"type":"fock","n":0,"rescale":1e300}'],
 ], ids=["hbar", "rescale"])
 def test_overflow_prints_one_line_and_no_warnings(argv):
     # the overflowing runs warn before they fail; the warnings are dropped
@@ -750,7 +827,7 @@ def test_overflow_prints_one_line_and_no_warnings(argv):
 
 
 def test_warnings_of_a_successful_command_follow_unchanged():
-    done = _python("-m", "wigcheck.cli", "wigner", '{"type":"fock","n":0}', "--rescale", "0.3",
+    done = _python("-m", "wigcheck.cli", "wigner", '{"type":"fock","n":0,"rescale":0.3}',
                    "--grid-n", "64")
     assert done.returncode == 0 and json.loads(done.stdout)["trace"] > 0
     direct = _python("-c", "from wigcheck import default_axis, fock_state, rescale, "
@@ -765,12 +842,11 @@ def test_explicit_hbar_must_match_the_manifest(tmp_path, capsys):
     assert main(["wigner", '{"type":"fock","n":0,"hbar":2}', "--grid-n", "64",
                  "-o", str(manifest)]) == 0
     spec = {"type": "grid", "manifest": str(manifest)}
-    assert_input_error(capsys, ["analyze", json.dumps(spec), "--hbar", "1"],
-                       "differs from the manifest")
-    assert_input_error(capsys, ["analyze", json.dumps({**spec, "hbar": 3})],
-                       "differs from the manifest")
-    for extra, flags in (({}, []), ({"hbar": 2}, []), ({}, ["--hbar", "2"])):
-        code, rep = run_cli(capsys, "oracle", json.dumps({**spec, **extra}), *flags)
+    for hbar in (1, 3):
+        assert_input_error(capsys, ["analyze", json.dumps({**spec, "hbar": hbar})],
+                           "differs from the manifest")
+    for extra in ({}, {"hbar": 2}):
+        code, rep = run_cli(capsys, "oracle", json.dumps({**spec, **extra}))
         assert code == 0 and rep["hbar"] == 2.0 and rep["input"]["hbar"] == 2.0
 
 
@@ -815,16 +891,32 @@ def test_long_inline_spec_is_not_taken_for_a_path(capsys):
     assert rep["input"]["components"] == components
 
 
+def _benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).parents[1] / "benchmark" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_spans_still_find_their_functions():
     # the benchmark's --trace patches these names; a deleted one breaks it
-    spec = importlib.util.spec_from_file_location(
-        "spans", Path(__file__).parents[1] / "benchmark" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _benchmark_module("spans")
     for _, module, names in spans.LAYERS:
         mod = importlib.import_module(module)
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+def test_benchmark_command_lines_still_parse(tmp_path):
+    # the benchmark's worker appends --seed N -o PATH to every case, hardy's included
+    workloads = _benchmark_module("workloads")
+    cases = [*workloads.battery_cases(), *workloads.no_cases(),
+             *(m.case for m in workloads.manifest_inputs(tmp_path))]
+    assert {case.argv[0] for case in cases} == {"analyze", "hardy"}
+    for case in cases:
+        args = cli.build_parser().parse_args([*case.argv, "--seed", "7", "-o", "out.json"])
+        assert (args.seed, args.output) == (7, "out.json")
 
 
 def _grid_specs(tmp_path):
@@ -851,10 +943,12 @@ def _grid_specs(tmp_path):
 def test_every_spec_builds_one_contiguous_real_grid(tmp_path, kind, rescale):
     # a strided real view would keep a complex grid twice its size alive
     args = cli.build_parser().parse_args(["analyze", "{}"])
-    args.rescale = rescale
+    spec = _grid_specs(tmp_path)[kind]
+    if rescale is not None:
+        spec["rescale"] = rescale
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # rescaling N-O pushes mass off its grid
-        w, _ = cli.build_state(_grid_specs(tmp_path)[kind], 1.0, args)
+        w, _ = cli.build_state(spec, 1.0, args)
     assert w.values.dtype == np.float64 and w.values.flags.c_contiguous
     base = w.values
     while base is not None:
