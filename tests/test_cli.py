@@ -701,14 +701,23 @@ def test_non_finite_cmax_factor_rejected(capsys, value):
     ["hbar-sweep", '{"type":"fock","n":0}', "--values", "-1"],
     ["hbar-sweep", '{"type":"fock","n":0}', "--values", "1,nan"],
     ["hbar-sweep", '{"type":"fock","n":0}', "--values", "inf"],
+    ["analyze", '{"type":"fock","n":0}', "--hbar", "-1"],
+    ["analyze", '{"type":"fock","n":0}', "--hbar", "nan"],
+    ["analyze", '{"type":"fock","n":0}', "--rescale", "-1"],
+    ["analyze", '{"type":"grid","manifest":"missing.json"}', "--rescale", "0"],
 ], ids=["cmax-below-1", "grid-n-0", "grid-n-14", "extent-inf", "extent-0", "hardy-extent-nan",
         "lambdas-inf", "lambdas-nan", "lambdas-start-0", "lambdas-reversed", "lambdas-step-0",
         "lambdas-count-overflows", "lambdas-two-parts", "values-zero", "values-negative",
-        "values-nan", "values-inf"])
+        "values-nan", "values-inf", "hbar-negative", "hbar-nan", "rescale-negative",
+        "rescale-0-missing-manifest"])
 def test_bad_numbers_rejected_at_parse_time(capsys, monkeypatch, argv):
-    # rejected before any spec is loaded or grid built
+    # rejected before any spec is loaded or grid built; hbar and rescale are read from the
+    # spec alone, so a value for either flag is an unrecognized argument
     monkeypatch.setattr(cli, "_load_spec", lambda source: pytest.fail("spec loaded"))
-    assert_input_error(capsys, argv, f"argument {argv[2]}:")
+    flag, value = argv[2:4]
+    removed = flag in ("--hbar", "--rescale")
+    assert_input_error(capsys, argv,
+                       f"unrecognized arguments: {flag} {value}" if removed else f"argument {flag}:")
 
 
 @pytest.mark.parametrize("argv", [
