@@ -94,27 +94,31 @@ def _fock_states(specs, hbar, args):
     """Wavefunctions of the fock `specs` on one position axis, of half-width
     `--grid-extent` or else the largest turning point sqrt(2n+1) plus
     FOCK_MARGIN, at least DEFAULT_EXTENT and at most sqrt(pi*count/4), past
-    which the conjugate momentum axis is the shorter (units of sqrt(hbar))."""
+    which the conjugate momentum axis is the shorter (units of sqrt(hbar)).
+    The axis ends a step short of its half-width; where a state's tail is
+    still above FOCK_BOUNDARY_TOL there, a default axis widens in FOCK_STEPs
+    while the momentum axis, of half-width pi*count/(4*extent), keeps
+    FOCK_MARGIN/2 beyond the turning point."""
     ns = [spec.get("n") for spec in specs]
     ns = [int(n) if isinstance(n, float) and n.is_integer() else n for n in ns]
     for n in ns:  # a bool is an int to Python; a fractional n must not be truncated
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise InputError(f"a fock spec needs an integer 'n', got {n!r}")
-    count, extent, widest = args.grid_n, args.grid_extent, args.grid_extent
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise InputError(f"a fock spec needs a non-negative integer 'n', got {n!r}")
+    count, extent, steps = args.grid_n, args.grid_extent, 0
+    if count % 2:  # no extent mends an odd count: say so before widening
+        raise InputError("invalid state spec: count must be even")
     if extent is None:
         top = min(max([0, *ns]), count)  # no n above count fits; this bounds the float
         turn = np.sqrt(2 * top + 1)
         extent = max(DEFAULT_EXTENT, min(turn + FOCK_MARGIN, np.sqrt(np.pi * count / 4)))
-        # the axis ends a step short of its half-width: widen it while the tail is on
-        # the grid there and the momentum axis, pi*count/(4*extent), keeps half the margin
-        widest = np.pi * count / (4 * (turn + FOCK_MARGIN / 2))
-    while True:
+        steps = max(0, int((np.pi * count / (4 * (turn + FOCK_MARGIN / 2)) - extent) / FOCK_STEP))
+    for step in range(steps + 1):  # on a default axis, a ValueError here is a too narrow grid
         try:  # every command that builds Fock states reports their errors alike
-            return [fock_state(n, default_axis(hbar, count, extent), hbar) for n in ns]
+            return [fock_state(n, default_axis(hbar, count, extent + step * FOCK_STEP), hbar)
+                    for n in ns]
         except ValueError as exc:
-            if extent + FOCK_STEP > widest:
+            if step == steps:
                 raise InputError(f"invalid state spec: {exc}") from exc
-        extent += FOCK_STEP
 
 
 def build_state(spec, hbar, args):

@@ -266,6 +266,41 @@ def test_default_fock_axis_does_not_widen_past_the_momentum_axis(capsys):
     assert_input_error(capsys, ["oracle", '{"type":"fock","n":60}'], "grid too narrow")
 
 
+@pytest.mark.parametrize("n, count, widened", [(1, 48, False), (1, 50, True), (1, 52, True),
+                                               (2, 56, True), (3, 60, False), (3, 62, True)])
+def test_small_fock_grids_widen_with_an_aliasing_warning(capsys, n, count, widened):
+    # below 64 points the widened axis leaves the momentum axis short enough that its
+    # edge columns hold more than ALIASING_TOL of the peak: the report stands with the
+    # warning, rather than the "grid too narrow" error at the narrower counts
+    argv = ["oracle", f'{{"type":"fock","n":{n}}}', "--grid-n", str(count)]
+    if not widened:
+        return assert_input_error(capsys, argv, "grid too narrow")
+    with pytest.warns(UserWarning, match="possible momentum aliasing"):
+        code, rep = run_cli(capsys, *argv)
+    assert code == 0 and rep["oracle"]["positive"]
+    assert_input_error(capsys, [*argv, "--grid-extent", "8"], "grid too narrow")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["klm", '{"type":"fock","n":-1}'], "non-negative integer 'n'"),
+    (["klm", '{"type":"fock","n":-1}', "--grid-extent", "1e16"], "non-negative integer 'n'"),
+    (["klm", '{"type":"fock","n":-1}', "--grid-n", str(2**40)], "non-negative integer 'n'"),
+    (["analyze", FOCK01.replace('"n":1', '"n":-1')], "non-negative integer 'n'"),
+    (["analyze", '{"type":"fock","n":0}', "--grid-n", "255"], "count must be even"),
+    (["analyze", '{"type":"fock","n":0}', "--grid-n", "255", "--grid-extent", "1e16"],
+     "count must be even"),
+    (["hardy", '{"type":"fock","n":0}', "--grid-n", str(2**40 + 1)], "count must be even")],
+    ids=["n-1", "n-1-extent-1e16", "n-1-huge-count", "mixture-n-1", "odd", "odd-extent-1e16",
+         "odd-huge-count"])
+def test_no_extent_mends_a_bad_fock_input(capsys, monkeypatch, argv, message):
+    # widening the axis cannot help a negative n or an odd count (and at extent 1e16,
+    # extent + FOCK_STEP == extent): both are rejected before any axis is built
+    def no_axis(*args):
+        raise AssertionError("an axis was built")
+    monkeypatch.setattr(cli, "default_axis", no_axis)
+    assert_input_error(capsys, argv, message)
+
+
 def test_default_extent_of_n_up_to_1_is_unchanged(capsys):
     for spec in ('{"type":"fock","n":1}', '{"type":"gaussian","mean":[0,0],"cov":[[1,0],[0,1]]}'):
         code, rep = run_cli(capsys, "analyze", spec)
