@@ -30,10 +30,10 @@ import numpy as np
 
 from . import __version__
 from .blobs import capacity, find_contained_blob, is_admissible, section_area
-from .domination import (C_MAX_FACTOR, VERDICT_BAND, compact_support_flag,
-                         fit_dominating_gaussian, hardy_fit)
+from .domination import (C_MAX_FACTOR, COMPACT_C_MAX_FACTOR, VERDICT_BAND,
+                         compact_support_flag, fit_dominating_gaussian, hardy_fit)
 from .fixtures import NO_COUNT, NO_EXTENT, moment_p4, narcowich_oconnell_grid, truncated_bump_grid
-from .klm import MAX_ORDER, klm_check
+from .klm import klm_check
 from .states import (as_dict, default_axis, fock_state, load_wigner_manifest, mixture_wigner,
                      operator_spectrum_oracle, rescale, save_wigner_manifest, trace,
                      wigner_gaussian, wigner_of_pure)
@@ -44,6 +44,7 @@ FOCK_MARGIN = 6.0  # tail room beyond a Fock state's turning point, same units
 FOCK_STEP = 0.05  # widening step of a default Fock axis whose tail is still on it, same units
 ORACLE_TOL = 1e-5  # a kernel eigenvalue below -ORACLE_TOL is a hard witness
 P4_TOL = 1e-4  # a fourth momentum moment below -P4_TOL is a hard witness
+MAX_LAMBDAS = 1000  # most rescaling parameters of one sweep
 
 
 class InputError(Exception):
@@ -197,7 +198,7 @@ def _moments(w, args):
 
 def _klm(w, args):
     """Finite-order positivity search."""
-    klm = klm_check(w, max_order=args.max_order, trials_per_order=args.trials, seed=args.seed)
+    klm = klm_check(w, trials_per_order=args.trials, seed=args.seed)
     witnesses = []
     if klm.overall == "violation_certificate":
         witnesses.append({"type": "klm_violation", "order": klm.witness.order,
@@ -208,24 +209,20 @@ def _klm(w, args):
 def _domination(w, args):
     """Dominating-Gaussian fit with the compact-support flag inside it, plus
     the capacity pi*hbar/mu_1 of the fitted ellipsoid and its contained
-    quantum blob; the blob is None for M = 0, which has no capacity."""
+    quantum blob."""
     compact, diag = compact_support_flag(w)
-    # a compactly supported candidate is dominated by an arbitrarily tight
-    # Gaussian once C may grow, so use a generous cap
-    factor = max(args.cmax_factor, 10.0) if compact else args.cmax_factor
-    cert = fit_dominating_gaussian(w, c_max_factor=factor)
+    cert = fit_dominating_gaussian(w, COMPACT_C_MAX_FACTOR if compact else C_MAX_FACTOR)
     witnesses = []
     if cert.verdict == "not_a_wigner_distribution":
         witnesses.append({"type": "domination_mu1_above_1", "mu1": cert.mu1})
-    blob = None
-    if cert.mu1 > 0:  # the fit's mu_1 is the one `capacity` and `is_admissible` compute
-        blob = {"capacity": float(np.pi * w.hbar / cert.mu1),
-                "admissible": cert.verdict != "not_a_wigner_distribution"}
-        if blob["admissible"]:
-            contained, resid = find_contained_blob(cert.M, w.hbar, tol=VERDICT_BAND)
-            blob["contained_blob"] = as_dict(contained)
-            blob["containment_residual"] = resid
-            blob["section_areas"] = [section_area(cert.M, 0, w.hbar)]
+    # the fit's mu_1 is the one `capacity` and `is_admissible` compute
+    blob = {"capacity": float(np.pi * w.hbar / cert.mu1),
+            "admissible": cert.verdict != "not_a_wigner_distribution"}
+    if blob["admissible"]:
+        contained, resid = find_contained_blob(cert.M, w.hbar, tol=VERDICT_BAND)
+        blob["contained_blob"] = as_dict(contained)
+        blob["containment_residual"] = resid
+        blob["section_areas"] = [section_area(cert.M, 0, w.hbar)]
     return {"domination": {**as_dict(cert), "compact_support": compact,
                            "compact_support_diagnostics": diag}, "blob": blob}, witnesses
 
@@ -352,7 +349,7 @@ def _positive_list(text):
 
 def _lambdas(text):
     """argparse type: the rescaling parameters start, start + step, ... up to stop,
-    all finite, with 0 < start <= stop and step > 0."""
+    all finite, with 0 < start <= stop and step > 0, at most MAX_LAMBDAS of them."""
     try:
         start, stop, step = (float(t) for t in text.split(":"))
     except ValueError:
@@ -361,7 +358,10 @@ def _lambdas(text):
             and np.isfinite((stop - start) / step)):
         raise argparse.ArgumentTypeError(
             f"needs finite numbers with 0 < start <= stop and step > 0, got {text}")
-    return [start + i * step for i in range(int(round((stop - start) / step)) + 1)]
+    count = int(round((stop - start) / step)) + 1  # counted before any list is built
+    if count > MAX_LAMBDAS:
+        raise argparse.ArgumentTypeError(f"at most {MAX_LAMBDAS} points, got {count}")
+    return [start + i * step for i in range(count)]
 
 
 FLAGS = {  # flag: argparse options; integers stay within int64 (the seed: uint64)
@@ -371,27 +371,23 @@ FLAGS = {  # flag: argparse options; integers stay within int64 (the seed: uint6
                       "of sqrt(hbar) (default 8, wider for Fock states that need it)"},
     "--seed": {"type": _at_least(0, int, most=2**64 - 1), "default": 0,
                "help": "seed for randomized searches, below 2**64"},
-    "--max-order": {"type": _at_least(1, int, most=MAX_ORDER), "default": 5,
-                    "help": f"largest sampled order, at most {MAX_ORDER}"},
     "--trials": {"type": _at_least(1, int, most=2**63 - 1), "default": 50,
                  "help": "point sets per order"},
-    "--cmax-factor": {"type": _at_least(1.0), "default": C_MAX_FACTOR,
-                      "help": "cap on the domination constant, relative to max W"},
     "--csv": {"help": "write values to this CSV file"},
     "--lambdas": {"required": True, "type": _lambdas, "help": "start:stop:step"},
     "--values": {"required": True, "type": _positive_list, "help": "comma-separated hbar values"},
 }
 GRID = ("--grid-n", "--grid-extent")
-KLM = (*GRID, "--seed", "--max-order", "--trials")
+KLM = (*GRID, "--seed", "--trials")
 
 # name: (help, command, the flags its build and stages read besides -o)
 COMMANDS = {
-    "analyze": ("run the full check pipeline", _on_grid(_analyze), (*KLM, "--cmax-factor")),
+    "analyze": ("run the full check pipeline", _on_grid(_analyze), KLM),
     "wigner": ("dump the Wigner grid", _wigner, (*GRID, "--csv")),
     "rescale-sweep": ("uncertainty verdict along a rescaling sweep", _on_grid(_rescale_sweep),
                       (*GRID, "--lambdas")),
     "klm": ("finite-order positivity search", _on_grid(_klm), KLM),
-    "dominate": ("dominating-Gaussian fit", _on_grid(_domination), (*GRID, "--cmax-factor")),
+    "dominate": ("dominating-Gaussian fit", _on_grid(_domination), GRID),
     "oracle": ("operator spectrum ground truth", _on_grid(_oracle), GRID),
     "capacity": ('capacity and admissibility of an ellipsoid matrix {"M": [[...]]}',
                  _capacity, ()),

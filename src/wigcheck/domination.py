@@ -36,6 +36,9 @@ HARDY_BAND = 0.05
 HARDY_CAP_FACTOR = 10.0  # largest C of a decay fit, relative to the peak amplitude
 FIT_FLOOR = 1e-9  # W / max W below which values are quadrature noise, not constraints
 C_MAX_FACTOR = 1.25  # default cap on the domination constant C, relative to max W
+# cap on C for a compactly supported grid, which an arbitrarily tight
+# Gaussian dominates once C may grow
+COMPACT_C_MAX_FACTOR = 10.0
 # compact support: values above SUPPORT_THRESHOLD * peak sit at least
 # MARGIN_CELLS inside the grid, and those outside that box below HARD_ZERO * peak
 SUPPORT_THRESHOLD, MARGIN_CELLS, HARD_ZERO = 1e-10, 2, 1e-14
@@ -308,75 +311,62 @@ def fit_dominating_gaussian(w, c_max_factor=C_MAX_FACTOR):
 
     Constraints use the points with W >= FIT_FLOOR * max(W): negative values
     satisfy any Gaussian bound, and values under the floor are below the
-    quadrature noise of grid-built states.  With C = c_max_factor * max(W)
-    each reads w_i^T M w_i <= 1, w_i = z_i / sqrt(b_i), b_i = hbar log(C / W_i).
-    As mu_1 = sqrt(det M), the fit is the least-area centred (Loewner-John)
-    ellipse of the points +-w_i, solved exactly by `_lowner_john`;
-    `converged` means its duality gap is at most GAP_TOL.  Special cases:
-    - a point z != 0 with b = 0 (W = C there, only at c_max_factor 1) forces
-      M z = 0, hence M = 0, spectrum [0] and C = max(W);
-    - points w_i that do not span the plane (one line through the origin,
-      within a sine of LINE_SIN, or none away from it) leave mu_1 unbounded:
-      the certificate is `unbounded` with the M of `_line_envelope` at
-      mu_1 = 2 (1 + VERDICT_BAND), twice the verdict threshold.
+    quadrature noise of grid-built states.  With C = c_max_factor * max(W),
+    c_max_factor > 1, each reads w_i^T M w_i <= 1, w_i = z_i / sqrt(b_i),
+    b_i = hbar log(C / W_i) > 0.  As mu_1 = sqrt(det M), the fit is the
+    least-area centred (Loewner-John) ellipse of the points +-w_i, solved
+    exactly by `_lowner_john`; `converged` means its duality gap is at most
+    GAP_TOL.  Points w_i that do not span the plane (one line through the
+    origin, within a sine of LINE_SIN, or none away from it) leave mu_1
+    unbounded: the certificate is `unbounded` with the M of `_line_envelope`
+    at mu_1 = 2 (1 + VERDICT_BAND), twice the verdict threshold.
     C is recomputed over every constraint; the check raises ValueError if it
     exceeds c_max_factor * max(W) beyond rounding.  Only the points w_i and
     their grid indices are held; the rest is streamed by row blocks.
     """
     if abs(trace(w) - 1.0) > 1e-3:
         warnings.warn("dominating fit on a grid without unit trace")
-    if not (np.isfinite(c_max_factor) and c_max_factor >= 1.0):
-        raise ValueError(f"c_max_factor must be finite and >= 1, got {c_max_factor!r}")
+    if not (np.isfinite(c_max_factor) and c_max_factor > 1.0):
+        raise ValueError(f"c_max_factor must be finite and > 1, got {c_max_factor!r}")
     peak = w.values.max()
     if peak <= 0:
         raise ValueError("grid has no positive values to dominate")
     n_constraints = int(np.count_nonzero(w.values >= FIT_FLOOR * peak))
     wpts, where = np.empty((n_constraints, 2)), np.empty(n_constraints, int)
-    live, contacts = 0, None
+    live = 0
     for at, z, vals in _constraints(w, peak):
         budget = w.hbar * (np.log(c_max_factor) - np.log(vals / peak))
         away = (z[:, 0] != 0) | (z[:, 1] != 0)
-        pinned = away & (budget <= 0)
-        if pinned.any():
-            contacts = z[pinned][:1]
-            break
         if not away.all():  # the origin, at most one point
             at, z, budget = at[away], z[away], budget[away]
         end = live + len(z)
         np.divide(z, np.sqrt(budget)[:, None], out=wpts[live:end])
         where[live:end], live = at, end
-    exchanges, unbounded, converged, gap = 0, False, True, 0.0
-    if contacts is not None:
-        M = np.zeros((2, 2))
+    wpts = wpts[:live]
+    exchanges, unbounded, converged = 0, False, True
+    line = _line_envelope(wpts, 2.0 * (1.0 + VERDICT_BAND))
+    if line is not None:
+        (M, basis), unbounded, gap = line, True, None
     else:
-        wpts = wpts[:live]
-        line = _line_envelope(wpts, 2.0 * (1.0 + VERDICT_BAND))
-        if line is not None:
-            (M, basis), unbounded, gap = line, True, None
-        else:
-            M, basis, exchanges = _lowner_john(wpts)
-            gap = _duality_gap(M, wpts[basis])
-            converged = gap is not None and gap <= GAP_TOL
-        i, j = np.divmod(where[basis], w.p_axis.count)
-        contacts = np.stack([w.x_axis.points[i], w.p_axis.points[j]], axis=1)
+        M, basis, exchanges = _lowner_john(wpts)
+        gap = _duality_gap(M, wpts[basis])
+        converged = gap is not None and gap <= GAP_TOL
+    i, j = np.divmod(where[basis], w.p_axis.count)
+    contacts = np.stack([w.x_axis.points[i], w.p_axis.points[j]], axis=1)
     del wpts, where
     if not converged:
         warnings.warn("dominating-Gaussian fit did not certify its optimum; returning best found")
 
-    if M.any():
-        spectrum = symplectic_spectrum(M)
-        form, C = M[[0, 0, 1], [0, 1, 1]], 0.0
-        for _, z, vals in _constraints(w, peak):
-            if len(z) == 1 < n_constraints:  # a one-row block, doubled: see _argmax
-                z, vals = np.repeat(z, 2, axis=0), np.repeat(vals, 2)
-            if len(z):
-                C = max(C, float((vals * np.exp(_forms(z) @ form / w.hbar)).max()))
-        if C > c_max_factor * peak * (1.0 + DOMINATION_RTOL):
-            raise ValueError(f"dominating fit needs C = {C:.6g} above the cap "
-                             f"{c_max_factor:g} * max W = {c_max_factor * peak:.6g}")
-    else:
-        spectrum = np.array([0.0])
-        C = float(peak)
+    spectrum = symplectic_spectrum(M)
+    form, C = M[[0, 0, 1], [0, 1, 1]], 0.0
+    for _, z, vals in _constraints(w, peak):
+        if len(z) == 1 < n_constraints:  # a one-row block, doubled: see _argmax
+            z, vals = np.repeat(z, 2, axis=0), np.repeat(vals, 2)
+        if len(z):
+            C = max(C, float((vals * np.exp(_forms(z) @ form / w.hbar)).max()))
+    if C > c_max_factor * peak * (1.0 + DOMINATION_RTOL):
+        raise ValueError(f"dominating fit needs C = {C:.6g} above the cap "
+                         f"{c_max_factor:g} * max W = {c_max_factor * peak:.6g}")
     mu1 = float(spectrum[0])
     return DominationCertificate(
         M=M, C=C, spectrum=spectrum, mu1=mu1,

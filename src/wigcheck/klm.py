@@ -38,7 +38,7 @@ __all__ = [
     "witness_quadratic_form",
 ]
 
-DEFAULT_TOL = 1e-6
+TOL = 1e-6  # a point set whose matrix has an eigenvalue below -TOL is a witness
 
 # Sign of the quadratic phase, from the convention sigma(z, z') = p.x' - p'.x
 # of symplectic.py.  FsW(z) = tr(rho D(z)) with D(z) = exp(i sigma(z, Z)) for
@@ -154,12 +154,12 @@ def _point_sets(seed, order, trials, chol, base_scale):
     return pts
 
 
-def klm_check(w, max_order=5, trials_per_order=50, seed=0, tol=DEFAULT_TOL):
+def klm_check(w, max_order=5, trials_per_order=50, seed=0):
     """Search for a finite-order positivity violation.
 
     Samples point sets of each order up to `max_order` and records the worst
     minimum eigenvalue seen.  Stops early with a reproducible witness once an
-    eigenvalue falls below -tol.  A "no_violation_found" verdict is not a
+    eigenvalue falls below -TOL.  A "no_violation_found" verdict is not a
     positivity proof.
     """
     if max_order > MAX_ORDER:
@@ -181,7 +181,7 @@ def klm_check(w, max_order=5, trials_per_order=50, seed=0, tol=DEFAULT_TOL):
         for start in range(0, trials_per_order, _CHUNK_TRIALS):
             vals, vecs = np.linalg.eigh(klm_matrix(fsw, pts[start:start + _CHUNK_TRIALS], w.hbar))
             low = vals[:, 0]
-            bad = np.flatnonzero(low < -tol)
+            bad = np.flatnonzero(low < -TOL)
             if bad.size == 0:
                 worst = min(worst, float(low.min()))
                 continue
@@ -191,16 +191,16 @@ def klm_check(w, max_order=5, trials_per_order=50, seed=0, tol=DEFAULT_TOL):
             witness = KLMWitness(order, pts[trial], vecs[i, :, 0], float(low[i]), trial,
                                  "lattice" if trial % 2 else "random")
             del fsw  # the re-check reads only the grid
-            _verify(w, witness, tol)
+            _verify(w, witness)
             orders.append(KLMOrderRecord(order, trial + 1, worst))
             return KLMReport("violation_certificate", orders, witness, seed,
-                             max_order, trials_per_order, tol)
+                             max_order, trials_per_order, TOL)
         orders.append(KLMOrderRecord(order, trials_per_order, worst))
     return KLMReport("no_violation_found", orders, None, seed, max_order,
-                     trials_per_order, tol)
+                     trials_per_order, TOL)
 
 
-def _verify(w, witness, tol):
+def _verify(w, witness):
     """Raise unless the witness's quadratic form reproduces its eigenvalue.
 
     Round-off in v^H F v scales with the matrix entries, which are bounded by
@@ -208,7 +208,7 @@ def _verify(w, witness, tol):
     """
     value = witness_quadratic_form(w, witness)
     bound = 1e-9 * witness.order * max(1.0, float(_abs_sums(w.values)[0].sum() * w.cell_area))
-    if not (value < -tol and abs(value - witness.min_eigenvalue) <= bound):
+    if not (value < -TOL and abs(value - witness.min_eigenvalue) <= bound):
         raise ValueError(f"KLM witness does not reproduce: v^H F v = {value:.3e}, "
                          f"eigenvalue {witness.min_eigenvalue:.3e}")
 

@@ -296,9 +296,9 @@ def mixture_wigner(components):
         values[rows, :n // 2], values[rows, n // 2:] = wc.real[:, lo:], wc.real[:, :lo]
         imag.append(_abs_max(wc.imag))
     w = WignerGrid(axis, wigner_momentum_axis(axis, hbar), values, hbar, float(max(imag)))
-    edge = max(_abs_max(w.values[:, :2]), _abs_max(w.values[:, -2:]))
-    if edge > ALIASING_TOL * _abs_max(w.values):
-        warnings.warn(f"possible momentum aliasing: boundary amplitude ratio {edge:.2e}")
+    edge, peak = max(_abs_max(w.values[:, :2]), _abs_max(w.values[:, -2:])), _abs_max(w.values)
+    if edge > ALIASING_TOL * peak:
+        warnings.warn(f"possible momentum aliasing: boundary amplitude ratio {edge / peak:.2e}")
     return w
 
 

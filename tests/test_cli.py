@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from wigcheck import (AxisGrid, WignerGrid, cli, default_axis, fock_state, mixture_wigner,
                       save_wigner_manifest, symplectic, wigner_gaussian)
 from wigcheck.cli import _emit, main
+from wigcheck.states import ALIASING_TOL
 
 
 def run_cli(capsys, *argv):
@@ -111,12 +112,10 @@ def test_rescale_sweep_flips_at_lambda_star(capsys):
 
 
 def test_klm_command_exit_codes(capsys):
-    code, rep = run_cli(capsys, "klm", '{"type":"fock","n":0}', "--max-order", "3",
-                        "--trials", "20")
+    code, rep = run_cli(capsys, "klm", '{"type":"fock","n":0}', "--trials", "20")
     assert code == 0
     assert rep["klm"]["overall"] == "no_violation_found"
-    code, rep = run_cli(capsys, "klm", '{"type":"fock","n":0,"rescale":1.5}',
-                        "--max-order", "3", "--trials", "50")
+    code, rep = run_cli(capsys, "klm", '{"type":"fock","n":0,"rescale":1.5}', "--trials", "50")
     assert code == 2
     assert rep["klm"]["overall"] == "violation_certificate"
 
@@ -147,23 +146,6 @@ def test_blob_is_admissible_exactly_when_the_verdict_allows_a_state(capsys, lam,
     mu1, blob = rep["domination"]["mu1"], rep["blob"]
     assert abs(mu1 - 1.0) < 0.025 and (mu1 <= 1.0 + cli.VERDICT_BAND) == (code == 0)
     assert blob["admissible"] == (code == 0) and ("contained_blob" in blob) == (code == 0)
-
-
-def test_zero_fit_has_a_null_blob(tmp_path, capsys):
-    # clipped at half its peak, the grid reaches its maximum away from the
-    # origin; at --cmax-factor 1 that point pins the fit to M = 0, which has
-    # no capacity.  The flat top is no state: analyze's oracle proves it
-    axis = default_axis(count=64)
-    grid = cli.wigner_gaussian([0, 0], 0.5 * np.eye(2), axis, axis)
-    np.minimum(grid.values, 0.5 * grid.values.max(), out=grid.values)
-    grid.values /= cli.trace(grid)
-    cli.save_wigner_manifest(grid, tmp_path / "clipped.json")
-    spec = json.dumps({"type": "grid", "manifest": str(tmp_path / "clipped.json")})
-    code, dominate = run_cli(capsys, "dominate", spec, "--cmax-factor", "1")
-    assert code == 0 and dominate["domination"]["mu1"] == 0.0 and dominate["blob"] is None
-    code, analyze = run_cli(capsys, "analyze", spec, "--cmax-factor", "1")
-    assert code == 2 and analyze["domination"] == dominate["domination"] and analyze["blob"] is None
-    assert [w["type"] for w in analyze["witnesses"]] == ["oracle_negative_eigenvalue"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,6 +261,14 @@ def test_small_fock_grids_widen_with_an_aliasing_warning(capsys, n, count, widen
         code, rep = run_cli(capsys, *argv)
     assert code == 0 and rep["oracle"]["positive"]
     assert_input_error(capsys, [*argv, "--grid-extent", "8"], "grid too narrow")
+
+
+@pytest.mark.parametrize("n, count", [(3, 62), (0, 40)])
+def test_aliasing_warning_prints_the_ratio_it_tests(capsys, n, count):
+    # the edge columns' amplitude over max |W|: 1.63e-8 and 3.77e-6 here
+    with pytest.warns(UserWarning, match="possible momentum aliasing") as caught:
+        code, _ = run_cli(capsys, "oracle", f'{{"type":"fock","n":{n}}}', "--grid-n", str(count))
+    assert code == 0 and float(str(caught[0].message).split()[-1]) >= ALIASING_TOL
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -558,20 +548,13 @@ def test_failed_output_replace_leaves_no_temporary_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["edge"]
 
 
-@pytest.mark.parametrize("flag", ["--trials", "--max-order"])
+@pytest.mark.parametrize("flag", ["--trials"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_klm_counts_below_one_rejected(capsys, flag, value):
     assert main(["klm", '{"type":"fock","n":0}', flag, value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be at least 1" in captured.err
-
-
-@pytest.mark.parametrize("value", ["9", "100"])
-def test_max_order_above_the_lattice_rejected(capsys, value):
-    # a lattice trial has one point per lattice point, eight of them
-    assert_input_error(capsys, ["klm", '{"type":"fock","n":0}', "--max-order", value],
-                       "--max-order: must be at most 8, got")
 
 
 @pytest.mark.parametrize("value", ["-1", str(2**64)])
@@ -603,7 +586,7 @@ def test_emit_refuses_non_finite_numbers(capsys):
 
 
 SMALL = ["--grid-n", "64"]
-SMALL_KLM = [*SMALL, "--trials", "5", "--max-order", "3"]
+SMALL_KLM = [*SMALL, "--trials", "5"]
 SUBCOMMANDS = [
     ["analyze", '{"type":"fock","n":0}', *SMALL_KLM],
     ["analyze", '{"type":"bump","radius":1.5}', *SMALL_KLM],
@@ -630,6 +613,8 @@ def test_every_report_is_plain_json(monkeypatch):
         if "classification" in report:  # analyze runs every stage and decides
             assert report["classification"] in ("consistent_with_state", "proven_not_a_state")
             assert None not in (report["klm"], report["domination"], report["oracle"])
+        if "domination" in report:  # analyze and dominate: the fit always has a capacity
+            assert isinstance(report["blob"], dict) and report["blob"]["capacity"] > 0
 
 
 def assert_input_error(capsys, argv, message=""):
@@ -661,9 +646,9 @@ def test_analyze_stages_cannot_be_switched_off(capsys):
 
 GRID = {"--grid-n", "--grid-extent"}
 FLAGS = {  # the flags each command's build and stages read, besides -o
-    "analyze": GRID | {"--seed", "--max-order", "--trials", "--cmax-factor"},
-    "klm": GRID | {"--seed", "--max-order", "--trials"},
-    "dominate": GRID | {"--cmax-factor"},
+    "analyze": GRID | {"--seed", "--trials"},
+    "klm": GRID | {"--seed", "--trials"},
+    "dominate": GRID,
     "oracle": GRID,
     "wigner": GRID | {"--csv"},
     "rescale-sweep": GRID | {"--lambdas"},
@@ -671,7 +656,8 @@ FLAGS = {  # the flags each command's build and stages read, besides -o
     "capacity": set(),
     "hardy": GRID | {"--seed"},  # read by no stage: the benchmark passes it to every case
 }
-# every command took these once, with -o; hbar and rescale now come from the spec alone
+# every command took these once, with -o; hbar and rescale now come from the spec alone,
+# the largest KLM order is the library's default and the domination cap a constant
 SHARED_BEFORE = {"--hbar": "1", "--rescale": "1.2", "--grid-n": "64", "--grid-extent": "8",
                  "--seed": "7", "--max-order": "3", "--trials": "5", "--cmax-factor": "2"}
 REQUIRED = {"rescale-sweep": ["--lambdas", "1:1:1"], "hbar-sweep": ["--values", "1"]}
@@ -689,7 +675,7 @@ def test_each_command_takes_only_the_flags_it_reads():
         options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
         settable += len(options)
         assert {s for a in options for s in a.option_strings} == FLAGS[name] | {"-o", "--output"}
-    assert settable == 37  # 84 with nine shared flags
+    assert settable == 33  # 37 with --max-order and --cmax-factor, 84 with nine shared flags
 
 
 @pytest.mark.parametrize("command, flag", REMOVED, ids=[f"{c} {f}" for c, f in REMOVED])
@@ -712,12 +698,6 @@ def test_integers_outside_int64_name_their_bound(capsys, flag, value, bound):
                        f"argument {flag}: {bound}")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_cmax_factor_rejected(capsys, value):
-    assert_input_error(capsys, ["dominate", '{"type":"fock","n":0}', "--grid-n", "64",
-                                "--cmax-factor", value], "must be at least 1.0 and finite")
-
-
 @pytest.mark.parametrize("argv", [
     ["analyze", '{"type":"fock","n":0}', "--cmax-factor", "0.5"],
     ["analyze", '{"type":"fock","n":0}', "--grid-n", "0"],
@@ -732,6 +712,7 @@ def test_non_finite_cmax_factor_rejected(capsys, value):
     ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "0.9:1.1:0"],
     ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "1e-300:1e300:1e-300"],
     ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "0.9:1.1"],
+    ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "1:1001:1"],
     ["hbar-sweep", '{"type":"fock","n":0}', "--values", "0.5,0"],
     ["hbar-sweep", '{"type":"fock","n":0}', "--values", "-1"],
     ["hbar-sweep", '{"type":"fock","n":0}', "--values", "1,nan"],
@@ -742,17 +723,25 @@ def test_non_finite_cmax_factor_rejected(capsys, value):
     ["analyze", '{"type":"grid","manifest":"missing.json"}', "--rescale", "0"],
 ], ids=["cmax-below-1", "grid-n-0", "grid-n-14", "extent-inf", "extent-0", "hardy-extent-nan",
         "lambdas-inf", "lambdas-nan", "lambdas-start-0", "lambdas-reversed", "lambdas-step-0",
-        "lambdas-count-overflows", "lambdas-two-parts", "values-zero", "values-negative",
-        "values-nan", "values-inf", "hbar-negative", "hbar-nan", "rescale-negative",
-        "rescale-0-missing-manifest"])
+        "lambdas-count-overflows", "lambdas-two-parts", "lambdas-too-many", "values-zero",
+        "values-negative", "values-nan", "values-inf", "hbar-negative", "hbar-nan",
+        "rescale-negative", "rescale-0-missing-manifest"])
 def test_bad_numbers_rejected_at_parse_time(capsys, monkeypatch, argv):
     # rejected before any spec is loaded or grid built; hbar and rescale are read from the
-    # spec alone, so a value for either flag is an unrecognized argument
+    # spec alone and the domination cap is fixed, so a value for any of those flags is an
+    # unrecognized argument
     monkeypatch.setattr(cli, "_load_spec", lambda source: pytest.fail("spec loaded"))
     flag, value = argv[2:4]
-    removed = flag in ("--hbar", "--rescale")
+    removed = flag in ("--hbar", "--rescale", "--cmax-factor")
     assert_input_error(capsys, argv,
                        f"unrecognized arguments: {flag} {value}" if removed else f"argument {flag}:")
+
+
+def test_a_sweep_takes_at_most_max_lambdas_points(capsys):
+    # the count is checked before the list is built
+    assert len(cli._lambdas(f"1:{cli.MAX_LAMBDAS}:1")) == cli.MAX_LAMBDAS == 1000
+    assert_input_error(capsys, ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "1:1001:1"],
+                       "argument --lambdas: at most 1000 points, got 1001")
 
 
 @pytest.mark.parametrize("argv", [
