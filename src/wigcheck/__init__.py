@@ -21,5 +21,4 @@ from .states import (AxisGrid, SymplecticFourier, WaveFunctionGrid, WignerGrid, 
 from .symplectic import (WilliamsonFactorization, is_symplectic, symplectic_form,
                          symplectic_spectrum, williamson)
 from .uncertainty import (CovarianceMatrix, RSInequality, UncertaintyReport,
-                          check_quantum_psd, check_rs, covariance_from_grid, hbar_sweep,
-                          lambda_star, uncertainty_report)
+                          check_quantum_psd, check_rs, covariance_from_grid, uncertainty_report)

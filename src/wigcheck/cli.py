@@ -37,7 +37,7 @@ from .klm import klm_check
 from .states import (as_dict, default_axis, fock_state, load_wigner_manifest, mixture_wigner,
                      operator_spectrum_oracle, rescale, save_wigner_manifest, trace,
                      wigner_gaussian, wigner_of_pure)
-from .uncertainty import covariance_from_grid, hbar_sweep, lambda_star, uncertainty_report
+from .uncertainty import covariance_from_grid, uncertainty_report
 
 DEFAULT_EXTENT = 8.0  # half-width of the position axis, in units of sqrt(hbar)
 FOCK_MARGIN = 6.0  # tail room beyond a Fock state's turning point, same units
@@ -256,20 +256,20 @@ def _analyze(w, args):
 
 
 def _rescale_sweep(w, args):
-    """Uncertainty verdict along a rescaling sweep."""
+    """Uncertainty checks of W_lam(z) = lam^2 W(lam z) for each lam of `--lambdas`.
+    Its covariance is Sigma/lam^2, so the grid is never resampled: the entry at lam
+    is the grid checked at hbar' = lam^2 hbar, in the rescaled units."""
+    sigma = covariance_from_grid(w).sigma
     entries = []
     for lam in args.lambdas:
-        cov = covariance_from_grid(rescale(w, lam))
-        rep = uncertainty_report(cov.sigma, w.hbar)
-        entries.append({"lambda": lam, "nu_min": rep.nu_min,
-                        "psd_min_eigenvalue": rep.psd_min_eigenvalue, "verdict": rep.verdict})
-    return {"lambda_star": lambda_star(covariance_from_grid(w).sigma, w.hbar),
-            "sweep": entries}, []
-
-
-def _hbar_sweep(w, args):
-    """Uncertainty checks at each hbar of `--values`."""
-    return {"sweep": as_dict(hbar_sweep(w, args.values))}, []
+        with np.errstate(divide="ignore", over="ignore"):  # a tiny lam overflows it: see below
+            scaled = sigma / (lam * lam)
+        # the criteria multiply its entries pairwise, so each must stay below sqrt(max float)
+        if not (np.isfinite(lam * lam) and np.abs(scaled).max() < np.sqrt(np.finfo(float).max)):
+            raise InputError(f"rescaling parameter {lam!r} takes the covariance Sigma/lambda^2 "
+                             f"out of floating-point range")
+        entries.append({"lambda": lam, **as_dict(uncertainty_report(scaled, w.hbar))})
+    return {"lambda_star": uncertainty_report(sigma, w.hbar).lambda_star, "sweep": entries}, []
 
 
 # --- commands: (spec, hbar, args) -> (report or None, hard witnesses) -------
@@ -339,14 +339,6 @@ def _at_least(low, kind=float, above=False, most=np.inf):
     return parse
 
 
-_positive_arg = _at_least(0.0, above=True)
-
-
-def _positive_list(text):
-    """argparse type: comma-separated positive, finite numbers."""
-    return [_positive_arg(t) for t in text.split(",")]
-
-
 def _lambdas(text):
     """argparse type: the rescaling parameters start, start + step, ... up to stop,
     all finite, with 0 < start <= stop and step > 0, at most MAX_LAMBDAS of them."""
@@ -354,11 +346,12 @@ def _lambdas(text):
         start, stop, step = (float(t) for t in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}") from None
+    # the steps that fit, with a relative slack for the quotient's rounding: 0.8:1.2:0.2 keeps 1.2
     if not (np.isfinite([start, stop, step]).all() and 0 < start <= stop and step > 0
-            and np.isfinite((stop - start) / step)):
+            and np.isfinite(steps := (stop - start) / step * (1 + 1e-9))):
         raise argparse.ArgumentTypeError(
             f"needs finite numbers with 0 < start <= stop and step > 0, got {text}")
-    count = int(round((stop - start) / step)) + 1  # counted before any list is built
+    count = int(steps) + 1  # the floor, counted before any list is built
     if count > MAX_LAMBDAS:
         raise argparse.ArgumentTypeError(f"at most {MAX_LAMBDAS} points, got {count}")
     return [start + i * step for i in range(count)]
@@ -367,15 +360,14 @@ def _lambdas(text):
 FLAGS = {  # flag: argparse options; integers stay within int64 (the seed: uint64)
     "--grid-n": {"type": _at_least(16, int, most=2**63 - 1), "default": 256,
                  "help": "grid points per axis (even)"},
-    "--grid-extent": {"type": _positive_arg, "help": "half-width of the position axis in units "
-                      "of sqrt(hbar) (default 8, wider for Fock states that need it)"},
+    "--grid-extent": {"type": _at_least(0.0, above=True), "help": "half-width of the position "
+                      "axis in units of sqrt(hbar) (default 8, wider for Fock states needing it)"},
     "--seed": {"type": _at_least(0, int, most=2**64 - 1), "default": 0,
                "help": "seed for randomized searches, below 2**64"},
     "--trials": {"type": _at_least(1, int, most=2**63 - 1), "default": 50,
                  "help": "point sets per order"},
     "--csv": {"help": "write values to this CSV file"},
     "--lambdas": {"required": True, "type": _lambdas, "help": "start:stop:step"},
-    "--values": {"required": True, "type": _positive_list, "help": "comma-separated hbar values"},
 }
 GRID = ("--grid-n", "--grid-extent")
 KLM = (*GRID, "--seed", "--trials")
@@ -391,8 +383,6 @@ COMMANDS = {
     "oracle": ("operator spectrum ground truth", _on_grid(_oracle), GRID),
     "capacity": ('capacity and admissibility of an ellipsoid matrix {"M": [[...]]}',
                  _capacity, ()),
-    "hbar-sweep": ("uncertainty checks at several values of hbar", _on_grid(_hbar_sweep),
-                   (*GRID, "--values")),
     # hardy reads no seed; it takes --seed because the benchmark passes it to every case
     "hardy": ("Gaussian decay rates of a pure state and its transform", _hardy, (*GRID, "--seed")),
 }

@@ -22,10 +22,8 @@ __all__ = [
     "RSInequality",
     "check_rs",
     "check_quantum_psd",
-    "lambda_star",
     "UncertaintyReport",
     "uncertainty_report",
-    "hbar_sweep",
 ]
 
 BOUNDARY_BAND = 1e-10
@@ -110,26 +108,6 @@ def check_quantum_psd(sigma, hbar=1.0):
     return bool(min_eig >= -BOUNDARY_BAND * norm), min_eig
 
 
-def lambda_star(sigma, hbar=1.0):
-    """Largest rescaling parameter that keeps the covariance admissible.
-
-    Equals sqrt(2 * nu_min / hbar); a value below 1 means the covariance
-    already violates the uncertainty principle.  None when sigma is not
-    positive definite: then no rescaling makes it admissible.
-    """
-    return _lambda_star(_spectrum(np.asarray(sigma, dtype=float)), hbar)
-
-
-def _spectrum(sigma):
-    """Symplectic spectrum of sigma, or None when sigma is not positive definite."""
-    eig = np.linalg.eigvalsh(sigma)
-    return symplectic_spectrum(sigma) if eig.min() > PD_TOL * np.abs(eig).max() else None
-
-
-def _lambda_star(nu, hbar):
-    return None if nu is None else float(np.sqrt(2.0 * nu[-1] / hbar))
-
-
 @dataclass
 class UncertaintyReport:
     """Aggregate of the three criteria for one covariance matrix and hbar."""
@@ -141,6 +119,8 @@ class UncertaintyReport:
     psd_ok: bool
     nu_min: float | None  # None, with lambda_star, when sigma is not positive definite
     nu_max: float | None
+    # sqrt(2 nu_min / hbar), the largest rescaling parameter that keeps sigma admissible:
+    # below 1 when sigma already fails, and None when no rescaling makes it admissible
     lambda_star: float | None
     verdict: str  # "pass" when psd_ok, else "fail"
     boundary: bool
@@ -151,8 +131,10 @@ def uncertainty_report(sigma, hbar=1.0):
     sigma = np.asarray(sigma, dtype=float)
     rs = check_rs(sigma, hbar)
     psd_ok, min_eig = check_quantum_psd(sigma, hbar)
-    nu = _spectrum(sigma)
-    norm = np.abs(np.linalg.eigvalsh(sigma)).max()
+    eig = np.linalg.eigvalsh(sigma)
+    norm = np.abs(eig).max()
+    # the symplectic spectrum exists only when sigma is positive definite
+    nu = symplectic_spectrum(sigma) if eig.min() > PD_TOL * norm else None
     boundary = bool(abs(min_eig) <= BOUNDARY_BAND * norm)
     return UncertaintyReport(
         hbar=hbar,
@@ -162,17 +144,8 @@ def uncertainty_report(sigma, hbar=1.0):
         psd_ok=psd_ok,
         nu_min=None if nu is None else float(nu[-1]),
         nu_max=None if nu is None else float(nu[0]),
-        lambda_star=_lambda_star(nu, hbar),
+        lambda_star=None if nu is None else float(np.sqrt(2.0 * nu[-1] / hbar)),
         verdict="pass" if psd_ok else "fail",
         boundary=boundary,
     )
 
-
-def hbar_sweep(w, hbar_values):
-    """Check the same grid covariance against several values of hbar.
-
-    The moments do not depend on hbar, so the pass set is a down-set: once a
-    value fails, every larger value fails as well.
-    """
-    cov = covariance_from_grid(w)
-    return [uncertainty_report(cov.sigma, h) for h in hbar_values]

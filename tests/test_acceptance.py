@@ -4,17 +4,20 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 
+import json
+
 import numpy as np
 
 from conftest import (check_williamson_criterion, fourier_wavefunction, oracle_min,
                       p4_series_reference, random_spd, random_symplectic)
 from wigcheck import (capacity, check_quantum_psd, check_rs, compact_support_flag,
                       covariance_from_grid, default_axis, fit_dominating_gaussian,
-                      fock_state, hbar_sweep, is_admissible,
-                      klm_check, lambda_star, moment_p4,
+                      fock_state, is_admissible, klm_check, moment_p4,
                       operator_spectrum_oracle,
                       rescale, symplectic_spectrum, domination_verdict,
-                      trace, truncated_bump_grid, wigner_gaussian, wigner_of_pure)
+                      trace, truncated_bump_grid, uncertainty_report, wigner_gaussian,
+                      wigner_of_pure)
+from wigcheck.cli import main
 from wigcheck.states import AxisGrid
 from wigcheck.symplectic import williamson
 
@@ -110,8 +113,8 @@ def test_criterion_04_rescaling_beats_uncertainty_checks():
 
 
 def test_criterion_05_rescaling_thresholds(vacuum_wigner, fock1_wigner):
-    star_vac = lambda_star(covariance_from_grid(vacuum_wigner).sigma, 1.0)
-    star_fock = lambda_star(covariance_from_grid(fock1_wigner).sigma, 1.0)
+    star_vac = uncertainty_report(covariance_from_grid(vacuum_wigner).sigma, 1.0).lambda_star
+    star_fock = uncertainty_report(covariance_from_grid(fock1_wigner).sigma, 1.0).lambda_star
     ok_vals = abs(star_vac - 1.0) <= 1e-10 and abs(star_fock - np.sqrt(3.0)) <= 1e-10
     # sweep the covariance verdict across the predicted threshold
     flips_ok = True
@@ -226,13 +229,16 @@ def test_criterion_10_capacity_invariance_and_chain(vacuum_wigner, fock1_wigner,
                     f"fixtures vs half h = {half_h:.4f}: " + ", ".join(details))
 
 
-def test_criterion_11_hbar_dependence(vacuum_wigner):
-    reports = hbar_sweep(vacuum_wigner, [1.0, 1.5])
-    at_one, at_bigger = reports
-    ok = (at_one.verdict == "pass" and at_one.rs_ok and at_bigger.verdict == "fail")
-    _report(11, ok, f"vacuum prepared at hbar=1: passes at hbar=1.0 "
-                    f"(nu_min {at_one.nu_min:.6f}), fails at hbar=1.5 "
-                    f"(needs {1.5 / 2}, psd min eig {at_bigger.psd_min_eigenvalue:.4f})")
+def test_criterion_11_hbar_dependence(capsys):
+    # the rescaling sweep's entry at lambda is the grid checked at hbar' = lambda^2 hbar
+    lam = np.sqrt(1.5)
+    main(["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", f"1:{lam}:{lam - 1}"])
+    at_one, at_bigger = json.loads(capsys.readouterr().out)["sweep"]
+    ok = (at_one["verdict"] == "pass" and at_one["rs_ok"] and at_bigger["verdict"] == "fail"
+          and abs(at_bigger["lambda"] - lam) <= 1e-12)
+    _report(11, ok, f"vacuum prepared at hbar=1: passes at hbar'=1.0 "
+                    f"(nu_min {at_one['nu_min']:.6f}), fails at hbar'=1.5 "
+                    f"(needs {1.5 / 2}, has lambda^2 nu_min {1.5 * at_bigger['nu_min']:.6f})")
 
 
 def test_criterion_12_compact_support():

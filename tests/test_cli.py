@@ -314,12 +314,37 @@ def test_capacity_command(capsys):
     assert "contained_blob" in rep
 
 
-def test_hbar_sweep_command(capsys):
-    code, rep = run_cli(capsys, "hbar-sweep", '{"type":"fock","n":0}',
-                        "--values", "0.5,1.0,1.5")
-    assert code == 0
-    verdicts = [e["verdict"] for e in rep["sweep"]]
-    assert verdicts == ["pass", "pass", "fail"]
+@pytest.mark.parametrize("n", [0, 1])
+def test_sweep_entry_is_the_grid_checked_at_lambda_squared_hbar(capsys, monkeypatch, n):
+    # W_lam(z) = lam^2 W(lam z) has covariance Sigma/lam^2, and Sigma/lam^2 >= hbar/2
+    # exactly when Sigma >= lam^2 hbar/2: the sweep reads every entry off one
+    # covariance and never resamples the grid
+    monkeypatch.setattr(cli, "rescale", lambda *args: pytest.fail("the sweep resampled"))
+    spec = {"type": "fock", "n": n}
+    code, rep = run_cli(capsys, "rescale-sweep", json.dumps(spec), "--lambdas", "0.5:2:0.05")
+    assert code == 0 and len(rep["sweep"]) == 31
+    w, _ = cli.build_state(spec, 1.0, argparse.Namespace(grid_n=256, grid_extent=None))
+    sigma = cli.covariance_from_grid(w).sigma
+    verdicts = set()
+    for entry in rep["sweep"]:
+        lam = entry["lambda"]
+        ref = cli.uncertainty_report(sigma, lam**2)
+        assert entry["verdict"] == ref.verdict and entry["hbar"] == 1.0
+        assert lam**2 * entry["nu_min"] == pytest.approx(ref.nu_min, abs=1e-12)
+        verdicts.add(entry["verdict"])
+    assert verdicts == {"pass", "fail"}  # lambda_star, 1 or sqrt(3), is inside the sweep
+
+
+@pytest.mark.parametrize("lam", [0.95, 1.02, 1.5])
+def test_sweep_entry_matches_the_resampled_grid(capsys, lam):
+    # the same uncertainty check on the grid that `rescale` resamples, within its spline error
+    code, rep = run_cli(capsys, "rescale-sweep", '{"type":"fock","n":1}',
+                        "--lambdas", f"{lam}:{lam}:1")
+    assert code == 0 and [e["lambda"] for e in rep["sweep"]] == [lam]
+    _, direct = run_cli(capsys, "analyze", json.dumps({"type": "fock", "n": 1, "rescale": lam}),
+                        "--trials", "1")
+    assert rep["sweep"][0]["nu_min"] == pytest.approx(direct["uncertainty"]["nu_min"], rel=1e-5)
+    assert rep["sweep"][0]["verdict"] == direct["uncertainty"]["verdict"]
 
 
 def _negative_variance_spec(tmp_path):
@@ -335,9 +360,8 @@ def _negative_variance_spec(tmp_path):
 @pytest.mark.filterwarnings("ignore:.*may not have converged")
 @pytest.mark.parametrize("argv, exit_code", [
     (["analyze"], 2),
-    (["hbar-sweep", "--values", "0.5,1.0"], 0),
     (["rescale-sweep", "--lambdas", "1:2:0.5"], 0),
-], ids=["analyze", "hbar-sweep", "rescale-sweep"])
+], ids=["analyze", "rescale-sweep"])
 def test_covariance_that_is_not_positive_definite_fails_uncertainty(tmp_path, capsys, argv,
                                                                     exit_code):
     # such a sigma has no symplectic spectrum: nu_min, nu_max and lambda_star are
@@ -597,7 +621,6 @@ SUBCOMMANDS = [
     ["dominate", '{"type":"bump","radius":1.5}', *SMALL],
     ["oracle", '{"type":"fock","n":0}', *SMALL],
     ["capacity", '{"M": [[2, 0], [0, 1]]}'],
-    ["hbar-sweep", '{"type":"fock","n":0}', "--values", "0.5,1,2", *SMALL],
     ["hardy", '{"type":"fock","n":0}', *SMALL],
 ]
 
@@ -652,7 +675,6 @@ FLAGS = {  # the flags each command's build and stages read, besides -o
     "oracle": GRID,
     "wigner": GRID | {"--csv"},
     "rescale-sweep": GRID | {"--lambdas"},
-    "hbar-sweep": GRID | {"--values"},
     "capacity": set(),
     "hardy": GRID | {"--seed"},  # read by no stage: the benchmark passes it to every case
 }
@@ -660,7 +682,7 @@ FLAGS = {  # the flags each command's build and stages read, besides -o
 # the largest KLM order is the library's default and the domination cap a constant
 SHARED_BEFORE = {"--hbar": "1", "--rescale": "1.2", "--grid-n": "64", "--grid-extent": "8",
                  "--seed": "7", "--max-order": "3", "--trials": "5", "--cmax-factor": "2"}
-REQUIRED = {"rescale-sweep": ["--lambdas", "1:1:1"], "hbar-sweep": ["--values", "1"]}
+REQUIRED = {"rescale-sweep": ["--lambdas", "1:1:1"]}
 REMOVED = [(command, flag) for command, flags in FLAGS.items() for flag in SHARED_BEFORE
            if flag not in flags]
 
@@ -675,7 +697,8 @@ def test_each_command_takes_only_the_flags_it_reads():
         options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
         settable += len(options)
         assert {s for a in options for s in a.option_strings} == FLAGS[name] | {"-o", "--output"}
-    assert settable == 33  # 37 with --max-order and --cmax-factor, 84 with nine shared flags
+    # 33 with hbar-sweep, 37 with --max-order and --cmax-factor, 84 with nine shared flags
+    assert settable == 29
 
 
 @pytest.mark.parametrize("command, flag", REMOVED, ids=[f"{c} {f}" for c, f in REMOVED])
@@ -713,19 +736,14 @@ def test_integers_outside_int64_name_their_bound(capsys, flag, value, bound):
     ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "1e-300:1e300:1e-300"],
     ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "0.9:1.1"],
     ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "1:1001:1"],
-    ["hbar-sweep", '{"type":"fock","n":0}', "--values", "0.5,0"],
-    ["hbar-sweep", '{"type":"fock","n":0}', "--values", "-1"],
-    ["hbar-sweep", '{"type":"fock","n":0}', "--values", "1,nan"],
-    ["hbar-sweep", '{"type":"fock","n":0}', "--values", "inf"],
     ["analyze", '{"type":"fock","n":0}', "--hbar", "-1"],
     ["analyze", '{"type":"fock","n":0}', "--hbar", "nan"],
     ["analyze", '{"type":"fock","n":0}', "--rescale", "-1"],
     ["analyze", '{"type":"grid","manifest":"missing.json"}', "--rescale", "0"],
 ], ids=["cmax-below-1", "grid-n-0", "grid-n-14", "extent-inf", "extent-0", "hardy-extent-nan",
         "lambdas-inf", "lambdas-nan", "lambdas-start-0", "lambdas-reversed", "lambdas-step-0",
-        "lambdas-count-overflows", "lambdas-two-parts", "lambdas-too-many", "values-zero",
-        "values-negative", "values-nan", "values-inf", "hbar-negative", "hbar-nan",
-        "rescale-negative", "rescale-0-missing-manifest"])
+        "lambdas-count-overflows", "lambdas-two-parts", "lambdas-too-many", "hbar-negative",
+        "hbar-nan", "rescale-negative", "rescale-0-missing-manifest"])
 def test_bad_numbers_rejected_at_parse_time(capsys, monkeypatch, argv):
     # rejected before any spec is loaded or grid built; hbar and rescale are read from the
     # spec alone and the domination cap is fixed, so a value for any of those flags is an
@@ -742,6 +760,14 @@ def test_a_sweep_takes_at_most_max_lambdas_points(capsys):
     assert len(cli._lambdas(f"1:{cli.MAX_LAMBDAS}:1")) == cli.MAX_LAMBDAS == 1000
     assert_input_error(capsys, ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "1:1001:1"],
                        "argument --lambdas: at most 1000 points, got 1001")
+
+
+def test_lambdas_end_at_stop():
+    # the floor of (stop - start)/step, with a relative slack for the quotient's rounding:
+    # 0.8:1.2:0.2 has quotient 1.9999999999999996 and keeps 1.2
+    assert cli._lambdas("1:1.04:0.05") == [1.0]
+    assert cli._lambdas("0.8:1.2:0.2") == pytest.approx([0.8, 1.0, 1.2])
+    assert cli._lambdas("0.9:1.1:0.05") == pytest.approx([0.9, 0.95, 1.0, 1.05, 1.1])
 
 
 @pytest.mark.parametrize("argv", [
@@ -830,14 +856,17 @@ def test_string_numbers_rejected(tmp_path, capsys, case):
     ["analyze", '{"type":"fock","n":0,"hbar":1e300}'],
     ["analyze", '{"type":"gaussian","mean":[0,0],"cov":[[1,0],[0,1]],"rescale":1e300}'],
     ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "0.1:1e300:1e299"],
+    # a dilation so strong that Sigma/lambda^2 overflows: no report, not a null nu_min
+    ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "1e-200:1e-200:1"],
     ["analyze", '{"type":"narcowich-oconnell","alpha":1e300}'],
     # the first array, 7.3 TiB, cannot be allocated at all, so no memory is touched
     ["wigner", '{"type":"fock","n":0}', "--grid-n", "1000000000000"],
     ["capacity", '{"M": [[1e308, 0], [0, 1e308]]}'],
-], ids=["hbar-squared", "rescale-squared", "sweep-lambda-squared", "alpha-squared",
-        "grid-too-large", "capacity-spectrum"])
+], ids=["hbar-squared", "rescale-squared", "sweep-lambda-squared", "sweep-lambda-tiny",
+        "alpha-squared", "grid-too-large", "capacity-spectrum"])
 def test_numbers_out_of_range_are_one_line_errors(capsys, argv):
-    assert_input_error(capsys, argv)
+    # a sweep names the first rescaling parameter out of range, 1e+299 or 1e-200
+    assert_input_error(capsys, argv, "rescaling parameter 1e" if argv[0] == "rescale-sweep" else "")
 
 
 def _python(*argv):

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import oracle_min
 from wigcheck import (SymplecticFourier, covariance_from_grid, default_axis,
-                      fit_dominating_gaussian, fock_state, klm_check, lambda_star,
-                      operator_spectrum_oracle, rescale, trace, wigner_of_pure)
+                      fit_dominating_gaussian, fock_state, klm_check, operator_spectrum_oracle,
+                      rescale, trace, uncertainty_report, wigner_of_pure)
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def test_vacuum_trace_and_peak(vacuum_hbar2):
 def test_vacuum_covariance_scales(vacuum_hbar2):
     cov = covariance_from_grid(vacuum_hbar2)
     assert np.allclose(cov.sigma, np.eye(2), atol=1e-4)
-    assert lambda_star(cov.sigma, 2.0) == pytest.approx(1.0, abs=1e-10)
+    assert uncertainty_report(cov.sigma, 2.0).lambda_star == pytest.approx(1.0, abs=1e-10)
 
 
 def test_vacuum_transform_scales(vacuum_hbar2):

@@ -5,9 +5,8 @@ import pytest
 
 from conftest import check_williamson_criterion, random_spd, random_symplectic
 from wigcheck import (AxisGrid, as_dict, check_quantum_psd, check_rs,
-                      covariance_from_grid, default_axis, fock_state, hbar_sweep,
-                      lambda_star, moment_p4, uncertainty_report, wigner_gaussian,
-                      wigner_of_pure)
+                      covariance_from_grid, default_axis, fock_state, moment_p4,
+                      uncertainty_report, wigner_gaussian, wigner_of_pure)
 from wigcheck.states import WignerGrid
 
 
@@ -116,13 +115,15 @@ def test_rescale_covariance_grid_cross_check(fock1_wigner):
 
 
 def test_lambda_star_values():
-    assert lambda_star(0.5 * np.eye(2), 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert lambda_star(1.5 * np.eye(2), 1.0) == pytest.approx(np.sqrt(3.0), abs=1e-12)
-    assert lambda_star(0.5 * np.diag([4.0, 1.0]), 1.0) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert uncertainty_report(0.5 * np.eye(2), 1.0).lambda_star == pytest.approx(1.0, abs=1e-12)
+    assert uncertainty_report(1.5 * np.eye(2), 1.0).lambda_star == pytest.approx(np.sqrt(3.0),
+                                                                                 abs=1e-12)
+    assert uncertainty_report(0.5 * np.diag([4.0, 1.0]), 1.0).lambda_star == pytest.approx(
+        np.sqrt(2.0), abs=1e-12)
 
 
 def test_lambda_star_flags_failing_covariance():
-    assert lambda_star(0.2 * np.eye(2), 1.0) < 1.0
+    assert uncertainty_report(0.2 * np.eye(2), 1.0).lambda_star < 1.0
 
 
 @pytest.mark.parametrize("sigma", [np.diag([-1.5, -1.5]), np.diag([1.0, 0.0]), np.zeros((2, 2))])
@@ -131,7 +132,6 @@ def test_sigma_that_is_not_positive_definite_has_no_spectrum(sigma):
     rep = uncertainty_report(sigma)
     assert (rep.nu_min, rep.nu_max, rep.lambda_star) == (None, None, None)
     assert not rep.psd_ok and rep.verdict == "fail"
-    assert lambda_star(sigma) is None
 
 
 def test_lambda_star_matches_sweep():
@@ -139,20 +139,11 @@ def test_lambda_star_matches_sweep():
     hbar = 1.0
     for _ in range(20):
         sigma = random_spd(rng, 2, lo=0.3, hi=1.5)
-        star = lambda_star(sigma, hbar)
+        star = uncertainty_report(sigma, hbar).lambda_star
         for lam in np.linspace(0.5 * star, 1.5 * star, 11):
             ok, _ = check_quantum_psd(sigma / lam**2, hbar)
             if abs(lam - star) > 1e-9:
                 assert ok == (lam < star)
-
-
-def test_hbar_sweep_vacuum(vacuum_wigner):
-    reports = hbar_sweep(vacuum_wigner, [0.5, 1.0, 1.5])
-    verdicts = [r.verdict for r in reports]
-    assert verdicts == ["pass", "pass", "fail"]
-    # pass set is a down-set in hbar
-    flips = [a == "pass" and b == "fail" for a, b in zip(verdicts, verdicts[1:])]
-    assert sum(flips) <= 1
 
 
 def test_psd_implies_rs():
