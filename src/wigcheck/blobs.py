@@ -33,10 +33,10 @@ def capacity(M, hbar=1.0):
     return float(np.pi * hbar / mu[0])
 
 
-def is_admissible(M, hbar=1.0, tol=ADMISSIBLE_TOL):
-    """True when the ellipsoid has capacity >= pi*hbar (mu_1 <= 1 + tol)."""
+def is_admissible(M, hbar=1.0):
+    """True when the ellipsoid has capacity >= pi*hbar (mu_1 <= 1 + ADMISSIBLE_TOL)."""
     mu = symplectic_spectrum(np.asarray(M, dtype=float))
-    return bool(mu[0] <= 1.0 + tol)
+    return bool(mu[0] <= 1.0 + ADMISSIBLE_TOL)
 
 
 def section_area(M, j, hbar=1.0):

@@ -198,7 +198,7 @@ def _moments(w, args):
 
 def _klm(w, args):
     """Finite-order positivity search."""
-    klm = klm_check(w, trials_per_order=args.trials, seed=args.seed)
+    klm = klm_check(w, seed=args.seed)
     witnesses = []
     if klm.overall == "violation_certificate":
         witnesses.append({"type": "klm_violation", "order": klm.witness.order,
@@ -364,13 +364,11 @@ FLAGS = {  # flag: argparse options; integers stay within int64 (the seed: uint6
                       "axis in units of sqrt(hbar) (default 8, wider for Fock states needing it)"},
     "--seed": {"type": _at_least(0, int, most=2**64 - 1), "default": 0,
                "help": "seed for randomized searches, below 2**64"},
-    "--trials": {"type": _at_least(1, int, most=2**63 - 1), "default": 50,
-                 "help": "point sets per order"},
     "--csv": {"help": "write values to this CSV file"},
     "--lambdas": {"required": True, "type": _lambdas, "help": "start:stop:step"},
 }
 GRID = ("--grid-n", "--grid-extent")
-KLM = (*GRID, "--seed", "--trials")
+KLM = (*GRID, "--seed")
 
 # name: (help, command, the flags its build and stages read besides -o)
 COMMANDS = {

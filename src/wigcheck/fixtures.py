@@ -81,13 +81,14 @@ def narcowich_oconnell_grid(alpha=0.5, beta=0.5, x_axis=None, p_axis=None, hbar=
 
 
 def moment_p4(w):
-    """Fourth momentum moment int p^4 W dx dp, a Riemann sum over the p-marginal.
+    """Fourth momentum moment int p^4 W dx dp / trace, a Riemann sum over the p-marginal.
 
     Warns when the boundary band carries more than TAIL_TOL of the
     integrand mass (the moment has not converged on this grid).
     """
     p4 = w.p_axis.points ** 4
-    total = float(p4 @ w.values.sum(axis=0) * w.cell_area)
+    cols = w.values.sum(axis=0)
+    total = float(p4 @ cols / cols.sum())
     band, weight = _boundary_band_sum(w.values, np.zeros(w.x_axis.count), p4)
     if band > TAIL_TOL * weight:
         warnings.warn("fourth moment may not have converged (heavy tail at the boundary)")

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 TOL = 1e-6  # a point set whose matrix has an eigenvalue below -TOL is a witness
+MAX_ORDER, TRIALS_PER_ORDER = 5, 50  # the search's fixed cost: orders 1 to 5, 50 point sets each
 
 # Sign of the quadratic phase, from the convention sigma(z, z') = p.x' - p'.x
 # of symplectic.py.  FsW(z) = tr(rho D(z)) with D(z) = exp(i sigma(z, Z)) for
@@ -117,16 +118,14 @@ class KLMReport:
     orders: list
     witness: KLMWitness | None
     seed: int
-    max_order: int
-    trials_per_order: int
-    tol: float
+    max_order: int = MAX_ORDER
+    trials_per_order: int = TRIALS_PER_ORDER
+    tol: float = TOL
     phase_sign: int = PHASE_SIGN
 
 
 # an axis-aligned point set of order k: the first k of these points, times a scale
-_LATTICE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
-                     [2.0, 0.0], [0.0, 2.0], [2.0, 1.0], [1.0, 2.0]])
-MAX_ORDER = len(_LATTICE)
+_LATTICE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
 
 
 def _uniforms(seed, order, draws):
@@ -144,7 +143,7 @@ def _point_sets(seed, order, trials, chol, base_scale):
     odd trials; on even trial t, draws t * (2 * order + 1) + k give a log-uniform
     factor in [0.5, 3) and Box-Muller normals z, and the points are chol @ z times it."""
     trial = np.arange(trials)
-    pts = (base_scale * (0.3 + 3.2 * (trial / max(trials, 2))))[:, None, None] * _LATTICE[:order]
+    pts = (base_scale * (0.3 + 3.2 * (trial / trials)))[:, None, None] * _LATTICE[:order]
     draws = trial[::2, None] * (2 * order + 1) + np.arange(2 * order + 1)
     u = _uniforms(seed, order, draws.astype(np.uint64))
     r = np.sqrt(-2.0 * np.log(1.0 - u[:, 1:order + 1, None])) * (0.5 * 6.0 ** u[:, :1, None])
@@ -154,18 +153,17 @@ def _point_sets(seed, order, trials, chol, base_scale):
     return pts
 
 
-def klm_check(w, max_order=5, trials_per_order=50, seed=0):
+def klm_check(w, seed=0):
     """Search for a finite-order positivity violation.
 
-    Samples point sets of each order up to `max_order` and records the worst
-    minimum eigenvalue seen.  Stops early with a reproducible witness once an
-    eigenvalue falls below -TOL.  A "no_violation_found" verdict is not a
-    positivity proof.
+    Samples TRIALS_PER_ORDER point sets of each order up to MAX_ORDER and
+    records the worst minimum eigenvalue seen.  Stops early with a
+    reproducible witness once an eigenvalue falls below -TOL.  A
+    "no_violation_found" verdict is not a positivity proof.
     """
-    if max_order > MAX_ORDER:
-        raise ValueError(f"max_order must be at most {MAX_ORDER}, the lattice's point count")
-    if abs(trace(w) - 1.0) > 1e-3:
-        raise ValueError("grid must have unit trace for the positivity search")
+    if abs((tr := trace(w)) - 1.0) > 1e-3:
+        raise ValueError(f"grid must have unit trace for the positivity search, found {tr:.6g}; "
+                         "a rescale, or axes too narrow for the state, can move mass off the grid")
     cov = covariance_from_grid(w).sigma
     fsw = SymplecticFourier(w)  # after the covariance, whose transients set the peak memory
     if np.linalg.eigvalsh(cov).min() > 0:
@@ -175,10 +173,10 @@ def klm_check(w, max_order=5, trials_per_order=50, seed=0):
     base_scale = float(np.sqrt(2.0 * max(np.trace(cov) / 2.0, w.hbar / 4)))
 
     orders = []
-    for order in range(1, max_order + 1):
-        pts = _point_sets(seed, order, trials_per_order, chol, base_scale)
+    for order in range(1, MAX_ORDER + 1):
+        pts = _point_sets(seed, order, TRIALS_PER_ORDER, chol, base_scale)
         worst = np.inf
-        for start in range(0, trials_per_order, _CHUNK_TRIALS):
+        for start in range(0, TRIALS_PER_ORDER, _CHUNK_TRIALS):
             vals, vecs = np.linalg.eigh(klm_matrix(fsw, pts[start:start + _CHUNK_TRIALS], w.hbar))
             low = vals[:, 0]
             bad = np.flatnonzero(low < -TOL)
@@ -193,11 +191,9 @@ def klm_check(w, max_order=5, trials_per_order=50, seed=0):
             del fsw  # the re-check reads only the grid
             _verify(w, witness)
             orders.append(KLMOrderRecord(order, trial + 1, worst))
-            return KLMReport("violation_certificate", orders, witness, seed,
-                             max_order, trials_per_order, TOL)
-        orders.append(KLMOrderRecord(order, trials_per_order, worst))
-    return KLMReport("no_violation_found", orders, None, seed, max_order,
-                     trials_per_order, TOL)
+            return KLMReport("violation_certificate", orders, witness, seed)
+        orders.append(KLMOrderRecord(order, TRIALS_PER_ORDER, worst))
+    return KLMReport("no_violation_found", orders, None, seed)
 
 
 def _verify(w, witness):

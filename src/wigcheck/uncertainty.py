@@ -44,19 +44,21 @@ class CovarianceMatrix:
 
 
 def covariance_from_grid(w):
-    """First and second phase-space moments of a Wigner grid.
+    """First and second phase-space moments of W/trace for a Wigner grid.
 
-    sigma_ab = int z_a z_b W dz - mean_a mean_b, read from the marginals (the
-    row and column sums of the grid) and W @ p.  Warns when the boundary band
-    contributes more than TAIL_TOL of the second moment (heavy tail).
+    sigma_ab = int z_a z_b W dz / tr - mean_a mean_b, read from the marginals
+    (the row and column sums of the grid) and W @ p; the trace keeps a state
+    short of unit mass from reading as sub-vacuum.  Raises for a trace <= 0, and
+    warns when the boundary band holds more than TAIL_TOL of the second moment.
     """
     x, p = w.x_axis.points, w.p_axis.points
-    area = w.cell_area
     rows, cols = w.values.sum(axis=1), w.values.sum(axis=0)
-    mx, mp = float(x @ rows * area), float(p @ cols * area)
-    sxx = float((x * x) @ rows * area) - mx * mx
-    spp = float((p * p) @ cols * area) - mp * mp
-    sxp = float(x @ (w.values @ p) * area) - mx * mp
+    if not (mass := rows.sum()) > 0:
+        raise ValueError(f"grid trace {mass * w.cell_area:.6g} is not positive: it has no moments")
+    mx, mp = float(x @ rows / mass), float(p @ cols / mass)
+    sxx = float((x * x) @ rows / mass) - mx * mx
+    spp = float((p * p) @ cols / mass) - mp * mp
+    sxp = float(x @ (w.values @ p) / mass) - mx * mp
     band, total = _boundary_band_sum(w.values, x * x, p * p)
     if band > TAIL_TOL * total:
         warnings.warn("second moments may not have converged (heavy tail at the grid boundary)")

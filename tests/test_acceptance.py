@@ -72,7 +72,7 @@ def test_criterion_02_criterion_equivalence():
 def test_criterion_03_vacuum_calibration(vacuum_wigner):
     tr = trace(vacuum_wigner)
     cov = covariance_from_grid(vacuum_wigner).sigma
-    klm = klm_check(vacuum_wigner, max_order=5, trials_per_order=50, seed=0)
+    klm = klm_check(vacuum_wigner, seed=0)
     worst = min(rec.worst_min_eigenvalue for rec in klm.orders)
     cert = fit_dominating_gaussian(vacuum_wigner)
     blocks = operator_spectrum_oracle(vacuum_wigner)
@@ -155,7 +155,7 @@ def test_criterion_07_klm_violation_detection(vacuum_wigner):
     ok = True
     for lam in (1.2, 1.5, 2.0):
         w = rescale(vacuum_wigner, lam)
-        report = klm_check(w, max_order=3, trials_per_order=200, seed=0)
+        report = klm_check(w, seed=0)
         found = report.overall == "violation_certificate"
         ok &= found
         if found:

@@ -60,10 +60,10 @@ def test_analyze_narcowich_oconnell(capsys):
 def test_successive_calls_parse_their_own_flags(capsys):
     # one parser serves every call of a process; no flag may leak into the next call
     assert cli.build_parser() is cli.build_parser()
-    _, first = run_cli(capsys, "analyze", '{"type":"fock","n":0}', "--trials", "3", "--seed", "3")
+    _, first = run_cli(capsys, "analyze", '{"type":"fock","n":0}', "--grid-n", "64", "--seed", "3")
     _, second = run_cli(capsys, "analyze", '{"type":"fock","n":0}')
-    assert first["klm"]["trials_per_order"] == 3 and first["seed"] == 3
-    assert second["klm"]["trials_per_order"] == 50 and second["seed"] == 0
+    assert first["grid"]["x_axis"]["count"] == 64 and first["seed"] == 3
+    assert second["grid"]["x_axis"]["count"] == 256 and second["seed"] == 0
 
 
 def test_analyze_reproducible(capsys):
@@ -112,10 +112,10 @@ def test_rescale_sweep_flips_at_lambda_star(capsys):
 
 
 def test_klm_command_exit_codes(capsys):
-    code, rep = run_cli(capsys, "klm", '{"type":"fock","n":0}', "--trials", "20")
+    code, rep = run_cli(capsys, "klm", '{"type":"fock","n":0}')
     assert code == 0
     assert rep["klm"]["overall"] == "no_violation_found"
-    code, rep = run_cli(capsys, "klm", '{"type":"fock","n":0,"rescale":1.5}', "--trials", "50")
+    code, rep = run_cli(capsys, "klm", '{"type":"fock","n":0,"rescale":1.5}')
     assert code == 2
     assert rep["klm"]["overall"] == "violation_certificate"
 
@@ -341,8 +341,7 @@ def test_sweep_entry_matches_the_resampled_grid(capsys, lam):
     code, rep = run_cli(capsys, "rescale-sweep", '{"type":"fock","n":1}',
                         "--lambdas", f"{lam}:{lam}:1")
     assert code == 0 and [e["lambda"] for e in rep["sweep"]] == [lam]
-    _, direct = run_cli(capsys, "analyze", json.dumps({"type": "fock", "n": 1, "rescale": lam}),
-                        "--trials", "1")
+    _, direct = run_cli(capsys, "analyze", json.dumps({"type": "fock", "n": 1, "rescale": lam}))
     assert rep["sweep"][0]["nu_min"] == pytest.approx(direct["uncertainty"]["nu_min"], rel=1e-5)
     assert rep["sweep"][0]["verdict"] == direct["uncertainty"]["verdict"]
 
@@ -378,6 +377,36 @@ def test_covariance_that_is_not_positive_definite_fails_uncertainty(tmp_path, ca
     for entry in entries:
         assert entry["nu_min"] is None and entry["verdict"] == "fail"
         assert entry.get("lambda_star", None) is None and entry.get("nu_max", None) is None
+
+
+def test_vacuum_short_of_unit_trace_is_consistent(tmp_path, capsys):
+    # the moments are read off W/trace: the 256^2 vacuum times 0.9999 keeps nu_min = 1/2,
+    # where the raw moments, nu_min = 0.49995, were a quantum_psd_failure
+    axis = default_axis()
+    vacuum = wigner_gaussian([0, 0], 0.5 * np.eye(2), axis, axis)
+    save_wigner_manifest(WignerGrid(axis, axis, 0.9999 * vacuum.values), tmp_path / "short.json")
+    code, rep = run_cli(capsys, "analyze",
+                        json.dumps({"type": "grid", "manifest": str(tmp_path / "short.json")}))
+    assert code == 0 and rep["witnesses"] == []
+    assert rep["trace"] == pytest.approx(0.9999, abs=1e-12)
+    assert rep["uncertainty"]["nu_min"] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["rescale-sweep", "--lambdas", "1:1:1"]],
+                         ids=["analyze", "rescale-sweep"])
+def test_grid_of_zero_trace_has_no_moments(tmp_path, capsys, argv):
+    axis = AxisGrid(-8.0, 8.0, 64)
+    save_wigner_manifest(WignerGrid(axis, axis, np.zeros((64, 64))), tmp_path / "zero.json")
+    spec = json.dumps({"type": "grid", "manifest": str(tmp_path / "zero.json")})
+    assert_input_error(capsys, [argv[0], spec, *argv[1:]], "grid trace 0 is not positive")
+
+
+def test_mass_off_the_grid_names_the_trace(capsys):
+    # a strong dilation spreads the vacuum past a 64-point grid: the one error line
+    # gives the trace left and its likely cause, as no rescale warning prints with it
+    assert_input_error(capsys, ["analyze", '{"type":"fock","n":0,"rescale":0.01}',
+                                "--grid-n", "64"],
+                       "unit trace for the positivity search, found 0.0")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -572,22 +601,13 @@ def test_failed_output_replace_leaves_no_temporary_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["edge"]
 
 
-@pytest.mark.parametrize("flag", ["--trials"])
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_klm_counts_below_one_rejected(capsys, flag, value):
-    assert main(["klm", '{"type":"fock","n":0}', flag, value]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "must be at least 1" in captured.err
-
-
 @pytest.mark.parametrize("value", ["-1", str(2**64)])
 def test_seed_outside_64_bits_rejected(capsys, value):
     assert_input_error(capsys, ["klm", '{"type":"fock","n":0}', "--seed", value], "--seed:")
 
 
 def test_largest_seed_runs_without_warnings(capsys):
-    assert main(["klm", '{"type":"fock","n":0}', "--seed", str(2**64 - 1), "--trials", "10"]) == 0
+    assert main(["klm", '{"type":"fock","n":0}', "--seed", str(2**64 - 1)]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and json.loads(captured.out)["klm"]["seed"] == 2**64 - 1
 
@@ -610,13 +630,12 @@ def test_emit_refuses_non_finite_numbers(capsys):
 
 
 SMALL = ["--grid-n", "64"]
-SMALL_KLM = [*SMALL, "--trials", "5"]
 SUBCOMMANDS = [
-    ["analyze", '{"type":"fock","n":0}', *SMALL_KLM],
-    ["analyze", '{"type":"bump","radius":1.5}', *SMALL_KLM],
+    ["analyze", '{"type":"fock","n":0}', *SMALL],
+    ["analyze", '{"type":"bump","radius":1.5}', *SMALL],
     ["wigner", '{"type":"fock","n":0,"rescale":1.1}', *SMALL],
     ["rescale-sweep", '{"type":"fock","n":0}', "--lambdas", "0.8:1.2:0.2", *SMALL],
-    ["klm", '{"type":"fock","n":0,"rescale":1.5}', *SMALL_KLM],
+    ["klm", '{"type":"fock","n":0,"rescale":1.5}', *SMALL],
     ["dominate", '{"type":"fock","n":0}', *SMALL],
     ["dominate", '{"type":"bump","radius":1.5}', *SMALL],
     ["oracle", '{"type":"fock","n":0}', *SMALL],
@@ -669,8 +688,8 @@ def test_analyze_stages_cannot_be_switched_off(capsys):
 
 GRID = {"--grid-n", "--grid-extent"}
 FLAGS = {  # the flags each command's build and stages read, besides -o
-    "analyze": GRID | {"--seed", "--trials"},
-    "klm": GRID | {"--seed", "--trials"},
+    "analyze": GRID | {"--seed"},
+    "klm": GRID | {"--seed"},
     "dominate": GRID,
     "oracle": GRID,
     "wigner": GRID | {"--csv"},
@@ -679,7 +698,7 @@ FLAGS = {  # the flags each command's build and stages read, besides -o
     "hardy": GRID | {"--seed"},  # read by no stage: the benchmark passes it to every case
 }
 # every command took these once, with -o; hbar and rescale now come from the spec alone,
-# the largest KLM order is the library's default and the domination cap a constant
+# the KLM search's budget and the domination cap are constants
 SHARED_BEFORE = {"--hbar": "1", "--rescale": "1.2", "--grid-n": "64", "--grid-extent": "8",
                  "--seed": "7", "--max-order": "3", "--trials": "5", "--cmax-factor": "2"}
 REQUIRED = {"rescale-sweep": ["--lambdas", "1:1:1"]}
@@ -697,8 +716,9 @@ def test_each_command_takes_only_the_flags_it_reads():
         options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
         settable += len(options)
         assert {s for a in options for s in a.option_strings} == FLAGS[name] | {"-o", "--output"}
-    # 33 with hbar-sweep, 37 with --max-order and --cmax-factor, 84 with nine shared flags
-    assert settable == 29
+    # 29 with --trials, 33 with hbar-sweep, 37 with --max-order and --cmax-factor,
+    # 84 with nine shared flags
+    assert settable == 27
 
 
 @pytest.mark.parametrize("command, flag", REMOVED, ids=[f"{c} {f}" for c, f in REMOVED])
@@ -712,11 +732,11 @@ def test_removed_flags_are_input_errors(capsys, monkeypatch, command, flag):
 
 @pytest.mark.parametrize("flag, value, bound", [
     ("--seed", str(-10**29), "must be at least 0"),
-    ("--trials", str(10**27), f"must be at most {2**63 - 1}"),
-    ("--trials", str(2**63 + 5), f"must be at most {2**63 - 1}"),
-], ids=["seed-below-int64", "trials-far-above-int64", "trials-just-above-int64"])
+    ("--grid-n", str(10**27), f"must be at most {2**63 - 1}"),
+    ("--grid-n", str(2**63 + 5), f"must be at most {2**63 - 1}"),
+], ids=["seed-below-int64", "grid-n-far-above-int64", "grid-n-just-above-int64"])
 def test_integers_outside_int64_name_their_bound(capsys, flag, value, bound):
-    # numpy cannot test such an int for finiteness, and one just past int64 failed in the search
+    # numpy cannot test such an int for finiteness, nor store one just past int64 in an array
     assert_input_error(capsys, ["klm", '{"type":"fock","n":0}', flag, value],
                        f"argument {flag}: {bound}")
 

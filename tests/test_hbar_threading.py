@@ -38,7 +38,7 @@ def test_vacuum_oracle_and_klm(vacuum_hbar2):
     for eigs in operator_spectrum_oracle(vacuum_hbar2):
         assert eigs[0] == pytest.approx(1.0, abs=1e-4)
         assert np.abs(eigs[1:]).max() <= 1e-4
-    report = klm_check(vacuum_hbar2, max_order=3, trials_per_order=30, seed=0)
+    report = klm_check(vacuum_hbar2, seed=0)
     assert report.overall == "no_violation_found"
     assert all(rec.worst_min_eigenvalue >= -1e-8 for rec in report.orders)
 
@@ -54,5 +54,5 @@ def test_rescaled_vacuum_fails_everything(vacuum_hbar2):
     ok, _ = check_quantum_psd(covariance_from_grid(w).sigma, 2.0)
     assert not ok
     assert oracle_min(w) < -1e-3
-    report = klm_check(w, max_order=3, trials_per_order=100, seed=0)
+    report = klm_check(w, seed=0)
     assert report.overall == "violation_certificate"

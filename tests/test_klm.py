@@ -55,20 +55,22 @@ def test_pair_indices_are_one_read_only_table_per_order():
 
 
 def test_vacuum_passes_through_order_five(vacuum_wigner):
-    report = klm_check(vacuum_wigner, max_order=5, trials_per_order=50, seed=0)
+    report = klm_check(vacuum_wigner, seed=0)
     assert report.overall == "no_violation_found"
+    # the fixed budget: 50 point sets of each order 1 to 5
+    assert (report.max_order, report.trials_per_order) == (5, 50)
+    assert [(rec.order, rec.trials) for rec in report.orders] == [(m, 50) for m in range(1, 6)]
     assert all(rec.worst_min_eigenvalue >= -1e-8 for rec in report.orders)
 
 
 def test_fock1_passes_through_order_five(fock1_wigner):
-    report = klm_check(fock1_wigner, max_order=5, trials_per_order=30, seed=1)
+    report = klm_check(fock1_wigner, seed=1)
     assert report.overall == "no_violation_found"
     assert all(rec.worst_min_eigenvalue >= -1e-8 for rec in report.orders)
 
 
 def test_rescaled_vacuum_violation_low_order(vacuum_wigner):
-    report = klm_check(rescale(vacuum_wigner, 1.5), max_order=5,
-                       trials_per_order=50, seed=0)
+    report = klm_check(rescale(vacuum_wigner, 1.5), seed=0)
     assert report.overall == "violation_certificate"
     assert report.witness.order <= 3
 
@@ -76,21 +78,20 @@ def test_rescaled_vacuum_violation_low_order(vacuum_wigner):
 @pytest.mark.parametrize("lam", [1.2, 1.5, 2.0])
 def test_rescaled_gaussian_violations_within_budget(vacuum_wigner, lam):
     # canonical-criterion failures must be caught by the finite search
-    report = klm_check(rescale(vacuum_wigner, lam), max_order=3,
-                       trials_per_order=200, seed=0)
+    report = klm_check(rescale(vacuum_wigner, lam), seed=0)
     assert report.overall == "violation_certificate"
 
 
 def test_rescaled_fock1_violation_matches_oracle(fock1_wigner):
     w = rescale(fock1_wigner, 1.2)
-    report = klm_check(w, max_order=5, trials_per_order=100, seed=3)
+    report = klm_check(w, seed=3)
     assert report.overall == "violation_certificate"
     assert oracle_min(w) < -1e-3
 
 
 def test_witness_reproducible(vacuum_wigner):
     w = rescale(vacuum_wigner, 1.5)
-    report = klm_check(w, max_order=5, trials_per_order=50, seed=0)
+    report = klm_check(w, seed=0)
     value = witness_quadratic_form(w, report.witness)
     assert value == pytest.approx(report.witness.min_eigenvalue, abs=1e-9)
     assert value < -report.tol
@@ -111,13 +112,13 @@ def test_principal_submatrix_of_psd_is_psd(vacuum_wigner):
 def test_check_requires_unit_trace(vacuum_wigner):
     bad = WignerGrid(vacuum_wigner.x_axis, vacuum_wigner.p_axis,
                      2.0 * vacuum_wigner.values, vacuum_wigner.hbar)
-    with pytest.raises(ValueError, match="unit trace"):
+    # the one error line names the trace it found
+    with pytest.raises(ValueError, match="unit trace for the positivity search, found 2; "):
         klm_check(bad)
 
 
 def test_report_serializes(vacuum_wigner):
-    report = klm_check(rescale(vacuum_wigner, 1.5), max_order=3,
-                       trials_per_order=50, seed=0)
+    report = klm_check(rescale(vacuum_wigner, 1.5), seed=0)
     d = as_dict(report)
     assert d["overall"] == "violation_certificate"
     assert d["witness"]["order"] == len(d["witness"]["points"])
@@ -163,7 +164,7 @@ def _scalar_point_set(seed, order, trial, trials, chol, base_scale):
     run on small arrays, as in the batch: on a numpy scalar `**` calls another
     pow, which can round differently."""
     if trial % 2:
-        return base_scale * (0.3 + 3.2 * (trial / max(trials, 2))) * klm._LATTICE[:order], "lattice"
+        return base_scale * (0.3 + 3.2 * (trial / trials)) * klm._LATTICE[:order], "lattice"
     u = np.array([_scalar_uniform(seed, order, trial * (2 * order + 1) + k)
                   for k in range(2 * order + 1)])
     r = np.sqrt(-2.0 * np.log(1.0 - u[1:order + 1, None])) * (0.5 * 6.0 ** u[:1, None])
@@ -195,11 +196,11 @@ def test_uniforms_are_reproducible_53_bit_fractions_of_the_unit_interval():
 
 
 def test_normals_have_zero_mean_and_unit_variance():
-    # 6250 clouds of 8 points: 10**5 normals, each divided by its cloud's factor
-    trials = 2 * 6250
-    pts = klm._point_sets(11, 8, trials, np.eye(2), 1.0)[::2]
-    first = np.arange(0, trials, 2, dtype=np.uint64) * np.uint64(2 * 8 + 1)
-    z = (pts / (0.5 * 6.0 ** klm._uniforms(11, 8, first))[:, None, None]).ravel()
+    # 10**4 clouds of 5 points: 10**5 normals, each divided by its cloud's factor
+    trials = 2 * 10**4
+    pts = klm._point_sets(11, 5, trials, np.eye(2), 1.0)[::2]
+    first = np.arange(0, trials, 2, dtype=np.uint64) * np.uint64(2 * 5 + 1)
+    z = (pts / (0.5 * 6.0 ** klm._uniforms(11, 5, first))[:, None, None]).ravel()
     assert z.size == 10**5
     assert abs(z.mean()) < 5 * np.sqrt(1 / z.size)
     assert abs(z.var() - 1.0) < 5 * np.sqrt(2 / z.size)
@@ -221,13 +222,6 @@ def test_generator_warns_for_no_seed(seed, order):
         klm._point_sets(seed, order, 9, np.eye(2), 1.0)
 
 
-def test_order_above_the_lattice_is_an_error(vacuum_wigner):
-    with pytest.raises(ValueError, match=f"at most {klm.MAX_ORDER}"):
-        klm_check(vacuum_wigner, max_order=klm.MAX_ORDER + 1)
-    report = klm_check(vacuum_wigner, max_order=klm.MAX_ORDER, trials_per_order=4)
-    assert len(report.orders) == klm.MAX_ORDER
-
-
 def test_default_search_detection_over_seeds(vacuum_wigner, fock1_wigner, mixture_5050):
     # the benchmark battery's grids at 256^2 plus the sub-vacuum Gaussian: every
     # non-state has a witness and no state has one, on each of seeds 0-9
@@ -244,9 +238,10 @@ def test_default_search_detection_over_seeds(vacuum_wigner, fock1_wigner, mixtur
             assert found == (name in non_states), (name, seed)
 
 
-def _reference_search(w, max_order, trials, seed, tol):
+def _reference_search(w, seed):
     """One point set at a time, each drawn by scalar draws and each matrix
     built from all m^2 differences."""
+    trials = klm.TRIALS_PER_ORDER
     fsw = SymplecticFourier(w)
     cov = covariance_from_grid(w).sigma
     if np.linalg.eigvalsh(cov).min() > 0:
@@ -255,13 +250,13 @@ def _reference_search(w, max_order, trials, seed, tol):
         chol = np.sqrt(w.hbar / 2) * np.eye(2)
     base_scale = float(np.sqrt(2.0 * max(np.trace(cov) / 2.0, w.hbar / 4)))
     orders = []
-    for order in range(1, max_order + 1):
+    for order in range(1, klm.MAX_ORDER + 1):
         worst = np.inf
         for trial in range(trials):
             pts, strategy = _scalar_point_set(seed, order, trial, trials, chol, base_scale)
             vals, vecs = np.linalg.eigh(_full_matrix(fsw, pts, w.hbar))
             worst = min(worst, vals[0])
-            if vals[0] < -tol:
+            if vals[0] < -klm.TOL:
                 orders.append((order, trial + 1, worst))
                 return orders, (order, trial, strategy, pts, vals[0], vecs[:, 0])
         orders.append((order, trials, worst))
@@ -274,8 +269,8 @@ def test_batched_search_matches_one_set_at_a_time(vacuum_wigner, fock1_wigner, n
     w = {"vacuum": vacuum_wigner, "fock1": fock1_wigner,
          "fock1_x1.2": rescale(fock1_wigner, 1.2), "vacuum_x1.5": rescale(vacuum_wigner, 1.5),
          "bump": truncated_bump_grid(default_axis(), default_axis())}[name]
-    report = klm_check(w, max_order=5, trials_per_order=50, seed=seed)
-    orders, found = _reference_search(w, 5, 50, seed, report.tol)
+    report = klm_check(w, seed=seed)
+    orders, found = _reference_search(w, seed)
     assert [(r.order, r.trials) for r in report.orders] == [o[:2] for o in orders]
     for rec, (_, _, worst) in zip(report.orders, orders):
         assert abs(rec.worst_min_eigenvalue - worst) <= 1e-12
@@ -335,7 +330,7 @@ def test_rescaled_witnesses_reproduce(fock_128, n, lam, seed):
 def test_unreproduced_witness_is_an_error(vacuum_wigner, monkeypatch):
     monkeypatch.setattr(klm, "witness_quadratic_form", lambda w, witness, fsw=None: 0.0)
     with pytest.raises(ValueError, match="does not reproduce"):
-        klm_check(rescale(vacuum_wigner, 1.5), max_order=3, seed=0)
+        klm_check(rescale(vacuum_wigner, 1.5), seed=0)
 
 
 def test_recheck_catches_an_error_of_the_search_transform(vacuum_wigner, monkeypatch):
@@ -344,7 +339,7 @@ def test_recheck_catches_an_error_of_the_search_transform(vacuum_wigner, monkeyp
     call = SymplecticFourier.__call__
     monkeypatch.setattr(SymplecticFourier, "__call__", lambda self, z: call(self, z) + 1e-3)
     with pytest.raises(ValueError, match="does not reproduce"):
-        klm_check(rescale(vacuum_wigner, 1.5), max_order=3, seed=0)
+        klm_check(rescale(vacuum_wigner, 1.5), seed=0)
 
 
 def test_recheck_matches_the_folded_transform(odd_offcentre_grid):

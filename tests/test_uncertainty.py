@@ -222,17 +222,19 @@ def test_uncertainty_report_fields(vacuum_wigner):
 
 
 def _dense_moments(w):
-    """Means, covariance and fourth momentum moment by full-grid Riemann sums,
-    with the scales sum |W| |z|, sum |W| z.z and sum |W| p^4 of their round-off."""
-    x, p, v, area = w.x_axis.points[:, None], w.p_axis.points[None, :], w.values, w.cell_area
-    mx, mp = (x * v).sum() * area, (p * v).sum() * area
-    sxx = (x * x * v).sum() * area - mx * mx
-    spp = (p * p * v).sum() * area - mp * mp
-    sxp = (x * p * v).sum() * area - mx * mp
-    mag = np.abs(v) * area
+    """Means, covariance and fourth momentum moment of W/trace by full-grid
+    Riemann sums, with the scales sum |W| |z|, sum |W| z.z and sum |W| p^4 of
+    their round-off, over the same trace."""
+    x, p, v = w.x_axis.points[:, None], w.p_axis.points[None, :], w.values
+    tr = v.sum()
+    mx, mp = (x * v).sum() / tr, (p * v).sum() / tr
+    sxx = (x * x * v).sum() / tr - mx * mx
+    spp = (p * p * v).sum() / tr - mp * mp
+    sxp = (x * p * v).sum() / tr - mx * mp
+    mag = np.abs(v) / tr
     scales = [((np.abs(x) + np.abs(p)) * mag).sum(), ((x * x + p * p) * mag).sum(),
               (p**4 * mag).sum()]
-    return np.array([mx, mp]), np.array([[sxx, sxp], [sxp, spp]]), (p**4 * v).sum() * area, scales
+    return np.array([mx, mp]), np.array([[sxx, sxp], [sxp, spp]]), (p**4 * v).sum() / tr, scales
 
 
 def _rotated_squeezed_grid():
