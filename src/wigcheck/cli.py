@@ -92,28 +92,24 @@ def _numbers(value, name):
 
 
 def _fock_states(specs, hbar, args):
-    """Wavefunctions of the fock `specs` on one position axis, of half-width
-    `--grid-extent` or else the largest turning point sqrt(2n+1) plus
-    FOCK_MARGIN, at least DEFAULT_EXTENT and at most sqrt(pi*count/4), past
-    which the conjugate momentum axis is the shorter (units of sqrt(hbar)).
-    The axis ends a step short of its half-width; where a state's tail is
-    still above FOCK_BOUNDARY_TOL there, a default axis widens in FOCK_STEPs
-    while the momentum axis, of half-width pi*count/(4*extent), keeps
+    """Wavefunctions of the fock `specs` on one position axis, of half-width (in
+    sqrt(hbar)) the largest turning point sqrt(2n+1) plus FOCK_MARGIN, within
+    [DEFAULT_EXTENT, sqrt(pi*count/4)], past which the momentum axis is the shorter.
+    Where a state's tail is above FOCK_BOUNDARY_TOL at the axis' end, it widens in
+    FOCK_STEPs while the momentum axis, of half-width pi*count/(4*extent), keeps
     FOCK_MARGIN/2 beyond the turning point."""
     ns = [spec.get("n") for spec in specs]
     ns = [int(n) if isinstance(n, float) and n.is_integer() else n for n in ns]
     for n in ns:  # a bool is an int to Python; a fractional n must not be truncated
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise InputError(f"a fock spec needs a non-negative integer 'n', got {n!r}")
-    count, extent, steps = args.grid_n, args.grid_extent, 0
-    if count % 2:  # no extent mends an odd count: say so before widening
+    count = args.grid_n
+    if count % 2:  # no widening mends an odd count: say so before widening
         raise InputError("invalid state spec: count must be even")
-    if extent is None:
-        top = min(max([0, *ns]), count)  # no n above count fits; this bounds the float
-        turn = np.sqrt(2 * top + 1)
-        extent = max(DEFAULT_EXTENT, min(turn + FOCK_MARGIN, np.sqrt(np.pi * count / 4)))
-        steps = max(0, int((np.pi * count / (4 * (turn + FOCK_MARGIN / 2)) - extent) / FOCK_STEP))
-    for step in range(steps + 1):  # on a default axis, a ValueError here is a too narrow grid
+    turn = np.sqrt(2 * min(max([0, *ns]), count) + 1)  # no n above count fits: a bounded float
+    extent = max(DEFAULT_EXTENT, min(turn + FOCK_MARGIN, np.sqrt(np.pi * count / 4)))
+    steps = max(0, int((np.pi * count / (4 * (turn + FOCK_MARGIN / 2)) - extent) / FOCK_STEP))
+    for step in range(steps + 1):  # a ValueError here is a too narrow grid
         try:  # every command that builds Fock states reports their errors alike
             return [fock_state(n, default_axis(hbar, count, extent + step * FOCK_STEP), hbar)
                     for n in ns]
@@ -122,19 +118,26 @@ def _fock_states(specs, hbar, args):
                 raise InputError(f"invalid state spec: {exc}") from exc
 
 
+def _axis(count, half, name, value):
+    """Centred axis of half-width `half`, set by the spec's `name` `value`; InputError
+    when half**4, which the report's <p^4> sums, is out of floating-point range."""
+    if not half < np.finfo(float).max ** 0.25:
+        raise InputError(f"{name} {value!r}: half-width {half:.3g} out of floating-point range")
+    return default_axis(1.0, count, half)
+
+
 def build_state(spec, hbar, args):
-    """Build a Wigner grid from a parsed state spec; returns (grid, echo)."""
+    """Build a Wigner grid on axes sized from the parsed spec; returns (grid, echo)."""
     if "type" not in spec:
         raise InputError("state spec must be an object with a 'type' key")
     kind = spec["type"]
     count = args.grid_n
-    extent = DEFAULT_EXTENT if args.grid_extent is None else args.grid_extent
 
     try:
         if kind == "fock":
             w = wigner_of_pure(_fock_states([spec], hbar, args)[0])
         elif kind == "gaussian":
-            axis = default_axis(hbar, count, extent)
+            axis = default_axis(hbar, count, DEFAULT_EXTENT)
             w = wigner_gaussian(_numbers(spec["mean"], "gaussian mean"),
                                 _numbers(spec["cov"], "gaussian cov"), axis, axis, hbar)
         elif kind == "mixture":
@@ -150,28 +153,25 @@ def build_state(spec, hbar, args):
                 raise InputError(f"hbar {hbar!r} differs from the manifest's hbar {w.hbar!r}")
             hbar = w.hbar
         elif kind == "narcowich-oconnell":
-            axis = default_axis(1.0, max(count, NO_COUNT), max(extent, NO_EXTENT))
-            w = narcowich_oconnell_grid(_positive(spec.get("alpha", hbar / 2), "alpha"),
-                                        _positive(spec.get("beta", hbar / 2), "beta"),
-                                        axis, axis, hbar)
+            # the alpha = beta = 1/2 grid on axes scaled by sqrt(2 alpha) and sqrt(2 beta)
+            alpha, beta = (_positive(spec.get(key, hbar / 2), key) for key in ("alpha", "beta"))
+            x_axis, p_axis = (_axis(max(count, NO_COUNT), NO_EXTENT * np.sqrt(2 * a), key, a)
+                              for key, a in (("alpha", alpha), ("beta", beta)))
+            w = narcowich_oconnell_grid(alpha, beta, x_axis, p_axis, hbar)
         elif kind == "bump":
-            axis = default_axis(hbar, count, extent)
-            w = truncated_bump_grid(axis, axis, hbar,
-                                    radius=_positive(spec.get("radius", 1.0), "bump radius"),
-                                    profile=spec.get("profile", "cosine"))
+            radius = _positive(spec.get("radius", 1.0), "bump radius")
+            half = max(DEFAULT_EXTENT * np.sqrt(hbar), 1.25 * radius)  # the disk and a zero rim
+            axis = _axis(count, half, "bump radius", radius)
+            w = truncated_bump_grid(axis, axis, hbar, radius, spec.get("profile", "cosine"))
         else:
             raise InputError(f"unknown state type: {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid state spec: {exc}") from exc
 
-    lam = spec.get("rescale")
-    if lam is not None:
-        lam = _positive(lam, "rescale parameter")
+    echo = {**spec, "hbar": hbar}
+    if spec.get("rescale") is not None:
+        echo["rescale"] = lam = _positive(spec["rescale"], "rescale parameter")
         w = rescale(w, lam)
-    echo = dict(spec)
-    echo["hbar"] = hbar
-    if lam is not None:
-        echo["rescale"] = lam
     return w, echo
 
 
@@ -323,18 +323,16 @@ def _hardy(spec, hbar, args):
     return {"input": spec, "hbar": hbar, "hardy": as_dict(hardy_fit(psi))}, []
 
 
-def _at_least(low, kind=float, above=False, most=np.inf):
-    """argparse type: a `kind` number >= low (> low when `above`) and <= most, a float finite."""
+def _at_least(low, most):
+    """argparse type: an integer from `low` to `most`."""
     def parse(text):
         try:
-            value = kind(text)
+            value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
-        if value > most:
-            raise argparse.ArgumentTypeError(f"must be at most {most}, got {text}")
-        if not ((value > low if above else value >= low) and (kind is int or np.isfinite(value))):
-            bound = "above" if above else "at least"
-            raise argparse.ArgumentTypeError(f"must be {bound} {low} and finite, got {text}")
+            raise argparse.ArgumentTypeError(f"expected int, got {text!r}") from None
+        if not low <= value <= most:
+            bound = f"at least {low}" if value < low else f"at most {most}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
     return parse
 
@@ -358,16 +356,14 @@ def _lambdas(text):
 
 
 FLAGS = {  # flag: argparse options; integers stay within int64 (the seed: uint64)
-    "--grid-n": {"type": _at_least(16, int, most=2**63 - 1), "default": 256,
-                 "help": "grid points per axis (even)"},
-    "--grid-extent": {"type": _at_least(0.0, above=True), "help": "half-width of the position "
-                      "axis in units of sqrt(hbar) (default 8, wider for Fock states needing it)"},
-    "--seed": {"type": _at_least(0, int, most=2**64 - 1), "default": 0,
+    "--grid-n": {"type": _at_least(16, 2**63 - 1), "default": 256,
+                 "help": "grid points per axis (even); the spec sets the axes' extent"},
+    "--seed": {"type": _at_least(0, 2**64 - 1), "default": 0,
                "help": "seed for randomized searches, below 2**64"},
     "--csv": {"help": "write values to this CSV file"},
     "--lambdas": {"required": True, "type": _lambdas, "help": "start:stop:step"},
 }
-GRID = ("--grid-n", "--grid-extent")
+GRID = ("--grid-n",)
 KLM = (*GRID, "--seed")
 
 # name: (help, command, the flags its build and stages read besides -o)

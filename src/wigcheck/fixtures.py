@@ -57,6 +57,8 @@ def narcowich_oconnell_grid(alpha=0.5, beta=0.5, x_axis=None, p_axis=None, hbar=
     if p_axis is None:
         p_axis = x_axis
 
+    if not np.log(1e20) / np.finfo(float).max < min(alpha, beta) ** 2:  # ext below is finite
+        raise ValueError(f"alpha {alpha!r}, beta {beta!r}: 1/min^2 is out of floating-point range")
     # source range where exp(-a^2 s^4) has decayed below 1e-20
     ext = 1.35 * (np.log(1e20) / min(alpha, beta) ** 2) ** 0.25
     source = np.linspace(-ext, ext, NO_SOURCE_COUNT)

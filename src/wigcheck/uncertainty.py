@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import TAIL_TOL, _boundary_band_sum
+from .states import TAIL_TOL, _abs_sums, _boundary_band_sum
 from .symplectic import PD_TOL, symplectic_form, symplectic_spectrum
 
 __all__ = [
@@ -48,13 +48,14 @@ def covariance_from_grid(w):
 
     sigma_ab = int z_a z_b W dz / tr - mean_a mean_b, read from the marginals
     (the row and column sums of the grid) and W @ p; the trace keeps a state
-    short of unit mass from reading as sub-vacuum.  Raises for a trace <= 0, and
-    warns when the boundary band holds more than TAIL_TOL of the second moment.
+    short of unit mass from reading as sub-vacuum.  Raises for a sum at most its round-off
+    n eps sum|W|; warns when the boundary band holds over TAIL_TOL of the second moment.
     """
     x, p = w.x_axis.points, w.p_axis.points
     rows, cols = w.values.sum(axis=1), w.values.sum(axis=0)
-    if not (mass := rows.sum()) > 0:
-        raise ValueError(f"grid trace {mass * w.cell_area:.6g} is not positive: it has no moments")
+    roundoff = w.x_axis.count * np.finfo(float).eps * _abs_sums(w.values)[0].sum()
+    if not (mass := rows.sum()) > roundoff:
+        raise ValueError(f"grid trace {mass * w.cell_area:.6g} is not positive beyond round-off")
     mx, mp = float(x @ rows / mass), float(p @ cols / mass)
     sxx = float((x * x) @ rows / mass) - mx * mx
     spp = float((p * p) @ cols / mass) - mp * mp

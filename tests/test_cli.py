@@ -57,6 +57,61 @@ def test_analyze_narcowich_oconnell(capsys):
     assert rep["moment_p4"] == pytest.approx(-6.0, rel=0.02)
 
 
+@pytest.mark.parametrize("spec, alpha, beta", [
+    ({"alpha": 2, "beta": 2}, 2, 2), ({"alpha": 4, "beta": 4}, 4, 4),
+    ({"alpha": 0.05, "beta": 5}, 0.05, 5), ({"alpha": 100, "beta": 100}, 100, 100),
+    ({"hbar": 4}, 2, 2)], ids=["2-2", "4-4", "0.05-5", "100-100", "hbar-4"])
+def test_narcowich_oconnell_fits_at_any_alpha_beta(capsys, spec, alpha, beta):
+    # W_ab(x, p) = W_(1/2)(1/2)(x/sqrt(2a), p/sqrt(2b)) / (2 sqrt(ab)): axes of half-width
+    # 28 sqrt(2a) and 28 sqrt(2b) resolve every (a, b) as the a = b = 1/2 grid is resolved
+    code, rep = run_cli(capsys, "analyze", json.dumps({"type": "narcowich-oconnell", **spec}))
+    assert code == 2 and rep["uncertainty"]["verdict"] == "pass"
+    assert -rep["grid"]["x_axis"]["min"] == pytest.approx(cli.NO_EXTENT * np.sqrt(2 * alpha))
+    assert -rep["grid"]["p_axis"]["min"] == pytest.approx(cli.NO_EXTENT * np.sqrt(2 * beta))
+    np.testing.assert_allclose(rep["covariance"]["sigma"], np.diag([alpha, beta]),
+                               rtol=1e-7, atol=1e-7 * max(alpha, beta))
+    assert rep["moment_p4"] == pytest.approx(-24 * beta**2, rel=1e-6)
+
+
+@pytest.mark.parametrize("spec", [{"radius": 20}, {"radius": 2, "hbar": 0.01}, {"radius": 1e76}],
+                         ids=["radius-20", "radius-2-hbar-0.01", "radius-1e76"])
+def test_a_bump_is_never_clipped_by_its_axes(capsys, spec):
+    # the axes reach 1.25 radius: the disk and its zero margin stay on the grid, where
+    # the +-8 sqrt(hbar) axes cut it into a flat positive square; 1e76 is the largest
+    # power of ten whose half-width keeps its fourth power in floating-point range
+    code, rep = run_cli(capsys, "analyze", json.dumps({"type": "bump", **spec}))
+    assert code == 2 and rep["classification"] == "proven_not_a_state"
+    assert rep["domination"]["compact_support"] is True
+    assert -rep["grid"]["x_axis"]["min"] == pytest.approx(1.25 * spec["radius"])
+
+
+@pytest.mark.parametrize("spec, number", [
+    ({"type": "bump", "radius": 1e77}, "bump radius 1e+77"),
+    ({"type": "bump", "radius": 1e100}, "bump radius 1e+100"),
+    ({"type": "bump", "radius": 1e300}, "bump radius 1e+300"),
+    ({"type": "narcowich-oconnell", "alpha": 1e151, "beta": 1}, "alpha 1e+151"),
+    ({"type": "narcowich-oconnell", "alpha": 1, "beta": 1e151}, "beta 1e+151"),
+    ({"type": "narcowich-oconnell", "alpha": 1e-300, "beta": 1e-300}, "alpha 1e-300"),
+    ({"type": "narcowich-oconnell", "alpha": 1e-154, "beta": 1}, "alpha 1e-154"),
+], ids=["radius-1e77", "radius-1e100", "radius-1e300", "alpha-1e151", "beta-1e151",
+        "alpha-beta-1e-300", "alpha-1e-154"])
+def test_derived_axes_out_of_float_range_are_input_errors(capsys, spec, number):
+    # the report sums p^4 over the axes and the transform divides by alpha^2 and beta^2:
+    # a spec number that takes either out of floating-point range is named, not a
+    # "matrix is not positive definite" or a "grid trace nan" further on
+    assert main(["analyze", json.dumps(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert number in captured.err and "out of floating-point range" in captured.err
+
+
+def test_wide_thermal_gaussian_names_the_trace(capsys):
+    # the Gaussian keeps its +-8 sqrt(hbar) axes: Sigma = 25 I loses a fifth of its mass
+    # off them, and the line says so rather than reporting an aliasing witness
+    assert_input_error(capsys, ["analyze", '{"type":"gaussian","mean":[0,0],'
+                                '"cov":[[25,0],[0,25]]}'], "found 0.792806")
+
+
 def test_successive_calls_parse_their_own_flags(capsys):
     # one parser serves every call of a process; no flag may leak into the next call
     assert cli.build_parser() is cli.build_parser()
@@ -215,8 +270,6 @@ def test_fock_states_above_n1_fit_the_default_grid(capsys, spec, n_max):
     assert rep["trace"] == pytest.approx(1.0, abs=1e-12)
     # the turning point sqrt(2n+1) plus the tail margin, in units of sqrt(hbar)
     assert -rep["grid"]["x_axis"]["min"] == pytest.approx(np.sqrt(2 * n_max + 1) + cli.FOCK_MARGIN)
-    # an explicit extent is kept as given
-    assert_input_error(capsys, ["analyze", spec, "--grid-extent", "8"], "grid too narrow")
 
 
 FOCK01 = ('{"type":"mixture","components":[{"weight":0.5,"state":{"type":"fock","n":0}},'
@@ -235,9 +288,6 @@ def test_default_fock_axis_widens_on_small_grids(capsys, spec):
     rep = json.loads(captured.out)
     assert rep["classification"] == "consistent_with_state"
     assert -rep["grid"]["x_axis"]["min"] > cli.DEFAULT_EXTENT
-    # an explicit extent is kept as given
-    assert_input_error(capsys, ["analyze", spec, "--grid-n", "64", "--grid-extent", "8"],
-                       "grid too narrow")
 
 
 def test_default_fock_axis_does_not_widen_past_the_momentum_axis(capsys):
@@ -260,7 +310,6 @@ def test_small_fock_grids_widen_with_an_aliasing_warning(capsys, n, count, widen
     with pytest.warns(UserWarning, match="possible momentum aliasing"):
         code, rep = run_cli(capsys, *argv)
     assert code == 0 and rep["oracle"]["positive"]
-    assert_input_error(capsys, [*argv, "--grid-extent", "8"], "grid too narrow")
 
 
 @pytest.mark.parametrize("n, count", [(3, 62), (0, 40)])
@@ -273,18 +322,14 @@ def test_aliasing_warning_prints_the_ratio_it_tests(capsys, n, count):
 
 @pytest.mark.parametrize("argv, message", [
     (["klm", '{"type":"fock","n":-1}'], "non-negative integer 'n'"),
-    (["klm", '{"type":"fock","n":-1}', "--grid-extent", "1e16"], "non-negative integer 'n'"),
     (["klm", '{"type":"fock","n":-1}', "--grid-n", str(2**40)], "non-negative integer 'n'"),
     (["analyze", FOCK01.replace('"n":1', '"n":-1')], "non-negative integer 'n'"),
     (["analyze", '{"type":"fock","n":0}', "--grid-n", "255"], "count must be even"),
-    (["analyze", '{"type":"fock","n":0}', "--grid-n", "255", "--grid-extent", "1e16"],
-     "count must be even"),
     (["hardy", '{"type":"fock","n":0}', "--grid-n", str(2**40 + 1)], "count must be even")],
-    ids=["n-1", "n-1-extent-1e16", "n-1-huge-count", "mixture-n-1", "odd", "odd-extent-1e16",
-         "odd-huge-count"])
+    ids=["n-1", "n-1-huge-count", "mixture-n-1", "odd", "odd-huge-count"])
 def test_no_extent_mends_a_bad_fock_input(capsys, monkeypatch, argv, message):
-    # widening the axis cannot help a negative n or an odd count (and at extent 1e16,
-    # extent + FOCK_STEP == extent): both are rejected before any axis is built
+    # widening the axis cannot help a negative n or an odd count: both are rejected
+    # before any axis is built
     def no_axis(*args):
         raise AssertionError("an axis was built")
     monkeypatch.setattr(cli, "default_axis", no_axis)
@@ -323,7 +368,7 @@ def test_sweep_entry_is_the_grid_checked_at_lambda_squared_hbar(capsys, monkeypa
     spec = {"type": "fock", "n": n}
     code, rep = run_cli(capsys, "rescale-sweep", json.dumps(spec), "--lambdas", "0.5:2:0.05")
     assert code == 0 and len(rep["sweep"]) == 31
-    w, _ = cli.build_state(spec, 1.0, argparse.Namespace(grid_n=256, grid_extent=None))
+    w, _ = cli.build_state(spec, 1.0, argparse.Namespace(grid_n=256))
     sigma = cli.covariance_from_grid(w).sigma
     verdicts = set()
     for entry in rep["sweep"]:
@@ -399,6 +444,17 @@ def test_grid_of_zero_trace_has_no_moments(tmp_path, capsys, argv):
     save_wigner_manifest(WignerGrid(axis, axis, np.zeros((64, 64))), tmp_path / "zero.json")
     spec = json.dumps({"type": "grid", "manifest": str(tmp_path / "zero.json")})
     assert_input_error(capsys, [argv[0], spec, *argv[1:]], "grid trace 0 is not positive")
+
+
+def test_grid_sum_within_round_off_of_zero_has_no_moments(tmp_path, capsys):
+    # a 64^2 vacuum minus its mean value sums to 5.6e-17, below the sum's round-off
+    # n eps sum|W| dA = 2.7e-14: moments divided by it would be noise (psd -9.0e30)
+    axis = default_axis(count=64)
+    vacuum = wigner_gaussian([0, 0], 0.5 * np.eye(2), axis, axis).values
+    save_wigner_manifest(WignerGrid(axis, axis, vacuum - vacuum.mean()), tmp_path / "cancel.json")
+    spec = json.dumps({"type": "grid", "manifest": str(tmp_path / "cancel.json")})
+    assert_input_error(capsys, ["rescale-sweep", spec, "--lambdas", "1:1:1"],
+                       "is not positive beyond round-off")
 
 
 def test_mass_off_the_grid_names_the_trace(capsys):
@@ -686,7 +742,7 @@ def test_analyze_stages_cannot_be_switched_off(capsys):
                            f"unrecognized arguments: {flag}")
 
 
-GRID = {"--grid-n", "--grid-extent"}
+GRID = {"--grid-n"}
 FLAGS = {  # the flags each command's build and stages read, besides -o
     "analyze": GRID | {"--seed"},
     "klm": GRID | {"--seed"},
@@ -697,8 +753,8 @@ FLAGS = {  # the flags each command's build and stages read, besides -o
     "capacity": set(),
     "hardy": GRID | {"--seed"},  # read by no stage: the benchmark passes it to every case
 }
-# every command took these once, with -o; hbar and rescale now come from the spec alone,
-# the KLM search's budget and the domination cap are constants
+# every command took these once, with -o; hbar, rescale and the axes' extent now come
+# from the spec alone, the KLM search's budget and the domination cap are constants
 SHARED_BEFORE = {"--hbar": "1", "--rescale": "1.2", "--grid-n": "64", "--grid-extent": "8",
                  "--seed": "7", "--max-order": "3", "--trials": "5", "--cmax-factor": "2"}
 REQUIRED = {"rescale-sweep": ["--lambdas", "1:1:1"]}
@@ -716,9 +772,9 @@ def test_each_command_takes_only_the_flags_it_reads():
         options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
         settable += len(options)
         assert {s for a in options for s in a.option_strings} == FLAGS[name] | {"-o", "--output"}
-    # 29 with --trials, 33 with hbar-sweep, 37 with --max-order and --cmax-factor,
-    # 84 with nine shared flags
-    assert settable == 27
+    # 27 with --grid-extent, 29 with --trials, 33 with hbar-sweep, 37 with --max-order
+    # and --cmax-factor, 84 with nine shared flags
+    assert settable == 20
 
 
 @pytest.mark.parametrize("command, flag", REMOVED, ids=[f"{c} {f}" for c, f in REMOVED])
@@ -765,12 +821,12 @@ def test_integers_outside_int64_name_their_bound(capsys, flag, value, bound):
         "lambdas-count-overflows", "lambdas-two-parts", "lambdas-too-many", "hbar-negative",
         "hbar-nan", "rescale-negative", "rescale-0-missing-manifest"])
 def test_bad_numbers_rejected_at_parse_time(capsys, monkeypatch, argv):
-    # rejected before any spec is loaded or grid built; hbar and rescale are read from the
-    # spec alone and the domination cap is fixed, so a value for any of those flags is an
-    # unrecognized argument
+    # rejected before any spec is loaded or grid built; hbar, rescale and the axes' extent
+    # are read from the spec alone and the domination cap is fixed, so a value for any of
+    # those flags is an unrecognized argument
     monkeypatch.setattr(cli, "_load_spec", lambda source: pytest.fail("spec loaded"))
     flag, value = argv[2:4]
-    removed = flag in ("--hbar", "--rescale", "--cmax-factor")
+    removed = flag in ("--hbar", "--rescale", "--cmax-factor", "--grid-extent")
     assert_input_error(capsys, argv,
                        f"unrecognized arguments: {flag} {value}" if removed else f"argument {flag}:")
 
