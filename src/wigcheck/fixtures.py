@@ -11,8 +11,8 @@ import warnings
 
 import numpy as np
 
-from .states import (_CHUNK_ROWS, TAIL_TOL, WignerGrid, _abs_max, _boundary_band_sum, _chirp_sum,
-                     default_axis)
+from .states import (_CHUNK_ROWS, TAIL_TOL, WignerGrid, _abs_max, _abs_sums, _boundary_band_sum,
+                     _chirp_sum)
 
 __all__ = [
     "narcowich_oconnell_grid",
@@ -20,53 +20,43 @@ __all__ = [
     "truncated_bump_grid",
 ]
 
-# Default axis of the quartic-transform family: its second moments sit exactly
-# on the uncertainty boundary for alpha*beta = hbar^2/4, so the tails must be
-# resolved to ~1e-12 for the boundary verdicts to come out right; at
-# alpha ~ 0.5, 768 points over a half-width of 28 achieve that.
+# Axis of the quartic-transform family at alpha = beta = 1/2: its second moments sit
+# exactly on the uncertainty boundary for alpha*beta = hbar^2/4, so the tails must be
+# resolved to ~1e-12 for the boundary verdicts to come out right; 768 points over a
+# half-width of 28 achieve that, and 28 sqrt(2a) does for a profile of parameter a.
 NO_COUNT, NO_EXTENT = 768, 28.0
 NO_SOURCE_COUNT = 4096  # samples of each 1-d profile before the chirp-z transform
 NO_BOUNDARY_TOL = 1e-6  # largest |W| on the grid's frame, relative to its peak
 
 
-def _inverse_transform_1d(profiles, source, axis):
-    """(1/2pi) sum_s exp(-i t s) profile(s) ds at the points t of `axis`.
-
-    `profiles` holds one profile per row on the uniform `source` grid; the
-    sums are computed exactly by a chirp-z transform.
-    """
+def _profile_transform(name, a, axis):
+    """(1/2pi) sum_s exp(-i t s) (1, s^2) exp(-a^2 s^4) ds at the points t of `axis`:
+    both profiles on NO_SOURCE_COUNT points of the range where exp(-a^2 s^4) has
+    decayed below 1e-20, summed exactly by one chirp-z transform."""
+    if not np.log(1e20) / np.finfo(float).max < a**2:  # ext below is finite
+        raise ValueError(f"{name} {a!r}: 1/{name}^2 is out of floating-point range")
+    ext = 1.35 * (np.log(1e20) / a**2) ** 0.25
+    source = np.linspace(-ext, ext, NO_SOURCE_COUNT)
     ds = source[1] - source[0]
-    out = _chirp_sum(profiles, source[0], ds, axis.min, axis.spacing, axis.count, sign=-1)
+    profile = np.exp(-a**2 * source**4)
+    out = _chirp_sum(np.stack([profile, source**2 * profile]), source[0], ds,
+                     axis.min, axis.spacing, axis.count, sign=-1)
     return out * ds / (2 * np.pi)
 
 
-def narcowich_oconnell_grid(alpha=0.5, beta=0.5, x_axis=None, p_axis=None, hbar=1.0):
+def narcowich_oconnell_grid(alpha, beta, x_axis, p_axis, hbar=1.0):
     """Phase-space function whose 2-d Fourier transform (kernel exp(i(xx'+pp')))
     equals (1 - alpha x^2/2 - beta p^2/2) exp(-(alpha^2 x^4 + beta^2 p^4)).
 
     The inverse transform with normalization (2 pi)^-2 gives a real grid of
     unit trace whose covariance matrix is exactly diag(alpha, beta).  It
-    factors into 1-d transforms of the x and p profiles, each sampled on
-    NO_SOURCE_COUNT points and summed onto the axes by a chirp-z transform.
-    Raises when the grid cannot resolve the tails.
+    factors into 1-d transforms of the x and p profiles, each on its own
+    source range.  Raises when the grid cannot resolve the tails.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    if x_axis is None:
-        x_axis = default_axis(count=NO_COUNT, extent=NO_EXTENT)
-    if p_axis is None:
-        p_axis = x_axis
-
-    if not np.log(1e20) / np.finfo(float).max < min(alpha, beta) ** 2:  # ext below is finite
-        raise ValueError(f"alpha {alpha!r}, beta {beta!r}: 1/min^2 is out of floating-point range")
-    # source range where exp(-a^2 s^4) has decayed below 1e-20
-    ext = 1.35 * (np.log(1e20) / min(alpha, beta) ** 2) ** 0.25
-    source = np.linspace(-ext, ext, NO_SOURCE_COUNT)
-    ax = np.exp(-alpha**2 * source**4)
-    bp = np.exp(-beta**2 * source**4)
-
-    fa, fa2 = _inverse_transform_1d(np.stack([ax, source**2 * ax]), source, x_axis)
-    fb, fb2 = _inverse_transform_1d(np.stack([bp, source**2 * bp]), source, p_axis)
+    fa, fa2 = _profile_transform("alpha", alpha, x_axis)
+    fb, fb2 = _profile_transform("beta", beta, p_axis)
 
     # W = a @ b, a = (fa - alpha fa2 / 2, -beta fa / 2), b = (fb, fb2): real and
     # imaginary parts are real (n x 4) @ (4 x n) products, the imaginary one dropped first
@@ -91,7 +81,7 @@ def moment_p4(w):
     p4 = w.p_axis.points ** 4
     cols = w.values.sum(axis=0)
     total = float(p4 @ cols / cols.sum())
-    band, weight = _boundary_band_sum(w.values, np.zeros(w.x_axis.count), p4)
+    band, weight = _boundary_band_sum(w.values, np.zeros(w.x_axis.count), p4, _abs_sums(w.values))
     if band > TAIL_TOL * weight:
         warnings.warn("fourth moment may not have converged (heavy tail at the boundary)")
     return total

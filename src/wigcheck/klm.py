@@ -199,11 +199,17 @@ def klm_check(w, seed=0):
 def _verify(w, witness):
     """Raise unless the witness's quadratic form reproduces its eigenvalue.
 
-    Round-off in v^H F v scales with the matrix entries, which are bounded by
-    the integral of |W|.
+    The folded search quadrature and the unfolded re-check differ by round-off.
+    An entry of F sums n_x + n_p terms of |W| dA against phases p x' - x p' of
+    size up to theta = max|dp| max|x| + max|dx| max|p| (the point differences
+    against the axes), so it is good to eps (theta + n_x + n_p) sum|W| dA, and
+    v^H F v, for a unit v, to `order` times that; the bound allows four times it.
     """
     value = witness_quadratic_form(w, witness)
-    bound = 1e-9 * witness.order * max(1.0, float(_abs_sums(w.values)[0].sum() * w.cell_area))
+    dx, dp = np.ptp(witness.points, axis=0)
+    theta = dp * max(-w.x_axis.min, w.x_axis.max) + dx * max(-w.p_axis.min, w.p_axis.max)
+    roundoff = np.finfo(float).eps * float(_abs_sums(w.values)[0].sum() * w.cell_area)
+    bound = 4 * witness.order * (theta + w.x_axis.count + w.p_axis.count) * roundoff
     if not (value < -TOL and abs(value - witness.min_eigenvalue) <= bound):
         raise ValueError(f"KLM witness does not reproduce: v^H F v = {value:.3e}, "
                          f"eigenvalue {witness.min_eigenvalue:.3e}")

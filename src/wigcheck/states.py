@@ -302,14 +302,15 @@ def mixture_wigner(components):
     return w
 
 
-def _boundary_band_sum(a, rw, cw):
+def _boundary_band_sum(a, rw, cw, sums):
     """Sums of |a_ij| (rw_i + cw_j) over the outer two rows and columns of the
     2-d array `a`, each entry once, and over all of `a`: (band, whole).
 
     An array with at most four rows or columns is all band.  The whole sum
-    comes from the row and column sums of |a|, the band sum from its strips.
+    comes from `sums`, the row and column sums of |a| (`_abs_sums`), the band
+    sum from its strips.
     """
-    rows, cols = _abs_sums(a)
+    rows, cols = sums
     whole = float(rw @ rows + cw @ cols)
     n, m = a.shape
     ends = [(slice(0, min(2, k)), slice(max(2, k - 2), k)) for k in (n, m)]  # first, last two

@@ -57,7 +57,8 @@ def _check_spd(M):
         raise ValueError("matrix is not symmetric")
     w = np.linalg.eigvalsh(0.5 * (M + M.T))
     if w.min() <= PD_TOL * np.abs(w).max():
-        raise ValueError("matrix is not positive definite")
+        raise ValueError("matrix is not positive definite, or its eigenvalues span more "
+                         f"than 1/PD_TOL = {1 / PD_TOL:.0e}")
     return 0.5 * (M + M.T), n
 
 

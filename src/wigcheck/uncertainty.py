@@ -53,14 +53,15 @@ def covariance_from_grid(w):
     """
     x, p = w.x_axis.points, w.p_axis.points
     rows, cols = w.values.sum(axis=1), w.values.sum(axis=0)
-    roundoff = w.x_axis.count * np.finfo(float).eps * _abs_sums(w.values)[0].sum()
+    sums = _abs_sums(w.values)
+    roundoff = w.x_axis.count * np.finfo(float).eps * sums[0].sum()
     if not (mass := rows.sum()) > roundoff:
         raise ValueError(f"grid trace {mass * w.cell_area:.6g} is not positive beyond round-off")
     mx, mp = float(x @ rows / mass), float(p @ cols / mass)
     sxx = float((x * x) @ rows / mass) - mx * mx
     spp = float((p * p) @ cols / mass) - mp * mp
     sxp = float(x @ (w.values @ p) / mass) - mx * mp
-    band, total = _boundary_band_sum(w.values, x * x, p * p)
+    band, total = _boundary_band_sum(w.values, x * x, p * p, sums)
     if band > TAIL_TOL * total:
         warnings.warn("second moments may not have converged (heavy tail at the grid boundary)")
     return CovarianceMatrix(np.array([[sxx, sxp], [sxp, spp]]), np.array([mx, mp]))

@@ -5,6 +5,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from wigcheck import (AxisGrid, WaveFunctionGrid, default_axis, fock_state, mixture_wigner,
                       narcowich_oconnell_grid, operator_spectrum_oracle, symplectic_form,
                       symplectic_spectrum, wigner_gaussian, wigner_of_pure)
+from wigcheck.fixtures import NO_COUNT, NO_EXTENT
 from wigcheck.states import _ALIGN, _CHUNK_ROWS, _chirp_sum, _is_wigner_conjugate
 from wigcheck.uncertainty import BOUNDARY_BAND
 
@@ -128,7 +129,8 @@ def mixture_5050(vacuum_psi, fock1_psi):
 
 @pytest.fixture(scope="session")
 def no_grid():
-    return narcowich_oconnell_grid(alpha=0.5, beta=0.5)
+    axis = default_axis(count=NO_COUNT, extent=NO_EXTENT)
+    return narcowich_oconnell_grid(0.5, 0.5, axis, axis)
 
 
 @pytest.fixture(scope="session")

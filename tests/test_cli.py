@@ -60,10 +60,15 @@ def test_analyze_narcowich_oconnell(capsys):
 @pytest.mark.parametrize("spec, alpha, beta", [
     ({"alpha": 2, "beta": 2}, 2, 2), ({"alpha": 4, "beta": 4}, 4, 4),
     ({"alpha": 0.05, "beta": 5}, 0.05, 5), ({"alpha": 100, "beta": 100}, 100, 100),
-    ({"hbar": 4}, 2, 2)], ids=["2-2", "4-4", "0.05-5", "100-100", "hbar-4"])
+    ({"hbar": 4}, 2, 2), ({"alpha": 1e-4, "beta": 2500}, 1e-4, 2500),
+    ({"alpha": 1e-3, "beta": 250}, 1e-3, 250), ({"alpha": 1, "beta": 1e8}, 1, 1e8),
+    ({"alpha": 1e8, "beta": 1e8}, 1e8, 1e8)],
+    ids=["2-2", "4-4", "0.05-5", "100-100", "hbar-4", "1e-4-2500", "1e-3-250", "1-1e8",
+         "1e8-1e8"])
 def test_narcowich_oconnell_fits_at_any_alpha_beta(capsys, spec, alpha, beta):
     # W_ab(x, p) = W_(1/2)(1/2)(x/sqrt(2a), p/sqrt(2b)) / (2 sqrt(ab)): axes of half-width
-    # 28 sqrt(2a) and 28 sqrt(2b) resolve every (a, b) as the a = b = 1/2 grid is resolved
+    # 28 sqrt(2a) and 28 sqrt(2b), each profile transformed from its own source range,
+    # resolve every (a, b) on the uncertainty boundary as the a = b = 1/2 grid is resolved
     code, rep = run_cli(capsys, "analyze", json.dumps({"type": "narcowich-oconnell", **spec}))
     assert code == 2 and rep["uncertainty"]["verdict"] == "pass"
     assert -rep["grid"]["x_axis"]["min"] == pytest.approx(cli.NO_EXTENT * np.sqrt(2 * alpha))
@@ -71,6 +76,23 @@ def test_narcowich_oconnell_fits_at_any_alpha_beta(capsys, spec, alpha, beta):
     np.testing.assert_allclose(rep["covariance"]["sigma"], np.diag([alpha, beta]),
                                rtol=1e-7, atol=1e-7 * max(alpha, beta))
     assert rep["moment_p4"] == pytest.approx(-24 * beta**2, rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 1e-12], ids=["1e-4", "1e-12"])
+def test_narcowich_oconnell_below_the_boundary_fails_uncertainty(capsys, alpha):
+    # alpha beta < hbar^2/4: the covariance itself is a witness, however far the ratio
+    code, rep = run_cli(capsys, "analyze", json.dumps({"type": "narcowich-oconnell",
+                                                       "alpha": alpha, "beta": 1}))
+    assert code == 2 and rep["uncertainty"]["verdict"] == "fail"
+    assert "quantum_psd_failure" in {w["type"] for w in rep["witnesses"]}
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e-13, 1), (1, 1e12)], ids=["1e-13-1", "1-1e12"])
+def test_narcowich_oconnell_past_the_fit_span_names_it(capsys, alpha, beta):
+    # the grid builds, but the domination fit's matrix spans over 1/PD_TOL in its eigenvalues
+    assert_input_error(capsys, ["analyze", json.dumps({"type": "narcowich-oconnell",
+                                                      "alpha": alpha, "beta": beta})],
+                       "eigenvalues span more than 1/PD_TOL")
 
 
 @pytest.mark.parametrize("spec", [{"radius": 20}, {"radius": 2, "hbar": 0.01}, {"radius": 1e76}],

@@ -68,8 +68,9 @@ def test_no_rejects_unresolved_grid():
 
 
 def test_no_rejects_bad_params():
+    axis = default_axis(count=NO_COUNT, extent=NO_EXTENT)
     with pytest.raises(ValueError):
-        narcowich_oconnell_grid(-0.5, 0.5)
+        narcowich_oconnell_grid(-0.5, 0.5, axis, axis)
 
 
 def test_moment_p4_warns_on_heavy_tail():
@@ -85,12 +86,16 @@ def test_vacuum_p4_gaussian_moment(vacuum_wigner):
 
 
 def _dense_no_grid(alpha, beta, axis, source_count=4096):
-    """Narcowich-O'Connell grid by direct quadrature of the 1-d transforms."""
-    ext = 1.35 * (np.log(1e20) / min(alpha, beta) ** 2) ** 0.25
-    source = np.linspace(-ext, ext, source_count)
-    kernel = np.exp(-1j * np.outer(axis.points, source)) * (source[1] - source[0]) / (2 * np.pi)
-    ax, bp = np.exp(-alpha**2 * source**4), np.exp(-beta**2 * source**4)
-    fa, fa2, fb, fb2 = (kernel @ f for f in (ax, source**2 * ax, bp, source**2 * bp))
+    """Narcowich-O'Connell grid by direct quadrature of the 1-d transforms, each
+    profile on its own source range."""
+    def transform(a):
+        ext = 1.35 * (np.log(1e20) / a**2) ** 0.25
+        source = np.linspace(-ext, ext, source_count)
+        kernel = np.exp(-1j * np.outer(axis.points, source)) * (source[1] - source[0]) / (2 * np.pi)
+        profile = np.exp(-a**2 * source**4)
+        return kernel @ profile, kernel @ (source**2 * profile)
+
+    (fa, fa2), (fb, fb2) = transform(alpha), transform(beta)
     vals = np.outer(fa, fb) - 0.5 * alpha * np.outer(fa2, fb) - 0.5 * beta * np.outer(fa, fb2)
     return vals.real
 

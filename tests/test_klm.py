@@ -333,11 +333,13 @@ def test_unreproduced_witness_is_an_error(vacuum_wigner, monkeypatch):
         klm_check(rescale(vacuum_wigner, 1.5), seed=0)
 
 
-def test_recheck_catches_an_error_of_the_search_transform(vacuum_wigner, monkeypatch):
+@pytest.mark.parametrize("offset", [1e-3, 1e-7], ids=["1e-3", "1e-7"])
+def test_recheck_catches_an_error_of_the_search_transform(vacuum_wigner, monkeypatch, offset):
     # the re-check's unfolded sum shares no code with SymplecticFourier, so a
-    # transform that is off by 1e-3 finds a witness the re-check refuses
+    # transform that is off by 1e-3 finds a witness the re-check refuses; the
+    # round-off bound is tight enough at this scale to refuse an offset of 1e-7 too
     call = SymplecticFourier.__call__
-    monkeypatch.setattr(SymplecticFourier, "__call__", lambda self, z: call(self, z) + 1e-3)
+    monkeypatch.setattr(SymplecticFourier, "__call__", lambda self, z: call(self, z) + offset)
     with pytest.raises(ValueError, match="does not reproduce"):
         klm_check(rescale(vacuum_wigner, 1.5), seed=0)
 

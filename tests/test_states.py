@@ -16,9 +16,9 @@ from wigcheck import (AxisGrid, SymplecticFourier, cli, default_axis, fock_state
                       operator_spectrum_oracle, rescale, save_wigner_manifest, trace,
                       truncated_bump_grid, wigner_gaussian, wigner_momentum_axis,
                       wigner_of_pure)
-from wigcheck.states import (_CHUNK_ROWS, WaveFunctionGrid, WignerGrid, _boundary_band_sum,
-                             _chirp_sum, _fast_len, _is_wigner_conjugate, _oracle_views,
-                             _spline_at)
+from wigcheck.states import (_CHUNK_ROWS, WaveFunctionGrid, WignerGrid, _abs_sums,
+                             _boundary_band_sum, _chirp_sum, _fast_len, _is_wigner_conjugate,
+                             _oracle_views, _spline_at)
 
 
 def test_fock_normalization_and_orthogonality():
@@ -468,7 +468,7 @@ def test_no_build_and_moments_stay_lean(no_grid):
     # released before the grid is made; the moments read marginals and one |W|
     tracemalloc.start()
     try:
-        narcowich_oconnell_grid(0.5, 0.5)
+        narcowich_oconnell_grid(0.5, 0.5, no_grid.x_axis, no_grid.p_axis)
         build = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
@@ -663,7 +663,7 @@ def test_boundary_band_sum_counts_each_band_entry_once(shape):
     band = np.zeros(shape, dtype=bool)
     band[:2, :] = band[-2:, :] = True
     band[:, :2] = band[:, -2:] = True
-    got, whole = _boundary_band_sum(a, np.ones(shape[0]), np.zeros(shape[1]))
+    got, whole = _boundary_band_sum(a, np.ones(shape[0]), np.zeros(shape[1]), _abs_sums(a))
     assert got == pytest.approx(a[band].sum(), rel=1e-14)
     assert whole == pytest.approx(a.sum(), rel=1e-14)
 
