@@ -43,7 +43,6 @@ DEFAULT_EXTENT = 8.0  # half-width of the position axis, in units of sqrt(hbar)
 FOCK_MARGIN = 6.0  # tail room beyond a Fock state's turning point, same units
 FOCK_STEP = 0.05  # widening step of a default Fock axis whose tail is still on it, same units
 ORACLE_TOL = 1e-5  # a kernel eigenvalue below -ORACLE_TOL is a hard witness
-P4_TOL = 1e-4  # a fourth momentum moment below -P4_TOL is a hard witness
 MAX_LAMBDAS = 1000  # most rescaling parameters of one sweep
 
 
@@ -187,7 +186,7 @@ def _moments(w, args):
     if not unc.psd_ok:
         witnesses.append({"type": "quantum_psd_failure",
                           "min_eigenvalue": unc.psd_min_eigenvalue})
-    if p4 < -P4_TOL:
+    if p4 < 0:  # a state has <p^4> >= <p^2>^2 > 0
         witnesses.append({"type": "negative_p4_moment", "value": p4})
     return {"grid": {"x_axis": as_dict(w.x_axis), "p_axis": as_dict(w.p_axis)},
             "trace": tr,

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import _CHUNK_ROWS, _abs_max, _chirp_sum, trace
+from .states import _CHUNK_ROWS, _abs_max, _chirp_sum
 from .symplectic import symplectic_spectrum
 
 __all__ = [
@@ -322,10 +322,9 @@ def fit_dominating_gaussian(w, c_max_factor=C_MAX_FACTOR):
     at mu_1 = 2 (1 + VERDICT_BAND), twice the verdict threshold.
     C is recomputed over every constraint; the check raises ValueError if it
     exceeds c_max_factor * max(W) beyond rounding.  Only the points w_i and
-    their grid indices are held; the rest is streamed by row blocks.
+    their grid indices are held; the rest is streamed by row blocks.  The fit
+    reads W / max(W) alone, so it does not depend on the grid's trace.
     """
-    if abs(trace(w) - 1.0) > 1e-3:
-        warnings.warn("dominating fit on a grid without unit trace")
     if not (np.isfinite(c_max_factor) and c_max_factor > 1.0):
         raise ValueError(f"c_max_factor must be finite and > 1, got {c_max_factor!r}")
     peak = w.values.max()

@@ -47,51 +47,24 @@ def is_symplectic(S, tol=1e-10):
     return bool(np.abs(S.T @ J @ S - J).max() <= tol)
 
 
-def _check_spd(M):
-    """Validate a symmetric positive-definite matrix; return (M, ndof)."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    n = _check_phase_space_dim(M.shape[0])
-    if np.abs(M - M.T).max() > 1e-10 * max(1.0, np.abs(M).max()):
-        raise ValueError("matrix is not symmetric")
-    w = np.linalg.eigvalsh(0.5 * (M + M.T))
-    if w.min() <= PD_TOL * np.abs(w).max():
-        raise ValueError("matrix is not positive definite, or its eigenvalues span more "
-                         f"than 1/PD_TOL = {1 / PD_TOL:.0e}")
-    return 0.5 * (M + M.T), n
-
-
-def _sqrtm_spd(M):
-    w, V = np.linalg.eigh(M)
-    return (V * np.sqrt(w)) @ V.T
-
-
-def _normal_modes(M):
-    """The symmetrized M, its root M^(1/2) and K = M^(1/2) J M^(1/2) of a
-    symmetric positive-definite M.  K is skew-symmetric up to rounding, and
-    the Hermitian i K has the eigenvalues +/- mu_j, with mu_j the symplectic
-    spectrum of M."""
-    M, n = _check_spd(M)
-    root = _sqrtm_spd(M)
-    return M, root, root @ symplectic_form(n) @ root
+def _balance(M):
+    """(D M D, diagonal of D) for the diagonal symplectic D = diag(d, 1/d),
+    d_j = (M_pjpj / M_xjxj)^(1/4), which gives D M D equal x_j and p_j diagonals
+    and M's symplectic spectrum and positivity; d_j = 1 where either diagonal is
+    not positive and finite, as for a matrix that is not positive definite."""
+    n, diag = M.shape[0] // 2, np.diagonal(M)
+    ok = np.isfinite(diag) & (diag > 0)
+    root = np.sqrt(np.sqrt(np.where(ok, diag, 1.0)))  # a ratio of fourth roots cannot overflow
+    d = np.where(ok[:n] & ok[n:], root[n:] / root[:n], 1.0)
+    dd = np.concatenate([d, 1.0 / d])
+    return dd[:, None] * M * dd, dd
 
 
 def symplectic_spectrum(M):
-    """Symplectic spectrum of a symmetric positive-definite matrix.
-
-    The eigenvalues of J M come in pairs +/- i mu_j with mu_j > 0; they are
-    the eigenvalues +/- mu_j of the Hermitian i K of `_normal_modes`.  The
-    returned array holds the N values mu_j sorted in descending order.
-    Raises when the eigenproblem does not give N finite positive values, as
-    happens when the entries of M are near the largest float.
-    """
-    _, _, K = _normal_modes(M)
-    ev = np.linalg.eigvalsh(1j * K)
-    mu = ev[np.isfinite(ev) & (ev > 0)]
-    if mu.size != K.shape[0] // 2:
-        raise ValueError("symplectic spectrum is not finite: the matrix entries are too large")
-    return np.sort(mu)[::-1].copy()
+    """Symplectic spectrum of a symmetric positive-definite matrix: the N values
+    mu_j > 0, in descending order, of the eigenvalue pairs +/- i mu_j of J M.
+    They are the spectrum of `williamson`, and raise as it does."""
+    return williamson(M).spectrum
 
 
 @dataclass
@@ -107,29 +80,46 @@ class WilliamsonFactorization:
 def williamson(M):
     """Williamson normal form of a symmetric positive-definite matrix.
 
-    K of `_normal_modes` is made exactly skew-symmetric.  An eigenvector e
-    of +mu_j of the Hermitian i K, rotated so that its first entry of
-    modulus >= half the largest is positive imaginary, gives the orthonormal
-    pair u = sqrt(2) Im e, v = sqrt(2) Re e with K u = -mu_j v and
+    M is read in balanced units, B = D M D of `_balance`: only a matrix
+    singular in shape is refused, whatever the units of x and p.  B must have
+    eigenvalues above PD_TOL times the largest.  Of its root B^(1/2), the
+    Hermitian i K, K = B^(1/2) J B^(1/2) made exactly skew-symmetric, has the
+    eigenvalues +/- mu_j.  An eigenvector e of +mu_j, rotated so that its
+    first entry of modulus >= half the largest is positive imaginary, gives the
+    orthonormal pair u = sqrt(2) Im e, v = sqrt(2) Re e with K u = -mu_j v and
     K v = mu_j u (for one degree of freedom, the coordinate axes).  The pairs
-    assemble a symplectic S with M = S^T D S.  The relative reconstruction
-    residual and the symplecticity residual of S are recorded on the result.
+    assemble a symplectic S_B with B = S_B^T diag(mu, mu) S_B, and S = S_B D^(-1):
+    for one degree of freedom S = B^(1/2) D^(-1) / det(M)^(1/4).  The relative
+    reconstruction residual and the symplecticity residual of S are recorded.
+    Raises when the entries are not finite, as near the largest float.
     """
-    M, root, K = _normal_modes(M)
-    n = M.shape[0] // 2
-    K = 0.5 * (K - K.T)
-    ev, E = np.linalg.eigh(1j * K)
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("matrix must be square")
+    n = _check_phase_space_dim(M.shape[0])
+    if np.abs(M - M.T).max() > 1e-10 * max(1.0, np.abs(M).max()):
+        raise ValueError("matrix is not symmetric")
+    M = 0.5 * (M + M.T)
+    if not np.isfinite(M).all():
+        raise ValueError("symplectic spectrum is not finite: the matrix entries are "
+                         "not finite or too large")
+    B, dd = _balance(M)
+    w, V = np.linalg.eigh(B)
+    if w.min() <= PD_TOL * np.abs(w).max():
+        raise ValueError("matrix is not positive definite, or its balanced eigenvalues span "
+                         f"more than 1/PD_TOL = {1 / PD_TOL:.0e}")
+    root, J = (V * np.sqrt(w)) @ V.T, symplectic_form(n)
+    K = root @ J @ root
+    ev, E = np.linalg.eigh(0.5j * (K - K.T))
     spectrum, E = ev[::-1][:n], E[:, ::-1][:, :n]  # +mu_j, descending
     size = np.abs(E)
     lead = E[np.argmax(size >= 0.5 * size.max(axis=0), axis=0), np.arange(n)]
     E = E * (1j * np.abs(lead) / lead)
     Q = np.sqrt(2.0) * np.concatenate([E.imag, E.real], axis=1)
     scale = np.concatenate([spectrum, spectrum])
-    S = (Q.T / np.sqrt(scale)[:, None]) @ root
+    S = (Q.T / np.sqrt(scale)[:, None]) @ root / dd
 
-    recon = S.T @ np.diag(scale) @ S
-    residual = np.abs(recon - M).max() / np.abs(M).max()
-    J = symplectic_form(n)
+    residual = np.abs((S.T * scale) @ S - M).max() / np.abs(M).max()
     sym_res = np.abs(S.T @ J @ S - J).max()
     if residual > 1e-6:
         raise ValueError(f"Williamson decomposition failed to converge (residual {residual:.3e})")

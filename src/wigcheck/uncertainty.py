@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import TAIL_TOL, _abs_sums, _boundary_band_sum
-from .symplectic import PD_TOL, symplectic_form, symplectic_spectrum
+from .symplectic import _balance, symplectic_form, symplectic_spectrum
 
 __all__ = [
     "CovarianceMatrix",
@@ -84,11 +84,15 @@ def check_rs(sigma, hbar=1.0):
     """Per-pair moment inequalities for a 2N x 2N covariance matrix.
 
     Conjugate pairs require Var(x_j) Var(p_j) >= cov(x_j, p_j)^2 + hbar^2/4;
-    cross pairs (j != k) require Var(x_j) Var(p_k) >= cov(x_j, p_k)^2.
+    cross pairs (j != k) require Var(x_j) Var(p_k) >= cov(x_j, p_k)^2.  Each
+    is decided in the balanced units of `symplectic._balance`, where the margin
+    of pair (j, k) is (d_j / d_k)^2 times its margin, within a rounding band set
+    by the balanced sigma.
     """
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.shape[0] // 2
-    scale = max(1.0, np.abs(sigma).max()) ** 2
+    balanced, dd = _balance(sigma)
+    scale = max(1.0, np.abs(balanced).max()) ** 2
     out = []
     for j in range(n):
         for k in range(n):
@@ -96,20 +100,28 @@ def check_rs(sigma, hbar=1.0):
             cross = sigma[j, n + k] ** 2
             rhs = cross + hbar**2 / 4 if j == k else cross
             kind = "conjugate" if j == k else "cross"
-            ok = lhs >= rhs - BOUNDARY_BAND * scale
+            ok = (dd[j] / dd[k]) ** 2 * (lhs - rhs) >= -BOUNDARY_BAND * scale
             lhs, rhs = float(lhs), float(rhs)
             out.append(RSInequality(j, k, kind, lhs, rhs, lhs - rhs, bool(ok)))
     return out
 
 
+def _criterion(sigma, hbar):
+    """(smallest eigenvalue of D (Sigma + (i*hbar/2) J) D = Sigma_B + (i*hbar/2) J,
+    its rounding band BOUNDARY_BAND * max|eig Sigma_B|), with Sigma_B = D Sigma D
+    the balanced sigma of `symplectic._balance`: a diagonal symplectic D changes
+    neither the verdict nor the band, so neither depends on the units of x and p."""
+    balanced = _balance(sigma)[0]
+    h = balanced + 0.5j * hbar * symplectic_form(sigma.shape[0] // 2)
+    band = BOUNDARY_BAND * np.abs(np.linalg.eigvalsh(balanced)).max()
+    return float(np.linalg.eigvalsh(h).min()), band
+
+
 def check_quantum_psd(sigma, hbar=1.0):
-    """PSD test of Sigma + (i*hbar/2) J; returns (pass, smallest eigenvalue)."""
-    sigma = np.asarray(sigma, dtype=float)
-    n = sigma.shape[0] // 2
-    h = sigma + 0.5j * hbar * symplectic_form(n)
-    min_eig = float(np.linalg.eigvalsh(h).min())
-    norm = np.abs(np.linalg.eigvalsh(sigma)).max()
-    return bool(min_eig >= -BOUNDARY_BAND * norm), min_eig
+    """PSD test of Sigma + (i*hbar/2) J, read in balanced units; returns (pass,
+    smallest eigenvalue of the balanced matrix of `_criterion`)."""
+    min_eig, band = _criterion(np.asarray(sigma, dtype=float), hbar)
+    return bool(min_eig >= -band), min_eig
 
 
 @dataclass
@@ -134,12 +146,12 @@ def uncertainty_report(sigma, hbar=1.0):
     """Run all uncertainty criteria on one covariance matrix."""
     sigma = np.asarray(sigma, dtype=float)
     rs = check_rs(sigma, hbar)
-    psd_ok, min_eig = check_quantum_psd(sigma, hbar)
-    eig = np.linalg.eigvalsh(sigma)
-    norm = np.abs(eig).max()
-    # the symplectic spectrum exists only when sigma is positive definite
-    nu = symplectic_spectrum(sigma) if eig.min() > PD_TOL * norm else None
-    boundary = bool(abs(min_eig) <= BOUNDARY_BAND * norm)
+    min_eig, band = _criterion(sigma, hbar)
+    psd_ok = bool(min_eig >= -band)
+    try:  # sigma has a symplectic spectrum when `williamson` takes it as positive definite
+        nu = symplectic_spectrum(sigma)
+    except ValueError:
+        nu = None
     return UncertaintyReport(
         hbar=hbar,
         rs=rs,
@@ -150,6 +162,5 @@ def uncertainty_report(sigma, hbar=1.0):
         nu_max=None if nu is None else float(nu[0]),
         lambda_star=None if nu is None else float(np.sqrt(2.0 * nu[-1] / hbar)),
         verdict="pass" if psd_ok else "fail",
-        boundary=boundary,
+        boundary=bool(abs(min_eig) <= band),
     )
-

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wigcheck import (AxisGrid, WignerGrid, cli, default_axis, fock_state, mixture_wigner,
+from wigcheck import (AxisGrid, WignerGrid, blobs, cli, default_axis, fock_state, mixture_wigner,
                       save_wigner_manifest, symplectic, wigner_gaussian)
 from wigcheck.cli import _emit, main
 from wigcheck.states import ALIASING_TOL
@@ -62,9 +62,9 @@ def test_analyze_narcowich_oconnell(capsys):
     ({"alpha": 0.05, "beta": 5}, 0.05, 5), ({"alpha": 100, "beta": 100}, 100, 100),
     ({"hbar": 4}, 2, 2), ({"alpha": 1e-4, "beta": 2500}, 1e-4, 2500),
     ({"alpha": 1e-3, "beta": 250}, 1e-3, 250), ({"alpha": 1, "beta": 1e8}, 1, 1e8),
-    ({"alpha": 1e8, "beta": 1e8}, 1e8, 1e8)],
+    ({"alpha": 1e8, "beta": 1e8}, 1e8, 1e8), ({"alpha": 1e5, "beta": 1e-5}, 1e5, 1e-5)],
     ids=["2-2", "4-4", "0.05-5", "100-100", "hbar-4", "1e-4-2500", "1e-3-250", "1-1e8",
-         "1e8-1e8"])
+         "1e8-1e8", "1e5-1e-5"])
 def test_narcowich_oconnell_fits_at_any_alpha_beta(capsys, spec, alpha, beta):
     # W_ab(x, p) = W_(1/2)(1/2)(x/sqrt(2a), p/sqrt(2b)) / (2 sqrt(ab)): axes of half-width
     # 28 sqrt(2a) and 28 sqrt(2b), each profile transformed from its own source range,
@@ -76,23 +76,40 @@ def test_narcowich_oconnell_fits_at_any_alpha_beta(capsys, spec, alpha, beta):
     np.testing.assert_allclose(rep["covariance"]["sigma"], np.diag([alpha, beta]),
                                rtol=1e-7, atol=1e-7 * max(alpha, beta))
     assert rep["moment_p4"] == pytest.approx(-24 * beta**2, rel=1e-6)
+    # a state has <p^4> >= <p^2>^2 > 0: its sign is the witness, at any beta
+    assert "negative_p4_moment" in {w["type"] for w in rep["witnesses"]}
 
 
-@pytest.mark.parametrize("alpha", [1e-4, 1e-12], ids=["1e-4", "1e-12"])
-def test_narcowich_oconnell_below_the_boundary_fails_uncertainty(capsys, alpha):
-    # alpha beta < hbar^2/4: the covariance itself is a witness, however far the ratio
+@pytest.mark.parametrize("alpha, beta", [(1e-4, 1), (1e-12, 1), (2.5e-7, 5e5)],
+                         ids=["1e-4", "1e-12", "2.5e-7-5e5"])
+def test_narcowich_oconnell_below_the_boundary_fails_uncertainty(capsys, alpha, beta):
+    # alpha beta < hbar^2/4: the covariance itself is a witness, however far the ratio;
+    # at (2.5e-7, 5e5), alpha beta = hbar^2/8 is read in balanced units, where the
+    # rounding band of the criterion does not grow with beta
     code, rep = run_cli(capsys, "analyze", json.dumps({"type": "narcowich-oconnell",
-                                                       "alpha": alpha, "beta": 1}))
+                                                       "alpha": alpha, "beta": beta}))
     assert code == 2 and rep["uncertainty"]["verdict"] == "fail"
     assert "quantum_psd_failure" in {w["type"] for w in rep["witnesses"]}
 
 
-@pytest.mark.parametrize("alpha, beta", [(1e-13, 1), (1, 1e12)], ids=["1e-13-1", "1-1e12"])
+@pytest.mark.parametrize("alpha, beta", [(1e-13, 1), (1, 1e12), (5e-7, 5e5), (5e-8, 5e6),
+                                         (5e-9, 5e7)],
+                         ids=["1e-13-1", "1-1e12", "5e-7-5e5", "5e-8-5e6", "5e-9-5e7"])
 def test_narcowich_oconnell_past_the_fit_span_names_it(capsys, alpha, beta):
-    # the grid builds, but the domination fit's matrix spans over 1/PD_TOL in its eigenvalues
-    assert_input_error(capsys, ["analyze", json.dumps({"type": "narcowich-oconnell",
-                                                      "alpha": alpha, "beta": beta})],
-                       "eigenvalues span more than 1/PD_TOL")
+    # the domination fit's M spans 1/PD_TOL or more in its eigenvalues, but not in the
+    # balanced units of `williamson`, so every stage reports; at alpha/beta = 1e-16 the
+    # fit's M is ill-conditioned in shape too, and its balanced span is named
+    argv = ["analyze", json.dumps({"type": "narcowich-oconnell", "alpha": alpha, "beta": beta})]
+    if beta / alpha > 1e15:
+        assert_input_error(capsys, argv, "balanced eigenvalues span more than 1/PD_TOL")
+        return
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2
+    assert {"negative_p4_moment", "klm_violation",
+            "oracle_negative_eigenvalue"} <= {w["type"] for w in rep["witnesses"]}
+    if alpha * beta == 0.25:  # on the uncertainty boundary
+        assert rep["uncertainty"]["verdict"] == "pass"
+        assert rep["uncertainty"]["nu_min"] == pytest.approx(0.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("spec", [{"radius": 20}, {"radius": 2, "hbar": 0.01}, {"radius": 1e76}],
@@ -232,8 +249,9 @@ def test_blob_is_admissible_exactly_when_the_verdict_allows_a_state(capsys, lam,
 def test_the_symplectic_spectrum_is_computed_at_most_three_times(capsys, monkeypatch, argv):
     # analyze: the uncertainty report, the fit and the blob's `williamson`;
     # capacity: `capacity`, `is_admissible` and the blob's `williamson`
-    calls, normal_modes = [], symplectic._normal_modes
-    monkeypatch.setattr(symplectic, "_normal_modes", lambda M: calls.append(1) or normal_modes(M))
+    calls, williamson = [], symplectic.williamson
+    for module in (symplectic, blobs):
+        monkeypatch.setattr(module, "williamson", lambda M: calls.append(1) or williamson(M))
     code, rep = run_cli(capsys, *argv)
     assert code == 0
     assert "contained_blob" in (rep["blob"] if argv[0] == "analyze" else rep)
@@ -379,6 +397,20 @@ def test_capacity_command(capsys):
     assert rep["capacity"] == pytest.approx(np.pi / (2.0 / 3.0))
     assert rep["admissible"]
     assert "contained_blob" in rep
+
+
+def test_capacity_reads_the_ellipsoid_in_balanced_units(capsys):
+    # diag(1e7, 1e-7) is the quantum blob of the squeeze x -> x / 10^3.5: its eigenvalues
+    # span 1e14, but its balanced form is the identity; so is that of diag(1e-300, 1e300),
+    # whose diagonal ratio overflows
+    for matrix in ("[[1e7, 0], [0, 1e-7]]", "[[1e-300, 0], [0, 1e300]]"):
+        code, rep = run_cli(capsys, "capacity", '{"M": %s}' % matrix)
+        assert code == 0 and rep["admissible"] is True
+        assert rep["capacity"] == pytest.approx(np.pi, abs=1e-12)
+    # a matrix singular in shape is still refused, whatever its units
+    singular = '{"M": [[1, 0.9999999999999], [0.9999999999999, 1]]}'
+    assert_input_error(capsys, ["capacity", singular],
+                       "balanced eigenvalues span more than 1/PD_TOL")
 
 
 @pytest.mark.parametrize("n", [0, 1])

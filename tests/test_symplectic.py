@@ -80,13 +80,20 @@ def test_williamson_diagonal_example():
 @pytest.mark.parametrize("M", [[[4.0, 0.0], [0.0, 0.111]], [[2.0, 0.3], [0.3, 1.5]],
                                [[0.2, -0.15], [-0.15, 3.0]]])
 def test_williamson_of_one_mode_is_the_scaled_root(M):
-    # one degree of freedom: the pair (u, v) is the coordinate axes, so
-    # S = M^(1/2) / det(M)^(1/4), the symmetric choice
+    # one degree of freedom: the pair (u, v) is the coordinate axes, so the balanced
+    # B = D M D, D = diag(d, 1/d), d = (M_pp / M_xx)^(1/4), has S_B = B^(1/2) / det(M)^(1/4),
+    # and S = S_B D^(-1); for an uncorrelated M that is M^(1/2) / det(M)^(1/4)
     M = np.array(M)
-    w, V = np.linalg.eigh(M)
+    d = (M[1, 1] / M[0, 0]) ** 0.25
+    D = np.diag([d, 1 / d])
+    w, V = np.linalg.eigh(D @ M @ D)
     root = (V * np.sqrt(w)) @ V.T
     fact = williamson(M)
-    assert np.allclose(fact.S, root / np.linalg.det(M) ** 0.25, rtol=1e-14, atol=0)
+    assert np.allclose(fact.S, root @ np.linalg.inv(D) / np.linalg.det(M) ** 0.25,
+                       rtol=1e-14, atol=1e-15)
+    if M[0, 1] == 0:
+        assert np.allclose(fact.S, np.diag(np.sqrt(np.diag(M))) / np.linalg.det(M) ** 0.25,
+                           rtol=1e-14, atol=0)
     assert fact.spectrum == pytest.approx([np.sqrt(np.linalg.det(M))], rel=1e-14)
 
 

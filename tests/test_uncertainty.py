@@ -6,7 +6,8 @@ import pytest
 from conftest import check_williamson_criterion, random_spd, random_symplectic
 from wigcheck import (AxisGrid, as_dict, check_quantum_psd, check_rs,
                       covariance_from_grid, default_axis, fock_state, moment_p4,
-                      uncertainty_report, wigner_gaussian, wigner_of_pure)
+                      symplectic_spectrum, uncertainty_report, wigner_gaussian, williamson,
+                      wigner_of_pure)
 from wigcheck.states import WignerGrid
 
 
@@ -175,15 +176,44 @@ def test_one_mode_three_way_equivalence():
 
 
 def test_verdict_symplectically_invariant():
+    # a random symplectic S, and the diagonal symplectic D = diag(d, 1/d), d_j = 10^u_j
+    # with u_j in [-8, 8], which changes the units of each x_j and p_j: neither the
+    # normal form nor a verdict may notice D
     rng = np.random.default_rng(14)
     hbar = 1.0
     for i in range(50):
-        ndof = int(rng.integers(1, 3))
+        ndof = int(rng.integers(1, 4))
         sigma = random_spd(rng, 2 * ndof, lo=0.2, hi=1.2)
         S = random_symplectic(i, ndof)
         ok_a, _ = check_quantum_psd(sigma, hbar)
         ok_b, _ = check_quantum_psd(S.T @ sigma @ S, hbar)
         assert ok_a == ok_b
+        d = 10.0 ** rng.uniform(-8, 8, size=ndof)
+        dd = np.concatenate([d, 1 / d])
+        squeezed = dd[:, None] * sigma * dd
+        np.testing.assert_allclose(symplectic_spectrum(squeezed), symplectic_spectrum(sigma),
+                                   rtol=1e-12, atol=0)
+        fact = williamson(squeezed)
+        recon = fact.S.T @ np.diag(np.concatenate([fact.spectrum, fact.spectrum])) @ fact.S
+        # entrywise, relative to sqrt(Sigma_aa Sigma_bb), which D scales as it scales Sigma_ab
+        scale = np.sqrt(np.outer(np.diag(squeezed), np.diag(squeezed)))
+        assert (np.abs(recon - squeezed) / scale).max() <= 1e-9
+        assert check_quantum_psd(squeezed, hbar)[0] == ok_a
+        assert [c.ok for c in check_rs(squeezed, hbar)] == [c.ok for c in check_rs(sigma, hbar)]
+        a, b = uncertainty_report(sigma, hbar), uncertainty_report(squeezed, hbar)
+        assert (a.verdict, a.rs_ok, a.boundary) == (b.verdict, b.rs_ok, b.boundary)
+        assert b.nu_min == pytest.approx(a.nu_min, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma, verdict, nu_min, boundary", [
+    ([1.25e-7, 1e6], "fail", 1 / np.sqrt(8), False), ([5e-7, 5e5], "pass", 0.5, True)],
+    ids=["det-hbar2-over-8", "det-hbar2-over-4"])
+def test_a_squeezed_covariance_is_judged_by_its_determinant(sigma, verdict, nu_min, boundary):
+    # one mode: nu_min = sqrt(det Sigma), whatever the ratio Var x / Var p (here 8e-14
+    # and 1e-12, past the eigenvalue span 1/PD_TOL of Sigma itself)
+    rep = uncertainty_report(np.diag(sigma), 1.0)
+    assert (rep.verdict, rep.boundary) == (verdict, boundary)
+    assert rep.nu_min == pytest.approx(nu_min, rel=1e-12)
 
 
 def test_two_mode_rs_weaker_than_psd():
