@@ -45,18 +45,18 @@ def section_area(M, j, hbar=1.0):
     `j` is zero-based.  The section of M z.z <= hbar by the plane spanned by
     the j-th position and momentum axes is the ellipse M_j u.u <= hbar where
     M_j is the 2x2 principal submatrix on indices (j, N+j); its area is
-    pi*hbar / sqrt(det M_j).
+    pi*hbar / sqrt(det M_j) = pi*hbar / (sqrt(a) sqrt(b) sqrt(1 - r^2)), with
+    a, b its diagonal and r its correlation: no det to over- or underflow.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0] // 2
     if not 0 <= j < n:
         raise ValueError(f"mode index out of range: {j} (N={n})")
-    idx = [j, n + j]
-    sub = M[np.ix_(idx, idx)]
-    det = np.linalg.det(sub)
-    if det <= 0:
+    a, b = M[j, j], M[n + j, n + j]
+    r = 0.5 * (M[j, n + j] + M[n + j, j]) / np.sqrt(a) / np.sqrt(b) if a > 0 and b > 0 else np.nan
+    if not abs(r) < 1:
         raise ValueError("section submatrix is not positive definite")
-    return float(np.pi * hbar / np.sqrt(det))
+    return float(np.pi * hbar / (np.sqrt(a) * np.sqrt(b) * np.sqrt(1 - r * r)))
 
 
 @dataclass

@@ -170,7 +170,11 @@ def build_state(spec, hbar, args):
     echo = {**spec, "hbar": hbar}
     if spec.get("rescale") is not None:
         echo["rescale"] = lam = _positive(spec["rescale"], "rescale parameter")
-        w = rescale(w, lam)
+        try:
+            w = rescale(w, lam)
+        except ValueError as exc:  # a Gaussian rescales in its spec, on axes sized for it
+            hint = "; or give the Gaussian mean/lambda and cov/lambda^2 with no rescale"
+            raise InputError(f"{exc}{hint if kind == 'gaussian' else ''}") from exc
     return w, echo
 
 

@@ -163,7 +163,7 @@ def klm_check(w, seed=0):
     """
     if abs((tr := trace(w)) - 1.0) > 1e-3:
         raise ValueError(f"grid must have unit trace for the positivity search, found {tr:.6g}; "
-                         "a rescale, or axes too narrow for the state, can move mass off the grid")
+                         "axes too narrow for the state leave part of its mass off the grid")
     cov = covariance_from_grid(w).sigma
     fsw = SymplecticFourier(w)  # after the covariance, whose transients set the peak memory
     if np.linalg.eigvalsh(cov).min() > 0:

@@ -39,7 +39,6 @@ __all__ = [
 FOCK_BOUNDARY_TOL = 1e-12  # largest edge amplitude of a Fock state, relative to its peak
 NORM_TOL = 1e-6  # largest deviation of a pure state's norm from 1
 ALIASING_TOL = 1e-8  # largest Wigner amplitude on the outer momentum columns, relative
-MASS_TOL = 1e-5  # largest trace drift of `rescale`, relative to max(1, |trace|)
 TAIL_TOL = 1e-6  # largest share of a moment's weight on the boundary band
 _CHUNK_ROWS = 64  # grid rows per block of a streamed pass (the kernel: row pairs per chirp-z)
 _ALIGN = 8  # SymplecticFourier's least rows and column multiple: OpenBLAS rounds by batch
@@ -339,134 +338,46 @@ def trace(w):
     return float(w.values.sum() * w.cell_area)
 
 
-def _is_wigner_conjugate(w):
-    return abs(w.p_axis.spacing * w.x_axis.count * w.x_axis.spacing
-               - np.pi * w.hbar) <= 1e-9 * np.pi * w.hbar
-
-
-def _spline_slopes(xs, y):
-    """Knot slopes of the not-a-knot cubic spline through the rows of `y`
-    at the knots `xs` (at least four).
-
-    Builds CubicSpline's tridiagonal slope system by row blocks, end rows
-    included, and eliminates it in LAPACK gtsv's order without row swaps (it
-    is diagonally dominant), so the slopes match CubicSpline's bit for bit.
-    """
-    dx = np.diff(xs)
-    h = dx.tolist()
-
-    def slopes(lo, hi):  # divided differences lo .. hi-1 of the rows of y
-        d = np.subtract(y[lo + 1:hi + 1], y[lo:hi])
-        d /= dx[lo:hi, None]
-        return d
-
-    d0, d1 = xs[2] - xs[0], xs[-1] - xs[-3]
-    b = np.empty(y.shape)  # C order: the elimination below works row by row
-    slope = slopes(0, 2)
-    b[0] = ((h[0] + 2 * d0) * h[1] * slope[0] + h[0] * h[0] * slope[1]) / d0
-    slope = slopes(len(h) - 2, len(h))
-    b[-1] = (h[-1] * h[-1] * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
-    for r0 in range(1, len(h), _CHUNK_ROWS):  # row i: 3 (dx[i] slope[i-1] + dx[i-1] slope[i])
-        r1 = min(r0 + _CHUNK_ROWS, len(h))
-        slope = slopes(r0 - 1, r1)
-        inner = np.multiply(dx[r0:r1, None], slope[:-1], out=b[r0:r1])
-        inner += np.multiply(dx[r0 - 1:r1 - 1, None], slope[1:], out=slope[1:])
-        inner *= 3
-        del slope  # before the next block's differences
-    diag = [h[1]] + [2 * (a + c) for a, c in zip(h[:-1], h[1:])] + [h[-2]]
-    upper = [d0] + h[:-1]  # row i's coefficient of slope i+1
-    lower = h[1:] + [d1]   # row i+1's coefficient of slope i
-    rows = list(b)
-    for i in range(len(h)):
-        fact = lower[i] / diag[i]
-        diag[i + 1] -= fact * upper[i]
-        rows[i + 1] -= fact * rows[i]
-    rows[-1] /= diag[-1]
-    for i in range(len(h) - 1, -1, -1):
-        rows[i] -= upper[i] * rows[i + 1]
-        rows[i] /= diag[i]
-    return b
-
-
-def _spline_at(xs, y, t, out=None):
-    """Not-a-knot cubic spline through the rows of `y` at the knots `xs`,
-    evaluated at the points `t` inside [xs[0], xs[-1]], with CubicSpline's
-    arithmetic: its Hermite coefficients and PPoly's power sum, each point
-    on the interval that starts at or below it; by blocks of points, into
-    `out` (a new array when None)."""
-    s = _spline_slopes(xs, y)
-    if out is None:
-        out = np.empty((len(t),) + y.shape[1:])
-    for r0 in range(0, len(t), _CHUNK_ROWS):
-        at, dst = t[r0:r0 + _CHUNK_ROWS], out[r0:r0 + _CHUNK_ROWS]
-        j = np.minimum(np.searchsorted(xs, at, side="right") - 1, len(xs) - 2)
-        dx, h = (xs[j + 1] - xs[j])[:, None], (at - xs[j])[:, None]
-        # y[j] + s[j] h + ((slope - s[j])/dx - excess) h^2 + excess/dx h^3 with slope =
-        # (y[j+1] - y[j])/dx, excess = (s[j] + s[j+1] - 2 slope)/dx: in place, rounded alike
-        slope = y[j + 1] - y[j]
-        slope /= dx
-        excess = s[j + 1]
-        excess += s[j]
-        excess -= np.multiply(slope, 2, out=dst)
-        excess /= dx
-        slope -= s[j]
-        slope /= dx
-        slope -= excess
-        slope *= h * h
-        np.multiply(s[j], h, out=dst)
-        dst += y[j]
-        dst += slope
-        excess /= dx
-        excess *= h * h * h
-        dst += excess
-        del slope, excess  # before the next block's gathers
-    return out
+def _is_wigner_conjugate(w):  # dp = pi*hbar/(n*dx), on n points each
+    area = w.p_axis.spacing * w.x_axis.count * w.x_axis.spacing
+    return w.p_axis.count == w.x_axis.count and abs(area - np.pi * w.hbar) <= 1e-9 * np.pi * w.hbar
 
 
 def rescale(w, lam):
-    """Mass-preserving rescaling: W_lam(z) = lam^2 W(lam*z) on the same axes.
+    """W_lam(z) = lam^2 W(lam z), exactly: lam^2 times the values on the axes
+    divided by lam, with the trace, hbar and imaginary residual kept.
 
-    When the momentum axis is DFT-conjugate to the position axis the momentum
-    resampling is done exactly through the band-limited trigonometric
-    representation and positions by the not-a-knot cubic spline along x;
-    otherwise by the bicubic not-a-knot spline, done as an x pass and then a
-    p pass (the tensor-product spline of an s = 0 FITPACK fit).  Points that
-    fall outside the source domain are treated as zero; a warning reports the
-    mass deviation when it exceeds MASS_TOL.
+    The kernel's momentum sum has period P = 2 pi hbar / dp in the separation,
+    and P >= 2 L_x (L_x = n dx) keeps its alias copies off the kernel.  The
+    relabel multiplies P / L_x by lam^2.  So for lam < 1 a DFT-conjugate grid
+    (P = 2 L_x) is first resampled exactly at the momenta lam^2 p_k, and is
+    refused if the state then reaches the outer two momentum columns (above
+    ALIASING_TOL of the peak); any other grid is refused if lam^2 P < 2 L_x.
     """
     if lam <= 0:
         raise ValueError("rescale parameter must be positive")
-    xs, ps = w.x_axis.points, w.p_axis.points
-    n = w.x_axis.count
-    okx = (lam * xs >= xs[0]) & (lam * xs <= xs[-1])
-    okp = (lam * ps >= ps[0]) & (lam * ps <= ps[-1])
-    # each is one run, as lam > 0: the spline passes write into it as a slice
-    xrun, prun = (slice(np.argmax(ok), np.argmax(ok) + ok.sum()) for ok in (okx, okp))
-    if _is_wigner_conjugate(w) and n % 2 == 0:
-        # W[i, k] = sum_m a[i, m] exp(-2 i p_k (m*dx) / hbar): resample p exactly,
-        # from the offsets m*dx onto the contiguous run of targets lam*p_k
-        dx = w.x_axis.spacing
-        first, m = lam * ps[np.argmax(okp)], okp.sum()
-        resampled = np.empty((n, m))
-        for r0 in range(0, n, _CHUNK_ROWS):  # row blocks: no full-grid FFT work arrays
-            a = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(
-                w.values[r0:r0 + _CHUNK_ROWS], axes=1), axis=1), axes=1)
-            resampled[r0:r0 + len(a)] = _chirp_sum(
-                a, -(w.p_axis.count // 2) * dx, dx, 2 * first / w.hbar,
-                2 * lam * w.p_axis.spacing / w.hbar, m, sign=-1).real
-        del a
-        out = np.zeros_like(w.values)  # after the first pass's work arrays are gone
-        _spline_at(xs, resampled, lam * xs[okx], out=out[xrun, prun])
-    else:
-        rows = _spline_at(xs, w.values, lam * xs[okx])
-        out = np.zeros_like(w.values)
-        _spline_at(ps, rows.T, lam * ps[okp], out=out[xrun, prun].T)
-    out *= lam**2
-    res = WignerGrid(w.x_axis, w.p_axis, out, w.hbar, w.imag_residual)
-    drift = abs(trace(res) - trace(w))
-    if drift > MASS_TOL * max(1.0, abs(trace(w))):
-        warnings.warn(f"rescale mass drift {drift:.3e} (tail outside the grid)")
-    return res
+    n, p_axis, values = w.x_axis.count, w.p_axis, w.values * lam**2
+    if lam < 1 and _is_wigner_conjugate(w):
+        # W[i, k] = sum_m c[i, m] exp(-2 i (p_k - p_0) (m*dx) / hbar) for the offsets
+        # m = -(n//2) .. : the rows at the momenta lam^2 p_k, by row blocks
+        dx, p_axis = w.x_axis.spacing, AxisGrid(lam**2 * p_axis.min, lam**2 * p_axis.max, n)
+        for r0 in range(0, n, _CHUNK_ROWS):
+            c = np.fft.fftshift(np.fft.ifft(values[r0:r0 + _CHUNK_ROWS], axis=1), axes=1)
+            values[r0:r0 + len(c)] = _chirp_sum(
+                c, -(n // 2) * dx, dx, 2 * (p_axis.min - w.p_axis.min) / w.hbar,
+                2 * p_axis.spacing / w.hbar, n, sign=-1).real
+        edge, peak = max(_abs_max(values[:, :2]), _abs_max(values[:, -2:])), _abs_max(values)
+        if edge > ALIASING_TOL * peak:
+            raise ValueError(f"rescale {lam:g}: the state does not fit the momentum axis "
+                             f"shortened by lambda^2 to [{p_axis.min:.4g}, {p_axis.max:.4g}] "
+                             f"(edge amplitude ratio {edge / peak:.2e}); more grid points "
+                             f"lengthen it")
+    elif lam < 1 and (need := w.p_axis.spacing * n * w.x_axis.spacing / (np.pi * w.hbar)) > lam**2:
+        raise ValueError(f"rescale {lam:g} needs lambda >= {np.sqrt(need):.3g} on this grid: "
+                         f"below it the relabelled axes have P < 2 L_x, and alias copies of "
+                         f"the kernel's momentum sum reach the grid")
+    axes = (AxisGrid(a.min / lam, a.max / lam, a.count) for a in (w.x_axis, p_axis))
+    return WignerGrid(*axes, values, w.hbar, w.imag_residual)
 
 
 class SymplecticFourier:

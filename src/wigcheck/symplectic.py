@@ -97,7 +97,8 @@ def williamson(M):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     n = _check_phase_space_dim(M.shape[0])
-    if np.abs(M - M.T).max() > 1e-10 * max(1.0, np.abs(M).max()):
+    root = np.sqrt(np.abs(np.diagonal(M)))  # |M_ij| <= sqrt(M_ii M_jj) on a positive M
+    if (np.abs(M - M.T) > 1e-10 * np.outer(root, root)).any():
         raise ValueError("matrix is not symmetric")
     M = 0.5 * (M + M.T)
     if not np.isfinite(M).all():

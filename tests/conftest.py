@@ -203,61 +203,16 @@ def whole_bump(x_axis, p_axis, radius, profile):
     return vals / (vals.sum() * (x_axis.spacing * p_axis.spacing))
 
 
-def _whole_spline_at(xs, y, t):
-    """The not-a-knot spline of `rescale`, slopes and evaluation on whole arrays."""
-    dx = np.diff(xs)
-    h = dx.tolist()
-    slope = np.diff(y, axis=0)
-    slope /= dx[:, None]
-    d0, d1 = xs[2] - xs[0], xs[-1] - xs[-3]
-    b = np.empty(y.shape)
-    b[0] = ((h[0] + 2 * d0) * h[1] * slope[0] + h[0] * h[0] * slope[1]) / d0
-    inner = np.multiply(dx[1:, None], slope[:-1], out=b[1:-1])
-    inner += dx[:-1, None] * slope[1:]
-    inner *= 3
-    b[-1] = (h[-1] * h[-1] * slope[-2] + (2 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
-    diag = [h[1]] + [2 * (a + c) for a, c in zip(h[:-1], h[1:])] + [h[-2]]
-    upper, lower, rows = [d0] + h[:-1], h[1:] + [d1], list(b)
-    for i in range(len(h)):
-        fact = lower[i] / diag[i]
-        diag[i + 1] -= fact * upper[i]
-        rows[i + 1] -= fact * rows[i]
-    rows[-1] /= diag[-1]
-    for i in range(len(h) - 1, -1, -1):
-        rows[i] -= upper[i] * rows[i + 1]
-        rows[i] /= diag[i]
-    s = b
-    j = np.minimum(np.searchsorted(xs, t, side="right") - 1, len(xs) - 2)
-    dx = (xs[j + 1] - xs[j])[:, None]
-    h = (t - xs[j])[:, None]
-    slope = (y[j + 1] - y[j]) / dx
-    excess = (s[j] + s[j + 1] - 2 * slope) / dx
-    return y[j] + s[j] * h + ((slope - s[j]) / dx - excess) * (h * h) + excess / dx * (h * h * h)
-
-
 def whole_rescale(w, lam):
-    """rescale's values with each spline pass on whole arrays, the momentum
-    resampling by row blocks as before, and the result scattered by np.ix_."""
-    xs, ps = w.x_axis.points, w.p_axis.points
-    n = w.x_axis.count
-    out = np.zeros_like(w.values)
-    okx = (lam * xs >= xs[0]) & (lam * xs <= xs[-1])
-    okp = (lam * ps >= ps[0]) & (lam * ps <= ps[-1])
-    if _is_wigner_conjugate(w) and n % 2 == 0:
-        dx = w.x_axis.spacing
-        first, m = lam * ps[np.argmax(okp)], okp.sum()
-        resampled = np.empty((n, m))
-        for r0 in range(0, n, _CHUNK_ROWS):
-            a = np.fft.ifft(np.fft.ifftshift(w.values[r0:r0 + _CHUNK_ROWS], axes=1), axis=1)
-            resampled[r0:r0 + len(a)] = _chirp_sum(
-                np.fft.fftshift(a, axes=1), -(w.p_axis.count // 2) * dx, dx, 2 * first / w.hbar,
-                2 * lam * w.p_axis.spacing / w.hbar, m, sign=-1).real
-        out[np.ix_(okx, okp)] = _whole_spline_at(xs, resampled, lam * xs[okx])
-    else:
-        rows = _whole_spline_at(xs, w.values, lam * xs[okx])
-        out[np.ix_(okx, okp)] = _whole_spline_at(ps, rows.T, lam * ps[okp]).T
-    out *= lam**2
-    return out
+    """rescale's values with the momentum pass of lam < 1 on the whole grid at once."""
+    values = w.values * lam**2
+    if lam < 1 and _is_wigner_conjugate(w):
+        n, dx = w.x_axis.count, w.x_axis.spacing
+        p_axis = AxisGrid(lam**2 * w.p_axis.min, lam**2 * w.p_axis.max, n)
+        c = np.fft.fftshift(np.fft.ifft(values, axis=1), axes=1)
+        values = _chirp_sum(c, -(n // 2) * dx, dx, 2 * (p_axis.min - w.p_axis.min) / w.hbar,
+                            2 * p_axis.spacing / w.hbar, n, sign=-1).real
+    return values
 
 
 def whole_symplectic_blocks(w):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,18 @@ def test_section_area_examples():
     assert section_area(M, 1) == pytest.approx(np.pi / 2)
     with pytest.raises(ValueError):
         section_area(M, 2)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_section_area_neither_overflows_nor_underflows(scale):
+    # det of the raw section would be 1e400 or 1e-340; its square root is what counts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert section_area(scale * np.eye(2), 0) == pytest.approx(np.pi / scale, rel=1e-15)
+        M = scale * np.array([[4.0, 1.0], [1.0, 1.0]])
+        assert section_area(M, 0) == pytest.approx(np.pi / (np.sqrt(3.0) * scale), rel=1e-15)
+    with pytest.raises(ValueError, match="not positive definite"):
+        section_area(scale * np.array([[1.0, 1.0], [1.0, 1.0]]), 0)
 
 
 def test_admissible_sections_at_least_half_h_decoupled():

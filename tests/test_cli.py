@@ -411,6 +411,10 @@ def test_capacity_reads_the_ellipsoid_in_balanced_units(capsys):
     singular = '{"M": [[1, 0.9999999999999], [0.9999999999999, 1]]}'
     assert_input_error(capsys, ["capacity", singular],
                        "balanced eigenvalues span more than 1/PD_TOL")
+    # symmetry is judged against sqrt(M_ii M_jj), in the matrix's own units: an
+    # off-diagonal pair of 5e-11 and 0 next to a diagonal of 1e-11 and 1e-10 is refused
+    assert_input_error(capsys, ["capacity", '{"M": [[1e-11, 5e-11], [0, 1e-10]]}'],
+                       "matrix is not symmetric")
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -436,12 +440,13 @@ def test_sweep_entry_is_the_grid_checked_at_lambda_squared_hbar(capsys, monkeypa
 
 @pytest.mark.parametrize("lam", [0.95, 1.02, 1.5])
 def test_sweep_entry_matches_the_resampled_grid(capsys, lam):
-    # the same uncertainty check on the grid that `rescale` resamples, within its spline error
+    # the same uncertainty check on the grid `rescale` relabels (below 1 after its exact
+    # momentum pass), up to round-off
     code, rep = run_cli(capsys, "rescale-sweep", '{"type":"fock","n":1}',
                         "--lambdas", f"{lam}:{lam}:1")
     assert code == 0 and [e["lambda"] for e in rep["sweep"]] == [lam]
     _, direct = run_cli(capsys, "analyze", json.dumps({"type": "fock", "n": 1, "rescale": lam}))
-    assert rep["sweep"][0]["nu_min"] == pytest.approx(direct["uncertainty"]["nu_min"], rel=1e-5)
+    assert rep["sweep"][0]["nu_min"] == pytest.approx(direct["uncertainty"]["nu_min"], rel=1e-13)
     assert rep["sweep"][0]["verdict"] == direct["uncertainty"]["verdict"]
 
 
@@ -512,11 +517,72 @@ def test_grid_sum_within_round_off_of_zero_has_no_moments(tmp_path, capsys):
 
 
 def test_mass_off_the_grid_names_the_trace(capsys):
-    # a strong dilation spreads the vacuum past a 64-point grid: the one error line
-    # gives the trace left and its likely cause, as no rescale warning prints with it
-    assert_input_error(capsys, ["analyze", '{"type":"fock","n":0,"rescale":0.01}',
-                                "--grid-n", "64"],
-                       "unit trace for the positivity search, found 0.0")
+    # a Gaussian wider in p than its 8*sqrt(hbar) axes loses mass off the grid: the
+    # one error line gives the trace left and its likely cause
+    assert_input_error(capsys, ["analyze", '{"type":"gaussian","mean":[0,0],'
+                                           '"cov":[[0.01,0],[0,25]]}'],
+                       "unit trace for the positivity search, found 0.890397; axes too narrow")
+
+
+FOCK = [{"type": "fock", "n": n} for n in range(4)]
+MIXTURE_01 = {"type": "mixture", "components": [{"weight": 0.5, "state": FOCK[0]},
+                                                {"weight": 0.5, "state": FOCK[1]}]}
+ORACLE, KLM = ["oracle_negative_eigenvalue"], ["klm_violation", "oracle_negative_eigenvalue"]
+ALL_FOUR = ["domination_mu1_above_1", *KLM, "quantum_psd_failure"]
+RESCALED_ROWS = {  # name: (spec, lambda, witness types at 256^2, seed 0)
+    **{f"fock1-x{lam}": (FOCK[1], lam, ORACLE) for lam in (0.95, 0.99, 1.001, 1.02)},
+    **{f"fock1-x{lam}": (FOCK[1], lam, KLM) for lam in (0.8, 1.2)},
+    "fock2-x0.95": (FOCK[2], 0.95, ORACLE), "fock3-x1.05": (FOCK[3], 1.05, ORACLE),
+    "mixture01-x1.02": (MIXTURE_01, 1.02, ORACLE),
+    "vacuum-x1.005": (FOCK[0], 1.005, ALL_FOUR), "vacuum-x1.5": (FOCK[0], 1.5, ALL_FOUR),
+    "bump1-x1.1": ({"type": "bump", "radius": 1.0}, 1.1, ALL_FOUR),
+    "vacuum-x0.9": (FOCK[0], 0.9, []), "vacuum-x0.5": (FOCK[0], 0.5, []),
+    "gaussian-1-0.25-x0.9": ({"type": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0, 0.25]]},
+                             0.9, []),
+}
+
+
+@pytest.mark.parametrize("spec, lam, witnesses", RESCALED_ROWS.values(), ids=RESCALED_ROWS)
+def test_rescaled_rows_keep_their_witnesses(capsys, spec, lam, witnesses):
+    # W_lam is the built grid relabelled (after the momentum pass below 1 on Fock grids):
+    # the trace is kept, the states among these rows get no witness from the oracle's
+    # round-off, and a compactly supported bump keeps its flag, so mu_1 scales by lam^2
+    code, rep = run_cli(capsys, "analyze", json.dumps({**spec, "rescale": lam}))
+    assert code == (2 if witnesses else 0)
+    assert sorted({w["type"] for w in rep["witnesses"]}) == witnesses
+    _, base = run_cli(capsys, "analyze", json.dumps(spec))
+    assert rep["trace"] == pytest.approx(base["trace"], abs=1e-12)
+    if not witnesses:
+        assert rep["oracle"]["min_eigenvalue"] >= -1e-12
+    if spec["type"] == "bump":
+        assert rep["domination"]["compact_support"] is True
+        assert rep["domination"]["mu1"] == pytest.approx(lam**2 * base["domination"]["mu1"],
+                                                         rel=1e-9)
+
+
+@pytest.mark.parametrize("spec, count, message", [
+    ({"type": "fock", "n": 0, "rescale": 0.3}, 256,
+     "rescale 0.3: the state does not fit the momentum axis shortened by lambda^2"),
+    ({"type": "fock", "n": 0, "rescale": 0.3}, 512, None),
+    ({"type": "fock", "n": 0, "rescale": 0.01}, 64, "more grid points lengthen it"),
+    ({"type": "gaussian", "mean": [0, 0], "cov": [[0.5, 0], [0, 0.5]], "rescale": 0.5}, 256,
+     "rescale 0.5 needs lambda >= 0.564 on this grid"),
+    ({"type": "bump", "radius": 1.0, "rescale": 0.5}, 256, "needs lambda >= 0.564"),
+    ({"type": "narcowich-oconnell", "rescale": 0.99}, 256, "needs lambda >= 1.14"),
+], ids=["fock-0.3-256", "fock-0.3-512", "fock-0.01-64", "gaussian-0.5", "bump-0.5", "no-0.99"])
+def test_rescale_below_one_refuses_in_one_line(capsys, spec, count, message):
+    # a Fock grid whose state leaves the momentum axis shortened by lam^2, and any other
+    # grid whose relabelled axes would let alias copies reach the kernel, is refused
+    argv = ["analyze", json.dumps(spec), "--grid-n", str(count)]
+    if message is None:
+        code, rep = run_cli(capsys, *argv)
+        assert code == 0 and rep["trace"] == pytest.approx(1.0, abs=1e-9)
+        return
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and message in err
+    hint = "; or give the Gaussian mean/lambda and cov/lambda^2 with no rescale"
+    assert (hint in err) == (spec["type"] == "gaussian")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1019,13 +1085,11 @@ def test_overflow_prints_one_line_and_no_warnings(argv):
 
 
 def test_warnings_of_a_successful_command_follow_unchanged():
-    done = _python("-m", "wigcheck.cli", "wigner", '{"type":"fock","n":0,"rescale":0.3}',
-                   "--grid-n", "64")
+    done = _python("-m", "wigcheck.cli", "wigner", '{"type":"fock","n":0}', "--grid-n", "40")
     assert done.returncode == 0 and json.loads(done.stdout)["trace"] > 0
-    direct = _python("-c", "from wigcheck import default_axis, fock_state, rescale, "
-                           "wigner_of_pure; "
-                           "rescale(wigner_of_pure(fock_state(0, default_axis(count=64))), 0.3)")
-    assert "UserWarning: rescale mass drift" in direct.stderr
+    direct = _python("-c", "from wigcheck import default_axis, fock_state, wigner_of_pure; "
+                           "wigner_of_pure(fock_state(0, default_axis(count=40)))")
+    assert "UserWarning: possible momentum aliasing" in direct.stderr
     assert done.stderr == direct.stderr
 
 

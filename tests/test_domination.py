@@ -454,13 +454,17 @@ def test_fit_is_stable_under_rounding_of_the_grid(vacuum_wigner):
     assert cert.mu1 == pytest.approx(base.mu1, rel=1e-13)
     assert cert.C == pytest.approx(base.C, rel=1e-13)
     assert np.abs(cert.M - base.M).max() <= 1e-13 * np.abs(base.M).max()
-    # the momentum resampling of `rescale` done densely moves the grid by up
-    # to 1.4e-15 absolute, which is ~1e-6 relative at the contacts (W ~ 1e-9
-    # max W there): the contacts stay, the fit follows the values it binds to
-    dense, _, _ = _dense_rescale(vacuum_wigner, 1.5)
-    assert np.abs(dense - w.values).max() <= 2e-15
+    # the momentum pass of `rescale` below 1 done densely moves the vacuum x0.9 grid
+    # by up to 4e-15 absolute, ~1e-6 relative at the contacts (W ~ 1e-9 max W there):
+    # the fit follows the values it binds to, at the same contacts up to the grid's
+    # mirror symmetry, which picks among equal contacts by round-off
+    w = rescale(vacuum_wigner, 0.9)
+    base = fit_dominating_gaussian(w)
+    dense, _ = _dense_rescale(vacuum_wigner, 0.9)
+    assert np.abs(dense - w.values).max() <= 5e-15
     cert = fit_dominating_gaussian(WignerGrid(w.x_axis, w.p_axis, dense, w.hbar))
-    assert np.array_equal(cert.contacts, base.contacts)
+    assert np.allclose(sorted(map(tuple, np.abs(cert.contacts))),
+                       sorted(map(tuple, np.abs(base.contacts))), rtol=1e-12, atol=0)
     assert cert.n_evaluations == base.n_evaluations
     assert cert.mu1 == pytest.approx(base.mu1, rel=1e-9)
 

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from conftest import (fourier_wavefunction, gaussian_wavepacket, oracle_min, whole_bump,
                       whole_mixture_wigner, whole_rescale, whole_symplectic_blocks,
@@ -18,7 +17,7 @@ from wigcheck import (AxisGrid, SymplecticFourier, cli, default_axis, fock_state
                       wigner_of_pure)
 from wigcheck.states import (_CHUNK_ROWS, WaveFunctionGrid, WignerGrid, _abs_sums,
                              _boundary_band_sum, _chirp_sum, _fast_len, _is_wigner_conjugate,
-                             _oracle_views, _spline_at)
+                             _oracle_views)
 
 
 def test_fock_normalization_and_orthogonality():
@@ -117,7 +116,18 @@ def test_mixture_trace_and_weights(mixture_5050):
 
 def test_rescale_identity(vacuum_wigner):
     w = rescale(vacuum_wigner, 1.0)
-    assert np.abs(w.values - vacuum_wigner.values).max() <= 1e-12
+    assert np.array_equal(w.values, vacuum_wigner.values)
+    assert (w.x_axis, w.p_axis) == (vacuum_wigner.x_axis, vacuum_wigner.p_axis)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.001, 1.2, 3.0])
+def test_rescale_at_least_one_relabels_the_axes(fock1_wigner, lam):
+    # W_lam sampled at (x_i/lam, p_j/lam) is lam^2 times the grid's own values
+    w = rescale(fock1_wigner, lam)
+    assert w.values.tobytes() == (lam**2 * fock1_wigner.values).tobytes()
+    for got, axis in ((w.x_axis, fock1_wigner.x_axis), (w.p_axis, fock1_wigner.p_axis)):
+        assert got == AxisGrid(axis.min / lam, axis.max / lam, axis.count)
+    assert (w.hbar, w.imag_residual) == (fock1_wigner.hbar, fock1_wigner.imag_residual)
 
 
 def test_rescale_vacuum_covariance():
@@ -130,7 +140,7 @@ def test_rescale_vacuum_covariance():
 
 @pytest.mark.parametrize("lam", [0.8, 1.2, 2.0])
 def test_rescale_preserves_mass(fock1_wigner, lam):
-    assert trace(rescale(fock1_wigner, lam)) == pytest.approx(trace(fock1_wigner), abs=1e-5)
+    assert trace(rescale(fock1_wigner, lam)) == pytest.approx(trace(fock1_wigner), abs=1e-12)
 
 
 def test_rescale_rejects_nonpositive(vacuum_wigner):
@@ -141,7 +151,8 @@ def test_rescale_rejects_nonpositive(vacuum_wigner):
 def test_rescale_composition(vacuum_wigner):
     once = rescale(rescale(vacuum_wigner, 1.2), 1.1)
     direct = rescale(vacuum_wigner, 1.32)
-    assert np.abs(once.values - direct.values).max() <= 1e-4
+    assert np.abs(once.values - direct.values).max() <= 1e-15 * direct.values.max()
+    assert once.x_axis.min == pytest.approx(direct.x_axis.min, rel=1e-15)
 
 
 def test_trace_linearity(vacuum_wigner):
@@ -406,17 +417,16 @@ def _rescale_cases():
         yield f"conjugate gaussian x{lam}", conjugate, lam
         yield f"equal axes x{lam}", equal_axes, lam
         yield f"odd off-centre x{lam}", odd, lam
-    n, dx = 64, 0.25  # DFT-conjugate axes whose momentum targets all leave the grid
+    n, dx = 64, 0.25  # DFT-conjugate axes far from the origin in p, then axes far from it in x
     p_axis = AxisGrid(50.0, 50.0 + (n - 1) * np.pi / (n * dx), n)
     yield "no momentum overlap", WignerGrid(AxisGrid.centered(n, dx), p_axis, np.ones((n, n))), 2.0
     far = WignerGrid(AxisGrid(50.0, 60.0, 40), AxisGrid(-2.0, 3.0, 33), np.ones((40, 33)))
     yield "no position overlap", far, 2.0
 
 
-@pytest.mark.filterwarnings("ignore:rescale mass drift")
 @pytest.mark.parametrize("case", list(_rescale_cases()), ids=lambda case: case[0])
 def test_rescale_matches_the_whole_array_code(case):
-    # both branches: DFT-conjugate axes (exact momentum resampling) and the two spline passes
+    # the momentum pass of lam < 1 on DFT-conjugate axes by row blocks, and the relabel
     _, w, lam = case
     got = rescale(w, lam)
     assert got.values.tobytes() == whole_rescale(w, lam).tobytes()
@@ -454,8 +464,7 @@ def test_mixture_stays_within_1_8_grids(count):
 @pytest.mark.parametrize("lam", [0.8, 1.2])
 @pytest.mark.parametrize("conjugate", [True, False])
 def test_rescale_stays_within_3_5_grids(conjugate, lam):
-    # the result, the resampled or x-splined rows, their spline slopes and three
-    # blocks of the evaluation; no full-grid gathers or FFT work arrays
+    # the result, and for lam < 1 on conjugate axes the momentum pass's row blocks
     axis = default_axis(1.0, 512)
     p_axis = wigner_momentum_axis(axis) if conjugate else axis
     w = wigner_gaussian([0.3, -0.2], [[0.7, 0.2], [0.2, 0.4]], axis, p_axis)
@@ -481,16 +490,16 @@ def test_no_build_and_moments_stay_lean(no_grid):
 
 
 def test_rescale_streams_its_rows(fock1_wigner):
-    # the exact momentum resampling runs the chirp-z in row blocks: no full-grid
-    # FFT work arrays, whose padded length is about twice the row; the spline
-    # passes gather by blocks of target rows
+    # the result and the finiteness check's eighth of a grid; below 1 the momentum pass
+    # overwrites the result by blocks of 64 rows (a quarter of this grid), each with
+    # complex work arrays of one and two block sizes: no full-grid FFT arrays
     tracemalloc.start()
     try:
-        rescale(fock1_wigner, 1.2)
+        rescale(fock1_wigner, 0.8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * fock1_wigner.values.nbytes
+    assert peak <= 3.5 * fock1_wigner.values.nbytes
 
 
 def test_oracle_vacuum_projector(vacuum_wigner):
@@ -556,9 +565,24 @@ def test_fourier_rotation_covariance():
     assert np.abs(got - expected).max() <= 1e-5
 
 
-def test_rescale_warns_when_mass_leaves_grid(vacuum_wigner):
-    with pytest.warns(UserWarning, match="mass"):
+def test_rescale_refuses_a_state_past_the_shortened_momentum_axis(vacuum_wigner):
+    # lam < 1 shortens a conjugate grid's momentum axis by lam^2: at 0.15 the vacuum
+    # reaches its edge, and the one line says so rather than lose mass off the grid
+    with pytest.raises(ValueError, match=r"rescale 0.15: the state does not fit the momentum "
+                                         r"axis shortened by lambda\^2 to \[-0.5655, 0.5611\]"):
         rescale(vacuum_wigner, 0.15)
+
+
+@pytest.mark.parametrize("count, lam, least", [(256, 0.5, "0.564"), (512, 0.3, "0.399")])
+def test_rescale_refuses_axes_that_would_alias_the_kernel(count, lam, least):
+    # equal axes of n points and step dx have P = 2 pi hbar/dx: the relabel keeps P >= 2 L_x
+    # down to lam = sqrt(n dx^2/(pi hbar)), which the one line names
+    axis = default_axis(count=count)
+    w = wigner_gaussian([0, 0], 0.5 * np.eye(2), axis, axis)
+    with pytest.raises(ValueError, match=f"rescale {lam} needs lambda >= {least} on this grid"):
+        rescale(w, lam)
+    assert rescale(w, float(least) + 1e-3).values.tobytes() == \
+        ((float(least) + 1e-3) ** 2 * w.values).tobytes()
 
 
 def test_manifest_round_trip_inline(tmp_path, vacuum_wigner):
@@ -699,41 +723,33 @@ def test_kernel_matches_dense_quadrature(no_grid):
 
 
 def _dense_rescale(w, lam):
-    """rescale on a DFT-conjugate grid with the momentum sum done densely."""
-    xs, ps = w.x_axis.points, w.p_axis.points
-    okx = (lam * xs >= xs[0]) & (lam * xs <= xs[-1])
-    okp = (lam * ps >= ps[0]) & (lam * ps <= ps[-1])
-    offs = np.arange(w.p_axis.count) - w.p_axis.count // 2
-    a = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(w.values, axes=1), axis=1), axes=1)
-    ph = np.exp(-2j * np.outer(offs * w.x_axis.spacing, lam * ps[okp]) / w.hbar)
-    out = np.zeros_like(w.values)
-    out[np.ix_(okx, okp)] = CubicSpline(xs, (a @ ph).real, axis=0)(lam * xs[okx])
-    return lam**2 * out, np.abs(a).sum(axis=1).max(), int(okp.sum())
+    """rescale's momentum pass (lam < 1, DFT-conjugate axes) with dense sums: the
+    coefficients c of W = sum_m c_m exp(-2 i p m dx / hbar) by the inverse sum over
+    the grid's momenta, evaluated at lam^2 p_k; times lam^2, and max_i sum_m |c_im|."""
+    n, ps = w.x_axis.count, w.p_axis.points
+    offs = (np.arange(n) - n // 2) * w.x_axis.spacing
+    c = w.values @ np.exp(2j * np.outer(ps, offs) / w.hbar) / n
+    dense = (c @ np.exp(-2j * np.outer(offs, lam**2 * ps) / w.hbar)).real
+    return lam**2 * dense, np.abs(c).sum(axis=1).max()
 
 
-@pytest.mark.parametrize("n, hbar, lam, targets", [
-    (128, 1.0, 1.5, 85), (128, 1.0, 1.2, 106), (128, 1.0, 0.8, 128), (96, 0.7, 1.3, 73),
-])
-def test_rescale_matches_dense_momentum_sum(n, hbar, lam, targets):
-    # off-centre and rotated, so that no reflection of x or p maps it to itself
+@pytest.mark.parametrize("n, hbar, lam, p_min", [
+    (128, 1.0, 0.8, None), (96, 0.7, 0.75, None), (96, 1.0, 0.9, -7.0),
+], ids=["128-1.0-0.8", "96-0.7-0.75", "96-1.0-0.9-off-centre"])
+def test_rescale_matches_dense_momentum_sum(n, hbar, lam, p_min):
+    # off-centre and rotated, so that no reflection of x or p maps it to itself; the
+    # last row's momentum axis is conjugate but not centred on the origin
     x_axis = default_axis(hbar, count=n)
+    p_axis = wigner_momentum_axis(x_axis, hbar)
+    if p_min is not None:
+        p_axis = AxisGrid(p_min, p_min + p_axis.max - p_axis.min, n)
     sigma = hbar * np.array([[0.8, 0.3], [0.3, 0.5]])
-    w = wigner_gaussian([0.4, -0.6], sigma, x_axis, wigner_momentum_axis(x_axis, hbar), hbar)
-    dense, scale, m = _dense_rescale(w, lam)
-    assert m == targets  # odd and even runs of momentum targets
-    # the x spline mixes neighbouring rows with weights of total size < 2
-    assert np.abs(rescale(w, lam).values - dense).max() <= 2e-12 * lam**2 * scale
-
-
-def test_rescale_without_momentum_overlap_is_zero():
-    n, dx = 64, 0.25
-    x_axis = AxisGrid(-(n // 2) * dx, (n // 2 - 1) * dx, n)
-    dp = np.pi / (n * dx)
-    p_axis = AxisGrid(50.0, 50.0 + (n - 1) * dp, n)
-    w = WignerGrid(x_axis, p_axis, np.full((n, n), 1.0 / (n * n * dx * dp)))
-    with pytest.warns(UserWarning, match="mass drift"):
-        out = rescale(w, 2.0)
-    assert not out.values.any()
+    w = wigner_gaussian([0.4, -0.6], sigma, x_axis, p_axis, hbar)
+    dense, scale = _dense_rescale(w, lam)
+    got = rescale(w, lam)
+    assert np.abs(got.values - dense).max() <= 1e-12 * lam**2 * scale
+    assert got.p_axis.min == pytest.approx(lam * p_axis.min, rel=1e-15)
+    assert _is_wigner_conjugate(got)
 
 
 def test_symplectic_fourier_matches_complex_quadrature(no_grid, odd_offcentre_grid):
@@ -761,39 +777,3 @@ def test_symplectic_fourier_folds_by_row_blocks_bit_for_bit(no_grid, odd_offcent
 def test_fast_len_matches_next_fast_len():
     assert [_fast_len(n) for n in range(1, 5001)] == [scipy.fft.next_fast_len(n)
                                                       for n in range(1, 5001)]
-
-
-def _spline_cases():
-    rng = np.random.default_rng(11)
-    xs = np.linspace(-3.2, 2.5, 41)
-    yield "random", xs, rng.normal(size=(41, 7)), np.sort(rng.uniform(xs[0], xs[-1], 60))
-    yield "knots", xs, rng.normal(size=(41, 3)), xs
-    yield "last point", xs, rng.normal(size=(41, 2)), xs[[-1, -1, 0]]
-    xs = np.cumsum(rng.uniform(0.8, 1.2, 41))
-    yield "uneven knots", xs, rng.normal(size=(41, 5)), np.sort(rng.uniform(xs[0], xs[-1], 60))
-    for n in (0, 1):
-        w = wigner_of_pure(fock_state(n))
-        xs = w.x_axis.points
-        for lam in (0.9, 1.2, 1.5):
-            ok = (lam * xs >= xs[0]) & (lam * xs <= xs[-1])
-            yield f"fock{n} x{lam}", xs, w.values, lam * xs[ok]
-
-
-@pytest.mark.parametrize("case", list(_spline_cases()), ids=lambda case: case[0])
-def test_spline_at_is_bit_equal_to_cubic_spline(case):
-    _, xs, y, t = case
-    assert np.array_equal(_spline_at(xs, y, t), CubicSpline(xs, y, axis=0)(t))
-
-
-@pytest.mark.parametrize("lam", [0.8, 1.1, 1.4])
-def test_two_pass_rescale_matches_bivariate_spline(lam):
-    # equal x and p axes are not DFT-conjugate, so rescale interpolates both
-    axis = default_axis()
-    w = wigner_gaussian([0.3, -0.2], [[0.7, 0.2], [0.2, 0.4]], axis, axis)
-    xs = axis.points
-    ok = (lam * xs >= xs[0]) & (lam * xs <= xs[-1])
-    want = np.zeros_like(w.values)
-    want[np.ix_(ok, ok)] = RectBivariateSpline(xs, xs, w.values, kx=3, ky=3)(lam * xs[ok],
-                                                                             lam * xs[ok])
-    got = rescale(w, lam).values / lam**2
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(w.values).max()

@@ -41,6 +41,18 @@ def test_spectrum_rejects_bad_input():
         symplectic_spectrum(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+def test_symmetry_is_judged_in_the_matrix_units():
+    # |M_ij - M_ji| against 1e-10 sqrt(M_ii M_jj): no absolute floor lets a matrix in
+    # small units through, and a squeeze of a symmetric matrix stays accepted
+    with pytest.raises(ValueError, match="not symmetric"):
+        williamson(np.array([[1e-11, 5e-11], [0.0, 1e-10]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        williamson(np.array([[1e-12, 1e-13 + 1e-20], [1e-13, 1e-12]]))
+    for d in (1e-6, 1.0, 1e6):
+        M = np.diag([d, 1 / d]) @ np.array([[2.0, 0.5], [0.5, 1.0]]) @ np.diag([d, 1 / d])
+        assert williamson(M).spectrum[0] == pytest.approx(np.sqrt(1.75), rel=1e-12)
+
+
 def test_spectrum_symplectic_invariance():
     rng = np.random.default_rng(2)
     for ndof in (1, 2, 3):
