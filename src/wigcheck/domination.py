@@ -223,10 +223,10 @@ def _argmax(w, score):
     return best, at
 
 
-def _lowner_john(w):
+def _lowner_john(w, a):
     """Largest-det M with w_i^T M w_i <= 1 for all rows of w, which span the plane.
 
-    Basis exchange: start from the farthest point and the one spanning the
+    Basis exchange: start from the farthest point w_a and the one spanning the
     largest area with it; while a constraint k is violated, move to the
     optimum over the basis and k, the largest-det ellipse through k and one
     or two basis points, each scaled down to hold on the basis and k.  det M
@@ -243,7 +243,6 @@ def _lowner_john(w):
         # by up to ~cond(M) for a thin ellipse
         return r - np.abs(q, out=q) * CONTACT_TOL @ np.abs(m)
 
-    a = _argmax(w, _norm2)[1]
     b = _argmax(w, lambda block: np.abs(w[a, 0] * block[:, 1] - w[a, 1] * block[:, 0]))[1]
     basis, m = [a, b], _through(w[[a, b]])
     for exchanges in range(MAX_EXCHANGES + 1):
@@ -278,32 +277,22 @@ def _duality_gap(M, w):
 
 
 def _line_envelope(w, mu):
-    """(M, [a]) with mu_1(M) = mu for points w that do not span the plane, else None.
+    """(M, [a]) with mu_1(M) = mu for points w that do not span the plane, else (None, [a]).
 
     M's form is diagonal along the points' line and its normal, with the
     farthest point w_a on its boundary: M = w_a w_a^T / |w_a|^4 + mu^2 n n^T,
-    n = w_a turned by a right angle; M = mu I when there is no point at all.
+    n = w_a turned by a right angle; M = mu I, and no a, when there is no point.
     """
     if not len(w):
         return mu * np.eye(2), []
     top, a = _argmax(w, _norm2)
     if _argmax(w, lambda block: np.abs(w[a, 0] * block[:, 1] - w[a, 1] * block[:, 0])
                > LINE_SIN * np.sqrt(top * _norm2(block)))[0]:
-        return None  # a point off the line through w_a
+        return None, [a]  # a point off the line through w_a
     normal = np.array([-w[a, 1], w[a, 0]])
     M = np.outer(w[a], w[a]) / top ** 2 + mu * mu * np.outer(normal, normal)
     form = M[[0, 0, 1], [0, 1, 1]]
     return M / max(1.0, float(_argmax(w, lambda block: _forms(block) @ form)[0])), [a]
-
-
-def _constraints(w, peak):
-    """(flat grid index, z, W) of the constraints W >= FIT_FLOOR * peak, by row blocks."""
-    xs, ps = w.x_axis.points, w.p_axis.points
-    for r0 in range(0, len(xs), _CHUNK_ROWS):
-        block = w.values[r0:r0 + _CHUNK_ROWS].ravel()
-        at = np.flatnonzero(block >= FIT_FLOOR * peak)
-        i, j = np.divmod(at, len(ps))
-        yield at + r0 * len(ps), np.stack([xs[r0 + i], ps[j]], axis=1), block[at]
 
 
 def fit_dominating_gaussian(w, c_max_factor=C_MAX_FACTOR):
@@ -321,9 +310,11 @@ def fit_dominating_gaussian(w, c_max_factor=C_MAX_FACTOR):
     unbounded: the certificate is `unbounded` with the M of `_line_envelope`
     at mu_1 = 2 (1 + VERDICT_BAND), twice the verdict threshold.
     C is recomputed over every constraint; the check raises ValueError if it
-    exceeds c_max_factor * max(W) beyond rounding.  Only the points w_i and
-    their grid indices are held; the rest is streamed by row blocks.  The fit
-    reads W / max(W) alone, so it does not depend on the grid's trace.
+    exceeds c_max_factor * max(W) beyond rounding.  Besides its max and count
+    passes, one stream of the grid by row blocks fills the points w_i and the
+    constraints' grid indices, the only data held; the solver's passes and the
+    re-check of C read them by point blocks.  The fit reads W / max(W) alone,
+    so it does not depend on the grid's trace.
     """
     if not (np.isfinite(c_max_factor) and c_max_factor > 1.0):
         raise ValueError(f"c_max_factor must be finite and > 1, got {c_max_factor!r}")
@@ -331,38 +322,40 @@ def fit_dominating_gaussian(w, c_max_factor=C_MAX_FACTOR):
     if peak <= 0:
         raise ValueError("grid has no positive values to dominate")
     n_constraints = int(np.count_nonzero(w.values >= FIT_FLOOR * peak))
-    wpts, where = np.empty((n_constraints, 2)), np.empty(n_constraints, int)
-    live = 0
-    for at, z, vals in _constraints(w, peak):
-        budget = w.hbar * (np.log(c_max_factor) - np.log(vals / peak))
+    xs, ps = w.x_axis.points, w.p_axis.points
+    wpts, where, live = np.empty((n_constraints, 2)), np.empty(n_constraints, int), 0
+
+    def points(at):  # z at flat grid indices
+        return np.stack([xs[at // len(ps)], ps[at % len(ps)]], axis=1)
+
+    for r0 in range(0, len(xs), _CHUNK_ROWS):
+        block = w.values[r0:r0 + _CHUNK_ROWS].ravel()
+        at = np.flatnonzero(block >= FIT_FLOOR * peak)
+        budget = w.hbar * (np.log(c_max_factor) - np.log(block[at] / peak))
+        at += r0 * len(ps)
+        z = points(at)
         away = (z[:, 0] != 0) | (z[:, 1] != 0)
-        if not away.all():  # the origin, at most one point
-            at, z, budget = at[away], z[away], budget[away]
+        if not away.all():  # the origin, at most one point: held last, for C alone
+            where[-1:], at, z, budget = at[~away], at[away], z[away], budget[away]
         end = live + len(z)
         np.divide(z, np.sqrt(budget)[:, None], out=wpts[live:end])
         where[live:end], live = at, end
     wpts = wpts[:live]
-    exchanges, unbounded, converged = 0, False, True
-    line = _line_envelope(wpts, 2.0 * (1.0 + VERDICT_BAND))
-    if line is not None:
-        (M, basis), unbounded, gap = line, True, None
-    else:
-        M, basis, exchanges = _lowner_john(wpts)
+    exchanges, gap = 0, None
+    M, basis = _line_envelope(wpts, 2.0 * (1.0 + VERDICT_BAND))
+    unbounded = M is not None
+    if not unbounded:
+        M, basis, exchanges = _lowner_john(wpts, basis[0])
         gap = _duality_gap(M, wpts[basis])
-        converged = gap is not None and gap <= GAP_TOL
-    i, j = np.divmod(where[basis], w.p_axis.count)
-    contacts = np.stack([w.x_axis.points[i], w.p_axis.points[j]], axis=1)
-    del wpts, where
+    converged = unbounded or (gap is not None and gap <= GAP_TOL)
+    contacts = points(where[basis])
+    del wpts
     if not converged:
         warnings.warn("dominating-Gaussian fit did not certify its optimum; returning best found")
 
-    spectrum = symplectic_spectrum(M)
-    form, C = M[[0, 0, 1], [0, 1, 1]], 0.0
-    for _, z, vals in _constraints(w, peak):
-        if len(z) == 1 < n_constraints:  # a one-row block, doubled: see _argmax
-            z, vals = np.repeat(z, 2, axis=0), np.repeat(vals, 2)
-        if len(z):
-            C = max(C, float((vals * np.exp(_forms(z) @ form / w.hbar)).max()))
+    spectrum, form = symplectic_spectrum(M), M[[0, 0, 1], [0, 1, 1]]
+    C = float(_argmax(where, lambda at: np.take(w.values, at)
+                      * np.exp(_forms(points(at)) @ form / w.hbar))[0])
     if C > c_max_factor * peak * (1.0 + DOMINATION_RTOL):
         raise ValueError(f"dominating fit needs C = {C:.6g} above the cap "
                          f"{c_max_factor:g} * max W = {c_max_factor * peak:.6g}")

@@ -11,6 +11,7 @@ forms may use any pair of axes.
 import json
 import warnings
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -562,7 +563,11 @@ def load_wigner_manifest(path):
     if isinstance(hbar, (bool, str)):  # float(True) would be 1.0, float("1") 1.0
         raise ValueError(f"manifest hbar must be a number, got {hbar!r}")
     if "values" in manifest:
-        values = np.asarray(manifest["values"], dtype=float)
+        rows = manifest["values"]
+        values = np.asarray(rows, dtype=float)  # which reads "1.5" as 1.5 and true as 1.0
+        if values.ndim == 2 and set(map(type, chain.from_iterable(rows))) - {int, float}:
+            entry = next(v for v in chain.from_iterable(rows) if type(v) not in (int, float))
+            raise ValueError(f"manifest values must be numbers, got {entry!r}")
     elif "values_path" in manifest:
         vp = Path(manifest["values_path"])
         if not vp.is_absolute():

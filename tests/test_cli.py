@@ -635,14 +635,22 @@ def _analyze_grid(manifest):
 
 
 def test_manifest_with_inline_null_is_input_error(tmp_path, capsys):
+    # numpy reads null as nan, "1.5" as 1.5 and false as 0.0: only a JSON number
+    # is a value, 0 included
     manifest = _vacuum_manifest(tmp_path, capsys)
     doc = json.loads(manifest.read_text())
-    doc["values"][10][20] = None
+    for i, j, entry in [(10, 20, None), (0, 0, False), (20, 20, str(doc["values"][20][20]))]:
+        kept, doc["values"][i][j] = doc["values"][i][j], entry
+        manifest.write_text(json.dumps(doc))
+        assert _analyze_grid(manifest) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: invalid state spec: manifest values must be numbers, "
+                                f"got {entry!r}\n")
+        doc["values"][i][j] = kept
+    doc["values"][0][0] = 0
     manifest.write_text(json.dumps(doc))
-    assert _analyze_grid(manifest) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert _analyze_grid(manifest) == 0
 
 
 def test_manifest_with_csv_nan_is_input_error(tmp_path, capsys):

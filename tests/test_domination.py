@@ -326,6 +326,11 @@ def _dominates(w, cert):
     return (vals * np.exp(quad / w.hbar)).max()
 
 
+def _farthest(w):
+    """Index of the first row of w farthest from the origin: the solver's start."""
+    return int(np.argmax((w * w).sum(axis=1)))
+
+
 def _scaled_points(w, cert):
     """Budget-scaled points w_i = z_i / sqrt(b_i) of the fit's live constraints."""
     zx, zp, budget = _constraints(w, cert.c_max_factor, cert.floor)
@@ -350,7 +355,7 @@ def test_binding_candidates_keep_the_minimum(name, c_max_factor):
     values = np.einsum("ni,ij,nj->n", wpts, cert.M, wpts)
     assert values.max() <= 1 + 1e-12
     assert np.abs(values[index] - 1).max() <= 1e-12
-    M, basis, exchanges = domination._lowner_john(wpts[index])
+    M, basis, exchanges = domination._lowner_john(wpts[index], _farthest(wpts[index]))
     assert sorted(basis) == list(range(len(index)))
     assert np.abs(M - cert.M).max() <= 1e-12 * np.abs(cert.M).max()
     assert 0 <= cert.n_evaluations <= domination.MAX_EXCHANGES
@@ -414,7 +419,7 @@ def test_lowner_john_matches_brute_force(points):
     assume(norm.min() > 1e-3)
     cross = w[:, None, 0] * w[None, :, 1] - w[:, None, 1] * w[None, :, 0]
     assume(np.abs(cross).max() > 1e-3 * norm.max() ** 2)
-    M, basis, exchanges = domination._lowner_john(w)
+    M, basis, exchanges = domination._lowner_john(w, _farthest(w))
     assert exchanges < domination.MAX_EXCHANGES
     values = np.einsum("ni,ij,nj->n", w, M, w)
     assert values.max() <= 1 + 1e-12
@@ -473,8 +478,8 @@ def test_fit_raises_when_the_solver_overshoots(vacuum_wigner, monkeypatch, capsy
     # an envelope 1% tighter than the optimum breaks the cap at the contacts
     solve = domination._lowner_john
 
-    def overshoot(w):
-        M, basis, exchanges = solve(w)
+    def overshoot(w, a):
+        M, basis, exchanges = solve(w, a)
         return 1.01 * M, basis, exchanges
 
     monkeypatch.setattr(domination, "_lowner_john", overshoot)
@@ -577,6 +582,27 @@ def _three_point_grid():
     return WignerGrid(axis, axis, vals)
 
 
+def _eight_point_grid():
+    # eight positive values at cells drawn at random, none of them the origin:
+    # blocks of 7 points leave one in the last block
+    axis = default_axis(count=64)
+    rng = np.random.default_rng(73)
+    cells, vals = rng.choice(64 * 64, 8, replace=False), np.zeros((64, 64))
+    vals.flat[cells] = rng.uniform(0.5, 1.0, 8)
+    return WignerGrid(axis, axis, vals)
+
+
+def _origin_grid(*cells):
+    # the origin of a centred axis, and `cells` (offsets from it) at half its
+    # value: with none, C is the origin's W; with one, a one-line fit
+    axis = default_axis(count=64)
+    vals = np.zeros((64, 64))
+    vals[32, 32] = 1.0
+    for dx, dp in cells:
+        vals[32 + dx, 32 + dp] = 0.5
+    return WignerGrid(axis, axis, vals / (vals.sum() * axis.spacing**2))
+
+
 def _manifest_grids():
     spec = importlib.util.spec_from_file_location(
         "workloads", Path(__file__).parents[1] / "benchmark" / "workloads.py")
@@ -593,7 +619,8 @@ def _fit_cases(vacuum_wigner, fock1_wigner, mixture_5050):
             "squeezed": wigner_gaussian([0, 0], np.diag([1.0, 0.25]), axis, axis),
             "fock1 x1.2": rescale(fock1_wigner, 1.2), "vacuum x1.5": rescale(vacuum_wigner, 1.5),
             "bump": truncated_bump_grid(axis, axis, radius=1.0),
-            "three points": _three_point_grid(),
+            "three points": _three_point_grid(), "eight points": _eight_point_grid(),
+            "origin": _origin_grid(), "origin and one point": _origin_grid((4, 6)),
             **{name: REDUCTION_GRIDS[name]() for name in ("bump-indicator", *sorted(DEGENERATE))},
             **_manifest_grids()}
 
@@ -623,11 +650,15 @@ def test_streamed_fit_is_the_whole_array_fit(no_grid, vacuum_wigner, fock1_wigne
 
 
 def test_streamed_fit_with_tiny_blocks(vacuum_wigner, fock1_wigner, mixture_5050, monkeypatch):
-    # blocks of a few rows and points: argmax ties and contacts across block edges
+    # blocks of a few rows and points: argmax ties and contacts across block edges.
+    # No pass reads a block of one point (numpy rounds a one-row product as a
+    # dot), and the origin's index, held last, keeps its W in the re-check of C
+    # and that re-check beside one other point a product of two rows
     monkeypatch.setattr(domination, "_CHUNK_ROWS", 3)
     monkeypatch.setattr(domination, "_POINT_BLOCK", 7)
     cases = _fit_cases(vacuum_wigner, fock1_wigner, mixture_5050)
-    for name in ("vacuum", "fock1 x1.2", "squeezed", "three points", "line", "bump-indicator"):
+    for name in ("vacuum", "fock1 x1.2", "squeezed", "three points", "eight points", "origin",
+                 "origin and one point", "line", "bump-indicator"):
         for c_max_factor in (1.25, 10.0):
             _assert_same_fit(cases[name], c_max_factor)
 
