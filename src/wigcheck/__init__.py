@@ -20,5 +20,5 @@ from .states import (AxisGrid, SymplecticFourier, WaveFunctionGrid, WignerGrid, 
                      trace, wigner_gaussian, wigner_momentum_axis, wigner_of_pure)
 from .symplectic import (WilliamsonFactorization, is_symplectic, symplectic_form,
                          symplectic_spectrum, williamson)
-from .uncertainty import (CovarianceMatrix, RSInequality, UncertaintyReport,
-                          check_quantum_psd, check_rs, covariance_from_grid, uncertainty_report)
+from .uncertainty import (CovarianceMatrix, RSInequality, UncertaintyReport, check_rs,
+                          covariance_from_grid, uncertainty_report)

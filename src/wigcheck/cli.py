@@ -302,14 +302,12 @@ def _capacity(spec, hbar, args):
         M = np.asarray(_numbers(spec["M"], "capacity M"), dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"capacity needs a JSON object with an 'M' matrix: {exc}") from exc
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0 or M.shape[0] % 2:
-        raise InputError(f"capacity needs 'M' to be a square matrix of even size, "
-                         f"got shape {M.shape}")
-    n = M.shape[0] // 2
-    out = {"input": spec, "hbar": hbar,
-           "capacity": capacity(M, hbar),
-           "admissible": is_admissible(M, hbar),
-           "section_areas": [section_area(M, j, hbar) for j in range(n)]}
+    try:  # `williamson` is the one gate of M, its shape included
+        cap = capacity(M, hbar)
+    except ValueError as exc:
+        raise InputError(f"capacity M: {exc}") from exc
+    out = {"input": spec, "hbar": hbar, "capacity": cap, "admissible": is_admissible(M, hbar),
+           "section_areas": [section_area(M, j, hbar) for j in range(len(M) // 2)]}
     if out["admissible"]:
         blob, resid = find_contained_blob(M, hbar)
         out["contained_blob"] = as_dict(blob)

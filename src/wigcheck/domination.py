@@ -353,7 +353,11 @@ def fit_dominating_gaussian(w, c_max_factor=C_MAX_FACTOR):
     if not converged:
         warnings.warn("dominating-Gaussian fit did not certify its optimum; returning best found")
 
-    spectrum, form = symplectic_spectrum(M), M[[0, 0, 1], [0, 1, 1]]
+    try:
+        spectrum = symplectic_spectrum(M)
+    except ValueError as exc:
+        raise ValueError(f"dominating fit M: {exc}") from exc
+    form = M[[0, 0, 1], [0, 1, 1]]
     C = float(_argmax(where, lambda at: np.take(w.values, at)
                       * np.exp(_forms(points(at)) @ form / w.hbar))[0])
     if C > c_max_factor * peak * (1.0 + DOMINATION_RTOL):

@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
+from .symplectic import symplectic_spectrum
+
 __all__ = [
     "AxisGrid",
     "default_axis",
@@ -228,15 +230,18 @@ def wigner_of_pure(psi):
 def wigner_gaussian(mean, sigma, x_axis, p_axis, hbar=1.0):
     """Gaussian Wigner function with the given mean and covariance matrix.
 
-    W(z) = (2 pi)^(-1) det(sigma)^(-1/2) exp(-(z-mean)^T sigma^(-1) (z-mean)/2).
+    W(z) = (2 pi nu)^(-1) exp(-(z-mean)^T sigma^(-1) (z-mean)/2) with nu = det(sigma)^(1/2),
+    the symplectic eigenvalue of sigma from the unit-free gate `symplectic.williamson`,
+    whose refusals name the gaussian cov.
     """
     sigma = np.asarray(sigma, dtype=float)
     mean = np.asarray(mean, dtype=float)
     if sigma.shape != (2, 2) or mean.shape != (2,):
         raise ValueError("grid-based Gaussian states support one degree of freedom only")
-    det = np.linalg.det(sigma)
-    if np.abs(sigma - sigma.T).max() > 1e-12 * max(1.0, np.abs(sigma).max()) or det <= 0:
-        raise ValueError("sigma must be symmetric positive definite")
+    try:
+        nu = symplectic_spectrum(sigma)[0]
+    except ValueError as exc:
+        raise ValueError(f"gaussian cov: {exc}") from exc
     inv = np.linalg.inv(sigma)
     xs, ps = x_axis.points - mean[0], p_axis.points - mean[1]
     xx, xp, pp = inv[0, 0] * xs * xs, 2 * inv[0, 1] * xs, inv[1, 1] * ps * ps
@@ -244,7 +249,7 @@ def wigner_gaussian(mean, sigma, x_axis, p_axis, hbar=1.0):
     for r0 in range(0, len(vals), _CHUNK_ROWS):  # the quadratic form, summed left to right
         rows = slice(r0, r0 + _CHUNK_ROWS)
         vals[rows] = np.exp(-0.5 * (xx[rows, None] + xp[rows, None] * ps + pp))
-    vals /= 2 * np.pi * np.sqrt(det)
+    vals /= 2 * np.pi * nu
     return WignerGrid(x_axis, p_axis, vals, hbar)
 
 

@@ -31,19 +31,17 @@ def symplectic_form(ndof):
     return np.block([[zero, eye], [-eye, zero]])
 
 
-def _check_phase_space_dim(dim):
-    if dim < 2 or dim % 2 != 0:
-        raise ValueError(f"phase-space dimension must be even and >= 2, got {dim}")
-    return dim // 2
+def _modes(M):
+    """N for a square 2N x 2N matrix with N >= 1; raises naming any other shape."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 or not M.shape[0]:
+        raise ValueError(f"matrix must be square of even size >= 2, got shape {M.shape}")
+    return M.shape[0] // 2
 
 
 def is_symplectic(S, tol=1e-10):
     """True when ||S^T J S - J||_inf <= tol."""
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("matrix must be square")
-    n = _check_phase_space_dim(S.shape[0])
-    J = symplectic_form(n)
+    J = symplectic_form(_modes(S))
     return bool(np.abs(S.T @ J @ S - J).max() <= tol)
 
 
@@ -78,25 +76,25 @@ class WilliamsonFactorization:
 
 
 def williamson(M):
-    """Williamson normal form of a symmetric positive-definite matrix.
+    """Williamson normal form of a symmetric positive-definite matrix, and the
+    one gate of such matrices: the one-line refusals below are unit-free.
 
-    M is read in balanced units, B = D M D of `_balance`: only a matrix
-    singular in shape is refused, whatever the units of x and p.  B must have
-    eigenvalues above PD_TOL times the largest.  Of its root B^(1/2), the
-    Hermitian i K, K = B^(1/2) J B^(1/2) made exactly skew-symmetric, has the
-    eigenvalues +/- mu_j.  An eigenvector e of +mu_j, rotated so that its
-    first entry of modulus >= half the largest is positive imaginary, gives the
-    orthonormal pair u = sqrt(2) Im e, v = sqrt(2) Re e with K u = -mu_j v and
-    K v = mu_j u (for one degree of freedom, the coordinate axes).  The pairs
-    assemble a symplectic S_B with B = S_B^T diag(mu, mu) S_B, and S = S_B D^(-1):
-    for one degree of freedom S = B^(1/2) D^(-1) / det(M)^(1/4).  The relative
-    reconstruction residual and the symplecticity residual of S are recorded.
-    Raises when the entries are not finite, as near the largest float.
+    M must be square of even size >= 2 (`_modes`), symmetric within
+    1e-10 sqrt(M_ii M_jj) per entry, and finite.  It is read in balanced
+    units, B = D M D of `_balance`: only a matrix singular in shape is refused,
+    whatever the units of x and p.  B must have eigenvalues above PD_TOL times
+    the largest.  Of its root B^(1/2), the Hermitian i K, K = B^(1/2) J B^(1/2)
+    made exactly skew-symmetric, has the eigenvalues +/- mu_j.  An eigenvector e
+    of +mu_j, rotated so that its first entry of modulus >= half the largest is
+    positive imaginary, gives the orthonormal pair u = sqrt(2) Im e,
+    v = sqrt(2) Re e with K u = -mu_j v and K v = mu_j u (for one degree of
+    freedom, the coordinate axes).  The pairs assemble a symplectic S_B with
+    B = S_B^T diag(mu, mu) S_B, and S = S_B D^(-1): for one degree of freedom
+    S = B^(1/2) D^(-1) / det(M)^(1/4).  The relative reconstruction residual and
+    the symplecticity residual of S are recorded.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    n = _check_phase_space_dim(M.shape[0])
+    n = _modes(M)
     root = np.sqrt(np.abs(np.diagonal(M)))  # |M_ij| <= sqrt(M_ii M_jj) on a positive M
     if (np.abs(M - M.T) > 1e-10 * np.outer(root, root)).any():
         raise ValueError("matrix is not symmetric")

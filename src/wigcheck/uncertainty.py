@@ -21,7 +21,6 @@ __all__ = [
     "covariance_from_grid",
     "RSInequality",
     "check_rs",
-    "check_quantum_psd",
     "UncertaintyReport",
     "uncertainty_report",
 ]
@@ -35,12 +34,6 @@ class CovarianceMatrix:
 
     sigma: np.ndarray
     mean: np.ndarray
-
-    def __post_init__(self):
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        self.mean = np.asarray(self.mean, dtype=float)
-        if np.abs(self.sigma - self.sigma.T).max() > 1e-12 * max(1.0, np.abs(self.sigma).max()):
-            raise ValueError("covariance matrix must be symmetric")
 
 
 def covariance_from_grid(w):
@@ -86,13 +79,15 @@ def check_rs(sigma, hbar=1.0):
     Conjugate pairs require Var(x_j) Var(p_j) >= cov(x_j, p_j)^2 + hbar^2/4;
     cross pairs (j != k) require Var(x_j) Var(p_k) >= cov(x_j, p_k)^2.  Each
     is decided in the balanced units of `symplectic._balance`, where the margin
-    of pair (j, k) is (d_j / d_k)^2 times its margin, within a rounding band set
-    by the balanced sigma.
+    of pair (j, k) is (d_j / d_k)^2 times its margin, within the rounding band
+    BOUNDARY_BAND * max|eig Sigma_B|^2, the square of the scale of the PSD test's
+    band in `uncertainty_report`: with no floor, hbar -> k hbar and Sigma -> k Sigma
+    keep every verdict.
     """
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.shape[0] // 2
     balanced, dd = _balance(sigma)
-    scale = max(1.0, np.abs(balanced).max()) ** 2
+    band = BOUNDARY_BAND * np.abs(np.linalg.eigvalsh(balanced)).max() ** 2
     out = []
     for j in range(n):
         for k in range(n):
@@ -100,28 +95,10 @@ def check_rs(sigma, hbar=1.0):
             cross = sigma[j, n + k] ** 2
             rhs = cross + hbar**2 / 4 if j == k else cross
             kind = "conjugate" if j == k else "cross"
-            ok = (dd[j] / dd[k]) ** 2 * (lhs - rhs) >= -BOUNDARY_BAND * scale
+            ok = (dd[j] / dd[k]) ** 2 * (lhs - rhs) >= -band
             lhs, rhs = float(lhs), float(rhs)
             out.append(RSInequality(j, k, kind, lhs, rhs, lhs - rhs, bool(ok)))
     return out
-
-
-def _criterion(sigma, hbar):
-    """(smallest eigenvalue of D (Sigma + (i*hbar/2) J) D = Sigma_B + (i*hbar/2) J,
-    its rounding band BOUNDARY_BAND * max|eig Sigma_B|), with Sigma_B = D Sigma D
-    the balanced sigma of `symplectic._balance`: a diagonal symplectic D changes
-    neither the verdict nor the band, so neither depends on the units of x and p."""
-    balanced = _balance(sigma)[0]
-    h = balanced + 0.5j * hbar * symplectic_form(sigma.shape[0] // 2)
-    band = BOUNDARY_BAND * np.abs(np.linalg.eigvalsh(balanced)).max()
-    return float(np.linalg.eigvalsh(h).min()), band
-
-
-def check_quantum_psd(sigma, hbar=1.0):
-    """PSD test of Sigma + (i*hbar/2) J, read in balanced units; returns (pass,
-    smallest eigenvalue of the balanced matrix of `_criterion`)."""
-    min_eig, band = _criterion(np.asarray(sigma, dtype=float), hbar)
-    return bool(min_eig >= -band), min_eig
 
 
 @dataclass
@@ -143,10 +120,20 @@ class UncertaintyReport:
 
 
 def uncertainty_report(sigma, hbar=1.0):
-    """Run all uncertainty criteria on one covariance matrix."""
+    """Run all uncertainty criteria on one covariance matrix.
+
+    The PSD test reads the smallest eigenvalue of D (Sigma + (i*hbar/2) J) D =
+    Sigma_B + (i*hbar/2) J within the rounding band BOUNDARY_BAND * max|eig Sigma_B|,
+    with Sigma_B = D Sigma D the balanced sigma of `symplectic._balance`: a diagonal
+    symplectic D changes neither the verdict nor the band, so neither depends on
+    the units of x and p.
+    """
     sigma = np.asarray(sigma, dtype=float)
     rs = check_rs(sigma, hbar)
-    min_eig, band = _criterion(sigma, hbar)
+    balanced = _balance(sigma)[0]
+    h = balanced + 0.5j * hbar * symplectic_form(sigma.shape[0] // 2)
+    min_eig = float(np.linalg.eigvalsh(h).min())
+    band = BOUNDARY_BAND * np.abs(np.linalg.eigvalsh(balanced)).max()
     psd_ok = bool(min_eig >= -band)
     try:  # sigma has a symplectic spectrum when `williamson` takes it as positive definite
         nu = symplectic_spectrum(sigma)

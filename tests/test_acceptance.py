@@ -10,7 +10,7 @@ import numpy as np
 
 from conftest import (check_williamson_criterion, fourier_wavefunction, oracle_min,
                       p4_series_reference, random_spd, random_symplectic)
-from wigcheck import (capacity, check_quantum_psd, check_rs, compact_support_flag,
+from wigcheck import (capacity, check_rs, compact_support_flag,
                       covariance_from_grid, default_axis, fit_dominating_gaussian,
                       fock_state, is_admissible, klm_check, moment_p4,
                       operator_spectrum_oracle,
@@ -48,7 +48,7 @@ def test_criterion_02_criterion_equivalence():
     for _ in range(1000):
         dim = 2 * int(rng.integers(1, 3))
         sigma = random_spd(rng, dim, lo=0.15, hi=1.5)
-        psd_ok, _ = check_quantum_psd(sigma, hbar)
+        psd_ok = uncertainty_report(sigma, hbar).psd_ok
         will_ok, nu = check_williamson_criterion(sigma, hbar)
         if abs(nu - hbar / 2) <= 1e-10 * np.abs(sigma).max():
             continue
@@ -62,7 +62,7 @@ def test_criterion_02_criterion_equivalence():
         if abs(mu1 - 1.0) <= 1e-9:
             continue
         bridge_total += 1
-        psd_ok, _ = check_quantum_psd(0.5 * hbar * np.linalg.inv(M), hbar)
+        psd_ok = uncertainty_report(0.5 * hbar * np.linalg.inv(M), hbar).psd_ok
         bridge += is_admissible(M, hbar) == psd_ok
     ok = agree == total and bridge == bridge_total
     _report(2, ok, f"criterion agreement {agree}/{total}, "
@@ -101,7 +101,7 @@ def test_criterion_04_rescaling_beats_uncertainty_checks():
         w = rescale(wigner_of_pure(fock_state(1, default_axis(count=count))), 1.2)
         sigma = covariance_from_grid(w).sigma
         rs_ok &= all(c.ok for c in check_rs(sigma, hbar))
-        this_ok, _ = check_quantum_psd(sigma, hbar)
+        this_ok = uncertainty_report(sigma, hbar).psd_ok
         psd_ok &= this_ok
         nu = symplectic_spectrum(sigma)[-1]
         mins.append(oracle_min(w))
@@ -121,14 +121,14 @@ def test_criterion_05_rescaling_thresholds(vacuum_wigner, fock1_wigner):
     for w, star in ((vacuum_wigner, star_vac), (fock1_wigner, star_fock)):
         sigma = covariance_from_grid(w).sigma
         for lam in np.linspace(0.8 * star, 1.2 * star, 9):
-            ok, _ = check_quantum_psd(sigma / lam**2, 1.0)
+            ok = uncertainty_report(sigma / lam**2, 1.0).psd_ok
             if abs(lam - star) > 1e-9:
                 flips_ok &= ok == (lam < star)
     # and through the full grid pipeline just around the threshold
     for w, star in ((vacuum_wigner, star_vac), (fock1_wigner, star_fock)):
         for lam, expect in ((0.98 * star, True), (1.02 * star, False)):
             sigma = covariance_from_grid(rescale(w, lam)).sigma
-            ok, _ = check_quantum_psd(sigma, 1.0)
+            ok = uncertainty_report(sigma, 1.0).psd_ok
             flips_ok &= ok == expect
     ok = ok_vals and flips_ok
     _report(5, ok, f"lambda*(vacuum) = {star_vac:.12f}, lambda*(fock1) = {star_fock:.12f} "
@@ -173,7 +173,7 @@ def test_criterion_08_narcowich_oconnell_end_to_end(no_grid):
     hbar = 1.0
     sigma = covariance_from_grid(no_grid).sigma
     rs_ok = all(c.ok for c in check_rs(sigma, hbar))
-    psd_ok, _ = check_quantum_psd(sigma, hbar)
+    psd_ok = uncertainty_report(sigma, hbar).psd_ok
     p4 = moment_p4(no_grid)
     ref = p4_series_reference(0.5, 0.5)
     p4_ok = abs(p4 / ref - 1.0) <= 0.02 and p4 < 0

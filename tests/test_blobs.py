@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_spd, random_symplectic
-from wigcheck import (capacity, check_quantum_psd, find_contained_blob,
-                      is_admissible, quantum_blob, section_area, symplectic_spectrum)
+from wigcheck import (capacity, find_contained_blob, is_admissible, quantum_blob, section_area,
+                      symplectic_spectrum, uncertainty_report)
 
 
 def test_capacity_examples():
@@ -46,7 +46,7 @@ def test_admissibility_matches_quantum_psd():
         if abs(mu1 - 1.0) <= 1e-9:
             continue
         sigma = 0.5 * hbar * np.linalg.inv(M)
-        psd_ok, _ = check_quantum_psd(sigma, hbar)
+        psd_ok = uncertainty_report(sigma, hbar).psd_ok
         assert is_admissible(M, hbar) == psd_ok
 
 

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_symplectic
 from wigcheck import (AxisGrid, WignerGrid, blobs, cli, default_axis, fock_state, mixture_wigner,
-                      save_wigner_manifest, symplectic, wigner_gaussian)
+                      save_wigner_manifest, symplectic, uncertainty_report, wigner_gaussian)
 from wigcheck.cli import _emit, main
 from wigcheck.states import ALIASING_TOL
 
@@ -417,6 +418,33 @@ def test_capacity_reads_the_ellipsoid_in_balanced_units(capsys):
                        "matrix is not symmetric")
 
 
+def test_units_of_action_change_no_verdict_and_no_refusal(capsys):
+    # hbar -> k hbar with Sigma -> k Sigma changes only the unit of action: every
+    # uncertainty verdict holds, for states, sub-vacuum covariances and the boundary
+    # alike; a floor on the pair inequalities' band would pass the sub-vacuum
+    # 0.2 hbar I at k = 1e-6, which fails them at hbar = 1
+    rng = np.random.default_rng(33)
+    sigmas = [0.5 * np.eye(2), 0.2 * np.eye(2), 0.5 * np.eye(4)]
+    for seed in range(40):
+        ndof = 1 + seed % 2
+        S, nu = random_symplectic(seed, ndof), rng.uniform(0.1, 2.0, size=ndof)
+        sigmas.append((S * np.concatenate([nu, nu])) @ S.T)
+
+    def verdicts(k):
+        reports = [uncertainty_report(k * sigma, k) for sigma in sigmas]
+        return [(r.verdict, r.rs_ok, r.psd_ok, r.boundary) for r in reports]
+
+    base = verdicts(1.0)
+    assert {v[1] for v in base} == {True, False} and {v[0] for v in base} == {"pass", "fail"}
+    for k in (1e-6, 1e3):
+        assert verdicts(k) == base
+    # an asymmetric Gaussian cov is refused in one line, whatever its units
+    for k in (1e-13, 1.0, 1e13):
+        spec = {"type": "gaussian", "mean": [0, 0], "cov": [[k, 5 * k], [0, k]]}
+        assert_input_error(capsys, ["analyze", json.dumps(spec)],
+                           "gaussian cov: matrix is not symmetric")
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_sweep_entry_is_the_grid_checked_at_lambda_squared_hbar(capsys, monkeypatch, n):
     # W_lam(z) = lam^2 W(lam z) has covariance Sigma/lam^2, and Sigma/lam^2 >= hbar/2
@@ -796,13 +824,11 @@ def test_largest_seed_runs_without_warnings(capsys):
     assert captured.err == "" and json.loads(captured.out)["klm"]["seed"] == 2**64 - 1
 
 
-@pytest.mark.parametrize("matrix", ["3", "[]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
-                                    "[[1, 0], [0, 1], [0, 0]]", "[1, 2]"])
+@pytest.mark.parametrize("matrix", ["3", "[]", "[[1]]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
+                                    "[[1, 0], [0, 1], [0, 0]]", "[1, 2]", "[[1, 0], [0]]"])
 def test_capacity_rejects_non_square_or_odd_matrix(capsys, matrix):
-    assert main(["capacity", '{"M": %s}' % matrix]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    # `williamson`'s shape check names the shape it refuses; numpy names a ragged one
+    assert_input_error(capsys, ["capacity", '{"M": %s}' % matrix], "shape")
 
 
 def test_emit_refuses_non_finite_numbers(capsys):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import oracle_min, p4_series_reference
-from wigcheck import (check_quantum_psd, check_rs, covariance_from_grid, default_axis,
-                      moment_p4, narcowich_oconnell_grid, trace, wigner_gaussian)
+from wigcheck import (check_rs, covariance_from_grid, default_axis, moment_p4,
+                      narcowich_oconnell_grid, trace, uncertainty_report, wigner_gaussian)
 from wigcheck.fixtures import NO_COUNT, NO_EXTENT
 
 
@@ -21,7 +21,7 @@ def test_no_covariance_is_diag_alpha_beta():
 
 def test_no_uncertainty_passes_at_default_params(no_grid):
     cov = covariance_from_grid(no_grid)
-    ok, _ = check_quantum_psd(cov.sigma, 1.0)
+    ok = uncertainty_report(cov.sigma, 1.0).psd_ok
     assert ok
     assert all(c.ok for c in check_rs(cov.sigma, 1.0))
 
@@ -48,7 +48,7 @@ def test_no_end_to_end_not_a_state(no_grid):
     # passes every second-moment criterion yet fails positivity outright
     cov = covariance_from_grid(no_grid)
     assert all(c.ok for c in check_rs(cov.sigma, 1.0))
-    ok, _ = check_quantum_psd(cov.sigma, 1.0)
+    ok = uncertainty_report(cov.sigma, 1.0).psd_ok
     assert ok
     assert oracle_min(no_grid) < -1e-4
     assert moment_p4(no_grid) < 0
@@ -109,5 +109,5 @@ def test_no_covariance_keeps_its_boundary_margin(no_grid):
     # round-off must stay well inside the verdict's band, BOUNDARY_BAND * 0.5
     sigma = covariance_from_grid(no_grid).sigma
     assert np.abs(sigma - 0.5 * np.eye(2)).max() <= 1e-11
-    ok, min_eig = check_quantum_psd(sigma, 1.0)
-    assert ok and abs(min_eig) <= 1e-11
+    report = uncertainty_report(sigma, 1.0)
+    assert report.psd_ok and abs(report.psd_min_eigenvalue) <= 1e-11

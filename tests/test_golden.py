@@ -92,7 +92,7 @@ def test_readme_library_block():
             values[code] = eval(code, env)
         else:
             exec(code, env)
-    assert values["wc.check_quantum_psd(sigma, 1.0)"][0] is True
+    assert values["wc.uncertainty_report(sigma, 1.0).psd_ok"] is True
     assert values["min(e[-1] for e in wc.operator_spectrum_oracle(w))"] == pytest.approx(
         -0.405, abs=5e-4)
     assert values["wc.klm_check(w, seed=3).overall"] == "violation_certificate"

@@ -50,8 +50,7 @@ def test_vacuum_domination_scales(vacuum_hbar2):
 
 def test_rescaled_vacuum_fails_everything(vacuum_hbar2):
     w = rescale(vacuum_hbar2, 1.5)
-    from wigcheck import check_quantum_psd
-    ok, _ = check_quantum_psd(covariance_from_grid(w).sigma, 2.0)
+    ok = uncertainty_report(covariance_from_grid(w).sigma, 2.0).psd_ok
     assert not ok
     assert oracle_min(w) < -1e-3
     report = klm_check(w, seed=0)

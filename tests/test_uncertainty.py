@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import check_williamson_criterion, random_spd, random_symplectic
-from wigcheck import (AxisGrid, as_dict, check_quantum_psd, check_rs,
+from wigcheck import (AxisGrid, as_dict, check_rs,
                       covariance_from_grid, default_axis, fock_state, moment_p4,
                       symplectic_spectrum, uncertainty_report, wigner_gaussian, williamson,
                       wigner_of_pure)
@@ -69,16 +69,14 @@ def test_rs_correlated_equality_passes():
 
 
 def test_quantum_psd_boundary_and_failure():
-    ok, min_eig = check_quantum_psd(0.5 * np.eye(2), 1.0)
-    assert ok and min_eig == pytest.approx(0.0, abs=1e-12)
-    ok, _ = check_quantum_psd(0.5 * np.diag([1.0, 0.9]), 1.0)
-    assert not ok
+    report = uncertainty_report(0.5 * np.eye(2), 1.0)
+    assert report.psd_ok and report.psd_min_eigenvalue == pytest.approx(0.0, abs=1e-12)
+    assert not uncertainty_report(0.5 * np.diag([1.0, 0.9]), 1.0).psd_ok
 
 
 def test_quantum_psd_fails_after_rescaling():
     sigma = 0.5 * np.eye(2) / 1.2**2
-    ok, _ = check_quantum_psd(sigma, 1.0)
-    assert not ok
+    assert not uncertainty_report(sigma, 1.0).psd_ok
 
 
 def test_williamson_criterion_examples():
@@ -94,7 +92,7 @@ def test_criteria_agree_on_random_covariances():
     for _ in range(500):
         dim = 2 * int(rng.integers(1, 3))
         sigma = random_spd(rng, dim, lo=0.15, hi=1.5)
-        psd_ok, min_eig = check_quantum_psd(sigma, hbar)
+        psd_ok = uncertainty_report(sigma, hbar).psd_ok
         will_ok, nu = check_williamson_criterion(sigma, hbar)
         if abs(nu - hbar / 2) <= 1e-10 * np.abs(sigma).max():
             continue
@@ -142,7 +140,7 @@ def test_lambda_star_matches_sweep():
         sigma = random_spd(rng, 2, lo=0.3, hi=1.5)
         star = uncertainty_report(sigma, hbar).lambda_star
         for lam in np.linspace(0.5 * star, 1.5 * star, 11):
-            ok, _ = check_quantum_psd(sigma / lam**2, hbar)
+            ok = uncertainty_report(sigma / lam**2, hbar).psd_ok
             if abs(lam - star) > 1e-9:
                 assert ok == (lam < star)
 
@@ -155,7 +153,7 @@ def test_psd_implies_rs():
     for _ in range(500):
         dim = 2 * int(rng.integers(1, 3))
         sigma = random_spd(rng, dim, lo=0.2, hi=2.0)
-        psd_ok, _ = check_quantum_psd(sigma, hbar)
+        psd_ok = uncertainty_report(sigma, hbar).psd_ok
         if psd_ok:
             checked += 1
             assert all(c.ok for c in check_rs(sigma, hbar))
@@ -169,7 +167,7 @@ def test_one_mode_three_way_equivalence():
         sigma = random_spd(rng, 2, lo=0.2, hi=1.2)
         det_ok = np.linalg.det(sigma) >= hbar**2 / 4
         rs_ok = all(c.ok for c in check_rs(sigma, hbar))
-        psd_ok, min_eig = check_quantum_psd(sigma, hbar)
+        psd_ok = uncertainty_report(sigma, hbar).psd_ok
         if abs(np.linalg.det(sigma) - hbar**2 / 4) <= 1e-9:
             continue
         assert rs_ok == psd_ok == det_ok
@@ -185,8 +183,8 @@ def test_verdict_symplectically_invariant():
         ndof = int(rng.integers(1, 4))
         sigma = random_spd(rng, 2 * ndof, lo=0.2, hi=1.2)
         S = random_symplectic(i, ndof)
-        ok_a, _ = check_quantum_psd(sigma, hbar)
-        ok_b, _ = check_quantum_psd(S.T @ sigma @ S, hbar)
+        ok_a = uncertainty_report(sigma, hbar).psd_ok
+        ok_b = uncertainty_report(S.T @ sigma @ S, hbar).psd_ok
         assert ok_a == ok_b
         d = 10.0 ** rng.uniform(-8, 8, size=ndof)
         dd = np.concatenate([d, 1 / d])
@@ -198,7 +196,7 @@ def test_verdict_symplectically_invariant():
         # entrywise, relative to sqrt(Sigma_aa Sigma_bb), which D scales as it scales Sigma_ab
         scale = np.sqrt(np.outer(np.diag(squeezed), np.diag(squeezed)))
         assert (np.abs(recon - squeezed) / scale).max() <= 1e-9
-        assert check_quantum_psd(squeezed, hbar)[0] == ok_a
+        assert uncertainty_report(squeezed, hbar).psd_ok == ok_a
         assert [c.ok for c in check_rs(squeezed, hbar)] == [c.ok for c in check_rs(sigma, hbar)]
         a, b = uncertainty_report(sigma, hbar), uncertainty_report(squeezed, hbar)
         assert (a.verdict, a.rs_ok, a.boundary) == (b.verdict, b.rs_ok, b.boundary)
@@ -224,7 +222,7 @@ def test_two_mode_rs_weaker_than_psd():
     sigma = np.diag([0.6, 0.6, 0.6, 0.6]).astype(float)
     sigma[0, 1] = sigma[1, 0] = 0.55
     assert all(c.ok for c in check_rs(sigma, hbar))
-    psd_ok, _ = check_quantum_psd(sigma, hbar)
+    psd_ok = uncertainty_report(sigma, hbar).psd_ok
     assert not psd_ok
 
     rng = np.random.default_rng(15)
@@ -232,7 +230,7 @@ def test_two_mode_rs_weaker_than_psd():
     for _ in range(300):
         s = random_spd(rng, 4, lo=0.4, hi=0.9)
         if all(c.ok for c in check_rs(s, hbar)):
-            ok, _ = check_quantum_psd(s, hbar)
+            ok = uncertainty_report(s, hbar).psd_ok
             if not ok:
                 found += 1
     print(f"\nrandom search: {found}/300 covariances pass the pair "
