@@ -12,9 +12,9 @@ eigenvalue at any order is a proof that the grid is not a state, while
 The diagonal of F is the grid trace and the lower triangle the conjugate of
 the upper one, so only the m(m-1)/2 differences j < k go through the folded
 quadrature of `SymplecticFourier`, built once per search; a witness is
-re-checked by an independent, unfolded quadrature.  All point sets of an
-order are drawn first, and their matrices are phased in real arithmetic and
-diagonalized in stacks.
+re-checked by an independent, unfolded quadrature.  Order 1 is the trace; a
+lattice step is transformed once a search (675 points for a state, not 1,000),
+in blocks of new points times axis length at most 30 * 768.
 
 Point sets come from SplitMix64 uniforms and Box-Muller normals in numpy alone,
 keyed on (seed, order, draw): bit-for-bit reproducible on one machine, equal to
@@ -51,10 +51,9 @@ MAX_ORDER, TRIALS_PER_ORDER = 5, 50  # the search's fixed cost: orders 1 to 5, 5
 # points (-x, p), and time reversal maps states to states.
 PHASE_SIGN = +1
 
-# Point sets per stacked eigendecomposition: large enough that the transform
-# runs as a matrix product, small enough that a witness early in an order
-# wastes little work.
-_CHUNK_TRIALS = 10
+# A block's new transform points times the axis length: the transform runs as a matrix
+# product, its cos/sin factors stay small and an early witness wastes little work.
+_BLOCK_WORK = 30 * 768
 
 
 @functools.cache
@@ -79,18 +78,25 @@ def klm_matrix(fsw, points, hbar=1.0):
     single = pts.ndim < 3
     if single:
         pts = np.atleast_2d(pts)[None]
+    j, k = _pairs(pts.shape[1])
+    mat = _phased(fsw((pts[:, j] - pts[:, k]).reshape(-1, 2)), pts, hbar, fsw.trace)
+    return mat[0] if single else mat
+
+
+def _phased(f, pts, hbar, trace):
+    """The (T, m, m) matrices of the point sets `pts` from F at their differences j < k."""
     t, m = pts.shape[:2]
     j, k = _pairs(m)
     x, p = pts[..., 0], pts[..., 1]
-    f = fsw((pts[:, j] - pts[:, k]).reshape(-1, 2)).reshape(t, j.size)
     sig = p[:, j] * x[:, k] - x[:, j] * p[:, k]
+    f = f.reshape(sig.shape)
     upper = _rotate(f.real, f.imag, PHASE_SIGN * 0.5 * hbar * sig)
     mat = np.empty((t, m, m), dtype=complex)
     mat[:, j, k] = upper
     mat[:, k, j] = upper.conj()
     diag = np.arange(m)
-    mat[:, diag, diag] = fsw.trace
-    return mat[0] if single else mat
+    mat[:, diag, diag] = trace
+    return mat
 
 
 @dataclass
@@ -126,6 +132,10 @@ class KLMReport:
 
 # an axis-aligned point set of order k: the first k of these points, times a scale
 _LATTICE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
+# the seven steps _STEPS[_STEP_OF[j, k]] = L_j - L_k, j < k, in the order a lattice set gains
+# them; with entries 0, 1 and 2, scale * L_j - scale * L_k = scale * (L_j - L_k) bit for bit
+_STEPS = np.array([[-1, 0], [0, -1], [1, -1], [-1, -1], [-2, 0], [-2, 1], [-1, 1]], dtype=float)
+_STEP_OF = (_LATTICE[:, None, None] - _LATTICE[None, :, None] == _STEPS).all(-1).argmax(-1)
 
 
 def _uniforms(seed, order, draws):
@@ -172,21 +182,35 @@ def klm_check(w, seed=0):
         chol = np.sqrt(w.hbar / 2) * np.eye(2)
     base_scale = float(np.sqrt(2.0 * max(np.trace(cov) / 2.0, w.hbar / 4)))
 
-    orders = []
-    for order in range(1, MAX_ORDER + 1):
+    cap = _BLOCK_WORK // max(w.x_axis.count, w.p_axis.count)  # new transform points a block
+    lattice = np.arange(TRIALS_PER_ORDER) % 2 == 1  # the trials that draw lattice sets
+    table = np.empty((TRIALS_PER_ORDER, len(_STEPS)), dtype=complex)  # F at their scaled steps
+    orders = [KLMOrderRecord(1, TRIALS_PER_ORDER, fsw.trace)]  # every order-1 matrix is [[trace]]
+    for order in range(2, MAX_ORDER + 1):
         pts = _point_sets(seed, order, TRIALS_PER_ORDER, chol, base_scale)
-        worst = np.inf
-        for start in range(0, TRIALS_PER_ORDER, _CHUNK_TRIALS):
-            vals, vecs = np.linalg.eigh(klm_matrix(fsw, pts[start:start + _CHUNK_TRIALS], w.hbar))
-            low = vals[:, 0]
-            bad = np.flatnonzero(low < -TOL)
+        j, k = _pairs(order)
+        new = np.arange(_STEP_OF[_pairs(order - 1)].max(initial=-1) + 1, _STEP_OF[j, k].max() + 1)
+        done = np.cumsum(np.r_[0, np.where(lattice, new.size, j.size)])  # new points before a trial
+        worst, stop = np.inf, 0
+        while stop < TRIALS_PER_ORDER:  # a block of at most `cap` new points, or one trial
+            start, stop = stop, int(np.searchsorted(done, done[stop] + cap, "right")) - 1
+            stop = max(stop, start + 1)
+            blk, odd = pts[start:stop], lattice[start:stop]  # a lattice blk[t, 1] is (scale_t, 0)
+            rand, lat = blk[~odd], start + np.flatnonzero(odd)[:, None]
+            z = np.concatenate([(rand[:, j] - rand[:, k]).reshape(-1, 2),
+                                (blk[odd, 1, :1, None] * _STEPS[new]).reshape(-1, 2)])
+            fz, n = fsw(z), len(rand) * j.size
+            table[lat, new] = fz[n:].reshape(-1, new.size)
+            f = np.empty((stop - start, j.size), dtype=complex)
+            f[~odd], f[odd] = fz[:n].reshape(-1, j.size), table[lat, _STEP_OF[j, k]]
+            vals, vecs = np.linalg.eigh(_phased(f, blk, w.hbar, fsw.trace))
+            bad = np.flatnonzero(vals[:, 0] < -TOL)
+            i = int(bad[0]) if bad.size else len(vals) - 1  # the last trial the search reads
+            worst = min(worst, float(vals[:i + 1, 0].min()))
             if bad.size == 0:
-                worst = min(worst, float(low.min()))
                 continue
-            i = int(bad[0])
             trial = start + i
-            worst = min(worst, float(low[:i + 1].min()))
-            witness = KLMWitness(order, pts[trial], vecs[i, :, 0], float(low[i]), trial,
+            witness = KLMWitness(order, pts[trial], vecs[i, :, 0], float(vals[i, 0]), trial,
                                  "lattice" if trial % 2 else "random")
             del fsw  # the re-check reads only the grid
             _verify(w, witness)

@@ -9,6 +9,7 @@ forms may use any pair of axes.
 """
 
 import json
+import os
 import warnings
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import chain
@@ -545,7 +546,7 @@ def save_wigner_manifest(w, path, csv_path=None):
     if csv_path is not None:
         csv_path = Path(csv_path)
         np.savetxt(csv_path, w.values, delimiter=",", fmt="%.17g")
-        manifest["values_path"] = str(csv_path.name if csv_path.parent == path.parent else csv_path)
+        manifest["values_path"] = os.path.relpath(csv_path, path.parent)  # where the loader looks
     text = json.dumps(manifest)
     with open(path, "w") as fh:
         if csv_path is None:  # json.dumps({**manifest, "values": w.values.tolist()}), by blocks

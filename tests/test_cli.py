@@ -181,6 +181,23 @@ def test_wigner_dump_and_reload(tmp_path, capsys):
     assert rep["classification"] == "consistent_with_state"
 
 
+@pytest.mark.parametrize("manifest, csv, stored", [("{cwd}/out/m.json", "out/v.csv", "v.csv"),
+                                                   ("out/m.json", "v.csv", "../v.csv")],
+                         ids=["absolute-manifest", "csv-outside"])
+def test_wigner_csv_in_another_directory_reloads(tmp_path, capsys, monkeypatch, manifest, csv,
+                                                 stored):
+    # the manifest names its CSV relative to its own directory, where the loader looks
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    manifest = manifest.format(cwd=tmp_path)
+    assert main(["wigner", '{"type":"fock","n":0}', "--grid-n", "64", "-o", manifest,
+                 "--csv", csv]) == 0
+    assert json.loads(Path(manifest).read_text())["values_path"] == stored
+    capsys.readouterr()
+    code, rep = run_cli(capsys, "oracle", json.dumps({"type": "grid", "manifest": manifest}))
+    assert code == 0 and rep["oracle"]["positive"] is True
+
+
 def test_wigner_inline_values(capsys):
     code, rep = run_cli(capsys, "wigner", '{"type":"fock","n":0}', "--grid-n", "64")
     assert code == 0

@@ -136,6 +136,18 @@ def test_stacked_matrices_match_single_sets(fock1_wigner, odd_offcentre_grid):
             for one, mat in zip(pts, stacked):
                 assert np.array_equal(klm_matrix(f, one), mat)
                 assert np.array_equal(mat, mat.conj().T)
+        # the search's lattice table reuses a transform value from another call: a point
+        # has the same bits alone, in a block of random differences and in a lattice block
+        lattice = (rng.uniform(0.3, 3.5, size=(25, 1, 1)) * klm._STEPS).reshape(-1, 2)
+        in_lattice = f(lattice)
+        in_random = f(np.concatenate([rng.normal(size=(40, 2)), lattice[::7]]))[40:]
+        assert np.array_equal(_bits(in_random), _bits(in_lattice[::7]))
+        for z, value in zip(lattice, in_lattice):
+            assert np.array_equal(_bits(f(z[None])), _bits([value]))
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
 
 
 def _full_matrix(fsw, pts, hbar):
@@ -238,17 +250,22 @@ def test_default_search_detection_over_seeds(vacuum_wigner, fock1_wigner, mixtur
             assert found == (name in non_states), (name, seed)
 
 
-def _reference_search(w, seed):
-    """One point set at a time, each drawn by scalar draws and each matrix
-    built from all m^2 differences."""
-    trials = klm.TRIALS_PER_ORDER
-    fsw = SymplecticFourier(w)
+def _search_frame(w):
+    """The Cholesky factor of the random point sets and the lattice's base scale."""
     cov = covariance_from_grid(w).sigma
     if np.linalg.eigvalsh(cov).min() > 0:
         chol = np.linalg.cholesky(cov)
     else:
         chol = np.sqrt(w.hbar / 2) * np.eye(2)
-    base_scale = float(np.sqrt(2.0 * max(np.trace(cov) / 2.0, w.hbar / 4)))
+    return chol, float(np.sqrt(2.0 * max(np.trace(cov) / 2.0, w.hbar / 4)))
+
+
+def _reference_search(w, seed):
+    """One point set at a time, each drawn by scalar draws and each matrix
+    built from all m^2 differences."""
+    trials = klm.TRIALS_PER_ORDER
+    fsw = SymplecticFourier(w)
+    chol, base_scale = _search_frame(w)
     orders = []
     for order in range(1, klm.MAX_ORDER + 1):
         worst = np.inf
@@ -284,6 +301,107 @@ def test_batched_search_matches_one_set_at_a_time(vacuum_wigner, fock1_wigner, n
         assert abs(abs(np.vdot(vec, wit.eigenvector)) - 1.0) <= 1e-9
         assert type(wit.trial) is int
     json.dumps(as_dict(report), allow_nan=False)
+
+
+def _plain_search(w, seed):
+    """The search as one `klm_matrix` over all point sets of each order, one
+    `np.linalg.eigh`, and the first trial below -TOL."""
+    trials, fsw = klm.TRIALS_PER_ORDER, SymplecticFourier(w)
+    chol, base_scale = _search_frame(w)
+    orders = []
+    for order in range(1, klm.MAX_ORDER + 1):
+        pts = klm._point_sets(seed, order, trials, chol, base_scale)
+        vals, vecs = np.linalg.eigh(klm_matrix(fsw, pts, w.hbar))
+        low = vals[:, 0]
+        bad = np.flatnonzero(low < -klm.TOL)
+        if bad.size:
+            t = int(bad[0])
+            orders.append(klm.KLMOrderRecord(order, t + 1, float(low[:t + 1].min())))
+            witness = klm.KLMWitness(order, pts[t], vecs[t, :, 0], float(low[t]), t,
+                                     "lattice" if t % 2 else "random")
+            return klm.KLMReport("violation_certificate", orders, witness, seed)
+        orders.append(klm.KLMOrderRecord(order, trials, float(low.min())))
+    return klm.KLMReport("no_violation_found", orders, None, seed)
+
+
+@pytest.fixture(scope="module")
+def battery_grids(vacuum_wigner, fock1_wigner, mixture_5050, odd_offcentre_grid):
+    axis = default_axis()
+    return {"vacuum": vacuum_wigner, "fock01_mixture": mixture_5050,
+            "squeezed": wigner_gaussian([0, 0], np.diag([1.0, 0.25]), axis, axis),
+            "fock1_x1.2": rescale(fock1_wigner, 1.2), "bump": truncated_bump_grid(axis, axis),
+            "vacuum_x1.5": rescale(vacuum_wigner, 1.5), "odd_offcentre": odd_offcentre_grid}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 31])
+def test_search_report_is_the_plain_search_text(battery_grids, seed):
+    # the lattice table, order 1 as the trace and the blocks change no byte of the report
+    for name, w in battery_grids.items():
+        text = json.dumps(as_dict(klm_check(w, seed=seed)))
+        assert text == json.dumps(as_dict(_plain_search(w, seed))), name
+
+
+@pytest.mark.parametrize("work", [1, 13 * 256, 10**9], ids=["one-trial", "13-points", "one-block"])
+def test_block_size_changes_no_byte(battery_grids, monkeypatch, work):
+    monkeypatch.setattr(klm, "_BLOCK_WORK", work)
+    for name in ("vacuum", "fock1_x1.2", "vacuum_x1.5"):
+        w = battery_grids[name]
+        assert json.dumps(as_dict(klm_check(w, seed=7))) == json.dumps(as_dict(_plain_search(w, 7)))
+
+
+def _transformed_points(monkeypatch):
+    """A list that collects the points of every SymplecticFourier call, one array a call."""
+    calls, call = [], SymplecticFourier.__call__
+    monkeypatch.setattr(SymplecticFourier, "__call__",
+                        lambda self, z: calls.append(np.reshape(z, (-1, 2))) or call(self, z))
+    return calls
+
+
+def test_state_search_transforms_675_points(vacuum_wigner, monkeypatch):
+    # order 1 is the trace; a lattice trial transforms each of its 7 steps once:
+    # 25 random sets of 1 + 3 + 6 + 10 differences and 25 lattice sets of 7 steps
+    calls = _transformed_points(monkeypatch)
+    assert klm_check(vacuum_wigner, seed=0).witness is None
+    assert sum(map(len, calls)) == 25 * 20 + 25 * 7 == 675
+    assert min(map(len, calls)) > 0
+
+
+def test_search_stopped_at_order_three_transforms_no_later_step(vacuum_wigner, monkeypatch):
+    w = rescale(vacuum_wigner, 1.5)
+    calls = _transformed_points(monkeypatch)
+    assert klm_check(w, seed=0).witness.order == 3
+    _, base_scale = _search_frame(w)
+    trials = klm.TRIALS_PER_ORDER
+    scales = [base_scale * (0.3 + 3.2 * (t / trials)) for t in range(1, trials, 2)]
+    seen = {tuple(z) for z in np.concatenate(calls)}
+    lattice = {step: sum(tuple(s * np.array(step)) in seen for s in scales)
+               for step in map(tuple, klm._STEPS)}
+    early = {(-1.0, 0.0), (0.0, -1.0), (1.0, -1.0)}  # the steps of orders 2 and 3
+    assert all(n == 0 for step, n in lattice.items() if step not in early)
+    assert lattice[(-1.0, 0.0)] == len(scales)  # order 2's step, transformed once per trial
+    assert len(klm._STEPS) == 7
+
+
+@pytest.mark.parametrize("cov, hbar", [([[1.3, 0.4], [0.4, 0.7]], 1.0),
+                                       ([[0.5, 0], [0, 0.5]], 1.0),
+                                       ([[3e-9, 1e-9], [1e-9, 2e-9]], 1e-8),
+                                       ([[7e11, 0], [0, 0.3]], 2.0),
+                                       ([[1e-300, 0], [0, 1e-300]], 1e-299)])
+def test_lattice_differences_are_scale_times_step_bit_for_bit(cov, hbar):
+    # the table the search keeps rests on this: pts[t, j] - pts[t, k] = scale_t (L_j - L_k)
+    cov = np.array(cov)
+    base_scale = float(np.sqrt(2.0 * max(np.trace(cov) / 2.0, hbar / 4)))
+    trials = klm.TRIALS_PER_ORDER
+    scale = (base_scale * (0.3 + 3.2 * (np.arange(trials) / trials)))[1::2, None, None]
+    for order in range(2, klm.MAX_ORDER + 1):
+        pts = klm._point_sets(5, order, trials, np.linalg.cholesky(cov), base_scale)[1::2]
+        j, k = klm._pairs(order)
+        diff = pts[:, j] - pts[:, k]
+        # the steps come in the order a lattice set gains them: order m uses the first few
+        assert set(klm._STEP_OF[j, k]) == set(range(klm._STEP_OF[j, k].max() + 1))
+        for step in (klm._LATTICE[j] - klm._LATTICE[k], klm._STEPS[klm._STEP_OF[j, k]]):
+            assert np.array_equal(diff, scale * step)
+            assert np.array_equal(np.signbit(diff), np.signbit(scale * step))
 
 
 def test_opposite_phase_sign_is_time_reversal(monkeypatch):
