@@ -131,6 +131,10 @@ def build_state(spec, hbar, args):
         raise InputError("state spec must be an object with a 'type' key")
     kind = spec["type"]
     count = args.grid_n
+    needs = {"gaussian": ("mean", "cov"), "mixture": ("components",), "grid": ("manifest",)}
+    for key in needs.get(kind, ()) if isinstance(kind, str) else ():  # in words, not by repr
+        if key not in spec:
+            raise InputError(f"{kind} spec needs {key!r}")
 
     try:
         if kind == "fock":
@@ -141,6 +145,9 @@ def build_state(spec, hbar, args):
                                 _numbers(spec["cov"], "gaussian cov"), axis, axis, hbar)
         elif kind == "mixture":
             items = spec["components"]
+            if not isinstance(items, list) or not all(
+                    isinstance(c, dict) and c.keys() >= {"weight", "state"} for c in items):
+                raise InputError("mixture components must be objects with 'weight' and 'state'")
             states = [item["state"] for item in items]
             if not all(isinstance(state, dict) and state.get("type") == "fock" for state in states):
                 raise InputError("mixture components must be fock states")

@@ -446,7 +446,7 @@ def _rotate(re, im, theta):
     return (re * c - im * s) + 1j * (re * s + im * c)
 
 
-def _kernel_views(w, real_within=None):
+def _kernel_views(w, real_within=None, parity=False):
     """The two same-parity kernel blocks as read-only views of one transform
     b[r, m], grid row r at separation 2*m*dx, and the Weyl bound
     2dx sqrt(2) ||Im b||_F >= 2dx ||Im K||_F.  Entry (a, c), a >= c, of block
@@ -457,16 +457,20 @@ def _kernel_views(w, real_within=None):
     transform, _CHUNK_ROWS pairs at a time; each block adds its rows' sum of
     (Im b)^2 as it writes them.  With `real_within`, b holds only Re b (half
     a grid) while the bound stays within it; at the first block where it
-    does not, the blocks are redone into a complex b."""
+    does not, the blocks are redone into a complex b.  With `parity` b is
+    returned: rows 1 .. n/2 stand for their mirrors b[n - r] = conj b[r] (row
+    n/2 made real; the bound counts each twice), row 0 for b[0, 0] = dp sum W[0]."""
     n, dp = w.x_axis.count, w.p_axis.spacing
     h = (n + 1) // 2  # rows of the even block; the odd one has n - h
+    first, g, end = (1, (h + 1) // 2, h + 1) if parity else (0, h, n)  # r, r + g: one transform
     step = 2 * w.x_axis.spacing / w.hbar
 
-    def write(b, r0):  # rows r0 .. r0 + _CHUNK_ROWS of each half of b; their sum of (Im b)^2
-        low = b[r0:min(r0 + _CHUNK_ROWS, h)]
-        high = b[r0 + h:r0 + h + len(low)]  # with n odd, row h-1 has no partner
-        t = _chirp_sum(w.values[r0:r0 + len(low)], w.p_axis.min, dp, -(h - 1) * step, step,
-                       2 * h - 1, imag=w.values[r0 + h:r0 + h + len(high)])
+    def write(b, r0):  # _CHUNK_ROWS rows of each half of rows first .. end; their sum of (Im b)^2
+        lo = slice(first + r0, first + min(r0 + _CHUNK_ROWS, g))
+        hi = slice(lo.start + g, min(lo.stop + g, end))  # an odd count's last row is alone
+        low, high = b[lo], b[hi]
+        t = _chirp_sum(w.values[lo], w.p_axis.min, dp, -(h - 1) * step, step, 2 * h - 1,
+                       imag=w.values[hi])
         pos, neg = t[:, h - 1:], t[:, h - 1::-1]  # separations +-2*m*dx, m >= 0
         # a real b's rows pass through one complex block laid out as b's, so einsum sums alike
         work = None if b.dtype == complex else np.empty(low.shape, dtype=complex)
@@ -479,17 +483,20 @@ def _kernel_views(w, real_within=None):
             rows.real[...] = c.real  # a real array is its own real part
         return sum(sums)
 
-    b = np.empty((n, h), dtype=complex if real_within is None else float)
+    b = np.zeros((h + h // 2 if parity else n, h), dtype=complex if real_within is None else float)
     imag_sq = 0.0
-    for r0 in range(0, h, _CHUNK_ROWS):
+    for r0 in range(0, g, _CHUNK_ROWS):
         imag_sq += write(b, r0)
-        bound = 2 * w.x_axis.spacing * np.sqrt(2 * imag_sq)
+        bound = 2 * w.x_axis.spacing * np.sqrt((2 + 2 * parity) * imag_sq)
         if b.dtype == float and bound > real_within:
             del b  # Re b goes before the complex b is made
-            return _kernel_views(w)
+            return _kernel_views(w, parity=parity)
+    if parity:
+        b[0, 0], b[h] = dp * w.values[0].sum(), b[h].real
+        return b, bound
     s = b.itemsize
-    views = tuple(as_strided(b[parity:], (size, size), ((h + 1) * s, (h - 1) * s), writeable=False)
-                  for parity, size in enumerate((h, n - h)))
+    views = tuple(as_strided(b[p:], (size, size), ((h + 1) * s, (h - 1) * s), writeable=False)
+                  for p, size in enumerate((h, n - h)))
     return views, bound
 
 
@@ -513,23 +520,78 @@ def operator_spectrum_oracle(w):
     `kernel_from_wigner` blocks times 2dx, each in descending order.  By
     Cauchy interlacing a negative one is one of the whole kernel, so the grid
     is not a state; the mean of the two sums is the grid trace.  eigvalsh
-    reads the lower triangles of the `_kernel_views` views: no block copy.
+    reads the lower triangles of the `_oracle_views` matrices.
 
     A grid mirror-symmetric in p has a real kernel; the computed one's imaginary
     part is round-off.  By Weyl's inequality dropping it moves each eigenvalue
     by at most ||Im K||_2 <= ||Im K||_F, so when 2dx times that is within the
-    transform's round-off, eigvalsh solves the real parts (`_oracle_views`),
-    about twice as fast; any other grid keeps the complex Hermitian solve."""
+    transform's round-off, eigvalsh solves the real parts, about twice as
+    fast; any other grid keeps the complex Hermitian solve.  Where W(-z) = W(z) on
+    centred axes (every builder's grid, not a manifest's on [-9, 9]) the kernel
+    commutes with parity: half the rows are transformed, half-size sectors solved."""
     scale = 2 * w.x_axis.spacing  # applied to the eigenvalues: no scaled copy of a block
-    return tuple(np.linalg.eigvalsh(k, UPLO="L")[::-1] * scale for k in _oracle_views(w)[0])
+    return tuple(np.sort(np.concatenate([np.linalg.eigvalsh(k, UPLO="L") for k in parts]))[::-1]
+                 * scale for parts in _oracle_views(w)[0])
+
+
+def _parity_sums(a):
+    """sum|a| as `_abs_sums(a)[0].sum()` adds it, and the parity defect: the sum over
+    rows r >= n/2, columns k >= 1 of |a[r, k] - a[n - r, n - k]|, plus sum|a[:, 0]|."""
+    n, rows, defect = len(a), np.empty(len(a)), float(np.abs(a[:, 0]).sum())
+    for r0 in range(0, n, _CHUNK_ROWS):
+        mag = np.abs(a[r0:r0 + _CHUNK_ROWS])
+        rows[r0:r0 + len(mag)] = mag.sum(axis=1)
+        if (lo := max(r0, n // 2)) < (r1 := r0 + len(mag)):  # rows past n/2 less their mirrors
+            diff = np.subtract(a[lo:r1, 1:], a[n - lo:n - r1:-1, :0:-1], out=mag[lo - r0:, 1:])
+            defect += float(np.abs(diff, out=diff).sum())
+    return rows.sum(), defect
+
+
+def _reversal_sectors(b, p, s):
+    """Lower triangles of the even and odd sectors of M[a, c] = b[p + a + c, a - c],
+    size s, on the vectors (e_a +- e_(s-1-a))/sqrt 2, a < t = s // 2, and e_t for odd s:
+    A +- BJ, (BJ)[a, c] = conj M[s - 1 - c, a] = b[h - a + c, s - 1 - a - c], h = n/2."""
+    t, h, size = s // 2, b.shape[1], b.itemsize
+    even, odd = np.zeros((s - t, s - t), b.dtype), np.zeros((t, t), b.dtype)
+    near = as_strided(b[p:], (t, t), ((h + 1) * size, (h - 1) * size), writeable=False)
+    far = as_strided(b[h, s - 1:], (t, t), (-(h + 1) * size, (h - 1) * size), writeable=False)
+    np.add(near, far, out=even[:t, :t])
+    np.subtract(near, far, out=odd)
+    if s % 2:  # the middle point is its own mirror: M[t, c] twice over sqrt 2
+        even[t, :t] = np.sqrt(2) * as_strided(b[p + t, t:], (t,), ((h - 1) * size,))
+        even[t, t] = b[p + s - 1, 0]
+    return even, odd
 
 
 def _oracle_views(w):
-    """The views `operator_spectrum_oracle` solves, the Weyl bound 2dx ||Im K||_F
-    on the eigenvalue move of dropping Im K, and the transform's round-off
-    n eps sum|W| dA: views of Re b alone when the bound is within it."""
-    roundoff = w.x_axis.count * np.finfo(float).eps * _abs_sums(w.values)[0].sum() * w.cell_area
-    return (*_kernel_views(w, roundoff), roundoff)
+    """The matrices `operator_spectrum_oracle` solves per block, the Weyl bound on their
+    eigenvalues' move from the blocks', and the round-off n eps sum|W| dA: the
+    `_kernel_views` views, of Re b alone when 2dx ||Im K||_F is within it.  On centred
+    axes mirrored rows move an entry by at most dp times its midpoint row's share of the
+    defect d (`_parity_sums`), and a column reads each row once: ||dK||_2 <= dp d.  While
+    2 dA d, the real path's drop and 2dx ||K[0, 1:]||_2 for the even block's edge point
+    fit within the round-off, the sectors are solved; else the whole even block, turned."""
+    dx, dA = w.x_axis.spacing, w.cell_area
+    centred = all(a.count % 2 == 0 and a.min + a.count // 2 * a.spacing == 0
+                  for a in (w.x_axis, w.p_axis))
+    total, defect = _parity_sums(w.values) if centred else (_abs_sums(w.values)[0].sum(), np.inf)
+    roundoff, moved = w.x_axis.count * np.finfo(float).eps * total * dA, 2 * dA * defect
+    if not moved <= roundoff:
+        views, bound = _kernel_views(w, roundoff)
+        return tuple((view,) for view in views), bound, roundoff
+    b, bound = _kernel_views(w, roundoff - moved, parity=True)
+    bound = moved + (bound if b.dtype == float else 0.0)  # a complex b drops nothing
+    h, s, t = b.shape[1], b.shape[1] - 1, (b.shape[1] - 1) // 2
+    odd, (even, rest) = _reversal_sectors(b, 1, h), _reversal_sectors(b, 2, s)
+    v, edge = b.ravel()[h + 1::h + 1][:s].conj(), b[:1, :1].copy()  # K[0, 1 + a], K[0, 0]
+    del b  # the whole even block is made without it
+    if bound + 2 * dx * np.linalg.norm(v) <= roundoff:
+        return ((edge, even, rest), odd), bound + 2 * dx * np.linalg.norm(v), roundoff
+    m = np.zeros((h, h), edge.dtype)  # the sectors, then the edge point's row
+    m[:s - t, :s - t], m[s - t:s, s - t:s] = even, rest
+    m[s] = np.concatenate([v[:t] + v[::-1][:t], np.sqrt(2) * v[t:s - t], v[:t] - v[::-1][:t],
+                           np.sqrt(2) * edge[0]]) / np.sqrt(2)
+    return ((m,), odd), bound, roundoff
 
 
 def save_wigner_manifest(w, path, csv_path=None):

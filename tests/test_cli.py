@@ -895,6 +895,27 @@ def assert_input_error(capsys, argv, message=""):
     assert message in captured.err
 
 
+MIXTURE_SHAPE = "mixture components must be objects with 'weight' and 'state'"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"type": "gaussian", "mean": [0, 0]}, "gaussian spec needs 'cov'"),
+    ({"type": "gaussian", "cov": [[1, 0], [0, 1]]}, "gaussian spec needs 'mean'"),
+    ({"type": "mixture"}, "mixture spec needs 'components'"),
+    ({"type": "grid"}, "grid spec needs 'manifest'"),
+    ({"type": "mixture", "components": 5}, MIXTURE_SHAPE),
+    ({"type": "mixture", "components": {"weight": 1}}, MIXTURE_SHAPE),
+    ({"type": "mixture", "components": [5]}, MIXTURE_SHAPE),
+    ({"type": "mixture", "components": ["state"]}, MIXTURE_SHAPE),
+    ({"type": "mixture", "components": [{"weight": 1}]}, MIXTURE_SHAPE),
+    ({"type": "mixture", "components": [{"state": {"type": "fock", "n": 0}}]}, MIXTURE_SHAPE)],
+    ids=["no-cov", "no-mean", "no-components", "no-manifest", "int-components",
+         "object-components", "int-component", "string-component", "no-state", "no-weight"])
+def test_a_missing_spec_key_is_named_in_words(capsys, spec, message):
+    # one line in words, not the bare repr of a KeyError or a TypeError's wording
+    assert_input_error(capsys, ["analyze", json.dumps(spec)], message)
+
+
 @pytest.mark.parametrize("flag", ["--tol-klm", "--tol-oracle", "--tol-p4"])
 @pytest.mark.parametrize("value", ["-1", "nan", "inf", "1e-6"])
 def test_bad_tolerances_rejected(capsys, flag, value):

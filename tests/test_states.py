@@ -17,7 +17,7 @@ from wigcheck import (AxisGrid, SymplecticFourier, cli, default_axis, fock_state
                       wigner_of_pure)
 from wigcheck.states import (_CHUNK_ROWS, WaveFunctionGrid, WignerGrid, _abs_sums,
                              _boundary_band_sum, _chirp_sum, _fast_len, _is_wigner_conjugate,
-                             _oracle_views)
+                             _oracle_views, _parity_sums)
 
 
 def test_fock_normalization_and_orthogonality():
@@ -216,10 +216,24 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-def test_oracle_real_path_memory_stays_within_1_0_grids(no_grid):
+@pytest.fixture(scope="module")
+def displaced_768():
+    """A 768^2 Gaussian displaced in x: its kernel is real, and W(-z) != W(z)."""
+    axis = default_axis(1.0, 768)
+    return wigner_gaussian([0.5, 0], 0.5 * np.eye(2), axis, axis)
+
+
+def test_oracle_real_path_memory_stays_within_1_0_grids(displaced_768):
     # Re b (half a grid), one row block's chirp-z work array and one complex
     # block of b's layout; the eigensolver reads the blocks as views of b
-    assert _traced_peak(lambda: operator_spectrum_oracle(no_grid)) <= 1.0 * no_grid.values.nbytes
+    w = displaced_768
+    assert _traced_peak(lambda: operator_spectrum_oracle(w)) <= 1.0 * w.values.nbytes
+
+
+def test_oracle_parity_path_memory_stays_within_0_85_grids(no_grid):
+    # Re b of rows 0 .. 3n/4 (3/8 of a grid) and one row block's chirp-z work
+    # array; then the parity sectors, a quarter of a grid for both blocks
+    assert _traced_peak(lambda: operator_spectrum_oracle(no_grid)) <= 0.85 * no_grid.values.nbytes
 
 
 def test_oracle_complex_path_memory_stays_within_1_6_grids():
@@ -257,8 +271,8 @@ def _late_asymmetric_grid():
     return w
 
 
-def _oracle_cases(no_grid, odd_offcentre_grid):
-    yield "narcowich-oconnell", no_grid
+def _oracle_cases(displaced_768, odd_offcentre_grid):
+    yield "gaussian displaced in x", displaced_768
     yield "fock1 x1.2", rescale(wigner_of_pure(fock_state(1)), 1.2)
     yield "odd off-centre", odd_offcentre_grid
     yield "asymmetric in p on row 100", _late_asymmetric_grid()
@@ -268,9 +282,9 @@ def _oracle_cases(no_grid, odd_offcentre_grid):
                                             rng.normal(size=(n, m)), hbar=0.7)
 
 
-def test_oracle_leaves_the_real_path_at_the_first_block_past_the_bound(monkeypatch):
-    # each row block is one chirp-z call; a grid that leaves the real path at
-    # its second block of two is transformed 2 + 2 times, one that stays on it twice
+@pytest.fixture
+def chirp_calls(monkeypatch):
+    """The arguments of each `_chirp_sum` call made while the test runs."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -278,25 +292,34 @@ def test_oracle_leaves_the_real_path_at_the_first_block_past_the_bound(monkeypat
         return _chirp_sum(*args, **kwargs)
 
     monkeypatch.setattr(states, "_chirp_sum", counted)
+    return calls
+
+
+def test_oracle_leaves_the_real_path_at_the_first_block_past_the_bound(chirp_calls):
+    # each row block is one chirp-z call; a grid that leaves the real path at
+    # its second block of two is transformed 2 + 2 times, one that stays on it twice
     axis = default_axis()
+    # displaced in x, the squeezed Gaussian is off the parity path, which transforms half the rows
     for w, real, count in ((_late_asymmetric_grid(), False, 4),
-                           (wigner_gaussian([0, 0], np.diag([1.0, 0.25]), axis, axis), True, 2)):
-        calls.clear()
-        assert (not np.iscomplexobj(_oracle_views(w)[0][0])) == real
-        assert len(calls) == count
+                           (wigner_gaussian([0.5, 0], np.diag([1.0, 0.25]), axis, axis), True, 2)):
+        chirp_calls.clear()
+        assert (not np.iscomplexobj(_oracle_views(w)[0][0][0])) == real
+        assert len(chirp_calls) == count
 
 
 def _weyl_bound(w):
     """The oracle's Weyl bound, its round-off scale, and whether it solves real blocks."""
-    views, bound, roundoff = _oracle_views(w)
-    return bound, roundoff, not np.iscomplexobj(views[0])
+    blocks, bound, roundoff = _oracle_views(w)
+    return bound, roundoff, not np.iscomplexobj(blocks[0][0])
 
 
-def test_oracle_views_match_the_hermitian_blocks_bit_for_bit(no_grid, odd_offcentre_grid):
+def test_oracle_views_match_the_hermitian_blocks_bit_for_bit(displaced_768, odd_offcentre_grid):
     # eigvalsh reads only the lower triangle and the real diagonal, so the
     # strided views give the eigenvalues of the expanded Hermitian blocks
-    # exactly: of their real parts where Im K is round-off, else of the blocks
-    for name, w in _oracle_cases(no_grid, odd_offcentre_grid):
+    # exactly: of their real parts where Im K is round-off, else of the blocks.
+    # Every grid here is off the parity path: one view per block
+    for name, w in _oracle_cases(displaced_768, odd_offcentre_grid):
+        assert [len(parts) for parts in _oracle_views(w)[0]] == [1, 1], name
         real = _weyl_bound(w)[2]
         want = [np.linalg.eigvalsh(k.real if real else k)[::-1] * (2 * w.x_axis.spacing)
                 for k in kernel_from_wigner(w)]
@@ -304,7 +327,7 @@ def test_oracle_views_match_the_hermitian_blocks_bit_for_bit(no_grid, odd_offcen
         assert [g.tobytes() for g in got] == [x.tobytes() for x in want], name
 
 
-def test_oracle_real_path_stays_within_the_weyl_bound(no_grid, odd_offcentre_grid,
+def test_oracle_real_path_stays_within_the_weyl_bound(no_grid, displaced_768, odd_offcentre_grid,
                                                       vacuum_wigner, mixture_5050):
     axis = default_axis()
     battery = {"vacuum": vacuum_wigner, "fock 0+1 mixture": mixture_5050,
@@ -312,10 +335,10 @@ def test_oracle_real_path_stays_within_the_weyl_bound(no_grid, odd_offcentre_gri
                "bump": truncated_bump_grid(axis, axis, radius=1.0),
                "vacuum x1.5": rescale(vacuum_wigner, 1.5)}
     shifted = wigner_gaussian([0, 0.5], 0.5 * np.eye(2), axis, axis)
-    cases = [*_oracle_cases(no_grid, odd_offcentre_grid), *battery.items(),
-             ("gaussian shifted in p", shifted)]
+    cases = [*_oracle_cases(displaced_768, odd_offcentre_grid), *battery.items(),
+             ("narcowich-oconnell", no_grid), ("gaussian shifted in p", shifted)]
     # grids mirror-symmetric in p have a real kernel; the rest keep the complex solve
-    real_path = {"narcowich-oconnell", "fock1 x1.2", *battery}
+    real_path = {"gaussian displaced in x", "fock1 x1.2", "narcowich-oconnell", *battery}
     for name, w in cases:
         bound, roundoff, real = _weyl_bound(w)
         assert real == (name in real_path), name
@@ -324,6 +347,105 @@ def test_oracle_real_path_stays_within_the_weyl_bound(no_grid, odd_offcentre_gri
         # Weyl's bound on the exact move, plus the two eigensolvers' own round-off
         for got, want in zip(operator_spectrum_oracle(w), complex_eigs, strict=True):
             assert np.abs(got - want).max() <= bound + roundoff, name
+
+
+def _parity_symmetric(rng, n, mirror_p):
+    """W + PW on centred axes, PW[r, k] = W[n - r, n - k], zero on column 0 (row 0,
+    whose mirror is off the grid, enters the kernel only at its edge point);
+    also mirror-symmetric in p (a real kernel) with `mirror_p`."""
+    v = rng.normal(size=(n, n))
+    v[:, 0] = 0
+    v[1:, 1:] += v[:0:-1, :0:-1]
+    if mirror_p:
+        v[:, 1:] += v[:, :0:-1]
+    return WignerGrid(AxisGrid.centered(n, 0.25), AxisGrid.centered(n, 0.5), v, hbar=0.7)
+
+
+def test_oracle_parity_path_stays_within_the_weyl_bound(no_grid, vacuum_wigner):
+    # the sectors' spectra against the complex solve of the whole blocks: Weyl's
+    # bound on the mirrored rows, the dropped Im K and edge coupling, which fits
+    # within the round-off, plus the eigensolvers' own round-off
+    axis = default_axis()
+    cases = {"narcowich-oconnell": no_grid, "vacuum": vacuum_wigner,
+             "squeezed": wigner_gaussian([0, 0], np.diag([1.0, 0.25]), axis, axis),
+             "bump": truncated_bump_grid(axis, axis, radius=1.0),
+             "vacuum x1.5": rescale(vacuum_wigner, 1.5)}
+    rng = np.random.default_rng(4)
+    for n in (16, 18, 36, 4 * _CHUNK_ROWS + 2):  # n/2 even and odd; one and two row blocks
+        for mirror_p in (False, True):
+            cases[f"random {n} {'real' if mirror_p else 'complex'}"] = _parity_symmetric(
+                rng, n, mirror_p)
+    for name, w in cases.items():
+        blocks, bound, roundoff = _oracle_views(w)
+        assert len(blocks[1]) == 2 and bound <= roundoff, name
+        complex_eigs = [np.linalg.eigvalsh(k)[::-1] * (2 * w.x_axis.spacing)
+                        for k in kernel_from_wigner(w)]
+        for got, want in zip(operator_spectrum_oracle(w), complex_eigs, strict=True):
+            assert np.abs(got - want).max() <= bound + roundoff, name
+
+
+def _dropped(w):
+    """2dx ||Im K||_F over both blocks, and 2dx ||K_even[1:, 0]||_2, from the dense blocks."""
+    blocks = kernel_from_wigner(w)
+    return (2 * w.x_axis.spacing * np.sqrt(sum(np.linalg.norm(k.imag) ** 2 for k in blocks)),
+            2 * w.x_axis.spacing * np.linalg.norm(blocks[0][1:, 0]))
+
+
+def test_oracle_parity_bound_covers_each_dropped_part(vacuum_wigner):
+    # on the parity path the bound adds the mirrored rows' move, the dropped Im K
+    # and, when the even block is split, its edge coupling; each is checked against
+    # the dense blocks, and their sum stays within the round-off
+    axis = default_axis()
+    squeezed = wigner_gaussian([0, 0], np.diag([1.0, 0.25]), axis, axis)
+    # a parity-even term odd in p gives the kernel an imaginary part, here 0.5 and
+    # 0.8 of the round-off: the squeezed grid (no defect) keeps the real solve, the
+    # vacuum (mirrored rows moving 0.4 of it) does not
+    for base, share, real in ((squeezed, 0.5, True), (vacuum_wigner, 0.8, False)):
+        x, p = np.meshgrid(base.x_axis.points, base.p_axis.points, indexing="ij")
+        odd = WignerGrid(base.x_axis, base.p_axis, x * p * base.values)
+        eps = share * _oracle_views(base)[2] / _dropped(odd)[0]
+        w = WignerGrid(base.x_axis, base.p_axis, base.values + eps * odd.values)
+        blocks, bound, roundoff = _oracle_views(w)
+        assert len(blocks[1]) == 2 and bound <= roundoff
+        assert (not np.iscomplexobj(blocks[1][0])) == real
+        assert not real or bound >= _dropped(w)[0]
+    # the squeezed state's edge point x_0 = -L couples 61 times the round-off at
+    # L = 10, and a third of it at L = 11, where the even block splits
+    p_axis = AxisGrid.centered(256, 0.03125)
+    for step, parts in ((20 / 256, 1), (22 / 256, 3)):
+        w = wigner_gaussian([0, 0], np.diag([1.0, 0.25]), AxisGrid.centered(256, step), p_axis)
+        blocks, bound, roundoff = _oracle_views(w)
+        coupling = _dropped(w)[1]
+        assert len(blocks[0]) == parts
+        assert bound >= coupling if parts == 3 else bound + coupling > roundoff
+
+
+def test_oracle_parity_path_choice(chirp_calls, no_grid, displaced_768, odd_offcentre_grid):
+    # the parity path transforms half the rows: 3 row blocks of 64 pairs at 768
+    # points, not 6, and splits the even block past its edge point too
+    square = AxisGrid(-9.0, 9.0, 512)  # symmetric axes whose origin is no grid point
+    perturbed = WignerGrid(no_grid.x_axis, no_grid.p_axis, no_grid.values.copy())
+    perturbed.values[768 // 2 + 3] *= 1 + 1e-10
+    for name, w, parts, count in (
+            ("narcowich-oconnell", no_grid, [3, 2], 3),
+            ("gaussian displaced in x", displaced_768, [1, 1], 6),
+            ("odd off-centre", odd_offcentre_grid, [1, 1], 1 + 3),  # leaves the real path
+            ("[-9, 9] axes", wigner_gaussian([0, 0], 0.5 * np.eye(2), square, square), [1, 1], 4),
+            ("narcowich-oconnell, one row perturbed", perturbed, [1, 1], 6)):
+        chirp_calls.clear()
+        assert [len(p) for p in _oracle_views(w)[0]] == parts, name
+        assert len(chirp_calls) == count, name
+
+
+def test_parity_sums_add_sum_abs_as_abs_sums(no_grid):
+    # the real path's bound compares with this round-off: it is the same float
+    rng = np.random.default_rng(6)
+    for a in (no_grid.values, rng.normal(size=(2 * _CHUNK_ROWS + 6, 40))):
+        n, h = len(a), len(a) // 2
+        total, defect = _parity_sums(a)
+        assert total == _abs_sums(a)[0].sum()
+        dense = np.abs(a[h:, 1:] - a[n - h:0:-1, :0:-1]).sum() + np.abs(a[:, 0]).sum()
+        assert defect == pytest.approx(dense, rel=1e-12)
 
 
 def _gather_wigner_of_pure(psi, components=None):
