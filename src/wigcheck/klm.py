@@ -11,8 +11,9 @@ eigenvalue at any order is a proof that the grid is not a state, while
 
 The diagonal of F is the grid trace and the lower triangle the conjugate of
 the upper one, so only the m(m-1)/2 differences j < k go through the folded
-quadrature of `SymplecticFourier`, built once per search; a witness is
-re-checked by an independent, unfolded quadrature.  Order 1 is the trace; a
+quadrature of `SymplecticFourier`, built once per search, which multiplies
+only the parity quadrants above round-off (W_ee alone on a parity-even grid); a
+witness is re-checked by an independent, unfolded quadrature.  Order 1 is the trace; a
 lattice step is transformed once a search (675 points for a state, not 1,000),
 in blocks of new points times axis length at most 30 * 768.
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import SymplecticFourier, _abs_sums, _rotate, trace
+from .states import SymplecticFourier, _rotate, trace
 from .uncertainty import covariance_from_grid
 
 __all__ = [
@@ -212,15 +213,15 @@ def klm_check(w, seed=0):
             trial = start + i
             witness = KLMWitness(order, pts[trial], vecs[i, :, 0], float(vals[i, 0]), trial,
                                  "lattice" if trial % 2 else "random")
-            del fsw  # the re-check reads only the grid
-            _verify(w, witness)
+            abs_sum, fsw = fsw.abs_sum, None  # the re-check reads only the grid and sum|W|
+            _verify(w, witness, abs_sum)
             orders.append(KLMOrderRecord(order, trial + 1, worst))
             return KLMReport("violation_certificate", orders, witness, seed)
         orders.append(KLMOrderRecord(order, TRIALS_PER_ORDER, worst))
     return KLMReport("no_violation_found", orders, None, seed)
 
 
-def _verify(w, witness):
+def _verify(w, witness, abs_sum):
     """Raise unless the witness's quadratic form reproduces its eigenvalue.
 
     The folded search quadrature and the unfolded re-check differ by round-off.
@@ -228,11 +229,12 @@ def _verify(w, witness):
     size up to theta = max|dp| max|x| + max|dx| max|p| (the point differences
     against the axes), so it is good to eps (theta + n_x + n_p) sum|W| dA, and
     v^H F v, for a unit v, to `order` times that; the bound allows four times it.
+    The search's dropped quadrants add 3 (n_x + n_p) eps `abs_sum` dA at most, within it.
     """
     value = witness_quadratic_form(w, witness)
     dx, dp = np.ptp(witness.points, axis=0)
     theta = dp * max(-w.x_axis.min, w.x_axis.max) + dx * max(-w.p_axis.min, w.p_axis.max)
-    roundoff = np.finfo(float).eps * float(_abs_sums(w.values)[0].sum() * w.cell_area)
+    roundoff = np.finfo(float).eps * float(abs_sum * w.cell_area)
     bound = 4 * witness.order * (theta + w.x_axis.count + w.p_axis.count) * roundoff
     if not (value < -TOL and abs(value - witness.min_eigenvalue) <= bound):
         raise ValueError(f"KLM witness does not reproduce: v^H F v = {value:.3e}, "

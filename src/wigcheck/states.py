@@ -387,36 +387,56 @@ def rescale(w, lam):
     return WignerGrid(*axes, values, w.hbar, w.imag_residual)
 
 
+def _fold_axis(a):
+    """(s, c, offsets, once): pair a[n//2:] with a[::-1][s:] about c, a[n//2] if nearer 0 than
+    the midpoint (a[0] then pairs with a zero); a centre point, paired with itself, counts once."""
+    n, i, mid, pts = a.count, a.count // 2, 0.5 * (a.min + a.max), a.points
+    if n % 2 or abs(pts[i]) >= abs(mid):  # the midpoint, a[n//2] itself for an odd count
+        return i, mid, pts[i:] - mid, 1 - n % 2 / 2
+    return i - 1, pts[i], np.append(pts[i:] - pts[i], pts[i] - pts[0]), 0.5
+
+
 class SymplecticFourier:
     """Evaluator for F_sigma W(z) = int exp(i sigma(z, z')) W(z') dz'.
 
-    A direct quadrature over the stored grid, so any z = (x, p) is admissible.
-    At the offsets u, v from the axis midpoints (x_c, p_c) the kernel
-    exp(i (p x' - p' x)) is exp(i (p x_c - x p_c)) cos/sin(p u) cos/sin(x v),
-    so a call is cos(p u) @ [W_ee | W_eo] and sin(p u) @ [W_oe | W_oo] on the
-    grid's parity quadrants (u, v >= 0, an odd count's centre once), a sum over
-    v and the phase, in real arithmetic: half the work of the unfolded grid.
-    F(-z) = conj F(z) exactly, no value depends on its batch, and `trace` is F(0).
+    A direct quadrature over the stored grid, so any z = (x, p) is admissible.  An axis
+    folds about x_(n//2) if that is nearer 0 than its midpoint (any builder's axis), else
+    about the midpoint; at the offsets u, v from the centres (x_c, p_c) the kernel is
+    exp(i (p x_c - x p_c)) cos/sin(p u) cos/sin(x v), so a call is cos(p u) @ [W_ee | W_eo]
+    and sin(p u) @ [W_oe | W_oo], a sum over v and the phase, in real arithmetic.  A
+    quadrant with sum|Q| <= (n_x + n_p) eps sum|W| is not multiplied; the three it may drop
+    add 3 (n_x + n_p) eps sum|W| dA at most, within klm._verify's fourfold round-off.  Fock
+    states, their mixtures, centred Gaussians, N-O and the bump keep W_ee alone, a quarter
+    of the unfolded work; a rotated squeezed Gaussian W_ee and W_oo.  The blocks take one
+    grid, folded by row blocks.  F(-z) = conj F(z) exactly, no value depends on its batch
+    (products span _ALIGN-multiple columns), `trace` is F(0), `abs_sum` sum|W| by _abs_sums.
     """
 
     def __init__(self, w):
-        # the upper half of an axis is a[n // 2:], its mirrored lower half a[::-1][n // 2:]
-        i, j = w.x_axis.count // 2, w.p_axis.count // 2
-        self._xc, self._pc = (0.5 * (a.min + a.max) for a in (w.x_axis, w.p_axis))
-        self._ox, self._op = w.x_axis.points[i:] - self._xc, w.p_axis.points[j:] - self._pc
-        hp = len(self._op)
-        self._blocks = np.zeros((2, len(self._ox), -(-2 * hp // _ALIGN) * _ALIGN))
-        v, f = w.values[:, j:], w.values[:, ::-1][:, j:]
-        lower = np.empty((min(len(self._ox), _CHUNK_ROWS), hp))  # the one temporary, a row block
-        for op, block in zip((np.add, np.subtract), self._blocks):  # [W_ee | W_eo], [W_oe | W_oo]
-            for r0 in range(0, len(self._ox), _CHUNK_ROWS):
-                rows, out = slice(i + r0, i + r0 + _CHUNK_ROWS), block[r0:r0 + _CHUNK_ROWS]
-                low = op(f[rows], f[::-1][rows], out=lower[:len(out)])
-                upper = op(v[rows], v[::-1][rows], out=out[:, :hp])
-                np.subtract(upper, low, out=out[:, hp:2 * hp])
-                upper += low
-        self._blocks[0, 0] *= 1 - w.x_axis.count % 2 / 2  # an odd count's centre, added twice
-        self._blocks[:, :, 0] *= 1 - w.p_axis.count % 2 / 2
+        (s, self._xc, self._ox, x_once), (t, self._pc, self._op, p_once) = (
+            _fold_axis(a) for a in (w.x_axis, w.p_axis))
+        i, j, hx, hp = w.x_axis.count // 2, w.p_axis.count // 2, len(self._ox), len(self._op)
+        self.abs_sum, mass = _abs_sums(w.values)[0].sum(), np.zeros((2, 2))  # sum|W|, sum|Q|
+        self._blocks = np.zeros((2, hx, -(-2 * hp // _ALIGN) * _ALIGN))  # edge columns pair with 0
+        v, f = w.values[:, j:], w.values[:, ::-1][:, t:]  # the upper and mirrored lower p halves
+        lower = np.empty((min(hx, _CHUNK_ROWS), hp))  # the one temporary, a row block
+        for op, block, q in zip((np.add, np.subtract), self._blocks, mass):  # [W_ee | W_eo], ..
+            for r0 in range(0, hx, _CHUNK_ROWS):
+                out, low = block[r0:r0 + _CHUNK_ROWS], lower[:hx - r0]
+                up, lo = slice(i + r0, i + r0 + len(out)), slice(s + r0, s + r0 + len(out))
+                k, m = len(w.values[up]), v.shape[1]  # the rows and columns with an upper partner
+                for half, dst in ((f, low), (v, out[:, :m])):  # an edge row pairs with 0
+                    op(half[up], half[::-1][lo][:k], out=dst[:k])
+                    op(0.0, half[::-1][lo][k:], out=dst[k:])
+                np.subtract(out[:, :hp], low, out=out[:, hp:2 * hp])
+                out[:, :hp] += low
+                out[0] *= x_once if r0 == 0 else 1.0
+                out[:, 0] *= p_once
+                q += [np.abs(out[:, c:c + hp], out=low).sum() for c in (0, hp)]
+        self._kept = mass > (w.x_axis.count + w.p_axis.count) * np.finfo(float).eps * self.abs_sum
+        # each x parity's product columns: [W_e | W_o], or its one kept quadrant's
+        self._cols = [slice(0 if e else hp // _ALIGN * _ALIGN, self._blocks.shape[2] if o
+                            else -(-hp // _ALIGN) * _ALIGN) for e, o in self._kept]
         self._area = w.cell_area
         self.trace = trace(w)
 
@@ -424,17 +444,22 @@ class SymplecticFourier:
         z = np.asarray(z, dtype=float)
         single = z.ndim == 1
         pts = np.atleast_2d(z)
-        k, hp = pts.shape[0], len(self._op)
+        k, hp, kept = pts.shape[0], len(self._op), self._kept
         if 0 < k < _ALIGN:
             pts = np.concatenate([pts, np.zeros((_ALIGN - k, 2))])
         px = np.outer(pts[:, 1], self._ox)  # sin overwrites these angles; freed before xp is made
-        c, s = np.cos(px) @ self._blocks[0], np.sin(px, out=px) @ self._blocks[1]
+        c = np.cos(px) @ self._blocks[0, :, self._cols[0]] if kept[0].any() else None
+        s = np.sin(px, out=px) @ self._blocks[1, :, self._cols[1]] if kept[1].any() else None
         del px
         xp = np.outer(pts[:, 0], self._op)
-        cx, sx = np.cos(xp), np.sin(xp, out=xp)
-        # sum over u, v of W(u, v) (cos pu + i sin pu)(cos xv - i sin xv)
-        re = np.einsum("ij,ij->i", c[:, :hp], cx) + np.einsum("ij,ij->i", s[:, hp:2 * hp], sx)
-        im = np.einsum("ij,ij->i", s[:, :hp], cx) - np.einsum("ij,ij->i", c[:, hp:2 * hp], sx)
+        cx = np.cos(xp) if kept[:, 0].any() else None
+        sx = np.sin(xp, out=xp) if kept[:, 1].any() else None
+        # sum over u, v of W(u, v) (cos pu + i sin pu)(cos xv - i sin xv), kept quadrants only
+        terms = np.zeros((2, 2, len(pts)))
+        for a, b in zip(*np.nonzero(kept)):
+            col = b * hp - self._cols[a].start
+            terms[a, b] = np.einsum("ij,ij->i", (c, s)[a][:, col:col + hp], (cx, sx)[b])
+        re, im = terms[0, 0] + terms[1, 1], terms[1, 0] - terms[0, 1]
         theta = pts[:, 1] * self._xc - pts[:, 0] * self._pc
         out = _rotate(re * self._area, im * self._area, theta)[:k]
         return out[0] if single else out
@@ -570,7 +595,9 @@ def _oracle_views(w):
     axes mirrored rows move an entry by at most dp times its midpoint row's share of the
     defect d (`_parity_sums`), and a column reads each row once: ||dK||_2 <= dp d.  While
     2 dA d, the real path's drop and 2dx ||K[0, 1:]||_2 for the even block's edge point
-    fit within the round-off, the sectors are solved; else the whole even block, turned."""
+    fit within the round-off, the sectors are solved; else the whole even block, turned.
+    The centring test is exact on purpose; SymplecticFourier, which bounds its own drop,
+    also folds about a point n/2 that round-off moved off 0."""
     dx, dA = w.x_axis.spacing, w.cell_area
     centred = all(a.count % 2 == 0 and a.min + a.count // 2 * a.spacing == 0
                   for a in (w.x_axis, w.p_axis))

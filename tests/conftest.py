@@ -6,7 +6,7 @@ from wigcheck import (AxisGrid, WaveFunctionGrid, default_axis, fock_state, mixt
                       narcowich_oconnell_grid, operator_spectrum_oracle, symplectic_form,
                       symplectic_spectrum, wigner_gaussian, wigner_of_pure)
 from wigcheck.fixtures import NO_COUNT, NO_EXTENT
-from wigcheck.states import _ALIGN, _CHUNK_ROWS, _chirp_sum, _is_wigner_conjugate
+from wigcheck.states import _ALIGN, _CHUNK_ROWS, _chirp_sum, _fold_axis, _is_wigner_conjugate
 from wigcheck.uncertainty import BOUNDARY_BAND
 
 
@@ -217,17 +217,19 @@ def whole_rescale(w, lam):
 
 def whole_symplectic_blocks(w):
     """SymplecticFourier's parity blocks [W_ee | W_eo], [W_oe | W_oo], folded
-    from whole quadrant views at once."""
-    i, j = w.x_axis.count // 2, w.p_axis.count // 2
-    hp = w.p_axis.count - j
-    blocks = np.zeros((2, w.x_axis.count - i, -(-2 * hp // _ALIGN) * _ALIGN))
-    v, f = w.values, w.values[:, ::-1]
-    lower = np.empty((w.x_axis.count - i, hp))
+    from whole views of the grid padded by a zero row and column, each axis
+    about the centre `_fold_axis` picks: the edge point's partner is a zero."""
+    (n, i, (s, _, ox, _)), (m, j, (t, _, op, _)) = ((a.count, a.count // 2, _fold_axis(a))
+                                                    for a in (w.x_axis, w.p_axis))
+    hx, hp = len(ox), len(op)
+    pad = np.zeros((n + 1, m + 1))
+    pad[:n, :m] = w.values
+    blocks = np.zeros((2, hx, -(-2 * hp // _ALIGN) * _ALIGN))
     for op, block in zip((np.add, np.subtract), blocks):
-        op(f[i:, j:], f[::-1][i:, j:], out=lower)
-        upper = op(v[i:, j:], v[::-1][i:, j:], out=block[:, :hp])
-        np.subtract(upper, lower, out=block[:, hp:2 * hp])
-        upper += lower
-    blocks[0, 0] *= 1 - w.x_axis.count % 2 / 2
-    blocks[:, :, 0] *= 1 - w.p_axis.count % 2 / 2
+        folded = op(pad[i:i + hx], pad[n - 1 - s::-1])
+        upper, lower = folded[:, j:j + hp], folded[:, m - 1 - t::-1]
+        block[:, hp:2 * hp] = upper - lower
+        block[:, :hp] = upper + lower
+    blocks[0, 0] *= 1 - (n % 2 or s < i) / 2  # a centre point, folded onto itself
+    blocks[:, :, 0] *= 1 - (m % 2 or t < j) / 2
     return blocks

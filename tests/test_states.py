@@ -245,20 +245,21 @@ def test_oracle_complex_path_memory_stays_within_1_6_grids():
     assert _traced_peak(lambda: operator_spectrum_oracle(w)) <= 1.6 * w.values.nbytes
 
 
-def test_klm_stage_memory_stays_within_1_2_grids(no_grid):
-    # SymplecticFourier's blocks (one grid), folded by row blocks; the search's
-    # stacked matrices; the witness check sums |W| by row blocks
+def test_klm_stage_memory_stays_within_1_15_grids(no_grid):
+    # SymplecticFourier's blocks (one grid), folded by row blocks once _abs_sums
+    # has freed its row block; the search's stacked matrices: 1.10 grids measured
     args = cli.build_parser().parse_args(["klm", "{}"])
-    assert _traced_peak(lambda: cli._klm(no_grid, args)) <= 1.2 * no_grid.values.nbytes
+    assert _traced_peak(lambda: cli._klm(no_grid, args)) <= 1.15 * no_grid.values.nbytes
 
 
-def test_state_klm_stage_memory_stays_within_1_45_grids():
+def test_state_klm_stage_memory_stays_within_1_15_grids():
     # a state runs all five orders, up to 100 points a call; each call drops
-    # its cos/sin factors once their products are taken
+    # its cos/sin factors once their products are taken and multiplies W_ee alone:
+    # 1.10 grids measured, set by the fold
     axis = default_axis(1.0, 768)
     w = wigner_gaussian([0, 0], 0.5 * np.eye(2), axis, axis)
     args = cli.build_parser().parse_args(["klm", "{}"])
-    assert _traced_peak(lambda: cli._klm(w, args)) <= 1.45 * w.values.nbytes
+    assert _traced_peak(lambda: cli._klm(w, args)) <= 1.15 * w.values.nbytes
 
 
 def _late_asymmetric_grid():
@@ -876,13 +877,18 @@ def test_rescale_matches_dense_momentum_sum(n, hbar, lam, p_min):
 
 def test_symplectic_fourier_matches_complex_quadrature(no_grid, odd_offcentre_grid):
     # the folded quadrature against the plain sum over the whole grid, on an
-    # even count and on an odd count whose axes are not centred on the origin
-    pts = np.random.default_rng(5).normal(size=(9, 2)) * 2
-    for w in (no_grid, odd_offcentre_grid):
+    # even count, on an odd count whose axes are not centred on the origin, and
+    # on centred axes whose edge row and column, paired with zeros, carry mass
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(9, 2)) * 2
+    edges = WignerGrid(AxisGrid.centered(34, 0.3), AxisGrid.centered(20, 0.5),
+                       rng.normal(size=(34, 20)))
+    # folded about x_8 = 0.2 and p_12 = -0.91, nearer 0 than the midpoints -0.5 and -1
+    shifted = WignerGrid(AxisGrid(-11.0, 10.0, 16), AxisGrid(-3.0, 1.0, 24),
+                         rng.normal(size=(16, 24)))
+    for w in (no_grid, odd_offcentre_grid, edges, shifted):
         f = SymplecticFourier(w)
-        X, P = np.meshgrid(w.x_axis.points, w.p_axis.points, indexing="ij")
-        direct = np.array([(np.exp(1j * (p * X - P * x)) * w.values).sum()
-                           for x, p in pts]) * w.cell_area
+        direct = _dense_transform(w, pts)
         assert np.abs(f(pts) - direct).max() <= 1e-14 * np.abs(w.values).sum() * w.cell_area
         assert f(pts[0]) == f(pts[:1])[0]
 
@@ -892,8 +898,141 @@ def test_symplectic_fourier_folds_by_row_blocks_bit_for_bit(no_grid, odd_offcent
     # even counts (one and several row blocks), odd counts, and axes off the origin
     rng = np.random.default_rng(9)
     small = WignerGrid(AxisGrid(-2.0, 3.0, 17), AxisGrid(1.0, 4.0, 20), rng.normal(size=(17, 20)))
-    for w in (no_grid, vacuum_wigner, odd_offcentre_grid, small):
+    # folded about the point n/2 on one axis and about the midpoint on the other
+    mixed = WignerGrid(AxisGrid.centered(34, 0.3), AxisGrid(-9.0, 9.0, 2 * _CHUNK_ROWS + 6),
+                       rng.normal(size=(34, 2 * _CHUNK_ROWS + 6)))
+    turned = WignerGrid(mixed.p_axis, mixed.x_axis, mixed.values.T)
+    for w in (no_grid, vacuum_wigner, odd_offcentre_grid, small, mixed, turned):
         assert SymplecticFourier(w)._blocks.tobytes() == whole_symplectic_blocks(w).tobytes()
+
+
+def _mirror(v, axis, centred):
+    """v reflected along `axis` about the fold centre: k -> n - k on a centred axis,
+    whose edge point 0 has no partner (and is 0 here), else k -> n - 1 - k."""
+    return np.roll(np.flip(v, axis), 1, axis) if centred else np.flip(v, axis)
+
+
+def _symmetric(rng, n, centred, mirror):
+    """A random n x n grid with W(-x, -p) = W(x, p) (`mirror` "point") or
+    W(x, -p) = W(x, p) ("p") exactly, on centred axes (a zero edge row and
+    column) or on [-a, a]; and a random grid even in x and odd in p there."""
+    v, g = rng.normal(size=(2, n, n))
+    if centred:
+        v[0], v[:, 0], g[0], g[:, 0] = 0, 0, 0, 0
+    values = v + (_mirror(_mirror(v, 0, centred), 1, centred) if mirror == "point"
+                  else _mirror(v, 1, centred))
+    g -= _mirror(g, 1, centred)
+    g += _mirror(g, 0, centred)
+    axes = ((AxisGrid.centered(n, 0.25), AxisGrid.centered(n, 0.5)) if centred
+            else (AxisGrid(-3.0, 3.0, n), AxisGrid(-6.0, 6.0, n)))
+    return WignerGrid(*axes, values, hbar=0.7), g
+
+
+def _quadrant_mass(w):
+    """sum|Q| of the quadrants [[ee, eo], [oe, oo]], from the whole-view fold."""
+    hp = len(states._fold_axis(w.p_axis)[2])
+    return np.array([[np.abs(b[:, k * hp:(k + 1) * hp]).sum() for k in (0, 1)]
+                     for b in whole_symplectic_blocks(w)])
+
+
+def _dense_transform(w, pts):
+    """F_sigma W at `pts` by the plain complex sum over the whole grid."""
+    X, P = np.meshgrid(w.x_axis.points, w.p_axis.points, indexing="ij")
+    return np.array([(np.exp(1j * (p * X - P * x)) * w.values).sum() for x, p in pts]) * w.cell_area
+
+
+@pytest.mark.parametrize("n", [16, 18, 36, 4 * _CHUNK_ROWS + 2])
+def test_symplectic_fourier_drop_stays_within_the_round_off_bound(n):
+    # W_eo at 0.9 and 1.1 of (n_x + n_p) eps sum|W| is dropped and kept, and F matches
+    # the dense sum within each sum's round-off eps (theta + n_x + n_p) sum|W| dA plus
+    # the dropped quadrants' sum|Q| dA: 3 (n_x + n_p) eps sum|W| dA at most
+    rng, eps = np.random.default_rng(n), np.finfo(float).eps
+    pts = rng.normal(size=(9, 2)) * 1.5
+    for centred in (True, False):
+        for mirror in ("point", "p"):
+            base, odd = _symmetric(rng, n, centred, mirror)
+            bound = 2 * n * eps * np.abs(base.values).sum()
+            scale = bound / _quadrant_mass(WignerGrid(base.x_axis, base.p_axis, odd))[0, 1]
+            for share in (0.9, 1.1):
+                w = WignerGrid(base.x_axis, base.p_axis, base.values + share * scale * odd, 0.7)
+                f, mass = SymplecticFourier(w), _quadrant_mass(w)
+                case = (centred, mirror, share)
+                assert np.array_equal(f._kept, mass > 2 * n * eps * f.abs_sum), case
+                assert f._kept.tolist() == [[True, share > 1], [mirror == "p", mirror == "point"]]
+                dropped = mass[~f._kept].sum()
+                assert dropped <= 3 * 2 * n * eps * f.abs_sum
+                theta = (np.abs(pts[:, 1]) * max(-w.x_axis.min, w.x_axis.max)
+                         + np.abs(pts[:, 0]) * max(-w.p_axis.min, w.p_axis.max))
+                allowed = (2 * eps * (theta + 2 * n) * f.abs_sum + dropped) * w.cell_area
+                assert (np.abs(f(pts) - _dense_transform(w, pts)) <= allowed).all(), case
+
+
+def test_symplectic_fourier_path_choice(no_grid, vacuum_wigner, mixture_5050):
+    # which parity quadrants a grid multiplies: [[ee, eo], [oe, oo]]
+    axis, square = default_axis(), AxisGrid(-9.0, 9.0, 512)
+    turned = np.array([[1.0, 0.4], [0.4, 0.5]])  # a squeezed Gaussian, rotated
+    perturbed = WignerGrid(no_grid.x_axis, no_grid.p_axis, no_grid.values.copy())
+    perturbed.values[768 // 2 + 3] *= 1 + 1e-10
+    ee, ee_oo, ee_oe, four = [[1, 0], [0, 0]], [[1, 0], [0, 1]], [[1, 0], [1, 0]], [[1, 1], [1, 1]]
+    for name, w, kept in (
+            ("vacuum", vacuum_wigner, ee), ("fock 0+1 mixture", mixture_5050, ee),
+            ("narcowich-oconnell", no_grid, ee),
+            ("rotated squeezed", wigner_gaussian([0, 0], turned, axis, axis), ee_oo),
+            # displaced in x, a Gaussian is still mirror-symmetric in p unless rotated
+            ("displaced in x", wigner_gaussian([0.5, 0], 0.5 * np.eye(2), axis, axis), ee_oe),
+            ("rotated, displaced in x", wigner_gaussian([0.5, 0], turned, axis, axis), four),
+            ("rotated on [-9, 9]", wigner_gaussian([0.5, 0], turned, square, square), four),
+            ("narcowich-oconnell, one row perturbed", perturbed, "more")):
+        got = SymplecticFourier(w)._kept
+        assert got.sum() > 1 if kept == "more" else got.astype(int).tolist() == kept, name
+
+
+def test_symplectic_fourier_folds_a_centred_axis_about_its_origin_point():
+    # AxisGrid.centered(34, 0.3) has spacing 0.30000000000000004, so its point 17 is
+    # off 0 by round-off: the transform still folds about it, and its W + PW grid
+    # keeps W_ee and W_oo; the oracle's exact centring test keeps the general path
+    axis = AxisGrid.centered(34, 0.3)
+    assert axis.min + 17 * axis.spacing != 0
+    base, _ = _symmetric(np.random.default_rng(8), 34, True, "point")
+    w = WignerGrid(axis, axis, base.values)
+    f = SymplecticFourier(w)
+    assert (f._xc, f._pc) == (axis.points[17],) * 2 and len(f._ox) == len(f._op) == 18
+    assert f._kept.tolist() == [[True, False], [False, True]]
+    assert [len(parts) for parts in _oracle_views(w)[0]] == [1, 1]
+
+
+def test_symplectic_fourier_abs_sum_adds_sum_abs_as_abs_sums(no_grid, odd_offcentre_grid):
+    # the KLM re-check's round-off scale: the same float as _abs_sums adds it
+    rng = np.random.default_rng(6)
+    grids = [no_grid, odd_offcentre_grid, _symmetric(rng, 4 * _CHUNK_ROWS + 2, False, "p")[0],
+             WignerGrid(AxisGrid.centered(34, 0.3), AxisGrid(-2.0, 3.0, 2 * _CHUNK_ROWS + 5),
+                        rng.normal(size=(34, 2 * _CHUNK_ROWS + 5)))]
+    for w in grids:
+        assert SymplecticFourier(w).abs_sum == _abs_sums(w.values)[0].sum()
+
+
+def test_symplectic_fourier_symmetry_and_batches_hold_for_each_quadrant_set(vacuum_wigner):
+    # F(-z) = conj F(z) bit for bit, and a point has the same bits in any batch,
+    # whichever quadrants are multiplied; each product is a multiple of _ALIGN wide
+    axis, rng = default_axis(), np.random.default_rng(10)
+    turned = np.array([[1.0, 0.4], [0.4, 0.5]])
+    grids = [vacuum_wigner, wigner_gaussian([0, 0], turned, axis, axis),
+             wigner_gaussian([0.5, 0], 0.5 * np.eye(2), axis, axis),
+             wigner_gaussian([0, 0.5], 0.5 * np.eye(2), axis, axis),
+             wigner_gaussian([0.5, 0], turned, axis, axis)]
+    pts = rng.normal(size=(40, 2)) * 2
+    kept = set()
+    for w in grids:
+        f = SymplecticFourier(w)
+        kept.add(tuple(f._kept.ravel()))
+        for cols in f._cols:
+            assert (cols.stop - cols.start) % states._ALIGN == 0 and cols.stop <= f._blocks.shape[2]
+        whole = f(pts)
+        assert np.array_equal(f(-pts), whole.conj())
+        for lo, hi in ((0, 1), (3, 12), (12, 40)):
+            assert np.array_equal(f(pts[lo:hi]), whole[lo:hi])
+        assert f(pts[5]) == whole[5]
+    assert len(kept) == len(grids)  # ee; ee, oo; ee, oe; ee, eo; all four
 
 
 def test_fast_len_matches_next_fast_len():
