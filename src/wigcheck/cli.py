@@ -189,7 +189,6 @@ def build_state(spec, hbar, args):
 
 def _moments(w, args):
     """Trace, covariance, uncertainty criteria and the fourth momentum moment."""
-    tr = trace(w)
     cov = covariance_from_grid(w)
     unc = uncertainty_report(cov.sigma, w.hbar)
     p4 = moment_p4(w)
@@ -200,7 +199,7 @@ def _moments(w, args):
     if p4 < 0:  # a state has <p^4> >= <p^2>^2 > 0
         witnesses.append({"type": "negative_p4_moment", "value": p4})
     return {"grid": {"x_axis": as_dict(w.x_axis), "p_axis": as_dict(w.p_axis)},
-            "trace": tr,
+            "trace": trace(w),
             "moment_p4": p4,
             "covariance": {"sigma": as_dict(cov.sigma), "mean": as_dict(cov.mean)},
             "uncertainty": as_dict(unc)}, witnesses

@@ -11,8 +11,7 @@ import warnings
 
 import numpy as np
 
-from .states import (_CHUNK_ROWS, TAIL_TOL, WignerGrid, _abs_max, _abs_sums, _boundary_band_sum,
-                     _chirp_sum)
+from .states import _CHUNK_ROWS, TAIL_TOL, WignerGrid, _abs_max, _boundary_band_sum, _chirp_sum
 
 __all__ = [
     "narcowich_oconnell_grid",
@@ -79,9 +78,8 @@ def moment_p4(w):
     integrand mass (the moment has not converged on this grid).
     """
     p4 = w.p_axis.points ** 4
-    cols = w.values.sum(axis=0)
-    total = float(p4 @ cols / cols.sum())
-    band, weight = _boundary_band_sum(w.values, np.zeros(w.x_axis.count), p4, _abs_sums(w.values))
+    total = float(p4 @ w.col_sums / w.col_sums.sum())
+    band, weight = _boundary_band_sum(w.values, np.zeros(w.x_axis.count), p4, w.abs_sums)
     if band > TAIL_TOL * weight:
         warnings.warn("fourth moment may not have converged (heavy tail at the boundary)")
     return total

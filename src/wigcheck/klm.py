@@ -175,8 +175,8 @@ def klm_check(w, seed=0):
     if abs((tr := trace(w)) - 1.0) > 1e-3:
         raise ValueError(f"grid must have unit trace for the positivity search, found {tr:.6g}; "
                          "axes too narrow for the state leave part of its mass off the grid")
-    cov = covariance_from_grid(w).sigma
-    fsw = SymplecticFourier(w)  # after the covariance, whose transients set the peak memory
+    cov = covariance_from_grid(w).sigma  # off the grid's marginals, taken once
+    fsw = SymplecticFourier(w)
     if np.linalg.eigvalsh(cov).min() > 0:
         chol = np.linalg.cholesky(cov)
     else:
@@ -213,28 +213,27 @@ def klm_check(w, seed=0):
             trial = start + i
             witness = KLMWitness(order, pts[trial], vecs[i, :, 0], float(vals[i, 0]), trial,
                                  "lattice" if trial % 2 else "random")
-            abs_sum, fsw = fsw.abs_sum, None  # the re-check reads only the grid and sum|W|
-            _verify(w, witness, abs_sum)
+            _verify(w, witness)
             orders.append(KLMOrderRecord(order, trial + 1, worst))
             return KLMReport("violation_certificate", orders, witness, seed)
         orders.append(KLMOrderRecord(order, TRIALS_PER_ORDER, worst))
     return KLMReport("no_violation_found", orders, None, seed)
 
 
-def _verify(w, witness, abs_sum):
+def _verify(w, witness):
     """Raise unless the witness's quadratic form reproduces its eigenvalue.
 
     The folded search quadrature and the unfolded re-check differ by round-off.
     An entry of F sums n_x + n_p terms of |W| dA against phases p x' - x p' of
     size up to theta = max|dp| max|x| + max|dx| max|p| (the point differences
     against the axes), so it is good to eps (theta + n_x + n_p) sum|W| dA, and
-    v^H F v, for a unit v, to `order` times that; the bound allows four times it.
-    The search's dropped quadrants add 3 (n_x + n_p) eps `abs_sum` dA at most, within it.
+    v^H F v, for a unit v, to `order` times that; the bound allows four times it.  The
+    search's dropped quadrants add 3 (n_x + n_p) eps sum|W| dA (`w.abs_sum`) at most, within it.
     """
     value = witness_quadratic_form(w, witness)
     dx, dp = np.ptp(witness.points, axis=0)
     theta = dp * max(-w.x_axis.min, w.x_axis.max) + dx * max(-w.p_axis.min, w.p_axis.max)
-    roundoff = np.finfo(float).eps * float(abs_sum * w.cell_area)
+    roundoff = np.finfo(float).eps * float(w.abs_sum * w.cell_area)
     bound = 4 * witness.order * (theta + w.x_axis.count + w.p_axis.count) * roundoff
     if not (value < -TOL and abs(value - witness.min_eigenvalue) <= bound):
         raise ValueError(f"KLM witness does not reproduce: v^H F v = {value:.3e}, "

@@ -12,6 +12,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, fields, is_dataclass
+from functools import cached_property, partial
 from itertools import chain
 from pathlib import Path
 
@@ -46,6 +47,7 @@ ALIASING_TOL = 1e-8  # largest Wigner amplitude on the outer momentum columns, r
 TAIL_TOL = 1e-6  # largest share of a moment's weight on the boundary band
 _CHUNK_ROWS = 64  # grid rows per block of a streamed pass (the kernel: row pairs per chirp-z)
 _ALIGN = 8  # SymplecticFourier's least rows and column multiple: OpenBLAS rounds by batch
+_read_only = partial(as_strided, writeable=False)  # a read-only view of an array
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,8 @@ class AxisGrid:
         count = d["count"]  # 16.0 is a count; a bool, a string or 16.9 is not
         if isinstance(count, bool) or not isinstance(count, (int, float)) or count % 1:
             raise ValueError(f"axis count must be an integer, got {count!r}")
-        for key in ("min", "max"):
-            if isinstance(d[key], (bool, str)):  # float(True) would be 1.0, float("1") 1.0
+        for key in ("min", "max"):  # float(True) would be 1.0, float("1") 1.0
+            if isinstance(d[key], bool) or not isinstance(d[key], (int, float)):
                 raise ValueError(f"axis {key} must be a number, got {d[key]!r}")
         return cls(float(d["min"]), float(d["max"]), int(count))
 
@@ -163,9 +165,9 @@ class WaveFunctionGrid:
         return float(np.sum(np.abs(self.values) ** 2) * self.axis.spacing)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WignerGrid:
-    """Real phase-space samples W[i, j] at (x_i, p_j); finite, with hbar > 0."""
+    """Real phase-space samples W[i, j] at (x_i, p_j); finite, with hbar > 0; a value."""
 
     x_axis: AxisGrid
     p_axis: AxisGrid
@@ -174,8 +176,8 @@ class WignerGrid:
     imag_residual: float = 0.0
 
     def __post_init__(self):
-        # a strided view, such as the real part of a complex grid, keeps its parent alive
-        self.values = np.ascontiguousarray(self.values, dtype=float)
+        # read-only (not the caller's array); a copy of a strided view frees its parent
+        object.__setattr__(self, "values", _read_only(np.ascontiguousarray(self.values, float)))
         if self.values.shape != (self.x_axis.count, self.p_axis.count):
             raise ValueError("values must have shape (len(x_axis), len(p_axis))")
         if not (np.isfinite(self.hbar) and self.hbar > 0):
@@ -186,6 +188,14 @@ class WignerGrid:
     @property
     def cell_area(self):
         return self.x_axis.spacing * self.p_axis.spacing
+
+    # the whole-grid sums, each taken at most once, on first read, and read-only
+    total = cached_property(lambda self: self.values.sum())  # sum W, the trace's
+    row_sums = cached_property(lambda self: _read_only(self.values.sum(axis=1)))  # x marginal
+    col_sums = cached_property(lambda self: _read_only(self.values.sum(axis=0)))  # p marginal
+    row_p_sums = cached_property(lambda self: _read_only(self.values @ self.p_axis.points))  # W@p
+    abs_sums = cached_property(lambda self: _abs_sums(self.values))  # of |W|: rows, columns
+    abs_sum = property(lambda self: self.abs_sums[0].sum())  # sum|W| of every round-off bound
 
 
 def _hermite_functions(n, xi):
@@ -313,8 +323,8 @@ def _boundary_band_sum(a, rw, cw, sums):
     2-d array `a`, each entry once, and over all of `a`: (band, whole).
 
     An array with at most four rows or columns is all band.  The whole sum
-    comes from `sums`, the row and column sums of |a| (`_abs_sums`), the band
-    sum from its strips.
+    comes from `sums`, the row and column sums of |a| (a grid's `abs_sums`,
+    taken once), the band sum from its strips.
     """
     rows, cols = sums
     whole = float(rw @ rows + cw @ cols)
@@ -326,13 +336,13 @@ def _boundary_band_sum(a, rw, cw, sums):
 
 
 def _abs_sums(a):
-    """Row and column sums of |a|, by blocks of rows: no |a| copy."""
+    """Row and column sums of |a|, by blocks of rows: no |a| copy.  Both are read-only."""
     rows, cols = np.empty(len(a)), np.zeros(a.shape[1])
     for r0 in range(0, len(a), _CHUNK_ROWS):
         mag = np.abs(a[r0:r0 + _CHUNK_ROWS])
         rows[r0:r0 + len(mag)] = mag.sum(axis=1)
         cols += mag.sum(axis=0)
-    return rows, cols
+    return _read_only(rows), _read_only(cols)
 
 
 def _abs_max(a, axis=None):
@@ -342,7 +352,7 @@ def _abs_max(a, axis=None):
 
 def trace(w):
     """Riemann-sum trace: sum of the grid values times the cell area."""
-    return float(w.values.sum() * w.cell_area)
+    return float(w.total * w.cell_area)
 
 
 def _is_wigner_conjugate(w):  # dp = pi*hbar/(n*dx), on n points each
@@ -409,14 +419,14 @@ class SymplecticFourier:
     states, their mixtures, centred Gaussians, N-O and the bump keep W_ee alone, a quarter
     of the unfolded work; a rotated squeezed Gaussian W_ee and W_oo.  The blocks take one
     grid, folded by row blocks.  F(-z) = conj F(z) exactly, no value depends on its batch
-    (products span _ALIGN-multiple columns), `trace` is F(0), `abs_sum` sum|W| by _abs_sums.
+    (products span _ALIGN-multiple columns), `trace` is F(0); sum|W| is the grid's `abs_sum`.
     """
 
     def __init__(self, w):
         (s, self._xc, self._ox, x_once), (t, self._pc, self._op, p_once) = (
             _fold_axis(a) for a in (w.x_axis, w.p_axis))
         i, j, hx, hp = w.x_axis.count // 2, w.p_axis.count // 2, len(self._ox), len(self._op)
-        self.abs_sum, mass = _abs_sums(w.values)[0].sum(), np.zeros((2, 2))  # sum|W|, sum|Q|
+        mass = np.zeros((2, 2))  # sum|Q|
         self._blocks = np.zeros((2, hx, -(-2 * hp // _ALIGN) * _ALIGN))  # edge columns pair with 0
         v, f = w.values[:, j:], w.values[:, ::-1][:, t:]  # the upper and mirrored lower p halves
         lower = np.empty((min(hx, _CHUNK_ROWS), hp))  # the one temporary, a row block
@@ -433,7 +443,7 @@ class SymplecticFourier:
                 out[0] *= x_once if r0 == 0 else 1.0
                 out[:, 0] *= p_once
                 q += [np.abs(out[:, c:c + hp], out=low).sum() for c in (0, hp)]
-        self._kept = mass > (w.x_axis.count + w.p_axis.count) * np.finfo(float).eps * self.abs_sum
+        self._kept = mass > (w.x_axis.count + w.p_axis.count) * np.finfo(float).eps * w.abs_sum
         # each x parity's product columns: [W_e | W_o], or its one kept quadrant's
         self._cols = [slice(0 if e else hp // _ALIGN * _ALIGN, self._blocks.shape[2] if o
                             else -(-hp // _ALIGN) * _ALIGN) for e, o in self._kept]
@@ -559,17 +569,16 @@ def operator_spectrum_oracle(w):
                  * scale for parts in _oracle_views(w)[0])
 
 
-def _parity_sums(a):
-    """sum|a| as `_abs_sums(a)[0].sum()` adds it, and the parity defect: the sum over
-    rows r >= n/2, columns k >= 1 of |a[r, k] - a[n - r, n - k]|, plus sum|a[:, 0]|."""
-    n, rows, defect = len(a), np.empty(len(a)), float(np.abs(a[:, 0]).sum())
-    for r0 in range(0, n, _CHUNK_ROWS):
-        mag = np.abs(a[r0:r0 + _CHUNK_ROWS])
-        rows[r0:r0 + len(mag)] = mag.sum(axis=1)
-        if (lo := max(r0, n // 2)) < (r1 := r0 + len(mag)):  # rows past n/2 less their mirrors
-            diff = np.subtract(a[lo:r1, 1:], a[n - lo:n - r1:-1, :0:-1], out=mag[lo - r0:, 1:])
-            defect += float(np.abs(diff, out=diff).sum())
-    return rows.sum(), defect
+def _parity_defect(a):
+    """The sum over rows r >= n/2, columns k >= 1 of |a[r, k] - a[n - r, n - k]|, plus
+    sum|a[:, 0]|: the rows past n/2 less their mirrors, by the row blocks of `_abs_sums`."""
+    n, defect = len(a), float(np.abs(a[:, 0]).sum())
+    work = np.empty((min(n, _CHUNK_ROWS), a.shape[1]))  # a block's differences, in a's row layout
+    for r0 in range(n // 2 - n // 2 % _CHUNK_ROWS, n, _CHUNK_ROWS):
+        lo, r1 = max(r0, n // 2), min(r0 + _CHUNK_ROWS, n)
+        diff = np.subtract(a[lo:r1, 1:], a[n - lo:n - r1:-1, :0:-1], out=work[:r1 - lo, 1:])
+        defect += float(np.abs(diff, out=diff).sum())
+    return defect
 
 
 def _reversal_sectors(b, p, s):
@@ -590,10 +599,10 @@ def _reversal_sectors(b, p, s):
 
 def _oracle_views(w):
     """The matrices `operator_spectrum_oracle` solves per block, the Weyl bound on their
-    eigenvalues' move from the blocks', and the round-off n eps sum|W| dA: the
-    `_kernel_views` views, of Re b alone when 2dx ||Im K||_F is within it.  On centred
-    axes mirrored rows move an entry by at most dp times its midpoint row's share of the
-    defect d (`_parity_sums`), and a column reads each row once: ||dK||_2 <= dp d.  While
+    eigenvalues' move from the blocks', and the round-off n eps sum|W| dA (the grid's
+    `abs_sum`): the `_kernel_views` views, of Re b alone when 2dx ||Im K||_F is within it.
+    On centred axes mirrored rows move an entry by at most dp times its midpoint row's share
+    of the defect d (`_parity_defect`), and a column reads each row once: ||dK||_2 <= dp d.  While
     2 dA d, the real path's drop and 2dx ||K[0, 1:]||_2 for the even block's edge point
     fit within the round-off, the sectors are solved; else the whole even block, turned.
     The centring test is exact on purpose; SymplecticFourier, which bounds its own drop,
@@ -601,8 +610,8 @@ def _oracle_views(w):
     dx, dA = w.x_axis.spacing, w.cell_area
     centred = all(a.count % 2 == 0 and a.min + a.count // 2 * a.spacing == 0
                   for a in (w.x_axis, w.p_axis))
-    total, defect = _parity_sums(w.values) if centred else (_abs_sums(w.values)[0].sum(), np.inf)
-    roundoff, moved = w.x_axis.count * np.finfo(float).eps * total * dA, 2 * dA * defect
+    defect = _parity_defect(w.values) if centred else np.inf
+    roundoff, moved = w.x_axis.count * np.finfo(float).eps * w.abs_sum * dA, 2 * dA * defect
     if not moved <= roundoff:
         views, bound = _kernel_views(w, roundoff)
         return tuple((view,) for view in views), bound, roundoff
@@ -652,14 +661,20 @@ def load_wigner_manifest(path):
     path = Path(path)
     with open(path) as fh:
         manifest = json.load(fh)
-    x_axis = AxisGrid.from_dict(manifest["x_axis"])
-    p_axis = AxisGrid.from_dict(manifest["p_axis"])
+    for key in ("x_axis", "p_axis"):  # each error names its key in words, not by repr
+        if not (isinstance(manifest, dict) and isinstance(a := manifest.get(key), dict)
+                and a.keys() >= {"min", "max", "count"}):
+            raise ValueError(f"manifest needs {key!r}, an object with 'min', 'max' and 'count'")
+    x_axis, p_axis = (AxisGrid.from_dict(manifest[key]) for key in ("x_axis", "p_axis"))
     hbar = manifest.get("hbar", 1.0)
-    if isinstance(hbar, (bool, str)):  # float(True) would be 1.0, float("1") 1.0
+    if isinstance(hbar, bool) or not isinstance(hbar, (int, float)):  # float(True) would be 1.0
         raise ValueError(f"manifest hbar must be a number, got {hbar!r}")
     if "values" in manifest:
         rows = manifest["values"]
-        values = np.asarray(rows, dtype=float)  # which reads "1.5" as 1.5 and true as 1.0
+        try:  # which reads "1.5" as 1.5 and true as 1.0
+            values = np.asarray(rows, dtype=float)
+        except (TypeError, ValueError):  # ragged rows, or a string that is no number
+            raise ValueError("manifest values must be rows of numbers, all of one length") from None
         if values.ndim == 2 and set(map(type, chain.from_iterable(rows))) - {int, float}:
             entry = next(v for v in chain.from_iterable(rows) if type(v) not in (int, float))
             raise ValueError(f"manifest values must be numbers, got {entry!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import TAIL_TOL, _abs_sums, _boundary_band_sum
+from .states import TAIL_TOL, _boundary_band_sum
 from .symplectic import _balance, symplectic_form, symplectic_spectrum
 
 __all__ = [
@@ -39,22 +39,21 @@ class CovarianceMatrix:
 def covariance_from_grid(w):
     """First and second phase-space moments of W/trace for a Wigner grid.
 
-    sigma_ab = int z_a z_b W dz / tr - mean_a mean_b, read from the marginals
-    (the row and column sums of the grid) and W @ p; the trace keeps a state
-    short of unit mass from reading as sub-vacuum.  Raises for a sum at most its round-off
+    sigma_ab = int z_a z_b W dz / tr - mean_a mean_b, read from the grid's marginals and
+    W @ p, summed once per grid (a second call is O(n) work); the trace keeps a state short
+    of unit mass from reading as sub-vacuum.  Raises for a sum at most its round-off
     n eps sum|W|; warns when the boundary band holds over TAIL_TOL of the second moment.
     """
     x, p = w.x_axis.points, w.p_axis.points
-    rows, cols = w.values.sum(axis=1), w.values.sum(axis=0)
-    sums = _abs_sums(w.values)
-    roundoff = w.x_axis.count * np.finfo(float).eps * sums[0].sum()
+    rows, cols = w.row_sums, w.col_sums
+    roundoff = w.x_axis.count * np.finfo(float).eps * w.abs_sum
     if not (mass := rows.sum()) > roundoff:
         raise ValueError(f"grid trace {mass * w.cell_area:.6g} is not positive beyond round-off")
     mx, mp = float(x @ rows / mass), float(p @ cols / mass)
     sxx = float((x * x) @ rows / mass) - mx * mx
     spp = float((p * p) @ cols / mass) - mp * mp
-    sxp = float(x @ (w.values @ p) / mass) - mx * mp
-    band, total = _boundary_band_sum(w.values, x * x, p * p, sums)
+    sxp = float(x @ w.row_p_sums / mass) - mx * mp
+    band, total = _boundary_band_sum(w.values, x * x, p * p, w.abs_sums)
     if band > TAIL_TOL * total:
         warnings.warn("second moments may not have converged (heavy tail at the grid boundary)")
     return CovarianceMatrix(np.array([[sxx, sxp], [sxp, spp]]), np.array([mx, mp]))

@@ -734,6 +734,31 @@ def test_manifest_with_bool_hbar_is_input_error(tmp_path, capsys):
     assert captured.err == "error: invalid state spec: manifest hbar must be a number, got True\n"
 
 
+def _needs(key):
+    return f"manifest needs {key!r}, an object with 'min', 'max' and 'count'"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: {k: v for k, v in d.items() if k != "x_axis"}, _needs("x_axis")),
+    (lambda d: {**d, "p_axis": {"min": -8, "max": 8}}, _needs("p_axis")),
+    (lambda d: {**d, "x_axis": 5}, _needs("x_axis")),
+    (lambda d: [d], _needs("x_axis")),
+    (lambda d: {**d, "x_axis": {**d["x_axis"], "min": None}},
+     "axis min must be a number, got None"),
+    (lambda d: {**d, "hbar": None}, "manifest hbar must be a number, got None"),
+    (lambda d: {**d, "hbar": [1]}, "manifest hbar must be a number, got [1]"),
+    (lambda d: {**d, "values": d["values"][:3] + [d["values"][3][:-1]] + d["values"][4:]},
+     "manifest values must be rows of numbers, all of one length")],
+    ids=["no-x-axis", "no-count", "int-axis", "list-manifest", "null-min", "null-hbar",
+         "list-hbar", "ragged-values"])
+def test_a_manifest_error_names_its_key_in_words(tmp_path, capsys, edit, message):
+    # one line naming the manifest key, not a KeyError's repr, a TypeError's or numpy's wording
+    manifest = _vacuum_manifest(tmp_path, capsys)
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    spec = json.dumps({"type": "grid", "manifest": str(manifest)})
+    assert_input_error(capsys, ["analyze", spec], f"error: invalid state spec: {message}\n")
+
+
 @pytest.mark.parametrize("depth", [990, 100_000])
 @pytest.mark.parametrize("where", ["inline", "file", "stdin", "manifest values"])
 def test_deeply_nested_json_is_input_error(tmp_path, capsys, monkeypatch, where, depth):

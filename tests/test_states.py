@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,9 +16,10 @@ from wigcheck import (AxisGrid, SymplecticFourier, cli, default_axis, fock_state
                       operator_spectrum_oracle, rescale, save_wigner_manifest, trace,
                       truncated_bump_grid, wigner_gaussian, wigner_momentum_axis,
                       wigner_of_pure)
+from wigcheck.klm import klm_check
 from wigcheck.states import (_CHUNK_ROWS, WaveFunctionGrid, WignerGrid, _abs_sums,
                              _boundary_band_sum, _chirp_sum, _fast_len, _is_wigner_conjugate,
-                             _oracle_views, _parity_sums)
+                             _oracle_views, _parity_defect)
 
 
 def test_fock_normalization_and_orthogonality():
@@ -267,9 +269,9 @@ def _late_asymmetric_grid():
     except on row 100: the oracle's first row block (rows 0-63 and 128-191)
     stays on the real path, the second (rows 64-127 and 192-255) leaves it."""
     axis = default_axis()
-    w = wigner_gaussian([0, 0], np.diag([1.0, 0.25]), axis, axis)
-    w.values[100] *= 1 + 0.01 * np.tanh(axis.points)
-    return w
+    values = wigner_gaussian([0, 0], np.diag([1.0, 0.25]), axis, axis).values.copy()
+    values[100] *= 1 + 0.01 * np.tanh(axis.points)
+    return WignerGrid(axis, axis, values)
 
 
 def _oracle_cases(displaced_768, odd_offcentre_grid):
@@ -425,8 +427,9 @@ def test_oracle_parity_path_choice(chirp_calls, no_grid, displaced_768, odd_offc
     # the parity path transforms half the rows: 3 row blocks of 64 pairs at 768
     # points, not 6, and splits the even block past its edge point too
     square = AxisGrid(-9.0, 9.0, 512)  # symmetric axes whose origin is no grid point
-    perturbed = WignerGrid(no_grid.x_axis, no_grid.p_axis, no_grid.values.copy())
-    perturbed.values[768 // 2 + 3] *= 1 + 1e-10
+    values = no_grid.values.copy()
+    values[768 // 2 + 3] *= 1 + 1e-10
+    perturbed = WignerGrid(no_grid.x_axis, no_grid.p_axis, values)
     for name, w, parts, count in (
             ("narcowich-oconnell", no_grid, [3, 2], 3),
             ("gaussian displaced in x", displaced_768, [1, 1], 6),
@@ -439,14 +442,16 @@ def test_oracle_parity_path_choice(chirp_calls, no_grid, displaced_768, odd_offc
 
 
 def test_parity_sums_add_sum_abs_as_abs_sums(no_grid):
-    # the real path's bound compares with this round-off: it is the same float
+    # the real path's bound compares with the grid's sum|W|: the same float as _abs_sums
+    # adds it; the defect is the rows past n/2 less their mirrors, and column 0
     rng = np.random.default_rng(6)
-    for a in (no_grid.values, rng.normal(size=(2 * _CHUNK_ROWS + 6, 40))):
+    for a in (no_grid.values, rng.normal(size=(2 * _CHUNK_ROWS + 6, 40)),
+              rng.normal(size=(3 * _CHUNK_ROWS, 20)), rng.normal(size=(18, 50))):
         n, h = len(a), len(a) // 2
-        total, defect = _parity_sums(a)
-        assert total == _abs_sums(a)[0].sum()
+        w = WignerGrid(AxisGrid.centered(n, 0.1), AxisGrid.centered(a.shape[1], 0.1), a)
+        assert w.abs_sum == _abs_sums(a)[0].sum()
         dense = np.abs(a[h:, 1:] - a[n - h:0:-1, :0:-1]).sum() + np.abs(a[:, 0]).sum()
-        assert defect == pytest.approx(dense, rel=1e-12)
+        assert _parity_defect(a) == pytest.approx(dense, rel=1e-12)
 
 
 def _gather_wigner_of_pure(psi, components=None):
@@ -957,13 +962,13 @@ def test_symplectic_fourier_drop_stays_within_the_round_off_bound(n):
                 w = WignerGrid(base.x_axis, base.p_axis, base.values + share * scale * odd, 0.7)
                 f, mass = SymplecticFourier(w), _quadrant_mass(w)
                 case = (centred, mirror, share)
-                assert np.array_equal(f._kept, mass > 2 * n * eps * f.abs_sum), case
+                assert np.array_equal(f._kept, mass > 2 * n * eps * w.abs_sum), case
                 assert f._kept.tolist() == [[True, share > 1], [mirror == "p", mirror == "point"]]
                 dropped = mass[~f._kept].sum()
-                assert dropped <= 3 * 2 * n * eps * f.abs_sum
+                assert dropped <= 3 * 2 * n * eps * w.abs_sum
                 theta = (np.abs(pts[:, 1]) * max(-w.x_axis.min, w.x_axis.max)
                          + np.abs(pts[:, 0]) * max(-w.p_axis.min, w.p_axis.max))
-                allowed = (2 * eps * (theta + 2 * n) * f.abs_sum + dropped) * w.cell_area
+                allowed = (2 * eps * (theta + 2 * n) * w.abs_sum + dropped) * w.cell_area
                 assert (np.abs(f(pts) - _dense_transform(w, pts)) <= allowed).all(), case
 
 
@@ -971,8 +976,9 @@ def test_symplectic_fourier_path_choice(no_grid, vacuum_wigner, mixture_5050):
     # which parity quadrants a grid multiplies: [[ee, eo], [oe, oo]]
     axis, square = default_axis(), AxisGrid(-9.0, 9.0, 512)
     turned = np.array([[1.0, 0.4], [0.4, 0.5]])  # a squeezed Gaussian, rotated
-    perturbed = WignerGrid(no_grid.x_axis, no_grid.p_axis, no_grid.values.copy())
-    perturbed.values[768 // 2 + 3] *= 1 + 1e-10
+    values = no_grid.values.copy()
+    values[768 // 2 + 3] *= 1 + 1e-10
+    perturbed = WignerGrid(no_grid.x_axis, no_grid.p_axis, values)
     ee, ee_oo, ee_oe, four = [[1, 0], [0, 0]], [[1, 0], [0, 1]], [[1, 0], [1, 0]], [[1, 1], [1, 1]]
     for name, w, kept in (
             ("vacuum", vacuum_wigner, ee), ("fock 0+1 mixture", mixture_5050, ee),
@@ -1001,14 +1007,97 @@ def test_symplectic_fourier_folds_a_centred_axis_about_its_origin_point():
     assert [len(parts) for parts in _oracle_views(w)[0]] == [1, 1]
 
 
-def test_symplectic_fourier_abs_sum_adds_sum_abs_as_abs_sums(no_grid, odd_offcentre_grid):
-    # the KLM re-check's round-off scale: the same float as _abs_sums adds it
-    rng = np.random.default_rng(6)
+def test_symplectic_fourier_abs_sum_adds_sum_abs_as_abs_sums(
+        monkeypatch, no_grid, odd_offcentre_grid, vacuum_wigner):
+    # the round-off scale of the oracle's bounds, of the fold's dropped quadrants and of
+    # the KLM witness re-check: the grid's one sum|W|, the same float as _abs_sums adds it
+    reads, real = [], WignerGrid.abs_sum
+
+    def spy(w):
+        reads.append((sys._getframe(1).f_code.co_name, real.fget(w)))
+        return reads[-1][1]
+
+    monkeypatch.setattr(WignerGrid, "abs_sum", property(spy))
+    rng, eps = np.random.default_rng(6), np.finfo(float).eps
     grids = [no_grid, odd_offcentre_grid, _symmetric(rng, 4 * _CHUNK_ROWS + 2, False, "p")[0],
              WignerGrid(AxisGrid.centered(34, 0.3), AxisGrid(-2.0, 3.0, 2 * _CHUNK_ROWS + 5),
-                        rng.normal(size=(34, 2 * _CHUNK_ROWS + 5)))]
+                        rng.normal(size=(34, 2 * _CHUNK_ROWS + 5))), rescale(vacuum_wigner, 1.5)]
     for w in grids:
-        assert SymplecticFourier(w).abs_sum == _abs_sums(w.values)[0].sum()
+        reads.clear()
+        SymplecticFourier(w)
+        total = _abs_sums(w.values)[0].sum()
+        assert _oracle_views(w)[2] == w.x_axis.count * eps * total * w.cell_area
+        readers = {"__init__", "_oracle_views"}
+        if w is grids[-1]:  # a non-state: the search finds a witness and re-checks it
+            assert klm_check(w).overall == "violation_certificate"
+            readers.add("_verify")
+        assert {name for name, _ in reads} >= readers
+        assert all(value == total for _, value in reads)
+
+
+def test_grid_sums_are_taken_once_bit_for_bit(odd_offcentre_grid):
+    # each cached sum is the whole-grid expression it stands for, read once and read-only
+    rng = np.random.default_rng(11)
+    for base in (odd_offcentre_grid, WignerGrid(AxisGrid(-2.0, 3.0, 2 * _CHUNK_ROWS + 5),
+                                                AxisGrid(-1.0, 4.0, 90),
+                                                rng.normal(size=(2 * _CHUNK_ROWS + 5, 90)))):
+        w, v = WignerGrid(base.x_axis, base.p_axis, base.values), base.values
+        assert w.total == v.sum() and w.row_sums is w.row_sums
+        assert np.array_equal(w.row_sums, v.sum(axis=1))
+        assert np.array_equal(w.col_sums, v.sum(axis=0))
+        assert np.array_equal(w.row_p_sums, v @ w.p_axis.points)
+        rows, cols = _abs_sums(v)
+        assert np.array_equal(w.abs_sums[0], rows) and np.array_equal(w.abs_sums[1], cols)
+        assert w.abs_sum == rows.sum() and w.abs_sums is w.abs_sums
+        assert not any(a.flags.writeable for a in (w.row_sums, w.col_sums, w.row_p_sums,
+                                                    *w.abs_sums))
+
+
+@pytest.fixture
+def abs_sums_calls(monkeypatch):
+    """The arrays of each `_abs_sums` call made while the test runs."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return _abs_sums(a)
+
+    monkeypatch.setattr(states, "_abs_sums", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "fock", "n": 1, "rescale": 0.9},
+    {"type": "mixture", "components": [{"weight": 0.5, "state": {"type": "fock", "n": 0}},
+                                       {"weight": 0.5, "state": {"type": "fock", "n": 1}}]},
+    {"type": "bump", "radius": 1.0},
+    {"type": "narcowich-oconnell", "alpha": 0.5, "beta": 0.5},
+    {"type": "gaussian", "mean": [0.5, 0], "cov": [[0.5, 0], [0, 0.5]], "rescale": 1.5},
+], ids=["fock-rescaled", "mixture", "bump", "narcowich-oconnell", "gaussian-rescaled"])
+def test_analyze_takes_each_grid_sum_once(abs_sums_calls, capsys, spec):
+    # moments, KLM (its covariance and fold), domination and oracle share one |W| pass
+    assert cli.main(["analyze", json.dumps(spec), "--grid-n", "64"]) in (0, 2)
+    assert len(abs_sums_calls) == 1
+
+
+def test_wigner_grid_values_are_read_only(tmp_path, fock1_wigner, no_grid):
+    # no sum a stage has read can go stale: builder, rescale and manifest grids refuse
+    # writes; the grid views the caller's array, which stays writable
+    axis = default_axis(count=64)
+    mine = wigner_gaussian([0, 0], 0.5 * np.eye(2), axis, axis).values.copy()
+    w = WignerGrid(axis, axis, mine)
+    save_wigner_manifest(w, tmp_path / "w.json")
+    grids = (fock1_wigner, rescale(fock1_wigner, 0.9), rescale(fock1_wigner, 1.2), w,
+             load_wigner_manifest(tmp_path / "w.json"), no_grid, truncated_bump_grid(axis, axis))
+    for grid in grids:
+        with pytest.raises(ValueError):
+            grid.values[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            grid.values *= 2
+        with pytest.raises(AttributeError):
+            grid.values = mine
+    assert np.shares_memory(w.values, mine)
+    mine[0, 0] = 1.0
 
 
 def test_symplectic_fourier_symmetry_and_batches_hold_for_each_quadrant_set(vacuum_wigner):
