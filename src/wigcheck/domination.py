@@ -390,10 +390,7 @@ def compact_support_flag(w):
     if peak == 0:
         diag["reason"] = "grid is identically zero"
         return False, diag
-    live_rows = np.flatnonzero(row_max > SUPPORT_THRESHOLD * peak)
-    if not live_rows.size:
-        diag["reason"] = "no values above threshold"
-        return False, diag
+    live_rows = np.flatnonzero(row_max > SUPPORT_THRESHOLD * peak)  # the peak's row at least
     live_cols = np.flatnonzero(col_max > SUPPORT_THRESHOLD * peak)
     i0, i1, j0, j1 = (int(e) for e in (live_rows[0], live_rows[-1], live_cols[0], live_cols[-1]))
     nx, np_ = v.shape

@@ -312,7 +312,7 @@ def mixture_wigner(components):
         values[rows, :n // 2], values[rows, n // 2:] = wc.real[:, lo:], wc.real[:, :lo]
         imag.append(_abs_max(wc.imag))
     w = WignerGrid(axis, wigner_momentum_axis(axis, hbar), values, hbar, float(max(imag)))
-    edge, peak = max(_abs_max(w.values[:, :2]), _abs_max(w.values[:, -2:])), _abs_max(w.values)
+    edge, peak = _edge_and_peak(w.values)
     if edge > ALIASING_TOL * peak:
         warnings.warn(f"possible momentum aliasing: boundary amplitude ratio {edge / peak:.2e}")
     return w
@@ -350,6 +350,11 @@ def _abs_max(a, axis=None):
     return np.maximum(a.max(axis=axis), -a.min(axis=axis))
 
 
+def _edge_and_peak(a):
+    """max |a| on the outer two columns at either end, and over all of `a`."""
+    return max(_abs_max(a[:, :2]), _abs_max(a[:, -2:])), _abs_max(a)
+
+
 def trace(w):
     """Riemann-sum trace: sum of the grid values times the cell area."""
     return float(w.total * w.cell_area)
@@ -383,7 +388,7 @@ def rescale(w, lam):
             values[r0:r0 + len(c)] = _chirp_sum(
                 c, -(n // 2) * dx, dx, 2 * (p_axis.min - w.p_axis.min) / w.hbar,
                 2 * p_axis.spacing / w.hbar, n, sign=-1).real
-        edge, peak = max(_abs_max(values[:, :2]), _abs_max(values[:, -2:])), _abs_max(values)
+        edge, peak = _edge_and_peak(values)
         if edge > ALIASING_TOL * peak:
             raise ValueError(f"rescale {lam:g}: the state does not fit the momentum axis "
                              f"shortened by lambda^2 to [{p_axis.min:.4g}, {p_axis.max:.4g}] "
@@ -561,9 +566,9 @@ def operator_spectrum_oracle(w):
     part is round-off.  By Weyl's inequality dropping it moves each eigenvalue
     by at most ||Im K||_2 <= ||Im K||_F, so when 2dx times that is within the
     transform's round-off, eigvalsh solves the real parts, about twice as
-    fast; any other grid keeps the complex Hermitian solve.  Where W(-z) = W(z) on
-    centred axes (every builder's grid, not a manifest's on [-9, 9]) the kernel
-    commutes with parity: half the rows are transformed, half-size sectors solved."""
+    fast; any other grid keeps the complex Hermitian solve.  Where W[n - r, n - k] =
+    W[r, k] and p_(n/2) = 0 (not on a manifest's [-9, 9]) the kernel commutes with
+    parity: half the rows are transformed, half-size sectors solved."""
     scale = 2 * w.x_axis.spacing  # applied to the eigenvalues: no scaled copy of a block
     return tuple(np.sort(np.concatenate([np.linalg.eigvalsh(k, UPLO="L") for k in parts]))[::-1]
                  * scale for parts in _oracle_views(w)[0])
@@ -571,14 +576,10 @@ def operator_spectrum_oracle(w):
 
 def _parity_defect(a):
     """The sum over rows r >= n/2, columns k >= 1 of |a[r, k] - a[n - r, n - k]|, plus
-    sum|a[:, 0]|: the rows past n/2 less their mirrors, by the row blocks of `_abs_sums`."""
-    n, defect = len(a), float(np.abs(a[:, 0]).sum())
-    work = np.empty((min(n, _CHUNK_ROWS), a.shape[1]))  # a block's differences, in a's row layout
-    for r0 in range(n // 2 - n // 2 % _CHUNK_ROWS, n, _CHUNK_ROWS):
-        lo, r1 = max(r0, n // 2), min(r0 + _CHUNK_ROWS, n)
-        diff = np.subtract(a[lo:r1, 1:], a[n - lo:n - r1:-1, :0:-1], out=work[:r1 - lo, 1:])
-        defect += float(np.abs(diff, out=diff).sum())
-    return defect
+    sum|a[:, 0]|: the rows past n/2 less their mirrors, one half-grid difference."""
+    n = len(a)
+    diff = np.subtract(a[n // 2:, 1:], a[n - n // 2:0:-1, :0:-1])
+    return float(np.abs(a[:, 0]).sum()) + float(np.abs(diff, out=diff).sum())
 
 
 def _reversal_sectors(b, p, s):
@@ -601,15 +602,13 @@ def _oracle_views(w):
     """The matrices `operator_spectrum_oracle` solves per block, the Weyl bound on their
     eigenvalues' move from the blocks', and the round-off n eps sum|W| dA (the grid's
     `abs_sum`): the `_kernel_views` views, of Re b alone when 2dx ||Im K||_F is within it.
-    On centred axes mirrored rows move an entry by at most dp times its midpoint row's share
+    x enters the kernel by row index alone, and with even counts and p_(n/2) = 0 to the bit
+    p_(n-k) = -p_k: mirrored rows move an entry by at most dp times its midpoint row's share
     of the defect d (`_parity_defect`), and a column reads each row once: ||dK||_2 <= dp d.  While
     2 dA d, the real path's drop and 2dx ||K[0, 1:]||_2 for the even block's edge point
-    fit within the round-off, the sectors are solved; else the whole even block, turned.
-    The centring test is exact on purpose; SymplecticFourier, which bounds its own drop,
-    also folds about a point n/2 that round-off moved off 0."""
-    dx, dA = w.x_axis.spacing, w.cell_area
-    centred = all(a.count % 2 == 0 and a.min + a.count // 2 * a.spacing == 0
-                  for a in (w.x_axis, w.p_axis))
+    fit within the round-off, the sectors are solved; else the whole even block, turned."""
+    dx, dA, p = w.x_axis.spacing, w.cell_area, w.p_axis
+    centred = w.x_axis.count % 2 == p.count % 2 == 0 and p.min + p.count // 2 * p.spacing == 0
     defect = _parity_defect(w.values) if centred else np.inf
     roundoff, moved = w.x_axis.count * np.finfo(float).eps * w.abs_sum * dA, 2 * dA * defect
     if not moved <= roundoff:
@@ -679,10 +678,9 @@ def load_wigner_manifest(path):
             entry = next(v for v in chain.from_iterable(rows) if type(v) not in (int, float))
             raise ValueError(f"manifest values must be numbers, got {entry!r}")
     elif "values_path" in manifest:
-        vp = Path(manifest["values_path"])
-        if not vp.is_absolute():
-            vp = path.parent / vp
-        values = np.loadtxt(vp, delimiter=",", ndmin=2)
+        if not isinstance(vp := manifest["values_path"], str):
+            raise ValueError(f"manifest values_path must be a path string, got {vp!r}")
+        values = np.loadtxt(path.parent / vp, delimiter=",", ndmin=2)  # an absolute vp stays
     else:
         raise ValueError("manifest needs 'values' or 'values_path'")
     return WignerGrid(x_axis, p_axis, values, float(hbar))

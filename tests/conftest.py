@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -100,6 +103,15 @@ def random_symplectic(seed, ndof):
         A = J @ H
         S = S @ np.linalg.solve(eye - A / 2, eye + A / 2)
     return S
+
+
+def benchmark_module(name):
+    """The module `name` of the benchmark directory, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).parents[1] / "benchmark" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

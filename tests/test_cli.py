@@ -1,5 +1,5 @@
 import argparse
-import importlib.util
+import importlib
 import inspect
 import io
 import json
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_symplectic
+from conftest import benchmark_module, random_symplectic
 from wigcheck import (AxisGrid, WignerGrid, blobs, cli, default_axis, fock_state, mixture_wigner,
                       save_wigner_manifest, symplectic, uncertainty_report, wigner_gaussian)
 from wigcheck.cli import _emit, main
@@ -734,6 +734,10 @@ def test_manifest_with_bool_hbar_is_input_error(tmp_path, capsys):
     assert captured.err == "error: invalid state spec: manifest hbar must be a number, got True\n"
 
 
+def _without_values(d):
+    return {k: v for k, v in d.items() if k != "values"}
+
+
 def _needs(key):
     return f"manifest needs {key!r}, an object with 'min', 'max' and 'count'"
 
@@ -748,9 +752,13 @@ def _needs(key):
     (lambda d: {**d, "hbar": None}, "manifest hbar must be a number, got None"),
     (lambda d: {**d, "hbar": [1]}, "manifest hbar must be a number, got [1]"),
     (lambda d: {**d, "values": d["values"][:3] + [d["values"][3][:-1]] + d["values"][4:]},
-     "manifest values must be rows of numbers, all of one length")],
+     "manifest values must be rows of numbers, all of one length"),
+    (lambda d: {**_without_values(d), "values_path": 5},
+     "manifest values_path must be a path string, got 5"),
+    (lambda d: {**_without_values(d), "values_path": None},
+     "manifest values_path must be a path string, got None")],
     ids=["no-x-axis", "no-count", "int-axis", "list-manifest", "null-min", "null-hbar",
-         "list-hbar", "ragged-values"])
+         "list-hbar", "ragged-values", "int-values-path", "null-values-path"])
 def test_a_manifest_error_names_its_key_in_words(tmp_path, capsys, edit, message):
     # one line naming the manifest key, not a KeyError's repr, a TypeError's or numpy's wording
     manifest = _vacuum_manifest(tmp_path, capsys)
@@ -1244,17 +1252,9 @@ def test_long_inline_spec_is_not_taken_for_a_path(capsys):
     assert rep["input"]["components"] == components
 
 
-def _benchmark_module(name):
-    spec = importlib.util.spec_from_file_location(
-        name, Path(__file__).parents[1] / "benchmark" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_spans_still_find_their_functions():
     # the benchmark's --trace patches these names; a deleted one breaks it
-    spans = _benchmark_module("spans")
+    spans = benchmark_module("spans")
     for _, module, names in spans.LAYERS:
         mod = importlib.import_module(module)
         for name in names:
@@ -1263,7 +1263,7 @@ def test_benchmark_spans_still_find_their_functions():
 
 def test_benchmark_command_lines_still_parse(tmp_path):
     # the benchmark's worker appends --seed N -o PATH to every case, hardy's included
-    workloads = _benchmark_module("workloads")
+    workloads = benchmark_module("workloads")
     cases = [*workloads.battery_cases(), *workloads.no_cases(),
              *(m.case for m in workloads.manifest_inputs(tmp_path))]
     assert {case.argv[0] for case in cases} == {"analyze", "hardy"}

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 from dataclasses import replace
 from itertools import combinations
@@ -10,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from conftest import gaussian_wavepacket
+from conftest import benchmark_module, gaussian_wavepacket
 from test_states import _dense_rescale, _traced_peak
 from wigcheck import (as_dict, capacity, compact_support_flag, covariance_from_grid,
                       default_axis, fit_dominating_gaussian, fock_state,
@@ -201,15 +200,6 @@ def _support_cases():
 def test_compact_support_flag_matches_the_mask_version(name):
     w = _support_cases()[name]
     assert compact_support_flag(w) == _mask_support_flag(w)
-
-
-def test_compact_support_flag_with_every_value_below_the_threshold(monkeypatch):
-    # no finite grid has all of its values under a threshold below 1
-    monkeypatch.setattr(domination, "SUPPORT_THRESHOLD", 2.0)
-    w = _support_cases()["cosine bump"]
-    flag, diag = compact_support_flag(w)
-    assert (flag, diag) == _mask_support_flag(w)
-    assert diag["reason"] == "no values above threshold"
 
 
 def test_fit_rejects_small_cap(vacuum_wigner):
@@ -604,10 +594,7 @@ def _origin_grid(*cells):
 
 
 def _manifest_grids():
-    spec = importlib.util.spec_from_file_location(
-        "workloads", Path(__file__).parents[1] / "benchmark" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = benchmark_module("workloads")
     axis = AxisGrid.from_dict(workloads.MANIFEST_AXIS)
     return {f"manifest {m.case.name}": WignerGrid(axis, axis, m.values)
             for m in workloads.manifest_inputs(Path("."))}

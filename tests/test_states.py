@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from conftest import (fourier_wavefunction, gaussian_wavepacket, oracle_min, whole_bump,
-                      whole_mixture_wigner, whole_rescale, whole_symplectic_blocks,
+from conftest import (benchmark_module, fourier_wavefunction, gaussian_wavepacket, oracle_min,
+                      whole_bump, whole_mixture_wigner, whole_rescale, whole_symplectic_blocks,
                       whole_wigner_gaussian, whole_wigner_of_pure)
 from wigcheck import (AxisGrid, SymplecticFourier, cli, default_axis, fock_state, states,
                       kernel_from_wigner,
@@ -441,6 +441,75 @@ def test_oracle_parity_path_choice(chirp_calls, no_grid, displaced_768, odd_offc
         assert len(chirp_calls) == count, name
 
 
+def _builder_vacuum(hbar, count):
+    args = cli.build_parser().parse_args(["oracle", "{}", "--grid-n", str(count)])
+    return cli.build_state({"type": "fock", "n": 0}, hbar, args)[0]
+
+
+def _x_shifted_gaussian(mean_x):
+    """The vacuum-width Gaussian at (mean_x, 0) on the default axes, x moved by 0.3."""
+    a = default_axis()
+    x_axis = AxisGrid(a.min + 0.3, a.max + 0.3, a.count)
+    return wigner_gaussian([mean_x, 0], 0.5 * np.eye(2), x_axis, a)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _builder_vacuum(3.0, 256), lambda: _builder_vacuum(0.5, 300),
+    lambda: _builder_vacuum(2.0, 300), lambda: _builder_vacuum(3.0, 300),
+    lambda: _x_shifted_gaussian(0.3)],
+    ids=["vacuum hbar=3 n=256", "vacuum hbar=0.5 n=300", "vacuum hbar=2 n=300",
+         "vacuum hbar=3 n=300", "gaussian at x=0.3 on x moved by 0.3"])
+def test_oracle_parity_rule_reads_x_by_row_index_alone(monkeypatch, build):
+    # x enters the kernel by row index alone: a grid whose x point n/2 is off 0, by
+    # round-off or by 0.3, takes the parity path, and its spectrum lies within the
+    # returned bound of the general path's
+    w = build()
+    assert w.x_axis.min + w.x_axis.count // 2 * w.x_axis.spacing != 0
+    blocks, bound, roundoff = _oracle_views(w)
+    assert len(blocks[1]) == 2 and bound <= roundoff
+    got = operator_spectrum_oracle(w)
+    monkeypatch.setattr(states, "_parity_defect", lambda a: np.inf)  # the general path
+    assert [len(parts) for parts in _oracle_views(w)[0]] == [1, 1]
+    for parity, general in zip(got, operator_spectrum_oracle(w), strict=True):
+        assert np.abs(parity - general).max() <= bound
+
+
+def test_oracle_keeps_the_general_path_off_the_row_mirror():
+    # the Gaussian at x = 0 on the x axis moved by 0.3 is not symmetric about row n/2:
+    # its defect moves the mirrored rows about 1e13 times the round-off budget
+    w = _x_shifted_gaussian(0.0)
+    blocks, _, roundoff = _oracle_views(w)
+    assert [len(parts) for parts in blocks] == [1, 1]
+    assert 2 * w.cell_area * _parity_defect(w.values) > 1e12 * roundoff
+
+
+BENCHMARK_ORACLE_LAYOUTS = {  # path, parts of the even block, solve
+    **dict.fromkeys(["vacuum", "narcowich-oconnell"], ("parity", 3, "real")),
+    **dict.fromkeys(["squeezed", "bump", "vacuum-x1.5"], ("parity", 1, "real")),
+    **dict.fromkeys(["fock01-mixture", "fock1-x1.2", "manifest fock2", "manifest thermal",
+                     "manifest sub-vacuum", "manifest fock1-x1.2"], ("general", 1, "real")),
+    "manifest squeezed-rotated": ("general", 1, "complex"),
+}
+
+
+def test_oracle_layout_of_every_benchmark_grid():
+    # the sectors, the whole even block or the general path, and the real or complex solve
+    workloads = benchmark_module("workloads")
+    grids = {case.name: cli.build_state(json.loads(case.argv[1]), 1.0,
+                                        cli.build_parser().parse_args(case.argv))[0]
+             for case in [*workloads.battery_cases(), *workloads.no_cases()]
+             if case.argv[0] == "analyze"}
+    axis = AxisGrid.from_dict(workloads.MANIFEST_AXIS)
+    grids.update((f"manifest {m.case.name}", WignerGrid(axis, axis, m.values))
+                 for m in workloads.manifest_inputs("."))
+    assert grids.keys() == BENCHMARK_ORACLE_LAYOUTS.keys()
+    for name, w in grids.items():
+        blocks = _oracle_views(w)[0]
+        layout = ("parity" if len(blocks[1]) == 2 else "general", len(blocks[0]),
+                  "complex" if np.iscomplexobj(blocks[0][0]) else "real")
+        assert layout == BENCHMARK_ORACLE_LAYOUTS[name], name
+
+
 def test_parity_sums_add_sum_abs_as_abs_sums(no_grid):
     # the real path's bound compares with the grid's sum|W|: the same float as _abs_sums
     # adds it; the defect is the rows past n/2 less their mirrors, and column 0
@@ -750,6 +819,12 @@ def test_manifest_round_trip_csv(tmp_path, fock1_wigner):
     back = load_wigner_manifest(path)
     assert np.array_equal(back.values, fock1_wigner.values)
     assert back.hbar == fock1_wigner.hbar
+    # an absolute values_path is read as it stands, not below the manifest's directory
+    moved = tmp_path / "sub" / "w.json"
+    moved.parent.mkdir()
+    doc = json.loads(path.read_text())
+    moved.write_text(json.dumps({**doc, "values_path": str(tmp_path / "w.csv")}))
+    assert np.array_equal(load_wigner_manifest(moved).values, back.values)
 
 
 def test_axis_validation():
